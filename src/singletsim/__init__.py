@@ -1,80 +1,20 @@
 """Simulator and analysis toolkit for coherent singlet-singlet dynamics in coupled spin pairs."""
 
-from .analysis import (
-    FitInputError,
-    FitResult,
-    NoOscillationError,
-    estimate_frequency,
-    evaluate_model,
-    fit_exponential,
-    fit_lorentzian,
-    fit_rabi,
-    fit_ramsey,
-)
-from .hamiltonian import (
-    EffectiveTwoLevel,
-    NoTransferError,
-    SpinLockParams,
-    coupling_combination,
-    dressed_splitting,
-    effective_channels,
-    effective_nutation_difference,
-    effective_two_level,
-    free_hamiltonian,
-    interaction_strength,
-    resonant_nutation,
-    spinlock_hamiltonian,
-    state_energies,
-    transfer_period,
-)
-from .presets import glutamate, phe_gly_gly, ppm_to_hz, preset_params, preset_system
-from .propagator import (
-    Delay,
-    HardPulse,
-    RelaxationEnvelope,
-    SpinLock,
-    apply_relaxation_envelope,
-    final_state,
-    hard_pulse_propagator,
-    propagate,
-    segment_propagator,
-)
+from .analysis import FitResult, fit_exponential, fit_lorentzian, fit_rabi, fit_ramsey
+from .hamiltonian import SpinLockParams
+from .presets import glutamate, phe_gly_gly
+from .propagator import RelaxationEnvelope
 from .sequences import (
     PrepSpec,
     Protocol,
-    effective_receiving_trace,
-    exact_channel_detuning,
-    exact_resonance_nutation,
-    ideal_transfer_state,
     run_double_rabi,
     run_protocol,
     run_pumping,
     run_rabi,
     run_ramsey,
     run_resonance_scan,
-    slic_readout_sequence,
-    slic_sequence,
-    three_pulse_sequence,
-    transfer_resonance_nutation,
 )
-from .spincore import (
-    PairBasis,
-    SpinSystem,
-    TripletAmplitudes,
-    check_density,
-    check_hermitian,
-    embed_spin_operator,
-    expectation,
-    maximally_mixed_triplet,
-    pair_basis,
-    product_state,
-    product_state_vector,
-    pure_state_density,
-    singlet_population,
-    singlet_projector,
-    thermal_state,
-    triplet_projector,
-)
+from .spincore import SpinSystem, TripletAmplitudes
 from .trace import Trace
 
 __version__ = "0.1.0"

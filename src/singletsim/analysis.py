@@ -7,10 +7,12 @@ Model set:
 * lorentzian:  I(x) = b + h (w/2)^2 / ((x - x0)^2 + (w/2)^2)
 * exponential: I(t) = A exp(-t / T) + c
 
-Fits use a damped (Levenberg-Marquardt) least-squares loop with analytic
-Jacobians; decay times are handled internally as rates so that "no decay"
-is the well-behaved point r = 0.  A discrete spectral estimate provides
-frequency initialisation and an independent cross-check.
+Each model is stated once, as a ``FitModel`` record (``RABI``, ``RAMSEY``,
+``LORENTZIAN``, ``EXPONENTIAL``) that drives both its fit and
+``evaluate_model``.  Fits use a damped (Levenberg-Marquardt) least-squares
+loop with analytic Jacobians; decay times are handled internally as rates
+so that "no decay" is the well-behaved point r = 0.  A discrete spectral
+estimate provides frequency initialisation and an independent cross-check.
 
 Ramsey fits are returned in canonical form: A >= 0 and phi in (-pi, pi].
 A fit with A < 0 is the same curve as (-A, phi + pi, -c), and phi is only
@@ -22,6 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -53,10 +57,121 @@ class FitResult:
     n_iterations: int
     covariance: np.ndarray | None = None
     param_order: tuple[str, ...] = field(default=())
-    sign: int = 1  # Ramsey sign s (fixed, not fitted); 1 for the other models
+    sign: int = 1  # fixed model sign s: Ramsey s, -1 for a cos2 Rabi fit, else 1
 
     def __getitem__(self, name: str) -> float:
         return self.params[name]
+
+
+@dataclass(frozen=True)
+class FitModel:
+    """A fit model, stated once.
+
+    function(x, p, sign) returns the model values and the Jacobian columns
+    for the internal parameter vector p, whose entries ``names`` labels.
+    Decay times are fitted as rates; ``times`` maps each rate to the time
+    it is reported as (T = 1/r, infinite for r = 0).
+    """
+
+    function: Callable[..., tuple[np.ndarray, np.ndarray]]
+    names: tuple[str, ...]
+    times: dict[str, str] = field(default_factory=dict)
+
+    def internal(self, params: dict[str, float]) -> np.ndarray:
+        """Internal vector for reported params (T -> 1/T, inf -> 0).
+
+        A rate whose time is absent from params was not fitted and is left
+        out, as in a Rabi fit without decay.
+        """
+        values = []
+        for name in self.names:
+            reported = self.times.get(name, name)
+            if reported not in params:
+                continue
+            value = params[reported]
+            if name in self.times:
+                value = 1.0 / value if np.isfinite(value) else 0.0
+            values.append(value)
+        return np.array(values)
+
+
+def _rabi(x, p, sign=1):
+    """A [sin^2(pi f x) + c] exp(-r x), cos^2 for sign -1; r = 0 when p has no rate."""
+    amp, freq, off = p[:3]
+    rate = p[3] if len(p) == 4 else 0.0
+    phase = np.pi * freq * x
+    osc = np.sin(phase) ** 2 if sign > 0 else np.cos(phase) ** 2
+    decay = np.exp(-rate * x)
+    model = amp * (osc + off) * decay
+    d_osc_df = sign * np.pi * x * np.sin(2 * phase)
+    cols = [(osc + off) * decay, amp * d_osc_df * decay, amp * decay]
+    if len(p) == 4:
+        cols.append(-x * model)
+    return model, np.column_stack(cols)
+
+
+def _ramsey(x, p, sign=1):
+    """A [s cos(2 pi f x - phi) exp(-r2 x) + c] exp(-rs x)."""
+    amp, freq, phi, off, r2, rs = p
+    theta = 2 * np.pi * freq * x - phi
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    d2, ds = np.exp(-r2 * x), np.exp(-rs * x)
+    osc = sign * cos_t * d2
+    model = amp * (osc + off) * ds
+    cols = [
+        (osc + off) * ds,
+        amp * (-sign * sin_t * 2 * np.pi * x) * d2 * ds,
+        amp * (sign * sin_t) * d2 * ds,
+        amp * ds,
+        amp * (-x) * sign * cos_t * d2 * ds,
+        -x * model,
+    ]
+    return model, np.column_stack(cols)
+
+
+def _lorentzian(x, p, sign=1):
+    """b + h (w/2)^2 / ((x - x0)^2 + (w/2)^2); the sign is unused."""
+    center, fwhm, height, baseline = p
+    half = fwhm / 2.0
+    g = half**2
+    dx = x - center
+    denom = dx**2 + g
+    lor = g / denom
+    model = baseline + height * lor
+    cols = [
+        height * g * 2 * dx / denom**2,
+        height * half * dx**2 / denom**2,
+        lor,
+        np.ones_like(x),
+    ]
+    return model, np.column_stack(cols)
+
+
+def _exponential(x, p, sign=1):
+    """A exp(-r x) + c; the sign is unused."""
+    amp, rate, off = p
+    decay = np.exp(-rate * x)
+    model = amp * decay + off
+    return model, np.column_stack([decay, -amp * x * decay, np.ones_like(x)])
+
+
+RABI = FitModel(_rabi, ("amplitude", "frequency_hz", "offset", "rate"), {"rate": "t_rabi_s"})
+RAMSEY = FitModel(
+    _ramsey,
+    ("amplitude", "frequency_hz", "phase_rad", "offset", "rate2", "rate_s"),
+    {"rate2": "t2s_star_s", "rate_s": "t_s_s"},
+)
+LORENTZIAN = FitModel(_lorentzian, ("center", "fwhm", "height", "baseline"))
+EXPONENTIAL = FitModel(_exponential, ("amplitude", "rate", "offset"), {"rate": "t_s"})
+
+# FitResult.model -> record
+MODELS = {
+    "sin2": RABI,
+    "cos2": RABI,
+    "ramsey": RAMSEY,
+    "lorentzian": LORENTZIAN,
+    "exponential": EXPONENTIAL,
+}
 
 
 def _trace_xy(trace) -> tuple[np.ndarray, np.ndarray]:
@@ -202,14 +317,13 @@ def levenberg_marquardt(
 
 def _finish(
     model_name: str,
-    names: tuple[str, ...],
+    model: FitModel,
     p: np.ndarray,
     rss: float,
     cov_unscaled: np.ndarray,
     converged: bool,
     iterations: int,
     n_points: int,
-    rate_names: dict[str, str],
     sign: int = 1,
 ) -> FitResult:
     """Assemble a FitResult, converting internal rates to reported times."""
@@ -219,21 +333,18 @@ def _finish(
     sigma = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     params: dict[str, float] = {}
     uncertainties: dict[str, float] = {}
-    order: list[str] = []
-    for name, value, err in zip(names, p, sigma):
-        if name in rate_names:
-            t_name = rate_names[name]
+    for name, value, err in zip(model.names, p, sigma):
+        if name in model.times:
+            name = model.times[name]
             if value > 0:
-                params[t_name] = 1.0 / value
-                uncertainties[t_name] = err / value**2
+                params[name] = 1.0 / value
+                uncertainties[name] = err / value**2
             else:
-                params[t_name] = math.inf
-                uncertainties[t_name] = math.inf
-            order.append(t_name)
+                params[name] = math.inf
+                uncertainties[name] = math.inf
         else:
             params[name] = float(value)
             uncertainties[name] = float(err)
-            order.append(name)
     return FitResult(
         model=model_name,
         params=params,
@@ -243,7 +354,7 @@ def _finish(
         converged=converged,
         n_iterations=iterations,
         covariance=cov,
-        param_order=tuple(order),
+        param_order=tuple(params),
         sign=sign,
     )
 
@@ -278,40 +389,20 @@ def _is_flat(y: np.ndarray) -> bool:
 
 
 def fit_rabi(trace, mode: str = "sin2", with_decay: bool = True) -> FitResult:
-    """Fit A [sin^2(pi f t) + c] exp(-t/T_Rabi) (or the cos^2 variant)."""
+    """Fit A [sin^2(pi f t) + c] exp(-t/T_Rabi) (or the cos^2 variant, sign -1)."""
     if mode not in ("sin2", "cos2"):
         raise FitInputError(f"mode must be sin2 or cos2, got {mode!r}")
     t, y = _trace_xy(trace)
     if t.size < 8:
         raise FitInputError("rabi fit needs at least 8 samples")
-    sign = 1.0 if mode == "sin2" else -1.0
+    sign = 1 if mode == "sin2" else -1
 
     if _is_flat(y):
         params = {"amplitude": 0.0, "frequency_hz": 0.0, "offset": float(y.mean())}
         if with_decay:
             params["t_rabi_s"] = math.inf
         zeros = {k: 0.0 for k in params}
-        return FitResult(mode, params, zeros, 0.0, 0.0, True, 0, None, tuple(params))
-
-    def model_and_jacobian(x, p):
-        if with_decay:
-            amp, freq, off, rate = p
-        else:
-            amp, freq, off = p
-            rate = 0.0
-        phase = np.pi * freq * x
-        osc = np.sin(phase) ** 2 if sign > 0 else np.cos(phase) ** 2
-        decay = np.exp(-rate * x)
-        model = amp * (osc + off) * decay
-        d_osc_df = sign * np.pi * x * np.sin(2 * phase)
-        cols = [
-            (osc + off) * decay,
-            amp * d_osc_df * decay,
-            amp * decay,
-        ]
-        if with_decay:
-            cols.append(-x * model)
-        return model, np.column_stack(cols)
+        return FitResult(mode, params, zeros, 0.0, 0.0, True, 0, None, tuple(params), sign)
 
     amp0 = max(np.ptp(y), 1e-12)
     off0 = max(y.min(), 0.0) / amp0
@@ -325,9 +416,8 @@ def fit_rabi(trace, mode: str = "sin2", with_decay: bool = True) -> FitResult:
             starts.append([amp0, f0, off0])
     lb = np.array([-np.inf, 0.0, -np.inf] + ([0.0] if with_decay else []))
     ub = np.array([np.inf, _nyquist(t), np.inf] + ([np.inf] if with_decay else []))
-    p, rss, cov, converged, iters = _multi_start(model_and_jacobian, t, y, starts, lb, ub)
-    names = ("amplitude", "frequency_hz", "offset") + (("rate",) if with_decay else ())
-    return _finish(mode, names, p, rss, cov, converged, iters, t.size, {"rate": "t_rabi_s"})
+    p, rss, cov, converged, iters = _multi_start(partial(_rabi, sign=sign), t, y, starts, lb, ub)
+    return _finish(mode, RABI, p, rss, cov, converged, iters, t.size, sign)
 
 
 def _wrap_phase(phi: float) -> float:
@@ -367,23 +457,6 @@ def fit_ramsey(trace, sign: int = 1) -> FitResult:
     if t.size < 12:
         raise FitInputError("ramsey fit needs at least 12 samples")
 
-    def model_and_jacobian(x, p):
-        amp, freq, phi, off, r2, rs = p
-        theta = 2 * np.pi * freq * x - phi
-        cos_t, sin_t = np.cos(theta), np.sin(theta)
-        d2, ds = np.exp(-r2 * x), np.exp(-rs * x)
-        osc = sign * cos_t * d2
-        model = amp * (osc + off) * ds
-        cols = [
-            (osc + off) * ds,
-            amp * (-sign * sin_t * 2 * np.pi * x) * d2 * ds,
-            amp * (sign * sin_t) * d2 * ds,
-            amp * ds,
-            amp * (-x) * sign * cos_t * d2 * ds,
-            -x * model,
-        ]
-        return model, np.column_stack(cols)
-
     amp0 = max(np.ptp(y) / 2.0, 1e-12)
     off0 = y.mean() / amp0
     span = t[-1] - t[0]
@@ -395,13 +468,9 @@ def fit_ramsey(trace, sign: int = 1) -> FitResult:
             starts.append([amp0, f0, phi0, off0, r0, r0 / 2.0])
     lb = np.array([-np.inf, 0.0, -np.inf, -np.inf, 0.0, 0.0])
     ub = np.array([np.inf, _nyquist(t), np.inf, np.inf, np.inf, np.inf])
-    p, rss, cov, converged, iters = _multi_start(model_and_jacobian, t, y, starts, lb, ub)
+    p, rss, cov, converged, iters = _multi_start(partial(_ramsey, sign=sign), t, y, starts, lb, ub)
     p, cov = _canonical_ramsey(p, cov)
-    names = ("amplitude", "frequency_hz", "phase_rad", "offset", "rate2", "rate_s")
-    return _finish(
-        "ramsey", names, p, rss, cov, converged, iters, t.size,
-        {"rate2": "t2s_star_s", "rate_s": "t_s_s"}, sign,
-    )
+    return _finish("ramsey", RAMSEY, p, rss, cov, converged, iters, t.size, sign)
 
 
 def fit_lorentzian(trace) -> FitResult:
@@ -409,22 +478,6 @@ def fit_lorentzian(trace) -> FitResult:
     x, y = _trace_xy(trace)
     if x.size < 5:
         raise FitInputError("lorentzian fit needs at least 5 points")
-
-    def model_and_jacobian(xv, p):
-        center, fwhm, height, baseline = p
-        half = fwhm / 2.0
-        g = half**2
-        dx = xv - center
-        denom = dx**2 + g
-        lor = g / denom
-        model = baseline + height * lor
-        cols = [
-            height * g * 2 * dx / denom**2,
-            height * half * dx**2 / denom**2,
-            lor,
-            np.ones_like(xv),
-        ]
-        return model, np.column_stack(cols)
 
     base0 = float(np.min(y))
     height0 = max(float(np.max(y) - base0), 1e-12)
@@ -434,10 +487,9 @@ def fit_lorentzian(trace) -> FitResult:
     width0 = max(width0, (x[1] - x[0]))
     p0 = [center0, width0, height0, base0]
     p, rss, cov, converged, iters = _multi_start(
-        model_and_jacobian, x, y, [p0], np.array([-np.inf, 0.0, -np.inf, -np.inf])
+        _lorentzian, x, y, [p0], np.array([-np.inf, 0.0, -np.inf, -np.inf])
     )
-    names = ("center", "fwhm", "height", "baseline")
-    return _finish("lorentzian", names, p, rss, cov, converged, iters, x.size, {})
+    return _finish("lorentzian", LORENTZIAN, p, rss, cov, converged, iters, x.size)
 
 
 def fit_exponential(trace) -> FitResult:
@@ -451,12 +503,6 @@ def fit_exponential(trace) -> FitResult:
         zeros = {k: 0.0 for k in params}
         return FitResult("exponential", params, zeros, 0.0, 0.0, True, 0, None, tuple(params))
 
-    def model_and_jacobian(x, p):
-        amp, rate, off = p
-        decay = np.exp(-rate * x)
-        model = amp * decay + off
-        return model, np.column_stack([decay, -amp * x * decay, np.ones_like(x)])
-
     c0 = float(y[-1])
     a0 = float(y[0] - c0)
     span = t[-1] - t[0]
@@ -469,10 +515,9 @@ def fit_exponential(trace) -> FitResult:
         if slope < 0:
             starts.insert(0, [a0, -slope, c0])
     p, rss, cov, converged, iters = _multi_start(
-        model_and_jacobian, t, y, starts, np.array([-np.inf, 0.0, -np.inf])
+        _exponential, t, y, starts, np.array([-np.inf, 0.0, -np.inf])
     )
-    names = ("amplitude", "rate", "offset")
-    return _finish("exponential", names, p, rss, cov, converged, iters, t.size, {"rate": "t_s"})
+    return _finish("exponential", EXPONENTIAL, p, rss, cov, converged, iters, t.size)
 
 
 MODEL_FITTERS = {
@@ -485,34 +530,8 @@ MODEL_FITTERS = {
 
 def evaluate_model(result: FitResult, x: np.ndarray) -> np.ndarray:
     """Evaluate a fitted model on a grid (for fitted-curve output files)."""
+    model = MODELS.get(result.model)
+    if model is None:
+        raise ValueError(f"unknown model {result.model!r}")
     x = np.asarray(x, dtype=float)
-    p = result.params
-    if result.model in ("sin2", "cos2"):
-        rate = 0.0 if "t_rabi_s" not in p or not np.isfinite(p["t_rabi_s"]) else 1.0 / p["t_rabi_s"]
-        phase = np.pi * p["frequency_hz"] * x
-        osc = np.sin(phase) ** 2 if result.model == "sin2" else np.cos(phase) ** 2
-        return p["amplitude"] * (osc + p["offset"]) * np.exp(-rate * x)
-    if result.model == "ramsey":
-        r2 = 0.0 if not np.isfinite(p["t2s_star_s"]) else 1.0 / p["t2s_star_s"]
-        rs = 0.0 if not np.isfinite(p["t_s_s"]) else 1.0 / p["t_s_s"]
-        theta = 2 * np.pi * p["frequency_hz"] * x - p["phase_rad"]
-        osc = result.sign * np.cos(theta) * np.exp(-r2 * x)
-        return p["amplitude"] * (osc + p["offset"]) * np.exp(-rs * x)
-    if result.model == "lorentzian":
-        g = (p["fwhm"] / 2.0) ** 2
-        return p["baseline"] + p["height"] * g / ((x - p["center"]) ** 2 + g)
-    if result.model == "exponential":
-        rate = 0.0 if not np.isfinite(p["t_s"]) else 1.0 / p["t_s"]
-        return p["amplitude"] * np.exp(-rate * x) + p["offset"]
-    raise ValueError(f"unknown model {result.model!r}")
-
-
-def finite_difference_jacobian(model_fn, x: np.ndarray, p: np.ndarray, eps: float = 1e-7):
-    """Central-difference Jacobian of model_fn(x, p); test oracle for the analytic ones."""
-    p = np.asarray(p, dtype=float)
-    cols = []
-    for j in range(p.size):
-        dp = np.zeros_like(p)
-        dp[j] = eps * max(1.0, abs(p[j]))
-        cols.append((model_fn(x, p + dp) - model_fn(x, p - dp)) / (2 * dp[j]))
-    return np.column_stack(cols)
+    return model.function(x, model.internal(result.params), result.sign)[0]

@@ -3,8 +3,9 @@
 Subcommands: simulate (run a protocol, write a trace CSV), fit (fit a model
 to a trace file), scan (resonance scan plus Lorentzian summary), presets
 (list or dump the molecule presets).  Configs are JSON documents with
-explicit units in the field names; every output file embeds the fully
-resolved configuration so a run is reproducible from its own output.
+explicit units in the field names.  Every output file embeds, as its
+``# config:`` line, a config serialised from the objects the run was built
+from, so that line loads back as a config and reproduces the run.
 
 Exit codes: 0 success, 1 input error, 2 numerical failure.
 """
@@ -12,14 +13,15 @@ Exit codes: 0 success, 1 input error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import MODEL_FITTERS, FitInputError, FitResult, evaluate_model, fit_lorentzian
+from .analysis import MODEL_FITTERS, FitResult, evaluate_model, fit_lorentzian
 from .hamiltonian import SpinLockParams, pair_center_offset
 from .presets import PRESETS, ppm_to_hz, preset_params, preset_system
 from .propagator import RelaxationEnvelope
@@ -39,7 +41,6 @@ class RunConfig:
     envelope: RelaxationEnvelope | None
     noise_sigma: float | None
     noise_seed: int | None
-    resolved: dict
 
 
 def _require(mapping: dict, key: str, context: str):
@@ -48,33 +49,24 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
-def _build_system(block: dict) -> tuple[SpinSystem, float, dict]:
+def _build_system(block: dict) -> tuple[SpinSystem, float]:
     spectrometer = float(block.get("spectrometer_mhz", 200.0))
     spins = _require(block, "spins", "system")
     offsets = []
-    resolved_spins = []
     for i, spin in enumerate(spins):
         if "offset_hz" in spin:
-            off = float(spin["offset_hz"])
+            offsets.append(float(spin["offset_hz"]))
         elif "shift_ppm" in spin:
-            off = ppm_to_hz(float(spin["shift_ppm"]), spectrometer)
+            offsets.append(ppm_to_hz(float(spin["shift_ppm"]), spectrometer))
         else:
             raise ConfigError(f"system.spins[{i}] needs shift_ppm or offset_hz")
-        offsets.append(off)
-        resolved_spins.append({"offset_hz": off})
     couplings = _require(block, "couplings_hz", "system")
     pairs = tuple(tuple(p) for p in block.get("pairs", ()))
     try:
         system = SpinSystem(np.array(offsets), np.array(couplings, dtype=float), pairs)
     except ValueError as exc:
         raise ConfigError(f"system: {exc}") from exc
-    resolved = {
-        "spectrometer_mhz": spectrometer,
-        "spins": resolved_spins,
-        "couplings_hz": np.asarray(couplings, float).tolist(),
-        "pairs": [list(p) for p in pairs],
-    }
-    return system, spectrometer, resolved
+    return system, spectrometer
 
 
 def _build_lock(block: dict, spectrometer: float, system: SpinSystem, context: str) -> SpinLockParams:
@@ -138,15 +130,8 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
         system = preset_system(name)
         spectrometer = preset_params(name)["spectrometer_mhz"]
-        resolved_system = {
-            "preset": name,
-            "spins": [{"offset_hz": float(v)} for v in system.offsets_hz],
-            "couplings_hz": system.couplings_hz.tolist(),
-            "pairs": [list(p) for p in system.pairs],
-            "spectrometer_mhz": spectrometer,
-        }
     else:
-        system, spectrometer, resolved_system = _build_system(raw["system"])
+        system, spectrometer = _build_system(raw["system"])
 
     proto_spec = _require(raw, "protocol", "config")
     kind = _require(proto_spec, "kind", "protocol")
@@ -182,14 +167,14 @@ def load_config(path: str | Path) -> RunConfig:
 
     envelope = None
     if "envelope" in raw:
-        env_spec = raw["envelope"]
+        env_spec = dict(raw["envelope"])
+        if "t2s_star_s" in env_spec:
+            env_spec["t_2s_star_s"] = env_spec.pop("t2s_star_s")
+        unknown = sorted(set(env_spec) - {f.name for f in fields(RelaxationEnvelope)})
+        if unknown:
+            raise ConfigError(f"envelope: unknown field {unknown[0]!r}")
         try:
-            envelope = RelaxationEnvelope(
-                t_s_s=env_spec.get("t_s_s"),
-                t_1_s=env_spec.get("t_1_s"),
-                t_2s_star_s=env_spec.get("t2s_star_s", env_spec.get("t_2s_star_s")),
-                t_rabi_s=env_spec.get("t_rabi_s"),
-            )
+            envelope = RelaxationEnvelope(**env_spec)
         except ValueError as exc:
             raise ConfigError(f"envelope: {exc}") from exc
 
@@ -204,38 +189,73 @@ def load_config(path: str | Path) -> RunConfig:
                 raise ConfigError("noise.seed is required when noise is enabled")
             noise_seed = int(raw["noise"]["seed"])
 
-    resolved = {
-        "system": resolved_system,
-        "protocol": {
-            "kind": kind,
-            "source_pair": protocol.source_pair,
-            "readout_pair": protocol.readout_pair,
-            "prep": {"kind": protocol.prep.kind},
-            "triplet_init": protocol.triplet_init
-            if isinstance(protocol.triplet_init, str)
-            else list(protocol.triplet_init.asarray()),
-            "readout": protocol.readout,
-            "transfer": {
-                "nutation_hz": transfer.nutation_hz,
-                "phase_rad": transfer.phase,
-                "transmitter_offset_hz": transfer.transmitter_offset_hz,
-            },
-            "sweep": sweep.tolist(),
-        },
-        "envelope": raw.get("envelope"),
-        "noise": raw.get("noise"),
+    return RunConfig(system, protocol, envelope, noise_sigma, noise_seed)
+
+
+def _degrees(phase: float) -> float:
+    """Phase in degrees that the loader converts back to exactly this phase (rad).
+
+    rad2deg alone misses by an ulp for some phases; of the nearest doubles
+    that convert back exactly, the one with the shortest decimal form wins.
+    """
+    deg = float(np.rad2deg(phase))
+    candidates = [float(np.nextafter(deg, -np.inf)), deg, float(np.nextafter(deg, np.inf))]
+    exact = [c for c in candidates if np.deg2rad(c) == phase]
+    return min(exact, key=lambda c: len(repr(c))) if exact else deg
+
+
+def _lock_block(lock: SpinLockParams) -> dict:
+    return {
+        "nutation_hz": lock.nutation_hz,
+        "phase_deg": _degrees(lock.phase),
+        "transmitter_offset_hz": lock.transmitter_offset_hz,
     }
-    if free_lock is not None:
-        resolved["protocol"]["free_lock"] = {
-            "nutation_hz": free_lock.nutation_hz,
-            "phase_rad": free_lock.phase,
-            "transmitter_offset_hz": free_lock.transmitter_offset_hz,
-        }
-    if protocol.pi_half_duration_s is not None:
-        resolved["protocol"]["pi_half_duration_s"] = protocol.pi_half_duration_s
-    if scan_tau is not None:
-        resolved["protocol"]["scan_tau_s"] = scan_tau.tolist()
-    return RunConfig(system, protocol, envelope, noise_sigma, noise_seed, resolved)
+
+
+def _config_line(config: RunConfig) -> str:
+    """The '# config:' header line: the run config as built, in the schema load_config reads.
+
+    Every value is taken from the built objects (offsets and transmitters in
+    Hz, phases in degrees that convert back exactly, sweeps as explicit
+    values), so loading the JSON rebuilds the same objects.
+    """
+    system, protocol = config.system, config.protocol
+    prep = {k: v for k, v in asdict(protocol.prep).items() if v is not None and k != "phase"}
+    prep["phase_deg"] = _degrees(protocol.prep.phase)
+    spec = {
+        "kind": protocol.kind,
+        "sweep": {"values": protocol.sweep.tolist()},
+        "transfer": _lock_block(protocol.transfer),
+        "source_pair": protocol.source_pair,
+        "readout_pair": protocol.readout_pair,
+        "prep": prep,
+        "triplet_init": protocol.triplet_init,
+        "readout": protocol.readout,
+        "phase_cycle": protocol.phase_cycle,
+        "double_rabi_phases_deg": [_degrees(phase) for phase in protocol.double_rabi_phases],
+        "pi_half_duration_s": protocol.pi_half_duration_s,
+        "pump_transfer_duration_s": protocol.pump_transfer_duration_s,
+        "pump_reset_delay_s": protocol.pump_reset_delay_s,
+    }
+    if protocol.free_lock is not None:
+        spec["free_lock"] = _lock_block(protocol.free_lock)
+    if protocol.scan_tau_grid_s is not None:
+        spec["scan_tau"] = {"values": protocol.scan_tau_grid_s.tolist()}
+    out = {
+        "system": {
+            "spins": [{"offset_hz": offset} for offset in system.offsets_hz.tolist()],
+            "couplings_hz": system.couplings_hz.tolist(),
+            "pairs": [list(pair) for pair in system.pairs],
+        },
+        "protocol": {k: v for k, v in spec.items() if v is not None},
+    }
+    if config.envelope is not None:
+        out["envelope"] = {k: v for k, v in asdict(config.envelope).items() if v is not None}
+    if config.noise_sigma is not None:
+        out["noise"] = {"sigma": config.noise_sigma}
+        if config.noise_seed is not None:
+            out["noise"]["seed"] = config.noise_seed
+    return f"# config: {json.dumps(out, sort_keys=True)}"
 
 
 def _format(value: float) -> str:
@@ -247,7 +267,7 @@ def _write_trace(trace: Trace, config: RunConfig, out_path: Path) -> None:
     columns = ["sweep_value", "observable"] + [f"singlet_pop_pair{i}" for i in range(n_pairs)]
     lines = [
         "# singletsim trace",
-        f"# config: {json.dumps(config.resolved, sort_keys=True)}",
+        _config_line(config),
         f"# protocol: {trace.metadata.get('protocol', '')}",
         f"# sweep_unit: {trace.sweep_unit}",
         f"# columns: {','.join(columns)}",
@@ -318,14 +338,14 @@ def cmd_fit(trace_path: str, model: str, out_path: str, **options) -> FitResult:
     if model not in MODEL_FITTERS:
         raise ConfigError(f"unknown model {model!r}; available: {sorted(MODEL_FITTERS)}")
     x, y = read_trace_file(trace_path)
-    if model == "rabi":
-        result = MODEL_FITTERS[model](
-            (x, y), mode=options.get("mode", "sin2"), with_decay=not options.get("no_decay", False)
-        )
-    elif model == "ramsey":
-        result = MODEL_FITTERS[model]((x, y), sign=options.get("sign", 1))
-    else:
-        result = MODEL_FITTERS[model]((x, y))
+    fitter = MODEL_FITTERS[model]
+    settings = {
+        "mode": options.get("mode", "sin2"),
+        "sign": options.get("sign", 1),
+        "with_decay": not options.get("no_decay", False),
+    }
+    accepted = inspect.signature(fitter).parameters
+    result = fitter((x, y), **{k: v for k, v in settings.items() if k in accepted})
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(_fit_report(result), indent=2, sort_keys=True) + "\n")
@@ -352,7 +372,7 @@ def cmd_scan(config_path: str, out_dir: str) -> Path:
     out_path = out / "scan.csv"
     lines = [
         "# singletsim resonance scan",
-        f"# config: {json.dumps(config.resolved, sort_keys=True)}",
+        _config_line(config),
         "# columns: nutation_hz,delta_nu_n_hz,amplitude,fitted_frequency_hz",
     ]
     for k in range(trace.sweep_values.size):
@@ -442,15 +462,13 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {path}")
         elif args.command == "presets":
             cmd_presets(args.list, args.dump)
-    except ConfigError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
-    except FitInputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        # LinAlgError is a ValueError, so it is caught before the input errors
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # ConfigError, FitInputError and any other rejected input
+        print(f"input error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -11,13 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spincore import SpinSystem, TripletAmplitudes, embed_spin_operator
-
-PHI_COMPOSITIONS = (
-    ("phi_plus", TripletAmplitudes(1.0, 0.0, 0.0)),
-    ("phi_0", TripletAmplitudes(0.0, 1.0, 0.0)),
-    ("phi_minus", TripletAmplitudes(0.0, 0.0, 1.0)),
-)
+from .spincore import PHI_COMPOSITIONS, SpinSystem, TripletAmplitudes, embed_spin_operator
 
 
 class NoTransferError(ValueError):
@@ -152,10 +146,6 @@ def state_energies(
     return e1, e2
 
 
-def effective_two_level(e1_hz: float, e2_hz: float, c_hz: float) -> EffectiveTwoLevel:
-    return EffectiveTwoLevel(e1_hz, e2_hz, c_hz)
-
-
 def dressed_splitting(nutation_hz: float, offset_hz: float) -> float:
     """Exact dressed-level splitting sqrt(nu_n^2 + offset^2) of a locked spin (Hz)."""
     return float(np.hypot(nutation_hz, offset_hz))
@@ -207,11 +197,6 @@ def interpair_couplings(
     return (j[a1, a2], j[b1, b2], j[a1, b2], j[b1, a2])
 
 
-def coupling_combination(system: SpinSystem, pair_i: int, pair_j: int) -> float:
-    j_aa, j_bb, j_ab, j_ba = interpair_couplings(system, pair_i, pair_j)
-    return j_aa + j_bb - j_ab - j_ba
-
-
 def intrapair_coupling(system: SpinSystem, pair_index: int) -> float:
     a, b = system.pair(pair_index)
     return float(system.couplings_hz[a, b])
@@ -239,7 +224,7 @@ def effective_channels(
     j2 = intrapair_coupling(system, pair_2)
     j_aa, j_bb, j_ab, j_ba = interpair_couplings(system, pair_1, pair_2)
     channels = {}
-    for name, amp in PHI_COMPOSITIONS:
+    for name, amp in PHI_COMPOSITIONS.items():
         e1, e2 = state_energies(j1, j2, nut1, nut2, amp, amp)
         c = interaction_strength(j_aa, j_bb, j_ab, j_ba, amp, amp)
         channels[name] = EffectiveTwoLevel(e1, e2, c)

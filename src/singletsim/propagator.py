@@ -8,7 +8,7 @@ phenomenological decay envelopes applied to observable traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -174,19 +174,16 @@ class RelaxationEnvelope:
     """Phenomenological decay times (s); absent values mean no decay.
 
     t_s_s: singlet depopulation lifetime (whole-signal factor on singlet traces).
-    t_1_s: triplet lifetime (whole-signal factor on triplet-borne signals).
     t_2s_star_s: singlet-singlet dephasing (damps the oscillatory component).
     t_rabi_s: overall decay of transfer (Rabi-type) traces.
     """
 
     t_s_s: float | None = None
-    t_1_s: float | None = None
     t_2s_star_s: float | None = None
     t_rabi_s: float | None = None
 
     def __post_init__(self):
-        for name in ("t_s_s", "t_1_s", "t_2s_star_s", "t_rabi_s"):
-            value = getattr(self, name)
+        for name, value in asdict(self).items():
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive when present")
 
@@ -232,16 +229,7 @@ def apply_relaxation_envelope(trace: Trace, envelope: RelaxationEnvelope) -> Tra
     if populations is not None:
         populations = np.vstack([transform(row) for row in populations])
     metadata = dict(trace.metadata)
-    metadata["envelope"] = {
-        k: v
-        for k, v in (
-            ("t_s_s", envelope.t_s_s),
-            ("t_1_s", envelope.t_1_s),
-            ("t_2s_star_s", envelope.t_2s_star_s),
-            ("t_rabi_s", envelope.t_rabi_s),
-        )
-        if v is not None
-    }
+    metadata["envelope"] = {k: v for k, v in asdict(envelope).items() if v is not None}
     return Trace(
         sweep_values=times.copy(),
         observable=transform(trace.observable),

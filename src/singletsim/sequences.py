@@ -36,6 +36,7 @@ from .propagator import (
 )
 from .spincore import (
     _PAIR_BASIS as _BASIS,
+    PHI_COMPOSITIONS,
     SpinSystem,
     TripletAmplitudes,
     embed_spin_operator,
@@ -50,7 +51,7 @@ from .spincore import (
 from .trace import Trace
 
 PROTOCOL_KINDS = ("rabi", "ramsey", "double_rabi", "pumping", "resonance_scan")
-TRIPLET_INITS = ("uniform", "phi_plus", "phi_0", "phi_minus")
+TRIPLET_INITS = ("uniform", *PHI_COMPOSITIONS)
 
 
 @dataclass(frozen=True)
@@ -203,16 +204,9 @@ def _triplet_block(init: str | TripletAmplitudes, lock_phase: float) -> np.ndarr
     kets rotate with the lock phase; the maximally mixed triplet is
     phase-invariant.
     """
-    if isinstance(init, str):
-        if init == "uniform":
-            return maximally_mixed_triplet()
-        amplitudes = {
-            "phi_plus": TripletAmplitudes(1.0, 0.0, 0.0),
-            "phi_0": TripletAmplitudes(0.0, 1.0, 0.0),
-            "phi_minus": TripletAmplitudes(0.0, 0.0, 1.0),
-        }[init]
-    else:
-        amplitudes = init
+    if init == "uniform":
+        return maximally_mixed_triplet()
+    amplitudes = PHI_COMPOSITIONS[init] if isinstance(init, str) else init
     ket = rotate_pair_ket_phase(_BASIS.phi_for(amplitudes), lock_phase)
     return np.outer(ket, ket.conj())
 

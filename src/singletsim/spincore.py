@@ -106,9 +106,12 @@ class TripletAmplitudes:
         return float(self.asarray() @ other.asarray())
 
 
-PHI_PLUS_AMPLITUDES = TripletAmplitudes(1.0, 0.0, 0.0)
-PHI_0_AMPLITUDES = TripletAmplitudes(0.0, 1.0, 0.0)
-PHI_MINUS_AMPLITUDES = TripletAmplitudes(0.0, 0.0, 1.0)
+# the pure triplet compositions, by name
+PHI_COMPOSITIONS = {
+    "phi_plus": TripletAmplitudes(1.0, 0.0, 0.0),
+    "phi_0": TripletAmplitudes(0.0, 1.0, 0.0),
+    "phi_minus": TripletAmplitudes(0.0, 0.0, 1.0),
+}
 
 
 @dataclass(frozen=True)
@@ -216,10 +219,6 @@ def expectation(state: np.ndarray, obs: np.ndarray) -> complex:
     if state.shape != obs.shape:
         raise ValueError(f"dimension mismatch: state {state.shape} vs observable {obs.shape}")
     return complex(np.trace(state @ obs))
-
-
-def singlet_population(state: np.ndarray, system: SpinSystem, pair_index: int) -> float:
-    return expectation(state, singlet_projector(system, pair_index)).real
 
 
 def product_state_vector(system: SpinSystem, pair_kets: list[np.ndarray]) -> np.ndarray:

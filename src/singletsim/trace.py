@@ -13,7 +13,9 @@ class Trace:
 
     sweep_values: the swept quantity (seconds for time sweeps, Hz for
         frequency sweeps, cycle counts for pumping).
-    observable: the readout value at each sweep point.
+    observable: the readout value at each sweep point.  NaN marks a point
+        whose value could not be determined (a resonance-scan point whose
+        fit failed); infinities are rejected.
     singlet_populations: per-pair singlet population, shape (n_pairs, n_points).
     metadata: protocol name, sweep unit and any run parameters worth echoing.
     """
@@ -28,8 +30,8 @@ class Trace:
         self.observable = np.asarray(self.observable, dtype=float)
         if self.sweep_values.shape != self.observable.shape:
             raise ValueError("sweep_values and observable must have equal lengths")
-        if not np.all(np.isfinite(self.observable)):
-            raise ValueError("observable values must be finite")
+        if np.any(np.isinf(self.observable)):
+            raise ValueError("observable values must be finite or NaN")
         if self.singlet_populations is not None:
             self.singlet_populations = np.asarray(self.singlet_populations, dtype=float)
             if self.singlet_populations.shape[-1] != self.sweep_values.shape[0]:

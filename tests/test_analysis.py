@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from singletsim.analysis import (
+    EXPONENTIAL,
+    LORENTZIAN,
+    RABI,
+    RAMSEY,
     FitInputError,
     NoOscillationError,
     estimate_frequency,
     evaluate_model,
-    finite_difference_jacobian,
     fit_exponential,
     fit_lorentzian,
     fit_rabi,
@@ -24,6 +27,17 @@ def rabi_model(t, amp, freq, off, t_decay, mode="sin2"):
 
 def ramsey_model(t, amp, freq, phi, off, t2, ts, sign=1):
     return amp * (sign * np.cos(2 * np.pi * freq * t - phi) * np.exp(-t / t2) + off) * np.exp(-t / ts)
+
+
+def finite_difference_jacobian(model_fn, x, p, eps=1e-7):
+    """Central-difference Jacobian of model_fn(x, p); the oracle for the analytic ones."""
+    p = np.asarray(p, dtype=float)
+    cols = []
+    for j in range(p.size):
+        dp = np.zeros_like(p)
+        dp[j] = eps * max(1.0, abs(p[j]))
+        cols.append((model_fn(x, p + dp) - model_fn(x, p - dp)) / (2 * dp[j]))
+    return np.column_stack(cols)
 
 
 class TestEstimateFrequency:
@@ -119,12 +133,12 @@ class TestNoiselessRoundTrips:
 
     def test_two_level_contrast_curve_is_lorentzian(self):
         # transfer contrast vs detuning is exactly Lorentzian with FWHM 4C
-        from singletsim.hamiltonian import effective_two_level
+        from singletsim.hamiltonian import EffectiveTwoLevel
 
         c = 1.285
         detunings = np.linspace(-12.0, 12.0, 97)
         contrast = np.array(
-            [effective_two_level(de / 2, -de / 2, c).transfer_contrast for de in detunings]
+            [EffectiveTwoLevel(de / 2, -de / 2, c).transfer_contrast for de in detunings]
         )
         fit = fit_lorentzian((detunings, contrast))
         assert abs(fit.params["fwhm"] / (4 * c) - 1) < 1e-6
@@ -203,27 +217,29 @@ class TestDegenerateData:
 
 class TestAnalyticJacobians:
     # finite differences as the oracle for the analytic Jacobians
-    def test_rabi_jacobian(self):
-        t = np.linspace(0.01, 3.0, 60)
-        p = np.array([0.9, 2.4, 0.15, 0.6])
-
-        def model(x, q):
-            return q[0] * (np.sin(np.pi * q[1] * x) ** 2 + q[2]) * np.exp(-q[3] * x)
-
-        def model_and_jac(x, q):
-            amp, freq, off, rate = q
-            phase = np.pi * freq * x
-            osc = np.sin(phase) ** 2
-            decay = np.exp(-rate * x)
-            m = amp * (osc + off) * decay
-            jac = np.column_stack(
-                [(osc + off) * decay, amp * np.pi * x * np.sin(2 * phase) * decay, amp * decay, -x * m]
-            )
-            return m, jac
-
-        _, analytic = model_and_jac(t, p)
-        numeric = finite_difference_jacobian(model, t, p)
-        assert np.max(np.abs(analytic - numeric)) < 1e-6
+    @pytest.mark.parametrize(
+        "model, p, sign, x",
+        [
+            (RABI, [0.9, 2.4, 0.15, 0.6], 1, np.linspace(0.01, 3.0, 60)),
+            (RABI, [0.9, 2.4, 0.15], 1, np.linspace(0.01, 3.0, 60)),
+            (RABI, [0.9, 2.4, 0.15, 0.6], -1, np.linspace(0.01, 3.0, 60)),
+            (RABI, [0.9, 2.4, 0.15], -1, np.linspace(0.01, 3.0, 60)),
+            (RAMSEY, [0.8, 2.3, 0.4, 0.1, 0.7, 0.25], 1, np.linspace(0.01, 4.0, 80)),
+            (RAMSEY, [0.8, 2.3, 0.4, 0.1, 0.7, 0.25], -1, np.linspace(0.01, 4.0, 80)),
+            (LORENTZIAN, [1.5, 2.2, 0.9, 0.05], 1, np.linspace(-6.0, 9.0, 61)),
+            (EXPONENTIAL, [0.9, 3.0, 0.1], 1, np.linspace(0.0, 1.5, 50)),
+        ],
+        ids=[
+            "rabi_sin2_decay", "rabi_sin2", "rabi_cos2_decay", "rabi_cos2",
+            "ramsey_plus", "ramsey_minus", "lorentzian", "exponential",
+        ],
+    )
+    def test_model_jacobian(self, model, p, sign, x):
+        p = np.array(p)
+        values, analytic = model.function(x, p, sign)
+        numeric = finite_difference_jacobian(lambda xv, q: model.function(xv, q, sign)[0], x, p)
+        assert analytic.shape == (x.size, p.size)
+        assert np.max(np.abs(analytic - numeric)) < 1e-6 * max(1.0, np.max(np.abs(values)))
 
     def test_fitted_jacobians_match_finite_differences(self):
         # drive each fitter once and compare its internal model against a

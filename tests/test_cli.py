@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,32 @@ from singletsim.cli import (
     read_trace_file,
 )
 from singletsim.hamiltonian import pair_center_offset, resonant_nutation
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+# sets every protocol field, with non-default values where a field has one
+ALL_FIELDS_CONFIG = {
+    "preset": "glutamate",
+    "protocol": {
+        "kind": "ramsey",
+        "source_pair": 0,
+        "readout_pair": 1,
+        "triplet_init": "phi_plus",
+        "prep": {"kind": "slic", "nutation_hz": 15.5, "duration_s": 0.157, "phase_deg": 30.0,
+                 "polarization": 0.8},
+        "readout": "signal_proxy",
+        "phase_cycle": True,
+        "transfer": {"nutation_hz": 599.31, "transmitter_ppm": 2.04, "phase_deg": 20.0},
+        "pi_half_duration_s": 0.1,
+        "free_lock": {"nutation_hz": 47.0, "transmitter_pair": 1, "phase_deg": 10.0},
+        "double_rabi_phases_deg": [80.0, -100.0],
+        "pump_transfer_duration_s": 15.5,
+        "pump_reset_delay_s": 3.1,
+        "sweep": {"start": 0.01, "stop": 1.0, "count": 8},
+    },
+    "envelope": {"t_s_s": 4.4, "t2s_star_s": 1.3, "t_rabi_s": 2.0},
+    "noise": {"sigma": 0.01, "seed": 7},
+}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -113,6 +140,42 @@ class TestLoadConfig:
     def test_unknown_preset(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown preset"):
             load_config(write_config(tmp_path, rabi_config(preset="caffeine")))
+
+    def test_unknown_envelope_field_named(self, tmp_path):
+        cfg = rabi_config(envelope={"t_rabi_s": 1.6, "t_1_s": 3.0})
+        with pytest.raises(ConfigError, match="t_1_s"):
+            load_config(write_config(tmp_path, cfg))
+
+
+class TestConfigHeader:
+    @pytest.mark.parametrize(
+        "config", [*CONFIGS, ALL_FIELDS_CONFIG], ids=[*(c.stem for c in CONFIGS), "all_fields"]
+    )
+    def test_header_reruns_byte_identical(self, tmp_path, config):
+        if isinstance(config, dict):
+            config = write_config(tmp_path, config)
+        first = cmd_simulate(config, tmp_path / "first")
+        header = [l for l in first.read_text().splitlines() if l.startswith("# config: ")]
+        assert len(header) == 1
+        reloaded = tmp_path / "header.json"
+        reloaded.write_text(header[0][len("# config: "):])
+        second = cmd_simulate(reloaded, tmp_path / "second")
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_header_records_every_protocol_field(self, tmp_path):
+        out = cmd_simulate(write_config(tmp_path, ALL_FIELDS_CONFIG), tmp_path / "run")
+        line = next(l for l in out.read_text().splitlines() if l.startswith("# config: "))
+        header = json.loads(line[len("# config: "):])
+        protocol = header["protocol"]
+        assert set(ALL_FIELDS_CONFIG["protocol"]) <= set(protocol)
+        assert protocol["prep"]["phase_deg"] == 30.0
+        assert protocol["transfer"]["phase_deg"] == 20.0
+        assert protocol["free_lock"]["phase_deg"] == 10.0
+        assert protocol["double_rabi_phases_deg"] == [80.0, -100.0]
+        assert protocol["pump_transfer_duration_s"] == 15.5
+        assert protocol["phase_cycle"] is True
+        assert header["noise"] == {"sigma": 0.01, "seed": 7}
+        assert header["envelope"] == {"t_s_s": 4.4, "t_2s_star_s": 1.3, "t_rabi_s": 2.0}
 
 
 class TestSimulate:
@@ -249,6 +312,25 @@ class TestScan:
         with pytest.raises(ConfigError, match="resonance_scan"):
             cmd_scan(write_config(tmp_path, rabi_config()), tmp_path / "bad")
 
+    def test_failed_points_are_omitted(self, tmp_path, capsys):
+        # a 7-point tau grid is too short for every per-point fit, so each
+        # point is NaN: no rows, and the Lorentzian fit is skipped
+        cfg = {
+            "preset": "glutamate",
+            "protocol": {
+                "kind": "resonance_scan",
+                "transfer": {"nutation_hz": 500.0, "transmitter_ppm": 2.04},
+                "sweep": {"values": [1e-6, 5.0, 600.0]},
+                "scan_tau": {"start": 0.02, "stop": 2.0, "count": 7},
+            },
+        }
+        out_dir = tmp_path / "nan"
+        assert main(["scan", "--config", str(write_config(tmp_path, cfg)), "--out", str(out_dir)]) == 0
+        lines = (out_dir / "scan.csv").read_text().splitlines()
+        assert lines[0] == "# singletsim resonance scan"
+        assert all(l.startswith("#") for l in lines)
+        assert "skipping Lorentzian fit" in capsys.readouterr().err
+
 
 class TestMainEntry:
     def test_simulate_and_fit_via_main(self, tmp_path, capsys):
@@ -272,6 +354,24 @@ class TestMainEntry:
         path.write_text("justtext\n")
         code = main(["fit", "--trace", str(path), "--model", "rabi", "--out", str(tmp_path / "r.json")])
         assert code == 1
+
+    def test_rejected_run_input_exits_one(self, tmp_path, capsys):
+        cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / "pgg_pumping.json").read_text())
+        cfg["protocol"]["sweep"] = {"values": [0.5, 1, 2]}
+        code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "p")])
+        assert code == 1
+        assert "input error: pumping sweep must contain positive integer cycle counts" in capsys.readouterr().err
+
+    def test_numerical_failure_exits_two(self, tmp_path, capsys, monkeypatch):
+        import singletsim.cli as cli
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(cli, "run_protocol", singular)
+        code = main(["simulate", "--config", str(write_config(tmp_path, rabi_config())), "--out", str(tmp_path)])
+        assert code == 2
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_presets_dump(self, capsys):
         assert main(["presets", "--dump", "glutamate"]) == 0

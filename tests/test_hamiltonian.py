@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from singletsim.hamiltonian import (
+    EffectiveTwoLevel,
     NoTransferError,
     SpinLockParams,
     dressed_splitting,
     effective_channels,
     effective_nutation_difference,
-    effective_two_level,
     free_hamiltonian,
     interaction_strength,
     resonant_nutation,
@@ -148,21 +148,21 @@ class TestStateEnergies:
 
 class TestEffectiveTwoLevel:
     def test_resonance_frequency_and_contrast(self):
-        two = effective_two_level(3.0, 3.0, 1.285)
+        two = EffectiveTwoLevel(3.0, 3.0, 1.285)
         assert abs(two.oscillation_frequency_hz - 2.57) < 1e-12
         assert abs(two.transfer_contrast - 1.0) < 1e-12
         # on resonance 1/f equals the transfer period of the same couplings
         assert abs(1.0 / two.oscillation_frequency_hz - transfer_period(5.0, 5.0, 2.43, 2.43)) < 1e-12
 
     def test_zero_coupling_no_contrast(self):
-        two = effective_two_level(1.0, 5.0, 0.0)
+        two = EffectiveTwoLevel(1.0, 5.0, 0.0)
         assert two.transfer_contrast == 0.0
 
     def test_half_contrast_against_dense_propagation(self):
         # |E1 - E2| = 2C gives contrast 1/2; oracle: propagate the dense
         # 2x2 and take the maximum transferred population
         c = 0.8
-        two = effective_two_level(2 * c, 0.0, c)
+        two = EffectiveTwoLevel(2 * c, 0.0, c)
         h = two.matrix
         w, v = np.linalg.eigh(h)
         times = np.linspace(0.0, 5.0 / two.oscillation_frequency_hz, 4001)
@@ -174,7 +174,7 @@ class TestEffectiveTwoLevel:
         assert abs(transferred.max() - 0.5) < 1e-4
 
     def test_population_trace_matches_formula(self):
-        two = effective_two_level(1.0, 0.0, 0.7)
+        two = EffectiveTwoLevel(1.0, 0.0, 0.7)
         t = np.linspace(0, 2, 50)
         expected = two.transfer_contrast * np.sin(np.pi * two.oscillation_frequency_hz * t) ** 2
         assert np.allclose(two.population_trace(t), expected)

@@ -217,3 +217,14 @@ class TestRelaxationEnvelope:
     def test_positive_lifetimes_required(self):
         with pytest.raises(ValueError, match="positive"):
             RelaxationEnvelope(t_s_s=-1.0)
+
+
+class TestTrace:
+    def test_nan_marks_an_undetermined_point(self):
+        trace = Trace(np.array([1.0, 2.0, 3.0]), np.array([0.1, np.nan, 0.3]))
+        assert np.isnan(trace.observable[1])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_rejects_infinite_observable(self, bad):
+        with pytest.raises(ValueError, match="finite or NaN"):
+            Trace(np.array([1.0, 2.0]), np.array([0.1, bad]))
