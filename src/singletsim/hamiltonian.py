@@ -95,19 +95,24 @@ def free_hamiltonian(system: SpinSystem, transmitter_offset_hz: float = 0.0) -> 
     return h
 
 
+def rf_generator(system: SpinSystem, phase: float) -> np.ndarray:
+    """Transverse operator sum_i (cos(phase) I_ix + sin(phase) I_iy) driven by RF at a phase."""
+    cx, sy = np.cos(phase), np.sin(phase)
+    return sum(
+        cx * embed_spin_operator(system, i, "x") + sy * embed_spin_operator(system, i, "y")
+        for i in range(system.n_spins)
+    )
+
+
 def spinlock_hamiltonian(system: SpinSystem, params: SpinLockParams) -> np.ndarray:
     """Free Hamiltonian at the transmitter offset plus the CW lock term.
 
-    Adds nu_n * sum_i (cos(phase) I_ix + sin(phase) I_iy); a 180 degree phase
-    shift is equivalent to flipping the sign of nu_n.
+    Adds nu_n * rf_generator(phase); a 180 degree phase shift is equivalent
+    to flipping the sign of nu_n.
     """
     h = free_hamiltonian(system, params.transmitter_offset_hz)
     if params.nutation_hz != 0.0:
-        cx, sy = np.cos(params.phase), np.sin(params.phase)
-        for i in range(system.n_spins):
-            h += params.nutation_hz * (
-                cx * embed_spin_operator(system, i, "x") + sy * embed_spin_operator(system, i, "y")
-            )
+        h += params.nutation_hz * rf_generator(system, params.phase)
     return h
 
 

@@ -1,19 +1,24 @@
 """Exact piecewise-constant evolution of density matrices through pulse sequences.
 
-Propagators are built by Hermitian eigendecomposition, U = exp(-i 2 pi H t),
-which is exact for the piecewise-constant Hamiltonians used here.  Hard
-pulses are ideal zero-duration rotations.  Relaxation enters only as
-phenomenological decay envelopes applied to observable traces.
+One engine, `sequence_propagators`, turns segment lists into propagators
+U = prod_k V_k exp(-i 2 pi E_k t_k) V_k^dagger, which is exact for the
+piecewise-constant Hamiltonians used here.  A hard pulse is an ideal
+zero-duration rotation: its generator run for theta / 2 pi.  Each distinct
+generator (a segment without its duration) is diagonalised once per call.
+`final_state`, `propagate`, `segment_propagator` and `hard_pulse_propagator`
+are thin names over it.  Relaxation enters only as phenomenological decay
+envelopes applied to observable traces.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from collections.abc import Iterable, Iterator
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .hamiltonian import SpinLockParams, free_hamiltonian, spinlock_hamiltonian
-from .spincore import SpinSystem, check_density, check_hermitian, embed_spin_operator
+from .hamiltonian import SpinLockParams, free_hamiltonian, rf_generator, spinlock_hamiltonian
+from .spincore import SpinSystem, check_density, check_hermitian
 from .trace import Trace
 
 BOUNDARY_SNAP_S = 1e-9
@@ -66,39 +71,94 @@ def sequence_duration(segments: list[Segment]) -> float:
     return float(sum(seg.duration_s for seg in segments))
 
 
-def segment_propagator(hamiltonian_hz: np.ndarray, duration_s: float) -> np.ndarray:
-    """U = exp(-i 2 pi H t) via eigendecomposition of the Hermitian H (Hz)."""
-    check_hermitian(hamiltonian_hz, tol=1e-9)
-    energies, vectors = np.linalg.eigh(0.5 * (hamiltonian_hz + hamiltonian_hz.conj().T))
-    phases = np.exp(-2j * np.pi * energies * duration_s)
-    return (vectors * phases) @ vectors.conj().T
-
-
-def hard_pulse_propagator(system: SpinSystem, pulse: HardPulse) -> np.ndarray:
-    """Global rotation exp(-i theta G), G = sum_i (cos(phase) I_ix + sin(phase) I_iy)."""
-    generator = np.zeros((system.dim, system.dim), dtype=complex)
-    cx, sy = np.cos(pulse.phase), np.sin(pulse.phase)
-    for i in range(system.n_spins):
-        generator += cx * embed_spin_operator(system, i, "x")
-        generator += sy * embed_spin_operator(system, i, "y")
-    energies, vectors = np.linalg.eigh(generator)
-    return (vectors * np.exp(-1j * pulse.flip_angle * energies)) @ vectors.conj().T
-
-
 def segment_hamiltonian(system: SpinSystem, segment: Segment) -> np.ndarray:
-    """Hamiltonian (Hz) governing a timed segment."""
+    """Generator (Hz) of a segment: a hard pulse's runs for theta / 2 pi."""
     if isinstance(segment, Delay):
         return free_hamiltonian(system, segment.transmitter_offset_hz)
     if isinstance(segment, SpinLock):
         return spinlock_hamiltonian(system, segment.params)
-    raise ValueError(f"segment {segment!r} has no time-evolution Hamiltonian")
+    return rf_generator(system, segment.phase)
+
+
+def _generator(segment: Segment) -> tuple[Segment, float]:
+    """(the segment without its duration, how long its generator runs)."""
+    if isinstance(segment, HardPulse):
+        return replace(segment, flip_angle=0.0), segment.flip_angle / (2 * np.pi)
+    return replace(segment, duration_s=0.0), segment.duration_s
+
+
+def _eigh(hamiltonian_hz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    check_hermitian(hamiltonian_hz, tol=1e-9)
+    return np.linalg.eigh(0.5 * (hamiltonian_hz + hamiltonian_hz.conj().T))
+
+
+def _unitary(eig: tuple[np.ndarray, np.ndarray], duration_s: float) -> np.ndarray:
+    energies, vectors = eig
+    return vectors @ (np.exp(-2j * np.pi * energies * duration_s)[:, None] * vectors.conj().T)
+
+
+def sequence_propagators(
+    system: SpinSystem, sequences: Iterable[list[Segment]]
+) -> Iterator[np.ndarray]:
+    """The propagator of each segment list, yielded one at a time.
+
+    Each distinct generator is diagonalised once, in a table that lives as
+    long as this iterator; segments that last no time are skipped.
+    """
+    eigs: dict[Segment, tuple[np.ndarray, np.ndarray]] = {}
+    for segments in sequences:
+        u = None
+        for segment in segments:
+            key, duration = _generator(segment)
+            if duration == 0.0:
+                continue
+            if key not in eigs:
+                eigs[key] = _eigh(segment_hamiltonian(system, segment))
+            step = _unitary(eigs[key], duration)
+            u = step if u is None else step @ u
+        yield np.eye(system.dim, dtype=complex) if u is None else u
+
+
+def segment_propagator(hamiltonian_hz: np.ndarray, duration_s: float) -> np.ndarray:
+    """U = exp(-i 2 pi H t) via eigendecomposition of the Hermitian H (Hz)."""
+    return _unitary(_eigh(hamiltonian_hz), duration_s)
+
+
+def hard_pulse_propagator(system: SpinSystem, pulse: HardPulse) -> np.ndarray:
+    """Global rotation exp(-i theta G), G = sum_i (cos(phase) I_ix + sin(phase) I_iy)."""
+    return next(sequence_propagators(system, [[pulse]]))
+
+
+def final_state(state: np.ndarray, segments: list[Segment], system: SpinSystem) -> np.ndarray:
+    """State after the full sequence (including any trailing zero-duration pulses)."""
+    check_density(state)
+    u = next(sequence_propagators(system, [segments]))
+    return u @ state @ u.conj().T
+
+
+def _played_until(segments: list[Segment], time_s: float) -> list[Segment]:
+    """The part of the sequence played by time_s, a boundary within 1e-9 s counting as reached.
+
+    A time that coincides with a hard pulse stops before it.
+    """
+    played: list[Segment] = []
+    reached = 0.0
+    for segment in segments:
+        if isinstance(segment, HardPulse):
+            if time_s <= reached + BOUNDARY_SNAP_S:
+                break
+        elif segment.duration_s > 0.0:
+            if time_s <= reached + segment.duration_s + BOUNDARY_SNAP_S:
+                elapsed = min(max(time_s - reached, 0.0), segment.duration_s)
+                played.append(replace(segment, duration_s=elapsed))
+                break
+            reached += segment.duration_s
+        played.append(segment)
+    return played
 
 
 def propagate(
-    state: np.ndarray,
-    segments: list[Segment],
-    system: SpinSystem,
-    sample_times_s,
+    state: np.ndarray, segments: list[Segment], system: SpinSystem, sample_times_s
 ) -> list[np.ndarray]:
     """Evolve a density matrix through the sequence, sampling at the given times.
 
@@ -110,63 +170,9 @@ def propagate(
     times = np.asarray(sample_times_s, dtype=float)
     total = sequence_duration(segments)
     if times.size and (times.min() < -BOUNDARY_SNAP_S or times.max() > total + BOUNDARY_SNAP_S):
-        raise ValueError(
-            f"sample times must lie within the sequence duration [0, {total}] s"
-        )
-    order = np.argsort(times, kind="stable")
-    results: list[np.ndarray | None] = [None] * times.size
-
-    rho = np.array(state, dtype=complex)
-    reached = 0.0
-    k = 0  # next sorted sample to emit
-
-    def emit_until(t_limit: float, sampler) -> None:
-        nonlocal k
-        while k < times.size and times[order[k]] <= t_limit + BOUNDARY_SNAP_S:
-            results[order[k]] = sampler(times[order[k]])
-            k += 1
-
-    for segment in segments:
-        if isinstance(segment, HardPulse):
-            emit_until(reached, lambda _t: rho.copy())
-            u = hard_pulse_propagator(system, segment)
-            rho = u @ rho @ u.conj().T
-            continue
-        duration = segment.duration_s
-        if duration == 0.0:
-            continue
-        h = segment_hamiltonian(system, segment)
-        energies, vectors = np.linalg.eigh(0.5 * (h + h.conj().T))
-        rho_eig = vectors.conj().T @ rho @ vectors
-
-        def sampler(t_abs: float) -> np.ndarray:
-            dt = min(max(t_abs - reached, 0.0), duration)
-            phases = np.exp(-2j * np.pi * energies * dt)
-            evolved = (phases[:, None] * rho_eig) * phases.conj()[None, :]
-            return vectors @ evolved @ vectors.conj().T
-
-        emit_until(reached + duration, sampler)
-        phases = np.exp(-2j * np.pi * energies * duration)
-        rho = vectors @ ((phases[:, None] * rho_eig) * phases.conj()[None, :]) @ vectors.conj().T
-        reached += duration
-
-    emit_until(total, lambda _t: rho.copy())
-    return [r for r in results]  # type: ignore[return-value]
-
-
-def final_state(state: np.ndarray, segments: list[Segment], system: SpinSystem) -> np.ndarray:
-    """State after the full sequence (including any trailing zero-duration pulses)."""
-    check_density(state)
-    rho = np.array(state, dtype=complex)
-    for segment in segments:
-        if isinstance(segment, HardPulse):
-            u = hard_pulse_propagator(system, segment)
-        elif segment.duration_s == 0.0:
-            continue
-        else:
-            u = segment_propagator(segment_hamiltonian(system, segment), segment.duration_s)
-        rho = u @ rho @ u.conj().T
-    return rho
+        raise ValueError(f"sample times must lie within the sequence duration [0, {total}] s")
+    played = (_played_until(segments, float(t)) for t in times)
+    return [u @ state @ u.conj().T for u in sequence_propagators(system, played)]
 
 
 @dataclass(frozen=True)

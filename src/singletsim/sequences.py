@@ -6,10 +6,17 @@ singlet on the source pair with every other pair in the maximally mixed
 triplet; the simulated preparation sequences (lock-crossing, three-pulse)
 can replace the ideal preparation, in which case the achieved singlet
 population scales the prepared order.
+
+The Rabi, Ramsey and double-Rabi runners hand one segment list per sweep
+point to the propagator engine and stream the resulting states: each is
+read (every pair's singlet population and the configured readout) and
+dropped.  The `signal_proxy` readout is one observable, the transverse
+magnetization back-propagated once per run through the readout sequence.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,6 +29,7 @@ from .hamiltonian import (
     intrapair_coupling,
     pair_center_offset,
     resonant_nutation,
+    rf_generator,
     spinlock_hamiltonian,
 )
 from .propagator import (
@@ -32,14 +40,14 @@ from .propagator import (
     SpinLock,
     apply_relaxation_envelope,
     final_state,
-    propagate,
+    sequence_propagators,
 )
 from .spincore import (
     _PAIR_BASIS as _BASIS,
     PHI_COMPOSITIONS,
     SpinSystem,
     TripletAmplitudes,
-    embed_spin_operator,
+    check_density,
     expectation,
     maximally_mixed_triplet,
     pair_basis,
@@ -111,8 +119,11 @@ class Protocol:
         object.__setattr__(self, "sweep", sweep)
         if sweep.size == 0 or np.any(np.diff(sweep) <= 0):
             raise ValueError("sweep grid must be nonempty and strictly increasing")
-        if isinstance(self.triplet_init, str) and self.triplet_init not in TRIPLET_INITS:
-            raise ValueError(f"unknown triplet_init {self.triplet_init!r}")
+        init = self.triplet_init
+        if not isinstance(init, TripletAmplitudes) and init not in TRIPLET_INITS:
+            raise ValueError(
+                f"triplet_init must be one of {TRIPLET_INITS} or TripletAmplitudes, got {init!r}"
+            )
         if self.readout not in ("projector", "signal_proxy"):
             raise ValueError(f"unknown readout {self.readout!r}")
         if self.kind == "ramsey" and (self.pi_half_duration_s is None or self.free_lock is None):
@@ -258,38 +269,19 @@ def transfer_initial_state(system: SpinSystem, protocol: Protocol) -> np.ndarray
     return ideal * weight + np.eye(system.dim) / system.dim * (1.0 - weight)
 
 
-def _readout_values(
-    system: SpinSystem, protocol: Protocol, states: list[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(observable, per-pair singlet populations) for a list of sampled states."""
-    projectors = [singlet_projector(system, p) for p in range(len(system.pairs))]
-    populations = np.array(
-        [[expectation(state, proj).real for state in states] for proj in projectors]
-    )
-    if protocol.readout == "projector":
-        observable = populations[protocol.readout_pair].copy()
-    else:
-        observable = np.array([_signal_proxy(system, protocol, state) for state in states])
-    return observable, populations
+def _signal_observable(system: SpinSystem, protocol: Protocol) -> np.ndarray:
+    """Total transverse magnetization back-propagated through the readout sequence.
 
-
-def _signal_proxy(system: SpinSystem, protocol: Protocol, state: np.ndarray) -> float:
-    """Apply the readout sequence and report total transverse magnetization."""
-    segments = _readout_sequence(system, protocol)
-    if protocol.phase_cycle:
-        flipped = _phase_shifted_pulses(segments, np.pi)
-        value = 0.0
-        for seq, sign in ((segments, 1.0), (flipped, -1.0)):
-            out = final_state(state, seq, system)
-            value += sign * _transverse_magnetization(system, out) / 2.0
-        return value
-    out = final_state(state, segments, system)
-    return _transverse_magnetization(system, out)
-
-
-def _transverse_magnetization(system: SpinSystem, state: np.ndarray) -> float:
-    ix_total = sum(embed_spin_operator(system, i, "x") for i in range(system.n_spins))
-    return expectation(state, ix_total).real
+    tr(U rho U^dagger Mx) = tr(rho U^dagger Mx U); a phase cycle subtracts the
+    run with flipped pulse and lock phases and halves the difference.
+    """
+    readout = _readout_sequence(system, protocol)
+    cycle = [readout, _phase_shifted_pulses(readout, np.pi)] if protocol.phase_cycle else [readout]
+    mx = rf_generator(system, 0.0)
+    observable = np.zeros_like(mx)
+    for sign, u in zip((1.0, -1.0), sequence_propagators(system, cycle)):
+        observable += sign / len(cycle) * (u.conj().T @ mx @ u)
+    return observable
 
 
 def _readout_sequence(system: SpinSystem, protocol: Protocol) -> list[Segment]:
@@ -352,6 +344,27 @@ def _base_metadata(system: SpinSystem, protocol: Protocol, sweep_unit: str) -> d
     }
 
 
+def _sweep_trace(system: SpinSystem, protocol: Protocol, rho0: np.ndarray,
+                 sequences: Iterable[list[Segment]], envelope: RelaxationEnvelope | None,
+                 **metadata) -> Trace:
+    """Trace of rho0 evolved through each sweep point's segment list, one state at a time."""
+    check_density(rho0)
+    n_pairs = len(system.pairs)
+    observables = [singlet_projector(system, p) for p in range(n_pairs)]
+    if protocol.readout == "signal_proxy":
+        observables.append(_signal_observable(system, protocol))
+    values = np.empty((len(observables), protocol.sweep.size))
+    for k, u in enumerate(sequence_propagators(system, sequences)):
+        state = u @ rho0 @ u.conj().T
+        values[:, k] = [expectation(state, obs).real for obs in observables]
+    readout = n_pairs if protocol.readout == "signal_proxy" else protocol.readout_pair
+    metadata = {**_base_metadata(system, protocol, "s"), **metadata}
+    trace = Trace(protocol.sweep, values[readout].copy(), values[:n_pairs], metadata)
+    if envelope is not None:
+        trace = apply_relaxation_envelope(trace, envelope)
+    return trace
+
+
 def run_rabi(
     system: SpinSystem, protocol: Protocol, envelope: RelaxationEnvelope | None = None
 ) -> Trace:
@@ -359,18 +372,8 @@ def run_rabi(
     if protocol.kind != "rabi":
         raise ValueError(f"run_rabi needs a rabi protocol, got {protocol.kind!r}")
     rho0 = transfer_initial_state(system, protocol)
-    lock = SpinLock(protocol.transfer, float(protocol.sweep.max()))
-    states = propagate(rho0, [lock], system, protocol.sweep)
-    observable, populations = _readout_values(system, protocol, states)
-    trace = Trace(
-        sweep_values=protocol.sweep,
-        observable=observable,
-        singlet_populations=populations,
-        metadata=_base_metadata(system, protocol, "s"),
-    )
-    if envelope is not None:
-        trace = apply_relaxation_envelope(trace, envelope)
-    return trace
+    sequences = ([SpinLock(protocol.transfer, float(tau))] for tau in protocol.sweep)
+    return _sweep_trace(system, protocol, rho0, sequences, envelope)
 
 
 def run_double_rabi(
@@ -379,21 +382,13 @@ def run_double_rabi(
     """Apply the lock twice (phases +y then -y by default), each for tau_SL."""
     if protocol.kind != "double_rabi":
         raise ValueError(f"run_double_rabi needs a double_rabi protocol, got {protocol.kind!r}")
-    phase_a, phase_b = protocol.double_rabi_phases
-    lock_a = replace(protocol.transfer, phase=phase_a)
-    lock_b = replace(protocol.transfer, phase=phase_b)
+    lock_a, lock_b = (replace(protocol.transfer, phase=p) for p in protocol.double_rabi_phases)
     rho0 = transfer_initial_state(system, replace(protocol, transfer=lock_a))
-    states = []
-    for tau in protocol.sweep:
-        segments = [SpinLock(lock_a, float(tau)), SpinLock(lock_b, float(tau))]
-        states.append(final_state(rho0, segments, system))
-    observable, populations = _readout_values(system, protocol, states)
-    metadata = _base_metadata(system, protocol, "s")
-    metadata["double_rabi_phases_rad"] = [phase_a, phase_b]
-    trace = Trace(protocol.sweep, observable, populations, metadata)
-    if envelope is not None:
-        trace = apply_relaxation_envelope(trace, envelope)
-    return trace
+    sequences = (
+        [SpinLock(lock_a, float(tau)), SpinLock(lock_b, float(tau))] for tau in protocol.sweep
+    )
+    return _sweep_trace(system, protocol, rho0, sequences, envelope,
+                        double_rabi_phases_rad=[lock_a.phase, lock_b.phase])
 
 
 def run_ramsey(
@@ -404,18 +399,10 @@ def run_ramsey(
         raise ValueError(f"run_ramsey needs a ramsey protocol, got {protocol.kind!r}")
     rho0 = transfer_initial_state(system, protocol)
     half = SpinLock(protocol.transfer, protocol.pi_half_duration_s)
-    states = []
-    for tau in protocol.sweep:
-        segments = [half, SpinLock(protocol.free_lock, float(tau)), half]
-        states.append(final_state(rho0, segments, system))
-    observable, populations = _readout_values(system, protocol, states)
-    metadata = _base_metadata(system, protocol, "s")
-    metadata["free_nutation_hz"] = protocol.free_lock.nutation_hz
-    metadata["pi_half_duration_s"] = protocol.pi_half_duration_s
-    trace = Trace(protocol.sweep, observable, populations, metadata)
-    if envelope is not None:
-        trace = apply_relaxation_envelope(trace, envelope)
-    return trace
+    sequences = ([half, SpinLock(protocol.free_lock, float(tau)), half] for tau in protocol.sweep)
+    return _sweep_trace(system, protocol, rho0, sequences, envelope,
+                        free_nutation_hz=protocol.free_lock.nutation_hz,
+                        pi_half_duration_s=protocol.pi_half_duration_s)
 
 
 def run_resonance_scan(

@@ -215,10 +215,10 @@ def triplet_projector(system: SpinSystem, pair_index: int) -> np.ndarray:
 
 
 def expectation(state: np.ndarray, obs: np.ndarray) -> complex:
-    """trace(state @ obs); real to numerical precision for Hermitian obs."""
+    """trace(state @ obs), summed elementwise in O(d^2); real for Hermitian obs."""
     if state.shape != obs.shape:
         raise ValueError(f"dimension mismatch: state {state.shape} vs observable {obs.shape}")
-    return complex(np.trace(state @ obs))
+    return complex(np.sum(state * obs.T))
 
 
 def product_state_vector(system: SpinSystem, pair_kets: list[np.ndarray]) -> np.ndarray:

@@ -362,6 +362,14 @@ class TestMainEntry:
         assert code == 1
         assert "input error: pumping sweep must contain positive integer cycle counts" in capsys.readouterr().err
 
+    def test_list_triplet_init_exits_one(self, tmp_path, capsys):
+        cfg = rabi_config()
+        cfg["protocol"]["triplet_init"] = [1, 0, 0]
+        code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "t")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "input error" in err and "triplet_init" in err
+
     def test_numerical_failure_exits_two(self, tmp_path, capsys, monkeypatch):
         import singletsim.cli as cli
 

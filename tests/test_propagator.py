@@ -167,6 +167,18 @@ class TestPropagate:
         states = propagate(rho, [HardPulse(np.pi, 0.0)], system, [0.0])
         assert abs(states[0][0, 0].real - 1.0) < 1e-12
 
+    def test_samples_across_a_mid_sequence_pulse(self):
+        system = coupled_pair()
+        rho = thermal_state(system, 1.0)
+        lock = SpinLockParams(25.0, 0.3, 2.0)
+        segments = [Delay(0.1), HardPulse(np.pi / 2), SpinLock(lock, 0.2)]
+        at_pulse, snapped, inside = propagate(rho, segments, system, [0.1, 0.1 + 5e-10, 0.2])
+        before = final_state(rho, [Delay(0.1)], system)
+        after = final_state(rho, [Delay(0.1), HardPulse(np.pi / 2), SpinLock(lock, 0.1)], system)
+        assert np.max(np.abs(at_pulse - before)) < 1e-12
+        assert np.max(np.abs(snapped - before)) < 1e-12
+        assert np.max(np.abs(inside - after)) < 1e-12
+
     def test_invalid_state_rejected(self):
         system = single_spin()
         with pytest.raises(ValueError):

@@ -4,14 +4,24 @@ import pytest
 from singletsim.analysis import fit_rabi
 from singletsim.hamiltonian import SpinLockParams, pair_center_offset
 from singletsim.presets import glutamate, phe_gly_gly
-from singletsim.propagator import RelaxationEnvelope, SpinLock, final_state
+from singletsim.propagator import (
+    HardPulse,
+    RelaxationEnvelope,
+    SpinLock,
+    final_state,
+    segment_hamiltonian,
+    segment_propagator,
+)
 from singletsim.sequences import (
     PrepSpec,
     Protocol,
+    _phase_shifted_pulses,
+    _readout_sequence,
     effective_receiving_trace,
     exact_channel_detuning,
     exact_resonance_nutation,
     ideal_transfer_state,
+    prep_sequence,
     prepared_singlet_population,
     run_double_rabi,
     run_protocol,
@@ -25,6 +35,7 @@ from singletsim.sequences import (
 )
 from singletsim.spincore import (
     SpinSystem,
+    embed_spin_operator,
     expectation,
     singlet_projector,
     thermal_state,
@@ -565,3 +576,115 @@ class TestResonanceHelpers:
         nutation = exact_resonance_nutation(pgg, "phi_plus", 0, 1)
         lock = SpinLockParams(nutation, 0.0, pair_center_offset(pgg, 0))
         assert abs(exact_channel_detuning(pgg, lock, "phi_plus", 0, 1)) < 1e-6
+
+
+def oracle_propagator(system, segments):
+    """Product of per-segment propagators, each from its own Hamiltonian; pulses from
+    G = sum_i (cos(phase) I_ix + sin(phase) I_iy) run for theta / 2 pi."""
+    u = np.eye(system.dim, dtype=complex)
+    for seg in segments:
+        if isinstance(seg, HardPulse):
+            g = sum(
+                np.cos(seg.phase) * embed_spin_operator(system, i, "x")
+                + np.sin(seg.phase) * embed_spin_operator(system, i, "y")
+                for i in range(system.n_spins)
+            )
+            step = segment_propagator(g, seg.flip_angle / (2 * np.pi))
+        else:
+            step = segment_propagator(segment_hamiltonian(system, seg), seg.duration_s)
+        u = step @ u
+    return u
+
+
+def oracle_trace(system, protocol):
+    """(observable, populations) of a rabi, ramsey or double_rabi protocol, point by point."""
+    lock = lock_b = protocol.transfer
+    if protocol.kind == "double_rabi":
+        nutation, tx = lock.nutation_hz, lock.transmitter_offset_hz
+        lock, lock_b = (SpinLockParams(nutation, p, tx) for p in protocol.double_rabi_phases)
+    rho0 = ideal_transfer_state(system, protocol.source_pair, protocol.triplet_init, lock.phase)
+    if protocol.prep.kind != "ideal":
+        prep = oracle_propagator(system, prep_sequence(system, protocol.source_pair, protocol.prep))
+        thermal = thermal_state(system, protocol.prep.polarization)
+        source = singlet_projector(system, protocol.source_pair)
+        achieved = np.trace(prep @ thermal @ prep.conj().T @ source).real
+        weight = np.clip((achieved - 0.25) / 0.75, 0.0, 1.0)
+        rho0 = rho0 * weight + np.eye(system.dim) / system.dim * (1.0 - weight)
+    readout = _readout_sequence(system, protocol)
+    cycle = [(readout, 1.0)]
+    if protocol.phase_cycle:
+        cycle = [(readout, 0.5), (_phase_shifted_pulses(readout, np.pi), -0.5)]
+    mx = sum(embed_spin_operator(system, i, "x") for i in range(system.n_spins))
+    observable, populations = [], []
+    for tau in protocol.sweep:
+        if protocol.kind == "rabi":
+            segments = [SpinLock(protocol.transfer, tau)]
+        elif protocol.kind == "ramsey":
+            half = SpinLock(protocol.transfer, protocol.pi_half_duration_s)
+            segments = [half, SpinLock(protocol.free_lock, tau), half]
+        else:
+            segments = [SpinLock(lock, tau), SpinLock(lock_b, tau)]
+        u = oracle_propagator(system, segments)
+        state = u @ rho0 @ u.conj().T
+        populations.append([np.trace(state @ singlet_projector(system, p)).real for p in (0, 1)])
+        if protocol.readout == "projector":
+            observable.append(populations[-1][protocol.readout_pair])
+        else:
+            signal = 0.0
+            for seq, weight in cycle:
+                r = oracle_propagator(system, seq)
+                signal += weight * np.trace(r @ state @ r.conj().T @ mx).real
+            observable.append(signal)
+    return np.array(observable), np.array(populations).T
+
+
+ENGINE_PREPS = {
+    "ideal": PrepSpec(),
+    "slic": PrepSpec(kind="slic", nutation_hz=17.0, duration_s=0.145, phase=0.4, polarization=0.9),
+    "three_pulse": PrepSpec(kind="three_pulse", tau1_s=0.007, tau2_s=0.0205, tau3_s=0.00925),
+}
+
+
+def engine_protocol(system, kind, n_points, prep="three_pulse", readout="signal_proxy"):
+    sweep = np.linspace(0.03, 0.6, n_points)
+    lock = glu_lock(system, nutation=599.31, phase=0.7)
+    return Protocol(
+        kind=kind, sweep=sweep, transfer=lock, prep=ENGINE_PREPS[prep], triplet_init="phi_minus",
+        readout=readout, phase_cycle=readout == "signal_proxy", pi_half_duration_s=0.1,
+        free_lock=SpinLockParams(47.0, 0.7, pair_center_offset(system, 1)),
+        double_rabi_phases=(0.7, 0.7 + np.pi),
+    )
+
+
+RUNNERS = {"rabi": run_rabi, "ramsey": run_ramsey, "double_rabi": run_double_rabi}
+
+
+class TestEvolutionEngine:
+    @pytest.mark.parametrize("readout", ["projector", "signal_proxy"])
+    @pytest.mark.parametrize("prep", list(ENGINE_PREPS))
+    @pytest.mark.parametrize("kind", list(RUNNERS))
+    def test_runner_matches_per_segment_oracle(self, kind, prep, readout):
+        glu = glutamate()
+        protocol = engine_protocol(glu, kind, 4, prep, readout)
+        trace = RUNNERS[kind](glu, protocol)
+        observable, populations = oracle_trace(glu, protocol)
+        assert np.max(np.abs(trace.observable - observable)) < 1e-12
+        assert np.max(np.abs(trace.singlet_populations - populations)) < 1e-12
+
+    @pytest.mark.parametrize("kind", list(RUNNERS))
+    def test_one_diagonalisation_per_distinct_generator(self, kind, monkeypatch):
+        glu = glutamate()
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(matrix):
+            calls.append(matrix.shape)
+            return eigh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        counts = []
+        for n_points in (5, 40):
+            calls.clear()
+            RUNNERS[kind](glu, engine_protocol(glu, kind, n_points))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
