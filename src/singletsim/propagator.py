@@ -6,8 +6,12 @@ piecewise-constant Hamiltonians used here.  A hard pulse is an ideal
 zero-duration rotation: its generator run for theta / 2 pi.  Each distinct
 generator (a segment without its duration) is diagonalised once per call.
 `final_state`, `propagate`, `segment_propagator` and `hard_pulse_propagator`
-are thin names over it.  Relaxation enters only as phenomenological decay
-envelopes applied to observable traces.
+are thin names over it.  A sweep of one segment's duration tau is read by
+`swept_expectations` in that segment's eigenbasis, where each reading is
+Re sum_ij R_ij M_ji exp(-2 pi i (E_i - E_j) tau), vectorised over tau: the
+initial state is carried forward and each observable back through the fixed
+segments around it once, and no propagator is formed per tau.  Relaxation
+enters only as phenomenological decay envelopes applied to observable traces.
 """
 
 from __future__ import annotations
@@ -97,15 +101,11 @@ def _unitary(eig: tuple[np.ndarray, np.ndarray], duration_s: float) -> np.ndarra
     return vectors @ (np.exp(-2j * np.pi * energies * duration_s)[:, None] * vectors.conj().T)
 
 
-def sequence_propagators(
-    system: SpinSystem, sequences: Iterable[list[Segment]]
+def _propagators(
+    system: SpinSystem,
+    sequences: Iterable[list[Segment]],
+    eigs: dict[Segment, tuple[np.ndarray, np.ndarray]],
 ) -> Iterator[np.ndarray]:
-    """The propagator of each segment list, yielded one at a time.
-
-    Each distinct generator is diagonalised once, in a table that lives as
-    long as this iterator; segments that last no time are skipped.
-    """
-    eigs: dict[Segment, tuple[np.ndarray, np.ndarray]] = {}
     for segments in sequences:
         u = None
         for segment in segments:
@@ -117,6 +117,55 @@ def sequence_propagators(
             step = _unitary(eigs[key], duration)
             u = step if u is None else step @ u
         yield np.eye(system.dim, dtype=complex) if u is None else u
+
+
+def sequence_propagators(
+    system: SpinSystem, sequences: Iterable[list[Segment]]
+) -> Iterator[np.ndarray]:
+    """The propagator of each segment list, yielded one at a time.
+
+    Each distinct generator is diagonalised once, in a table that lives as
+    long as this iterator; segments that last no time are skipped.
+    """
+    return _propagators(system, sequences, {})
+
+
+def swept_expectations(
+    system: SpinSystem,
+    rho0: np.ndarray,
+    before: list[Segment],
+    segment: SpinLock | Delay,
+    durations_s,
+    after: list[Segment],
+    observables: list[np.ndarray],
+) -> np.ndarray:
+    """Re tr(U rho0 U^dagger O) for U = after . segment(tau) . before, shape (n_obs, n_tau).
+
+    The segment's own duration is replaced by each tau.  In the eigenbasis V
+    of its generator, rho0 becomes R = Y^dagger rho0 Y with Y = U_before^dagger V
+    and each observable M = W^dagger O W with W = U_after V, so with
+    a = exp(-2 pi i E tau) the trace is sum_ij a_i R_ij conj(a_j) M_ji: one
+    (n_tau, d) x (d, d) product per observable, no propagator per tau.
+    """
+    check_density(rho0)
+    eigs = {}
+    u_before, u_after = _propagators(system, [before, after], eigs)
+    key = _generator(segment)[0]
+    energies, vectors = eigs[key] if key in eigs else _eigh(segment_hamiltonian(system, segment))
+    y = u_before.conj().T @ vectors
+    w = u_after @ vectors
+    r = y.conj().T @ rho0 @ y
+    # same rounding order as _unitary, so each tau's phases match its propagator's
+    a = -2j * np.pi * energies * np.asarray(durations_s, dtype=float)[:, None]
+    np.exp(a, out=a)
+    a_conj = a.conj()
+    values = np.empty((len(observables), a.shape[0]))
+    for k, obs in enumerate(observables):
+        m = w.conj().T @ obs @ w
+        terms = a @ (r * m.T)
+        terms *= a_conj
+        values[k] = terms.sum(axis=1).real
+    return values
 
 
 def segment_propagator(hamiltonian_hz: np.ndarray, duration_s: float) -> np.ndarray:

@@ -7,17 +7,21 @@ triplet; the simulated preparation sequences (lock-crossing, three-pulse)
 can replace the ideal preparation, in which case the achieved singlet
 population scales the prepared order.
 
-The Rabi, Ramsey and double-Rabi runners hand one segment list per sweep
-point to the propagator engine and stream the resulting states: each is
-read (every pair's singlet population and the configured readout) and
-dropped.  The `signal_proxy` readout is one observable, the transverse
-magnetization back-propagated once per run through the readout sequence.
+The Rabi and Ramsey runners sweep one segment's duration, so they read
+their traces (every pair's singlet population and the configured readout)
+through `swept_expectations`, in that segment's eigenbasis and vectorised
+over tau.  Double-Rabi sweeps both locks' durations together, so no single
+eigenbasis exists: it hands one segment list per sweep point to the engine
+and streams the states, reading each and dropping it.  The `signal_proxy`
+readout is one observable, the transverse magnetization back-propagated
+once per run through the readout sequence.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -41,6 +45,7 @@ from .propagator import (
     apply_relaxation_envelope,
     final_state,
     sequence_propagators,
+    swept_expectations,
 )
 from .spincore import (
     _PAIR_BASIS as _BASIS,
@@ -344,19 +349,27 @@ def _base_metadata(system: SpinSystem, protocol: Protocol, sweep_unit: str) -> d
     }
 
 
-def _sweep_trace(system: SpinSystem, protocol: Protocol, rho0: np.ndarray,
-                 sequences: Iterable[list[Segment]], envelope: RelaxationEnvelope | None,
-                 **metadata) -> Trace:
-    """Trace of rho0 evolved through each sweep point's segment list, one state at a time."""
+def _streamed_expectations(system: SpinSystem, rho0: np.ndarray,
+                           sequences: Iterable[list[Segment]],
+                           observables: list[np.ndarray]) -> np.ndarray:
+    """(n_obs, n_points) readings of rho0 evolved through each segment list, one state at a time."""
     check_density(rho0)
+    columns = []
+    for u in sequence_propagators(system, sequences):
+        state = u @ rho0 @ u.conj().T
+        columns.append([expectation(state, obs).real for obs in observables])
+    return np.array(columns).T
+
+
+def _sweep_trace(system: SpinSystem, protocol: Protocol,
+                 read: Callable[[list[np.ndarray]], np.ndarray],
+                 envelope: RelaxationEnvelope | None, **metadata) -> Trace:
+    """Trace of the sweep whose (n_obs, n_points) readings read(observables) returns."""
     n_pairs = len(system.pairs)
     observables = [singlet_projector(system, p) for p in range(n_pairs)]
     if protocol.readout == "signal_proxy":
         observables.append(_signal_observable(system, protocol))
-    values = np.empty((len(observables), protocol.sweep.size))
-    for k, u in enumerate(sequence_propagators(system, sequences)):
-        state = u @ rho0 @ u.conj().T
-        values[:, k] = [expectation(state, obs).real for obs in observables]
+    values = read(observables)
     readout = n_pairs if protocol.readout == "signal_proxy" else protocol.readout_pair
     metadata = {**_base_metadata(system, protocol, "s"), **metadata}
     trace = Trace(protocol.sweep, values[readout].copy(), values[:n_pairs], metadata)
@@ -371,9 +384,14 @@ def run_rabi(
     """Sweep the CW transfer-lock duration and read singlet populations."""
     if protocol.kind != "rabi":
         raise ValueError(f"run_rabi needs a rabi protocol, got {protocol.kind!r}")
-    rho0 = transfer_initial_state(system, protocol)
-    sequences = ([SpinLock(protocol.transfer, float(tau))] for tau in protocol.sweep)
-    return _sweep_trace(system, protocol, rho0, sequences, envelope)
+    return _rabi_trace(system, protocol, transfer_initial_state(system, protocol), envelope)
+
+
+def _rabi_trace(system: SpinSystem, protocol: Protocol, rho0: np.ndarray,
+                envelope: RelaxationEnvelope | None) -> Trace:
+    lock = SpinLock(protocol.transfer, 0.0)
+    read = partial(swept_expectations, system, rho0, [], lock, protocol.sweep, [])
+    return _sweep_trace(system, protocol, read, envelope)
 
 
 def run_double_rabi(
@@ -387,7 +405,8 @@ def run_double_rabi(
     sequences = (
         [SpinLock(lock_a, float(tau)), SpinLock(lock_b, float(tau))] for tau in protocol.sweep
     )
-    return _sweep_trace(system, protocol, rho0, sequences, envelope,
+    read = partial(_streamed_expectations, system, rho0, sequences)
+    return _sweep_trace(system, protocol, read, envelope,
                         double_rabi_phases_rad=[lock_a.phase, lock_b.phase])
 
 
@@ -399,8 +418,9 @@ def run_ramsey(
         raise ValueError(f"run_ramsey needs a ramsey protocol, got {protocol.kind!r}")
     rho0 = transfer_initial_state(system, protocol)
     half = SpinLock(protocol.transfer, protocol.pi_half_duration_s)
-    sequences = ([half, SpinLock(protocol.free_lock, float(tau)), half] for tau in protocol.sweep)
-    return _sweep_trace(system, protocol, rho0, sequences, envelope,
+    free = SpinLock(protocol.free_lock, 0.0)
+    read = partial(swept_expectations, system, rho0, [half], free, protocol.sweep, [half])
+    return _sweep_trace(system, protocol, read, envelope,
                         free_nutation_hz=protocol.free_lock.nutation_hz,
                         pi_half_duration_s=protocol.pi_half_duration_s)
 
@@ -412,7 +432,8 @@ def run_resonance_scan(
 
     The observable is the fitted transfer amplitude at each nutation value;
     fitted frequencies and the effective nutation differences accompany the
-    trace in its metadata.  Per-point fit failures are recorded as NaN.
+    trace in its metadata.  Per-point fit failures are recorded as NaN.  The
+    initial state does not depend on the nutation, so it is prepared once.
     """
     if protocol.kind != "resonance_scan":
         raise ValueError(
@@ -423,6 +444,7 @@ def run_resonance_scan(
     amplitudes = np.full(protocol.sweep.size, np.nan)
     frequencies = np.full(protocol.sweep.size, np.nan)
     delta_nu_n = np.zeros(protocol.sweep.size)
+    rho0 = transfer_initial_state(system, protocol)
     for k, nutation in enumerate(protocol.sweep):
         lock = replace(protocol.transfer, nutation_hz=float(nutation))
         point = Protocol(
@@ -434,7 +456,7 @@ def run_resonance_scan(
             prep=protocol.prep,
             triplet_init=protocol.triplet_init,
         )
-        trace = run_rabi(system, point, envelope)
+        trace = _rabi_trace(system, point, rho0, envelope)
         delta_nu_n[k] = effective_nutation_difference(float(nutation), delta_nu12)
         try:
             fit = fit_rabi(trace, mode=mode, with_decay=envelope is not None)

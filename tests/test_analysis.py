@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singletsim.analysis import (
     EXPONENTIAL,
@@ -378,3 +380,33 @@ class TestFitProperties:
             reported.append(fit.uncertainties["frequency_hz"])
             observed.append(fit.params["frequency_hz"] - 2.57)
         assert 0.3 < np.mean(reported) / np.std(observed) < 3.0
+
+
+RAMSEY_CASES = settings(max_examples=12, deadline=None, derandomize=True)
+
+
+class TestRamseyPhaseProperties:
+    t = np.linspace(0.01, 6.0, 240)
+
+    @RAMSEY_CASES
+    @given(
+        amp=st.floats(0.3, 2.0),
+        freq=st.floats(1.5, 3.5),
+        phi=st.floats(-np.pi, np.pi),
+        shift=st.floats(-12.0, 12.0),
+        sign=st.sampled_from([1, -1]),
+    )
+    def test_phase_shift_leaves_frequency_and_amplitude(self, amp, freq, phi, shift, sign):
+        fits = [
+            fit_ramsey((self.t, ramsey_model(self.t, amp, freq, p, 0.1, 1.3, 4.4, sign)), sign=sign)
+            for p in (phi, phi + shift)
+        ]
+        for key in ("frequency_hz", "amplitude"):
+            assert fits[1].params[key] == pytest.approx(fits[0].params[key], rel=1e-6), key
+
+    @RAMSEY_CASES
+    @given(phi=st.floats(-40.0, 40.0), sign=st.sampled_from([1, -1]))
+    def test_fitted_phase_is_wrapped(self, phi, sign):
+        fit = fit_ramsey((self.t, ramsey_model(self.t, 0.9, 2.3, phi, 0.1, 1.3, 4.4, sign)), sign=sign)
+        assert -np.pi < fit.params["phase_rad"] <= np.pi
+        assert abs(np.angle(np.exp(1j * (fit.params["phase_rad"] - phi)))) < 1e-6

@@ -14,6 +14,7 @@ from singletsim.propagator import (
     propagate,
     segment_propagator,
     sequence_duration,
+    swept_expectations,
 )
 from singletsim.spincore import (
     SpinSystem,
@@ -187,6 +188,33 @@ class TestPropagate:
     def test_sequence_duration(self):
         segs = [HardPulse(1.0, 0.0), Delay(0.2), SpinLock(SpinLockParams(10.0), 0.3)]
         assert abs(sequence_duration(segs) - 0.5) < 1e-15
+
+
+class TestSweptExpectations:
+    def test_matches_final_state_around_a_swept_delay(self):
+        system = SpinSystem(
+            np.array([30.0, -25.0, 8.0]),
+            np.array([[0.0, 12.0, 3.0], [12.0, 0.0, 1.5], [3.0, 1.5, 0.0]]),
+            ((0, 1),),
+        )
+        lock = SpinLockParams(40.0, 0.4, 5.0)
+        before = [HardPulse(np.pi / 2, 0.3), SpinLock(lock, 0.02)]
+        after = [HardPulse(np.pi, 1.1), SpinLock(lock, 0.01)]
+        delay = Delay(0.0, 5.0)
+        taus = np.array([0.0, 0.013, 0.2, 1.7])
+        rho0 = thermal_state(system, 0.8)
+        observables = [singlet_projector(system, 0), embed_spin_operator(system, 2, "x")]
+        values = swept_expectations(system, rho0, before, delay, taus, after, observables)
+        assert values.shape == (2, taus.size)
+        for k, tau in enumerate(taus):
+            state = final_state(rho0, [*before, Delay(tau, 5.0), *after], system)
+            expected = [expectation(state, obs).real for obs in observables]
+            assert np.max(np.abs(values[:, k] - expected)) < 1e-12
+
+    def test_invalid_state_rejected(self):
+        system = coupled_pair()
+        with pytest.raises(ValueError):
+            swept_expectations(system, 2 * np.eye(4), [], Delay(0.0), [0.1], [], [np.eye(4)])
 
 
 class TestRelaxationEnvelope:
