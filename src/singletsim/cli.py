@@ -144,6 +144,9 @@ def load_config(path: str | Path) -> RunConfig:
     if "scan_tau" in proto_spec:
         scan_tau = _build_sweep(proto_spec["scan_tau"], "protocol.scan_tau")
     phases = proto_spec.get("double_rabi_phases_deg", [90.0, -90.0])
+    if not (isinstance(phases, list) and len(phases) == 2
+            and all(type(p) in (int, float) for p in phases)):
+        raise ConfigError(f"protocol.double_rabi_phases_deg must be two numbers, got {phases!r}")
     try:
         protocol = Protocol(
             kind=kind,

@@ -6,12 +6,11 @@ piecewise-constant Hamiltonians used here.  A hard pulse is an ideal
 zero-duration rotation: its generator run for theta / 2 pi.  Each distinct
 generator (a segment without its duration) is diagonalised once per call.
 `final_state`, `propagate`, `segment_propagator` and `hard_pulse_propagator`
-are thin names over it.  A sweep of one segment's duration tau is read by
-`swept_expectations` in that segment's eigenbasis, where each reading is
-Re sum_ij R_ij M_ji exp(-2 pi i (E_i - E_j) tau), vectorised over tau: the
-initial state is carried forward and each observable back through the fixed
-segments around it once, and no propagator is formed per tau.  Relaxation
-enters only as phenomenological decay envelopes applied to observable traces.
+are thin names over it.  Every sweep of a duration tau shared by k
+consecutive segments is read by `swept_expectations` in their eigenbases,
+vectorised over tau for k = 1, with no propagator formed per tau.
+Relaxation enters only as phenomenological decay envelopes applied to
+observable traces.
 """
 
 from __future__ import annotations
@@ -101,6 +100,14 @@ def _unitary(eig: tuple[np.ndarray, np.ndarray], duration_s: float) -> np.ndarra
     return vectors @ (np.exp(-2j * np.pi * energies * duration_s)[:, None] * vectors.conj().T)
 
 
+def _segment_eig(system: SpinSystem, segment: Segment, eigs: dict) -> tuple[np.ndarray, np.ndarray]:
+    """(E, V) of the segment's generator, diagonalised once per table."""
+    key = _generator(segment)[0]
+    if key not in eigs:
+        eigs[key] = _eigh(segment_hamiltonian(system, segment))
+    return eigs[key]
+
+
 def _propagators(
     system: SpinSystem,
     sequences: Iterable[list[Segment]],
@@ -109,12 +116,10 @@ def _propagators(
     for segments in sequences:
         u = None
         for segment in segments:
-            key, duration = _generator(segment)
+            duration = _generator(segment)[1]
             if duration == 0.0:
                 continue
-            if key not in eigs:
-                eigs[key] = _eigh(segment_hamiltonian(system, segment))
-            step = _unitary(eigs[key], duration)
+            step = _unitary(_segment_eig(system, segment, eigs), duration)
             u = step if u is None else step @ u
         yield np.eye(system.dim, dtype=complex) if u is None else u
 
@@ -134,37 +139,47 @@ def swept_expectations(
     system: SpinSystem,
     rho0: np.ndarray,
     before: list[Segment],
-    segment: SpinLock | Delay,
+    segments: list[SpinLock | Delay],
     durations_s,
     after: list[Segment],
     observables: list[np.ndarray],
 ) -> np.ndarray:
-    """Re tr(U rho0 U^dagger O) for U = after . segment(tau) . before, shape (n_obs, n_tau).
+    """Re tr(U rho0 U^dagger O), U = after . S_k(tau) ... S_1(tau) . before, as (n_obs, n_tau).
 
-    The segment's own duration is replaced by each tau.  In the eigenbasis V
-    of its generator, rho0 becomes R = Y^dagger rho0 Y with Y = U_before^dagger V
-    and each observable M = W^dagger O W with W = U_after V, so with
-    a = exp(-2 pi i E tau) the trace is sum_ij a_i R_ij conj(a_j) M_ji: one
-    (n_tau, d) x (d, d) product per observable, no propagator per tau.
+    Each swept segment S_j's own duration is replaced by each tau.  With V_j
+    the eigenbasis of S_j's generator, rho0 becomes R = Y^dagger rho0 Y with
+    Y = U_before^dagger V_1 and each observable M = W^dagger O W with
+    W = U_after V_k.  For one swept segment, with a = exp(-2 pi i E tau), the
+    trace is sum_ij a_i R_ij conj(a_j) M_ji: one (n_tau, d) x (d, d) product
+    per observable.  For more, R is carried from each eigenbasis to the next
+    through the overlaps C_j = V_{j+1}^dagger V_j, one tau at a time.  No
+    propagator is formed per tau.
     """
     check_density(rho0)
     eigs = {}
     u_before, u_after = _propagators(system, [before, after], eigs)
-    key = _generator(segment)[0]
-    energies, vectors = eigs[key] if key in eigs else _eigh(segment_hamiltonian(system, segment))
-    y = u_before.conj().T @ vectors
-    w = u_after @ vectors
+    bases = [_segment_eig(system, segment, eigs) for segment in segments]
+    y = u_before.conj().T @ bases[0][1]
+    w = u_after @ bases[-1][1]
     r = y.conj().T @ rho0 @ y
+    m_t = [(w.conj().T @ obs @ w).T for obs in observables]
+
+    def read(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """sum_ij a_i x_ij conj(a_j) M_ji for each observable M, over a's leading axis."""
+        return np.array([((a @ (x * mt)) * a.conj()).sum(axis=-1).real for mt in m_t])
+
     # same rounding order as _unitary, so each tau's phases match its propagator's
-    a = -2j * np.pi * energies * np.asarray(durations_s, dtype=float)[:, None]
-    np.exp(a, out=a)
-    a_conj = a.conj()
-    values = np.empty((len(observables), a.shape[0]))
-    for k, obs in enumerate(observables):
-        m = w.conj().T @ obs @ w
-        terms = a @ (r * m.T)
-        terms *= a_conj
-        values[k] = terms.sum(axis=1).real
+    taus = np.asarray(durations_s, dtype=float)[:, None]
+    phases = [np.exp(-2j * np.pi * energies * taus) for energies, _ in bases]
+    if len(bases) == 1:
+        return read(r, phases[0])
+    overlaps = [v_next.conj().T @ v for (_, v), (_, v_next) in zip(bases, bases[1:])]
+    values = np.empty((len(observables), taus.shape[0]))
+    for n in range(taus.shape[0]):
+        x = r
+        for c, a in zip(overlaps, phases):
+            x = c @ (a[n, :, None] * x * a[n].conj()) @ c.conj().T
+        values[:, n] = read(x, phases[-1][n])
     return values
 
 

@@ -7,21 +7,18 @@ triplet; the simulated preparation sequences (lock-crossing, three-pulse)
 can replace the ideal preparation, in which case the achieved singlet
 population scales the prepared order.
 
-The Rabi and Ramsey runners sweep one segment's duration, so they read
-their traces (every pair's singlet population and the configured readout)
-through `swept_expectations`, in that segment's eigenbasis and vectorised
-over tau.  Double-Rabi sweeps both locks' durations together, so no single
-eigenbasis exists: it hands one segment list per sweep point to the engine
-and streams the states, reading each and dropping it.  The `signal_proxy`
-readout is one observable, the transverse magnetization back-propagated
-once per run through the readout sequence.
+Every time sweep (Rabi, Ramsey, double-Rabi and each resonance-scan point)
+is read through `swept_expectations`: every pair's singlet population and
+the configured readout, with no propagator per sweep point.  Rabi and
+Ramsey sweep one lock, read vectorised over tau in its eigenbasis;
+double-Rabi sweeps its two locks together, read in their two eigenbases.
+The `signal_proxy` readout is one observable, the transverse magnetization
+back-propagated once per run through the readout sequence.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -52,7 +49,6 @@ from .spincore import (
     PHI_COMPOSITIONS,
     SpinSystem,
     TripletAmplitudes,
-    check_density,
     expectation,
     maximally_mixed_triplet,
     pair_basis,
@@ -349,27 +345,15 @@ def _base_metadata(system: SpinSystem, protocol: Protocol, sweep_unit: str) -> d
     }
 
 
-def _streamed_expectations(system: SpinSystem, rho0: np.ndarray,
-                           sequences: Iterable[list[Segment]],
-                           observables: list[np.ndarray]) -> np.ndarray:
-    """(n_obs, n_points) readings of rho0 evolved through each segment list, one state at a time."""
-    check_density(rho0)
-    columns = []
-    for u in sequence_propagators(system, sequences):
-        state = u @ rho0 @ u.conj().T
-        columns.append([expectation(state, obs).real for obs in observables])
-    return np.array(columns).T
-
-
-def _sweep_trace(system: SpinSystem, protocol: Protocol,
-                 read: Callable[[list[np.ndarray]], np.ndarray],
+def _sweep_trace(system: SpinSystem, protocol: Protocol, rho0: np.ndarray,
+                 before: list[Segment], swept: list[SpinLock], after: list[Segment],
                  envelope: RelaxationEnvelope | None, **metadata) -> Trace:
-    """Trace of the sweep whose (n_obs, n_points) readings read(observables) returns."""
+    """Trace of rho0 through before, the swept locks (each lasting every tau) and after."""
     n_pairs = len(system.pairs)
     observables = [singlet_projector(system, p) for p in range(n_pairs)]
     if protocol.readout == "signal_proxy":
         observables.append(_signal_observable(system, protocol))
-    values = read(observables)
+    values = swept_expectations(system, rho0, before, swept, protocol.sweep, after, observables)
     readout = n_pairs if protocol.readout == "signal_proxy" else protocol.readout_pair
     metadata = {**_base_metadata(system, protocol, "s"), **metadata}
     trace = Trace(protocol.sweep, values[readout].copy(), values[:n_pairs], metadata)
@@ -384,14 +368,9 @@ def run_rabi(
     """Sweep the CW transfer-lock duration and read singlet populations."""
     if protocol.kind != "rabi":
         raise ValueError(f"run_rabi needs a rabi protocol, got {protocol.kind!r}")
-    return _rabi_trace(system, protocol, transfer_initial_state(system, protocol), envelope)
-
-
-def _rabi_trace(system: SpinSystem, protocol: Protocol, rho0: np.ndarray,
-                envelope: RelaxationEnvelope | None) -> Trace:
+    rho0 = transfer_initial_state(system, protocol)
     lock = SpinLock(protocol.transfer, 0.0)
-    read = partial(swept_expectations, system, rho0, [], lock, protocol.sweep, [])
-    return _sweep_trace(system, protocol, read, envelope)
+    return _sweep_trace(system, protocol, rho0, [], [lock], [], envelope)
 
 
 def run_double_rabi(
@@ -402,11 +381,8 @@ def run_double_rabi(
         raise ValueError(f"run_double_rabi needs a double_rabi protocol, got {protocol.kind!r}")
     lock_a, lock_b = (replace(protocol.transfer, phase=p) for p in protocol.double_rabi_phases)
     rho0 = transfer_initial_state(system, replace(protocol, transfer=lock_a))
-    sequences = (
-        [SpinLock(lock_a, float(tau)), SpinLock(lock_b, float(tau))] for tau in protocol.sweep
-    )
-    read = partial(_streamed_expectations, system, rho0, sequences)
-    return _sweep_trace(system, protocol, read, envelope,
+    swept = [SpinLock(lock_a, 0.0), SpinLock(lock_b, 0.0)]
+    return _sweep_trace(system, protocol, rho0, [], swept, [], envelope,
                         double_rabi_phases_rad=[lock_a.phase, lock_b.phase])
 
 
@@ -419,8 +395,7 @@ def run_ramsey(
     rho0 = transfer_initial_state(system, protocol)
     half = SpinLock(protocol.transfer, protocol.pi_half_duration_s)
     free = SpinLock(protocol.free_lock, 0.0)
-    read = partial(swept_expectations, system, rho0, [half], free, protocol.sweep, [half])
-    return _sweep_trace(system, protocol, read, envelope,
+    return _sweep_trace(system, protocol, rho0, [half], [free], [half], envelope,
                         free_nutation_hz=protocol.free_lock.nutation_hz,
                         pi_half_duration_s=protocol.pi_half_duration_s)
 
@@ -456,7 +431,7 @@ def run_resonance_scan(
             prep=protocol.prep,
             triplet_init=protocol.triplet_init,
         )
-        trace = _rabi_trace(system, point, rho0, envelope)
+        trace = _sweep_trace(system, point, rho0, [], [SpinLock(lock, 0.0)], [], envelope)
         delta_nu_n[k] = effective_nutation_difference(float(nutation), delta_nu12)
         try:
             fit = fit_rabi(trace, mode=mode, with_decay=envelope is not None)

@@ -370,6 +370,15 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "input error" in err and "triplet_init" in err
 
+    @pytest.mark.parametrize("phases", [[90], [90, -90, 0]], ids=["one", "three"])
+    def test_double_rabi_phases_need_two_numbers(self, tmp_path, capsys, phases):
+        cfg = rabi_config()
+        cfg["protocol"].update(kind="double_rabi", double_rabi_phases_deg=phases)
+        code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "t")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "input error" in err and "double_rabi_phases_deg" in err
+
     def test_numerical_failure_exits_two(self, tmp_path, capsys, monkeypatch):
         import singletsim.cli as cli
 

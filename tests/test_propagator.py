@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -191,7 +193,8 @@ class TestPropagate:
 
 
 class TestSweptExpectations:
-    def test_matches_final_state_around_a_swept_delay(self):
+    @pytest.mark.parametrize("n_swept", [1, 2], ids=["delay", "delay_then_lock"])
+    def test_matches_final_state_around_a_swept_delay(self, n_swept):
         system = SpinSystem(
             np.array([30.0, -25.0, 8.0]),
             np.array([[0.0, 12.0, 3.0], [12.0, 0.0, 1.5], [3.0, 1.5, 0.0]]),
@@ -200,21 +203,22 @@ class TestSweptExpectations:
         lock = SpinLockParams(40.0, 0.4, 5.0)
         before = [HardPulse(np.pi / 2, 0.3), SpinLock(lock, 0.02)]
         after = [HardPulse(np.pi, 1.1), SpinLock(lock, 0.01)]
-        delay = Delay(0.0, 5.0)
+        swept = [Delay(0.0, 5.0), SpinLock(lock, 0.0)][:n_swept]
         taus = np.array([0.0, 0.013, 0.2, 1.7])
         rho0 = thermal_state(system, 0.8)
         observables = [singlet_projector(system, 0), embed_spin_operator(system, 2, "x")]
-        values = swept_expectations(system, rho0, before, delay, taus, after, observables)
+        values = swept_expectations(system, rho0, before, swept, taus, after, observables)
         assert values.shape == (2, taus.size)
         for k, tau in enumerate(taus):
-            state = final_state(rho0, [*before, Delay(tau, 5.0), *after], system)
+            played = [replace(segment, duration_s=tau) for segment in swept]
+            state = final_state(rho0, [*before, *played, *after], system)
             expected = [expectation(state, obs).real for obs in observables]
             assert np.max(np.abs(values[:, k] - expected)) < 1e-12
 
     def test_invalid_state_rejected(self):
         system = coupled_pair()
         with pytest.raises(ValueError):
-            swept_expectations(system, 2 * np.eye(4), [], Delay(0.0), [0.1], [], [np.eye(4)])
+            swept_expectations(system, 2 * np.eye(4), [], [Delay(0.0)], [0.1], [], [np.eye(4)])
 
 
 class TestRelaxationEnvelope:

@@ -719,7 +719,7 @@ class TestEvolutionEngine:
         assert counts[0] == counts[1] > 0
 
     @pytest.mark.parametrize("readout", ["projector", "signal_proxy"])
-    @pytest.mark.parametrize("kind", ["rabi", "ramsey"])
+    @pytest.mark.parametrize("kind", list(RUNNERS))
     def test_long_sweeps_match_oracle(self, kind, readout):
         # the swept phases must round as each tau's own propagator does: with
         # the ideal prep's full coherence, forming them as outer(tau, E)
@@ -732,16 +732,17 @@ class TestEvolutionEngine:
         assert np.max(np.abs(trace.observable - observable)) < 1e-12
         assert np.max(np.abs(trace.singlet_populations - populations)) < 1e-12
 
-    def test_sweep_memory_does_not_grow_with_d_squared_per_point(self):
+    @pytest.mark.parametrize("kind", ["rabi", "double_rabi"])
+    def test_sweep_memory_does_not_grow_with_d_squared_per_point(self, kind):
         # 2000 points at d = 64: a per-point state list or an (n, d, d)
         # tensor would need 131 MB
         pgg = phe_gly_gly(include_third_pair=True)
         lock = SpinLockParams(600.0, 0.3, pair_center_offset(pgg, 0))
-        protocol = Protocol(kind="rabi", sweep=np.linspace(0.01, 20.0, 2000), transfer=lock)
+        protocol = Protocol(kind=kind, sweep=np.linspace(0.01, 20.0, 2000), transfer=lock)
         assert pgg.dim == 64
         tracemalloc.start()
         try:
-            run_rabi(pgg, protocol)
+            RUNNERS[kind](pgg, protocol)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
