@@ -49,15 +49,34 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+_REQUIRED = object()
+
+
+def _number(block: dict, key: str, context: str, default=_REQUIRED, kind: type = float):
+    """Numeric field `key` of a config block as `kind`; only a JSON number passes (whole for int).
+
+    An absent or null field gives `default` (required without one); other types are ConfigErrors.
+    """
+    value = block.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required field {context}.{key}")
+        return default
+    if type(value) not in ((int,) if kind is int else (int, float)):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{context}.{key} must be {what}, got {value!r}")
+    return kind(value)
+
+
 def _build_system(block: dict) -> tuple[SpinSystem, float]:
-    spectrometer = float(block.get("spectrometer_mhz", 200.0))
+    spectrometer = _number(block, "spectrometer_mhz", "system", 200.0)
     spins = _require(block, "spins", "system")
     offsets = []
     for i, spin in enumerate(spins):
         if "offset_hz" in spin:
-            offsets.append(float(spin["offset_hz"]))
+            offsets.append(_number(spin, "offset_hz", f"system.spins[{i}]"))
         elif "shift_ppm" in spin:
-            offsets.append(ppm_to_hz(float(spin["shift_ppm"]), spectrometer))
+            offsets.append(ppm_to_hz(_number(spin, "shift_ppm", f"system.spins[{i}]"), spectrometer))
         else:
             raise ConfigError(f"system.spins[{i}] needs shift_ppm or offset_hz")
     couplings = _require(block, "couplings_hz", "system")
@@ -70,14 +89,14 @@ def _build_system(block: dict) -> tuple[SpinSystem, float]:
 
 
 def _build_lock(block: dict, spectrometer: float, system: SpinSystem, context: str) -> SpinLockParams:
-    nutation = float(_require(block, "nutation_hz", context))
-    phase = np.deg2rad(float(block.get("phase_deg", 0.0)))
+    nutation = _number(block, "nutation_hz", context)
+    phase = np.deg2rad(_number(block, "phase_deg", context, 0.0))
     if "transmitter_offset_hz" in block:
-        tx = float(block["transmitter_offset_hz"])
+        tx = _number(block, "transmitter_offset_hz", context)
     elif "transmitter_ppm" in block:
-        tx = ppm_to_hz(float(block["transmitter_ppm"]), spectrometer)
+        tx = ppm_to_hz(_number(block, "transmitter_ppm", context), spectrometer)
     elif "transmitter_pair" in block:
-        tx = pair_center_offset(system, int(block["transmitter_pair"]))
+        tx = pair_center_offset(system, _number(block, "transmitter_pair", context, kind=int))
     else:
         tx = pair_center_offset(system, 0)
     try:
@@ -89,22 +108,19 @@ def _build_lock(block: dict, spectrometer: float, system: SpinSystem, context: s
 def _build_sweep(block: dict, context: str) -> np.ndarray:
     if "values" in block:
         return np.asarray(block["values"], dtype=float)
-    for key in ("start", "stop", "count"):
-        _require(block, key, context)
-    return np.linspace(float(block["start"]), float(block["stop"]), int(block["count"]))
+    start, stop = _number(block, "start", context), _number(block, "stop", context)
+    return np.linspace(start, stop, _number(block, "count", context, kind=int))
 
 
 def _build_prep(block: dict) -> PrepSpec:
+    timings = {k: _number(block, k, "protocol.prep", None)
+               for k in ("nutation_hz", "duration_s", "tau1_s", "tau2_s", "tau3_s")}
     try:
         return PrepSpec(
             kind=block.get("kind", "ideal"),
-            nutation_hz=block.get("nutation_hz"),
-            duration_s=block.get("duration_s"),
-            tau1_s=block.get("tau1_s"),
-            tau2_s=block.get("tau2_s"),
-            tau3_s=block.get("tau3_s"),
-            phase=np.deg2rad(float(block.get("phase_deg", 0.0))),
-            polarization=float(block.get("polarization", 1.0)),
+            **timings,
+            phase=np.deg2rad(_number(block, "phase_deg", "protocol.prep", 0.0)),
+            polarization=_number(block, "polarization", "protocol.prep", 1.0),
         )
     except ValueError as exc:
         raise ConfigError(f"protocol.prep: {exc}") from exc
@@ -152,19 +168,21 @@ def load_config(path: str | Path) -> RunConfig:
             kind=kind,
             sweep=sweep,
             transfer=transfer,
-            source_pair=int(proto_spec.get("source_pair", 0)),
-            readout_pair=int(proto_spec.get("readout_pair", 1)),
+            source_pair=_number(proto_spec, "source_pair", "protocol", 0, int),
+            readout_pair=_number(proto_spec, "readout_pair", "protocol", 1, int),
             prep=_build_prep(proto_spec.get("prep", {})),
             triplet_init=proto_spec.get("triplet_init", "uniform"),
             readout=proto_spec.get("readout", "projector"),
             phase_cycle=bool(proto_spec.get("phase_cycle", False)),
-            pi_half_duration_s=proto_spec.get("pi_half_duration_s"),
+            pi_half_duration_s=_number(proto_spec, "pi_half_duration_s", "protocol", None),
             free_lock=free_lock,
             double_rabi_phases=(np.deg2rad(float(phases[0])), np.deg2rad(float(phases[1]))),
-            pump_transfer_duration_s=proto_spec.get("pump_transfer_duration_s"),
-            pump_reset_delay_s=proto_spec.get("pump_reset_delay_s"),
+            pump_transfer_duration_s=_number(proto_spec, "pump_transfer_duration_s", "protocol", None),
+            pump_reset_delay_s=_number(proto_spec, "pump_reset_delay_s", "protocol", None),
             scan_tau_grid_s=scan_tau,
         )
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"protocol: {exc}") from exc
 
@@ -184,13 +202,13 @@ def load_config(path: str | Path) -> RunConfig:
     noise_sigma = None
     noise_seed = None
     if "noise" in raw:
-        noise_sigma = float(_require(raw["noise"], "sigma", "noise"))
+        noise_sigma = _number(raw["noise"], "sigma", "noise")
         if noise_sigma < 0:
             raise ConfigError("noise.sigma must be >= 0")
         if noise_sigma > 0:
             if "seed" not in raw["noise"]:
                 raise ConfigError("noise.seed is required when noise is enabled")
-            noise_seed = int(raw["noise"]["seed"])
+            noise_seed = _number(raw["noise"], "seed", "noise", kind=int)
 
     return RunConfig(system, protocol, envelope, noise_sigma, noise_seed)
 

@@ -11,7 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spincore import PHI_COMPOSITIONS, SpinSystem, TripletAmplitudes, embed_spin_operator
+from .spincore import PHI_COMPOSITIONS, SpinSystem, TripletAmplitudes
+from .spincore import embed_pair_operator, embed_spin_operator
+
+# I_a . I_b of two spins-1/2 in the local basis (uu, ud, du, dd)
+_I_DOT_I = 0.25 * np.array([[1, 0, 0, 0], [0, -1, 2, 0], [0, 2, -1, 0], [0, 0, 0, 1]], dtype=complex)
 
 
 class NoTransferError(ValueError):
@@ -77,21 +81,14 @@ def free_hamiltonian(system: SpinSystem, transmitter_offset_hz: float = 0.0) -> 
     H = sum_i (nu_i - nu_tx) I_iz + sum_{i<j} J_ij I_i . I_j
     """
     n = system.n_spins
-    ops = {
-        axis: [embed_spin_operator(system, i, axis) for i in range(n)] for axis in ("x", "y", "z")
-    }
     h = np.zeros((system.dim, system.dim), dtype=complex)
     for i in range(n):
-        h += (system.offsets_hz[i] - transmitter_offset_hz) * ops["z"][i]
+        h += (system.offsets_hz[i] - transmitter_offset_hz) * embed_spin_operator(system, i, "z")
     for i in range(n):
         for j in range(i + 1, n):
             j_ij = system.couplings_hz[i, j]
             if j_ij != 0.0:
-                h += j_ij * (
-                    ops["x"][i] @ ops["x"][j]
-                    + ops["y"][i] @ ops["y"][j]
-                    + ops["z"][i] @ ops["z"][j]
-                )
+                h += j_ij * embed_pair_operator(system, (i, j), _I_DOT_I)
     return h
 
 

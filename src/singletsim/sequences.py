@@ -118,8 +118,8 @@ class Protocol:
             raise ValueError(f"unknown protocol kind {self.kind!r}")
         sweep = np.asarray(self.sweep, dtype=float)
         object.__setattr__(self, "sweep", sweep)
-        if sweep.size == 0 or np.any(np.diff(sweep) <= 0):
-            raise ValueError("sweep grid must be nonempty and strictly increasing")
+        if sweep.size == 0 or not np.all(np.isfinite(sweep)) or np.any(np.diff(sweep) <= 0):
+            raise ValueError("sweep grid must be nonempty, finite and strictly increasing")
         init = self.triplet_init
         if not isinstance(init, TripletAmplitudes) and init not in TRIPLET_INITS:
             raise ValueError(
@@ -136,7 +136,10 @@ class Protocol:
         if self.kind == "resonance_scan" and self.scan_tau_grid_s is None:
             raise ValueError("resonance_scan protocol needs scan_tau_grid_s")
         if self.scan_tau_grid_s is not None:
-            object.__setattr__(self, "scan_tau_grid_s", np.asarray(self.scan_tau_grid_s, float))
+            grid = np.asarray(self.scan_tau_grid_s, float)
+            if not np.all(np.isfinite(grid)):
+                raise ValueError("scan_tau_grid_s must be finite")
+            object.__setattr__(self, "scan_tau_grid_s", grid)
 
 
 def slic_sequence(
@@ -158,22 +161,6 @@ def slic_sequence(
         transmitter_offset_hz = pair_center_offset(system, pair_index)
     lock = SpinLockParams(nutation_hz, phase, transmitter_offset_hz)
     return [HardPulse(np.pi / 2, phase - np.pi / 2), SpinLock(lock, duration_s)]
-
-
-def slic_readout_sequence(
-    system: SpinSystem,
-    pair_index: int,
-    nutation_hz: float,
-    duration_s: float,
-    phase: float = 0.0,
-    transmitter_offset_hz: float | None = None,
-) -> list[Segment]:
-    """Readout crossing: the resonant lock converts singlet order back to
-    transverse magnetization along the lock axis, ready for acquisition."""
-    if transmitter_offset_hz is None:
-        transmitter_offset_hz = pair_center_offset(system, pair_index)
-    lock = SpinLockParams(nutation_hz, phase, transmitter_offset_hz)
-    return [SpinLock(lock, duration_s)]
 
 
 def three_pulse_sequence(
@@ -292,18 +279,12 @@ def _readout_sequence(system: SpinSystem, protocol: Protocol) -> list[Segment]:
     dropped, so the recovered order ends in the transverse plane where the
     acquisition would see it.
     """
-    prep = protocol.prep
-    if prep.kind == "slic":
-        return slic_readout_sequence(
-            system, protocol.readout_pair, prep.nutation_hz, prep.duration_s, prep.phase
-        )
-    if prep.kind == "three_pulse":
-        tx = pair_center_offset(system, protocol.readout_pair)
-        forward = three_pulse_sequence(prep.tau1_s, prep.tau2_s, prep.tau3_s, tx)
-        return _inverted_sequence(forward)[:-1]
+    if protocol.prep.kind != "ideal":
+        return _inverted_sequence(prep_sequence(system, protocol.readout_pair, protocol.prep))[:-1]
     # ideal prep: fall back to a lock-crossing readout at the pair's coupling
-    j = intrapair_coupling(system, protocol.readout_pair)
-    return slic_readout_sequence(system, protocol.readout_pair, j, 0.15)
+    pair = protocol.readout_pair
+    lock = SpinLockParams(intrapair_coupling(system, pair), 0.0, pair_center_offset(system, pair))
+    return [SpinLock(lock, 0.15)]
 
 
 def _inverted_sequence(segments: list[Segment]) -> list[Segment]:

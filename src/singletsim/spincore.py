@@ -10,8 +10,9 @@ Conventions (fixed throughout the package):
   spin-locked eigenbasis here: T- = |uu>, T+ = |dd>.  This is the
   reverse of the most common textbook labelling and is intentional.
 
-All operators are dense complex matrices in ordinary-frequency units;
-densities are Hermitian, unit-trace, positive-semidefinite arrays.
+All operators are dense complex matrices in ordinary-frequency units, built
+by basis-state bit index with no Kronecker products; densities are
+Hermitian, unit-trace, positive-semidefinite arrays.
 """
 
 from __future__ import annotations
@@ -166,8 +167,26 @@ def rotate_pair_ket_phase(ket: np.ndarray, phase: float) -> np.ndarray:
     return np.exp(-1j * phase * mz) * ket
 
 
-def _bit_shift(system: SpinSystem, spin_index: int) -> int:
-    return system.n_spins - 1 - spin_index
+def _basis_split(system: SpinSystem, spins: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(local pattern over `spins`, first one most significant; index of the rest) per basis state."""
+    idx = np.arange(system.dim)
+    pattern, rest = np.zeros_like(idx), idx
+    for spin in spins:
+        shift = system.n_spins - 1 - spin
+        pattern = 2 * pattern + ((idx >> shift) & 1)
+        rest = rest & ~(1 << shift)
+    return pattern, rest
+
+
+def _embed(system: SpinSystem, spins: tuple[int, ...], op: np.ndarray) -> np.ndarray:
+    """Operator `op` on the local basis of `spins`, identity on the rest, by bit index."""
+    pattern, rest = _basis_split(system, spins)
+    rows = np.arange(system.dim)
+    placed = np.empty(len(op), dtype=int)  # basis index of each local pattern, other bits 0
+    placed[pattern[rest == 0]] = rows[rest == 0]
+    full = np.zeros((system.dim, system.dim), dtype=complex)
+    full[rows[:, None], rest[:, None] + placed] = op[pattern]
+    return full
 
 
 def embed_spin_operator(system: SpinSystem, spin_index: int, axis: str) -> np.ndarray:
@@ -176,28 +195,12 @@ def embed_spin_operator(system: SpinSystem, spin_index: int, axis: str) -> np.nd
         raise ValueError(f"spin index {spin_index} out of range for {system.n_spins} spins")
     if axis not in _SINGLE:
         raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
-    op = np.eye(1, dtype=complex)
-    for i in range(system.n_spins):
-        op = np.kron(op, _SINGLE[axis] if i == spin_index else np.eye(2, dtype=complex))
-    return op
-
-
-def _pair_patterns(system: SpinSystem, pair: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """(pattern, rest) index decompositions of each basis state for one pair."""
-    a, b = pair
-    idx = np.arange(system.dim)
-    sa, sb = _bit_shift(system, a), _bit_shift(system, b)
-    pattern = 2 * ((idx >> sa) & 1) + ((idx >> sb) & 1)
-    rest = idx & ~((1 << sa) | (1 << sb))
-    return pattern, rest
+    return _embed(system, (spin_index,), _SINGLE[axis])
 
 
 def embed_pair_operator(system: SpinSystem, pair: tuple[int, int], op4: np.ndarray) -> np.ndarray:
     """Embed a 4x4 operator acting on the two spins of `pair`, identity on the rest."""
-    pattern, rest = _pair_patterns(system, pair)
-    full = op4[np.ix_(pattern, pattern)].astype(complex, copy=True)
-    full[rest[:, None] != rest[None, :]] = 0.0
-    return full
+    return _embed(system, pair, op4)
 
 
 def singlet_projector(system: SpinSystem, pair_index: int) -> np.ndarray:
@@ -233,7 +236,7 @@ def product_state_vector(system: SpinSystem, pair_kets: list[np.ndarray]) -> np.
         raise ValueError("pair assignments do not cover all spins")
     vec = np.ones(system.dim, dtype=complex)
     for pair, ket in zip(system.pairs, pair_kets):
-        pattern, _ = _pair_patterns(system, pair)
+        pattern, _ = _basis_split(system, pair)
         vec = vec * np.asarray(ket, dtype=complex)[pattern]
     return vec
 
@@ -262,7 +265,7 @@ def pair_product_density(system: SpinSystem, pair_densities: list[np.ndarray]) -
         raise ValueError("pair assignments do not cover all spins")
     rho = np.ones((system.dim, system.dim), dtype=complex)
     for pair, rho4 in zip(system.pairs, pair_densities):
-        pattern, _ = _pair_patterns(system, pair)
+        pattern, _ = _basis_split(system, pair)
         rho = rho * np.asarray(rho4, dtype=complex)[np.ix_(pattern, pattern)]
     return rho
 

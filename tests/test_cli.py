@@ -379,6 +379,39 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "input error" in err and "double_rabi_phases_deg" in err
 
+    def test_nan_sweep_value_exits_one(self, tmp_path, capsys):
+        cfg = rabi_config()
+        cfg["protocol"]["sweep"] = {"values": [0.1, None]}
+        code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "t")])
+        assert code == 1
+        assert "input error" in capsys.readouterr().err
+        assert not (tmp_path / "t" / "trace.csv").exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("source_pair", [0]),
+            ("transfer.nutation_hz", [599.0]),
+            ("pi_half_duration_s", "0.1"),
+            ("prep.nutation_hz", "15"),
+        ],
+        ids=["source_pair", "transfer_nutation", "pi_half_duration", "prep_nutation"],
+    )
+    def test_non_numeric_field_exits_one(self, tmp_path, capsys, field, value):
+        cfg = rabi_config()
+        cfg["protocol"]["prep"] = {"kind": "slic", "nutation_hz": 15.0, "duration_s": 0.157}
+        cfg["protocol"].update(pi_half_duration_s=0.1, free_lock={"nutation_hz": 47.0})
+        block, _, key = ("protocol." + field).rpartition(".")
+        target = cfg
+        for part in block.split("."):
+            target = target[part]
+        target[key] = value
+        code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "t")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and f"protocol.{field} must be" in err
+        assert "Traceback" not in err
+
     def test_numerical_failure_exits_two(self, tmp_path, capsys, monkeypatch):
         import singletsim.cli as cli
 

@@ -11,6 +11,7 @@ from singletsim.hamiltonian import (
     free_hamiltonian,
     interaction_strength,
     resonant_nutation,
+    rf_generator,
     spinlock_hamiltonian,
     state_energies,
     transfer_period,
@@ -106,6 +107,65 @@ class TestSpinlockHamiltonian:
         for ket in (b.phi_plus, b.phi_0, b.phi_s, b.phi_minus):
             best = np.max(np.abs(vectors.conj().T @ ket) ** 2)
             assert best > 0.999
+
+
+def eight_spin_system(seed=11):
+    """Seeded 8-spin (d=256) system with every coupling nonzero."""
+    rng = np.random.default_rng(seed)
+    c = np.triu(rng.uniform(1.0, 20.0, (8, 8)) * rng.choice([-1.0, 1.0], (8, 8)), 1)
+    return SpinSystem(rng.uniform(-400.0, 400.0, 8), c + c.T, tuple((2 * k, 2 * k + 1) for k in range(4)))
+
+
+def kron_operators(n_spins):
+    """{axis: [I_axis of each spin]} built as Kronecker products, spin 0 most significant."""
+    half = {
+        "x": 0.5 * np.array([[0, 1], [1, 0]], dtype=complex),
+        "y": 0.5 * np.array([[0, -1j], [1j, 0]], dtype=complex),
+        "z": 0.5 * np.array([[1, 0], [0, -1]], dtype=complex),
+    }
+    ops = {}
+    for axis, single in half.items():
+        ops[axis] = []
+        for spin in range(n_spins):
+            op = np.eye(1, dtype=complex)
+            for i in range(n_spins):
+                op = np.kron(op, single if i == spin else np.eye(2))
+            ops[axis].append(op)
+    return ops
+
+
+class TestAgainstKroneckerProducts:
+    """Operators built by bit index against dense Kronecker-product references."""
+
+    TX_HZ = 37.5
+    LOCK = SpinLockParams(599.31, 0.7, TX_HZ)
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        system = eight_spin_system()
+        ops = kron_operators(system.n_spins)
+        n = system.n_spins
+        h = sum((system.offsets_hz[i] - self.TX_HZ) * ops["z"][i] for i in range(n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                h = h + system.couplings_hz[i, j] * sum(ops[a][i] @ ops[a][j] for a in "xyz")
+        phase = self.LOCK.phase
+        rf = sum(np.cos(phase) * ops["x"][i] + np.sin(phase) * ops["y"][i] for i in range(n))
+        return system, h, rf
+
+    def test_free_hamiltonian(self, reference):
+        system, h, _ = reference
+        assert system.dim == 256 and np.all(system.couplings_hz[np.triu_indices(8, 1)] != 0.0)
+        assert np.max(np.abs(free_hamiltonian(system, self.TX_HZ) - h)) < 1e-12
+
+    def test_rf_generator(self, reference):
+        system, _, rf = reference
+        assert np.max(np.abs(rf_generator(system, self.LOCK.phase) - rf)) < 1e-12
+
+    def test_spinlock_hamiltonian(self, reference):
+        system, h, rf = reference
+        expected = h + self.LOCK.nutation_hz * rf
+        assert np.max(np.abs(spinlock_hamiltonian(system, self.LOCK) - expected)) < 1e-12
 
 
 class TestInteractionStrength:

@@ -8,6 +8,7 @@ from singletsim.analysis import fit_rabi
 from singletsim.hamiltonian import SpinLockParams, pair_center_offset
 from singletsim.presets import glutamate, phe_gly_gly
 from singletsim.propagator import (
+    Delay,
     HardPulse,
     RelaxationEnvelope,
     SpinLock,
@@ -143,6 +144,12 @@ class TestProtocolValidation:
     def test_non_increasing_sweep(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             Protocol(kind="rabi", sweep=np.array([1.0, 1.0]), transfer=SpinLockParams(1.0))
+
+    @pytest.mark.parametrize("field", ["sweep", "scan_tau_grid_s"])
+    def test_non_finite_grid_rejected(self, field):
+        grids = {"sweep": np.array([0.1]), "scan_tau_grid_s": np.array([0.1, 0.2]), field: [0.1, np.nan]}
+        with pytest.raises(ValueError, match="finite"):
+            Protocol(kind="resonance_scan", transfer=SpinLockParams(1.0), **grids)
 
     def test_kind_mismatch_between_protocol_and_runner(self):
         proto = Protocol(kind="rabi", sweep=np.array([0.1]), transfer=SpinLockParams(1.0))
@@ -591,6 +598,45 @@ class TestSignalProxyReadout:
             ),
         )
         assert np.all(np.isfinite(trace.observable))
+
+
+class TestReadoutSequence:
+    """The readout runs the preparation backwards on the readout pair, minus its excitation."""
+
+    @staticmethod
+    def readout(system, prep, pair):
+        protocol = Protocol(
+            kind="rabi", sweep=np.array([0.1]), transfer=glu_lock(system), source_pair=1 - pair,
+            readout_pair=pair, prep=prep,
+        )
+        return _readout_sequence(system, protocol)
+
+    @pytest.mark.parametrize("pair", [0, 1])
+    def test_lock_crossing_readout_is_the_prep_lock(self, pair):
+        glu = glutamate()
+        prep = PrepSpec(kind="slic", nutation_hz=17.0, duration_s=0.145, phase=0.4)
+        lock = SpinLockParams(17.0, 0.4, pair_center_offset(glu, pair))
+        assert self.readout(glu, prep, pair) == [SpinLock(lock, 0.145)]
+
+    @pytest.mark.parametrize("pair", [0, 1])
+    def test_three_pulse_readout_reverses_the_delays_and_pulses(self, pair):
+        glu = glutamate()
+        prep = PrepSpec(kind="three_pulse", tau1_s=0.007, tau2_s=0.0205, tau3_s=0.00925)
+        tx = pair_center_offset(glu, pair)
+        assert self.readout(glu, prep, pair) == [
+            Delay(0.00925, tx),
+            HardPulse(-np.pi / 2, np.pi / 2),
+            Delay(0.0205, tx),
+            HardPulse(-np.pi, np.pi / 2),
+            Delay(0.007, tx),
+        ]
+
+    @pytest.mark.parametrize("pair", [0, 1])
+    def test_ideal_prep_reads_out_with_a_lock_at_the_pair_coupling(self, pair):
+        glu = glutamate()
+        a, b = glu.pairs[pair]
+        lock = SpinLockParams(glu.couplings_hz[a, b], 0.0, pair_center_offset(glu, pair))
+        assert self.readout(glu, PrepSpec(), pair) == [SpinLock(lock, 0.15)]
 
 
 class TestResonanceHelpers:

@@ -21,6 +21,20 @@ from singletsim.spincore import (
 
 SQRT2 = np.sqrt(2.0)
 
+PAULI_HALF = {
+    "x": 0.5 * np.array([[0, 1], [1, 0]], dtype=complex),
+    "y": 0.5 * np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "z": 0.5 * np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def kron_spin_operator(n_spins, spin, axis):
+    """I_axis on `spin` as a Kronecker product, spin 0 most significant (the reference)."""
+    op = np.eye(1, dtype=complex)
+    for i in range(n_spins):
+        op = np.kron(op, PAULI_HALF[axis] if i == spin else np.eye(2))
+    return op
+
 
 def two_spin(j=10.0, dnu=0.0):
     return SpinSystem(
@@ -73,6 +87,12 @@ class TestEmbeddedOperators:
     def test_traceless(self, axis, spin):
         op = embed_spin_operator(four_spin(), spin, axis)
         assert abs(np.trace(op)) < 1e-14
+
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    @pytest.mark.parametrize("spin", [0, 1, 2, 3])
+    def test_matches_kronecker_product(self, axis, spin):
+        op = embed_spin_operator(four_spin(), spin, axis)
+        assert np.max(np.abs(op - kron_spin_operator(4, spin, axis))) < 1e-12
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
