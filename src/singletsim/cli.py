@@ -52,6 +52,11 @@ def _require(mapping: dict, key: str, context: str):
 _REQUIRED = object()
 
 
+def _is_number(value, kind: type = float) -> bool:
+    """Whether a parsed JSON value is a number (a whole one for int); bools and strings are not."""
+    return type(value) in ((int,) if kind is int else (int, float))
+
+
 def _number(block: dict, key: str, context: str, default=_REQUIRED, kind: type = float):
     """Numeric field `key` of a config block as `kind`; only a JSON number passes (whole for int).
 
@@ -62,10 +67,20 @@ def _number(block: dict, key: str, context: str, default=_REQUIRED, kind: type =
         if default is _REQUIRED:
             raise ConfigError(f"missing required field {context}.{key}")
         return default
-    if type(value) not in ((int,) if kind is int else (int, float)):
+    if not _is_number(value, kind):
         what = "an integer" if kind is int else "a number"
         raise ConfigError(f"{context}.{key} must be {what}, got {value!r}")
     return kind(value)
+
+
+def _number_list(value, field: str, kind: type = float, length: int | None = None) -> list:
+    """A JSON list of numbers (of `length` items when given); anything else is a ConfigError."""
+    if not (isinstance(value, list) and all(_is_number(v, kind) for v in value)
+            and (length is None or len(value) == length)):
+        what = "integers" if kind is int else "numbers"
+        count = "a list" if length is None else f"a list of {length}"
+        raise ConfigError(f"{field} must be {count} {what}, got {value!r}")
+    return value
 
 
 def _build_system(block: dict) -> tuple[SpinSystem, float]:
@@ -80,7 +95,14 @@ def _build_system(block: dict) -> tuple[SpinSystem, float]:
         else:
             raise ConfigError(f"system.spins[{i}] needs shift_ppm or offset_hz")
     couplings = _require(block, "couplings_hz", "system")
-    pairs = tuple(tuple(p) for p in block.get("pairs", ()))
+    if not isinstance(couplings, list):
+        raise ConfigError(f"system.couplings_hz must be a list of rows, got {couplings!r}")
+    for i, row in enumerate(couplings):
+        _number_list(row, f"system.couplings_hz[{i}]")
+    pairs = block.get("pairs", [])
+    if not isinstance(pairs, list):
+        raise ConfigError(f"system.pairs must be a list of spin-index pairs, got {pairs!r}")
+    pairs = tuple(tuple(_number_list(p, f"system.pairs[{k}]", int, 2)) for k, p in enumerate(pairs))
     try:
         system = SpinSystem(np.array(offsets), np.array(couplings, dtype=float), pairs)
     except ValueError as exc:
@@ -107,7 +129,7 @@ def _build_lock(block: dict, spectrometer: float, system: SpinSystem, context: s
 
 def _build_sweep(block: dict, context: str) -> np.ndarray:
     if "values" in block:
-        return np.asarray(block["values"], dtype=float)
+        return np.array(_number_list(block["values"], f"{context}.values"), dtype=float)
     start, stop = _number(block, "start", context), _number(block, "stop", context)
     return np.linspace(start, stop, _number(block, "count", context, kind=int))
 
@@ -160,9 +182,10 @@ def load_config(path: str | Path) -> RunConfig:
     if "scan_tau" in proto_spec:
         scan_tau = _build_sweep(proto_spec["scan_tau"], "protocol.scan_tau")
     phases = proto_spec.get("double_rabi_phases_deg", [90.0, -90.0])
-    if not (isinstance(phases, list) and len(phases) == 2
-            and all(type(p) in (int, float) for p in phases)):
-        raise ConfigError(f"protocol.double_rabi_phases_deg must be two numbers, got {phases!r}")
+    _number_list(phases, "protocol.double_rabi_phases_deg", length=2)
+    phase_cycle = proto_spec.get("phase_cycle", False)
+    if type(phase_cycle) is not bool:
+        raise ConfigError(f"protocol.phase_cycle must be true or false, got {phase_cycle!r}")
     try:
         protocol = Protocol(
             kind=kind,
@@ -173,7 +196,7 @@ def load_config(path: str | Path) -> RunConfig:
             prep=_build_prep(proto_spec.get("prep", {})),
             triplet_init=proto_spec.get("triplet_init", "uniform"),
             readout=proto_spec.get("readout", "projector"),
-            phase_cycle=bool(proto_spec.get("phase_cycle", False)),
+            phase_cycle=phase_cycle,
             pi_half_duration_s=_number(proto_spec, "pi_half_duration_s", "protocol", None),
             free_lock=free_lock,
             double_rabi_phases=(np.deg2rad(float(phases[0])), np.deg2rad(float(phases[1]))),

@@ -2,7 +2,10 @@
 
 Hamiltonians are stored in ordinary-frequency units (Hz); the factor 2*pi
 enters only in the propagator exponent.  Scalar couplings use the full
-isotropic form I_i . I_j, which the singlet physics requires.
+isotropic form I_i . I_j, which the singlet physics requires.  Generators
+are written in place into one d x d array, entry by basis-state bit index,
+with no dense operator formed per term; each entry is summed in the order a
+term-by-term accumulation would use, so the result is the same to the bit.
 """
 
 from __future__ import annotations
@@ -11,11 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spincore import PHI_COMPOSITIONS, SpinSystem, TripletAmplitudes
-from .spincore import embed_pair_operator, embed_spin_operator
-
-# I_a . I_b of two spins-1/2 in the local basis (uu, ud, du, dd)
-_I_DOT_I = 0.25 * np.array([[1, 0, 0, 0], [0, -1, 2, 0], [0, 2, -1, 0], [0, 0, 0, 1]], dtype=complex)
+from .spincore import PHI_COMPOSITIONS, SpinSystem, TripletAmplitudes, _spin_states
 
 
 class NoTransferError(ValueError):
@@ -79,26 +78,40 @@ def free_hamiltonian(system: SpinSystem, transmitter_offset_hz: float = 0.0) -> 
     """Zeeman offsets plus isotropic scalar couplings, in Hz.
 
     H = sum_i (nu_i - nu_tx) I_iz + sum_{i<j} J_ij I_i . I_j
+
+    Written in place: the diagonal (Zeeman terms, then J_ij I_iz I_jz, in
+    that order), then J_ij / 2 on each coupled pair's flip-flop entries.
     """
-    n = system.n_spins
-    h = np.zeros((system.dim, system.dim), dtype=complex)
-    for i in range(n):
-        h += (system.offsets_hz[i] - transmitter_offset_hz) * embed_spin_operator(system, i, "z")
-    for i in range(n):
-        for j in range(i + 1, n):
-            j_ij = system.couplings_hz[i, j]
-            if j_ij != 0.0:
-                h += j_ij * embed_pair_operator(system, (i, j), _I_DOT_I)
+    masks, down = _spin_states(system)
+    iz = 0.5 - down
+    first, second = np.nonzero(np.triu(system.couplings_hz, 1))  # coupled i < j, row by row
+    couplings = system.couplings_hz[first, second]
+    diagonal = np.zeros(system.dim)
+    for i in range(system.n_spins):
+        diagonal += (system.offsets_hz[i] - transmitter_offset_hz) * iz[i]
+    for i, j, j_ij in zip(first, second, couplings):
+        diagonal += j_ij * (iz[i] * iz[j])
+    h = np.diag(diagonal.astype(complex))
+    # |up_i down_j> <-> |down_i up_j> of each coupled pair
+    pair, rows = np.nonzero(~down[first] & down[second])
+    cols = rows ^ (masks[first] | masks[second])[pair]
+    h[rows, cols] = h[cols, rows] = 0.5 * couplings[pair]
     return h
 
 
 def rf_generator(system: SpinSystem, phase: float) -> np.ndarray:
-    """Transverse operator sum_i (cos(phase) I_ix + sin(phase) I_iy) driven by RF at a phase."""
+    """Transverse operator sum_i (cos(phase) I_ix + sin(phase) I_iy) driven by RF at a phase.
+
+    Written in place on each spin's single-flip entries.
+    """
     cx, sy = np.cos(phase), np.sin(phase)
-    return sum(
-        cx * embed_spin_operator(system, i, "x") + sy * embed_spin_operator(system, i, "y")
-        for i in range(system.n_spins)
-    )
+    masks, down = _spin_states(system)
+    spin, up = np.nonzero(~down)
+    flipped = up | masks[spin]
+    g = np.zeros((system.dim, system.dim), dtype=complex)
+    g[up, flipped] = cx * 0.5 - 0.5j * sy
+    g[flipped, up] = cx * 0.5 + 0.5j * sy
+    return g
 
 
 def spinlock_hamiltonian(system: SpinSystem, params: SpinLockParams) -> np.ndarray:

@@ -8,7 +8,9 @@ generator (a segment without its duration) is diagonalised once per call.
 `final_state`, `propagate`, `segment_propagator` and `hard_pulse_propagator`
 are thin names over it.  Every sweep of a duration tau shared by k
 consecutive segments is read by `swept_expectations` in their eigenbases,
-vectorised over tau for k = 1, with no propagator formed per tau.
+vectorised over tau for k = 1, with no propagator formed per tau.  It reads
+each assigned pair's singlet population from the rows of the pair's |ud>
+and |du> states, with no d x d projector, then any dense observables.
 Relaxation enters only as phenomenological decay envelopes applied to
 observable traces.
 """
@@ -21,7 +23,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .hamiltonian import SpinLockParams, free_hamiltonian, rf_generator, spinlock_hamiltonian
-from .spincore import SpinSystem, check_density, check_hermitian
+from .spincore import SpinSystem, _spin_states, check_density, check_hermitian
 from .trace import Trace
 
 BOUNDARY_SNAP_S = 1e-9
@@ -108,20 +110,18 @@ def _segment_eig(system: SpinSystem, segment: Segment, eigs: dict) -> tuple[np.n
     return eigs[key]
 
 
-def _propagators(
-    system: SpinSystem,
-    sequences: Iterable[list[Segment]],
-    eigs: dict[Segment, tuple[np.ndarray, np.ndarray]],
-) -> Iterator[np.ndarray]:
-    for segments in sequences:
-        u = None
-        for segment in segments:
-            duration = _generator(segment)[1]
-            if duration == 0.0:
-                continue
-            step = _unitary(_segment_eig(system, segment, eigs), duration)
-            u = step if u is None else step @ u
-        yield np.eye(system.dim, dtype=complex) if u is None else u
+def _propagator(
+    system: SpinSystem, segments: list[Segment], eigs: dict[Segment, tuple[np.ndarray, np.ndarray]]
+) -> np.ndarray | None:
+    """The propagator of a segment list, or None when it plays for no time."""
+    u = None
+    for segment in segments:
+        duration = _generator(segment)[1]
+        if duration == 0.0:
+            continue
+        step = _unitary(_segment_eig(system, segment, eigs), duration)
+        u = step if u is None else step @ u
+    return u
 
 
 def sequence_propagators(
@@ -132,7 +132,10 @@ def sequence_propagators(
     Each distinct generator is diagonalised once, in a table that lives as
     long as this iterator; segments that last no time are skipped.
     """
-    return _propagators(system, sequences, {})
+    eigs: dict[Segment, tuple[np.ndarray, np.ndarray]] = {}
+    for segments in sequences:
+        u = _propagator(system, segments, eigs)
+        yield np.eye(system.dim, dtype=complex) if u is None else u
 
 
 def swept_expectations(
@@ -144,28 +147,39 @@ def swept_expectations(
     after: list[Segment],
     observables: list[np.ndarray],
 ) -> np.ndarray:
-    """Re tr(U rho0 U^dagger O), U = after . S_k(tau) ... S_1(tau) . before, as (n_obs, n_tau).
+    """Singlet population of each assigned pair, then Re tr(U rho0 U^dagger O) of each observable.
 
-    Each swept segment S_j's own duration is replaced by each tau.  With V_j
-    the eigenbasis of S_j's generator, rho0 becomes R = Y^dagger rho0 Y with
-    Y = U_before^dagger V_1 and each observable M = W^dagger O W with
-    W = U_after V_k.  For one swept segment, with a = exp(-2 pi i E tau), the
-    trace is sum_ij a_i R_ij conj(a_j) M_ji: one (n_tau, d) x (d, d) product
-    per observable.  For more, R is carried from each eigenbasis to the next
-    through the overlaps C_j = V_{j+1}^dagger V_j, one tau at a time.  No
-    propagator is formed per tau.
+    Rows are the pairs in order, then the observables; columns are the
+    durations.  U = after . S_k(tau) ... S_1(tau) . before, each swept
+    segment S_j's own duration replaced by each tau.  With V_j the
+    eigenbasis of S_j's generator, rho0 becomes R = Y^dagger rho0 Y with
+    Y = U_before^dagger V_1 (V_1 when `before` plays nothing) and each
+    observable M = W^dagger O W with W = U_after V_k (V_k likewise).  A
+    pair's singlet projector sums |S0, rest><S0, rest| over the other spins,
+    so its M is B^dagger B with B = (W[ud] - W[du]) / sqrt(2), the rows of W
+    at the pair's |ud> and |du> states.  For one swept segment, with
+    a = exp(-2 pi i E tau), the trace is sum_ij a_i R_ij conj(a_j) M_ji: one
+    (n_tau, d) x (d, d) product per row.  For more, R is carried from each
+    eigenbasis to the next through the overlaps C_j = V_{j+1}^dagger V_j,
+    one tau at a time.  No propagator is formed per tau.
     """
     check_density(rho0)
-    eigs = {}
-    u_before, u_after = _propagators(system, [before, after], eigs)
+    eigs: dict[Segment, tuple[np.ndarray, np.ndarray]] = {}
+    u_before, u_after = (_propagator(system, played, eigs) for played in (before, after))
     bases = [_segment_eig(system, segment, eigs) for segment in segments]
-    y = u_before.conj().T @ bases[0][1]
-    w = u_after @ bases[-1][1]
+    y = bases[0][1] if u_before is None else u_before.conj().T @ bases[0][1]
+    w = bases[-1][1] if u_after is None else u_after @ bases[-1][1]
     r = y.conj().T @ rho0 @ y
-    m_t = [(w.conj().T @ obs @ w).T for obs in observables]
+    masks, down = _spin_states(system)
+    m_t = []  # the transpose of each M
+    for a, b in system.pairs:
+        ud = np.flatnonzero(~down[a] & down[b])
+        diff = w[ud] - w[ud ^ (masks[a] | masks[b])]  # sqrt(2) B
+        m_t.append(0.5 * (diff.T @ diff.conj()))
+    m_t += [(w.conj().T @ obs @ w).T for obs in observables]
 
     def read(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """sum_ij a_i x_ij conj(a_j) M_ji for each observable M, over a's leading axis."""
+        """sum_ij a_i x_ij conj(a_j) M_ji for each M, over a's leading axis."""
         return np.array([((a @ (x * mt)) * a.conj()).sum(axis=-1).real for mt in m_t])
 
     # same rounding order as _unitary, so each tau's phases match its propagator's
@@ -174,7 +188,7 @@ def swept_expectations(
     if len(bases) == 1:
         return read(r, phases[0])
     overlaps = [v_next.conj().T @ v for (_, v), (_, v_next) in zip(bases, bases[1:])]
-    values = np.empty((len(observables), taus.shape[0]))
+    values = np.empty((len(m_t), taus.shape[0]))
     for n in range(taus.shape[0]):
         x = r
         for c, a in zip(overlaps, phases):

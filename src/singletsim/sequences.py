@@ -8,10 +8,11 @@ can replace the ideal preparation, in which case the achieved singlet
 population scales the prepared order.
 
 Every time sweep (Rabi, Ramsey, double-Rabi and each resonance-scan point)
-is read through `swept_expectations`: every pair's singlet population and
-the configured readout, with no propagator per sweep point.  Rabi and
-Ramsey sweep one lock, read vectorised over tau in its eigenbasis;
-double-Rabi sweeps its two locks together, read in their two eigenbases.
+is read through `swept_expectations`: every pair's singlet population (with
+no projector built) and the configured readout, with no propagator per
+sweep point.  Rabi and Ramsey sweep one lock, read vectorised over tau in
+its eigenbasis; double-Rabi sweeps its two locks together, read in their
+two eigenbases.
 The `signal_proxy` readout is one observable, the transverse magnetization
 back-propagated once per run through the readout sequence.
 """
@@ -331,10 +332,8 @@ def _sweep_trace(system: SpinSystem, protocol: Protocol, rho0: np.ndarray,
                  envelope: RelaxationEnvelope | None, **metadata) -> Trace:
     """Trace of rho0 through before, the swept locks (each lasting every tau) and after."""
     n_pairs = len(system.pairs)
-    observables = [singlet_projector(system, p) for p in range(n_pairs)]
-    if protocol.readout == "signal_proxy":
-        observables.append(_signal_observable(system, protocol))
-    values = swept_expectations(system, rho0, before, swept, protocol.sweep, after, observables)
+    signal = [_signal_observable(system, protocol)] if protocol.readout == "signal_proxy" else []
+    values = swept_expectations(system, rho0, before, swept, protocol.sweep, after, signal)
     readout = n_pairs if protocol.readout == "signal_proxy" else protocol.readout_pair
     metadata = {**_base_metadata(system, protocol, "s"), **metadata}
     trace = Trace(protocol.sweep, values[readout].copy(), values[:n_pairs], metadata)

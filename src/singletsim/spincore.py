@@ -12,7 +12,9 @@ Conventions (fixed throughout the package):
 
 All operators are dense complex matrices in ordinary-frequency units, built
 by basis-state bit index with no Kronecker products; densities are
-Hermitian, unit-trace, positive-semidefinite arrays.
+Hermitian, unit-trace, positive-semidefinite arrays.  `check_density`
+accepts a state whose rho + EIGENVALUE_TOL * I has a Cholesky factor, and
+tests only the others by their smallest eigenvalue.
 """
 
 from __future__ import annotations
@@ -178,6 +180,12 @@ def _basis_split(system: SpinSystem, spins: tuple[int, ...]) -> tuple[np.ndarray
     return pattern, rest
 
 
+def _spin_states(system: SpinSystem) -> tuple[np.ndarray, np.ndarray]:
+    """(each spin's bit in the basis index, n_spins x dim flags: spin down in that basis state)."""
+    masks = 1 << np.arange(system.n_spins - 1, -1, -1)
+    return masks, (np.arange(system.dim) & masks[:, None]) != 0
+
+
 def _embed(system: SpinSystem, spins: tuple[int, ...], op: np.ndarray) -> np.ndarray:
     """Operator `op` on the local basis of `spins`, identity on the rest, by bit index."""
     pattern, rest = _basis_split(system, spins)
@@ -287,9 +295,9 @@ def thermal_state(system: SpinSystem, polarization: float = 1.0) -> np.ndarray:
     """
     if not -1.0 <= polarization <= 1.0:
         raise ValueError("polarization must lie in [-1, 1] to keep the state positive")
-    iz_total = sum(embed_spin_operator(system, i, "z") for i in range(system.n_spins))
+    iz_total = (0.5 - _spin_states(system)[1]).sum(axis=0)  # diagonal of sum_i I_iz
     scale = 2.0 * polarization / system.n_spins
-    return (np.eye(system.dim, dtype=complex) + scale * iz_total) / system.dim
+    return np.diag(((1.0 + scale * iz_total) / system.dim).astype(complex))
 
 
 def check_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
@@ -304,6 +312,10 @@ def check_density(rho: np.ndarray) -> None:
     tr = np.trace(rho).real
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"density trace is {tr}, expected 1")
-    eig_min = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()
-    if eig_min < -EIGENVALUE_TOL:
-        raise ValueError(f"density has negative eigenvalue {eig_min:.3e}")
+    rho_h = 0.5 * (rho + rho.conj().T)
+    try:  # positive definite once shifted: every eigenvalue above -EIGENVALUE_TOL
+        np.linalg.cholesky(rho_h + EIGENVALUE_TOL * np.eye(len(rho_h)))
+    except np.linalg.LinAlgError:
+        eig_min = np.linalg.eigvalsh(rho_h).min()
+        if eig_min < -EIGENVALUE_TOL:
+            raise ValueError(f"density has negative eigenvalue {eig_min:.3e}") from None

@@ -412,6 +412,58 @@ class TestMainEntry:
         assert err.startswith("input error") and f"protocol.{field} must be" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["no", "true", 1, None], ids=["no", "true_string", "one", "null"])
+    def test_phase_cycle_must_be_a_json_bool(self, tmp_path, capsys, value):
+        cfg = rabi_config()
+        cfg["protocol"].update(readout="signal_proxy", phase_cycle=value)
+        code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "t")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and "protocol.phase_cycle must be true or false" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("values", [["0.1", "0.5"], [0.1, True], "0.1"], ids=["strings", "bool", "string"])
+    def test_sweep_values_must_be_numbers(self, tmp_path, capsys, values):
+        cfg = rabi_config()
+        cfg["protocol"]["sweep"] = {"values": values}
+        code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "t")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and "protocol.sweep.values must be a list" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [
+            ("pairs", [["0", "1"]], "system.pairs[0]"),
+            ("pairs", [[0, 1.0]], "system.pairs[0]"),
+            ("pairs", [[0, 1, 1]], "system.pairs[0]"),
+            ("pairs", "01", "system.pairs"),
+            ("couplings_hz", [[0.0, "7"], [7.0, 0.0]], "system.couplings_hz[0]"),
+            ("couplings_hz", "[[0, 7], [7, 0]]", "system.couplings_hz"),
+        ],
+        ids=["pair_strings", "pair_float", "pair_triple", "pairs_string", "coupling_string", "couplings_string"],
+    )
+    def test_system_lists_must_hold_numbers(self, tmp_path, capsys, key, value, field):
+        cfg = {
+            "system": {
+                "spins": [{"offset_hz": 200.0}, {"offset_hz": 190.0}],
+                "couplings_hz": [[0.0, 7.0], [7.0, 0.0]],
+                "pairs": [[0, 1]],
+            },
+            "protocol": {
+                "kind": "rabi",
+                "transfer": {"nutation_hz": 100.0, "transmitter_offset_hz": 195.0},
+                "sweep": {"values": [0.1, 0.2, 0.3]},
+            },
+        }
+        cfg["system"][key] = value
+        code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "t")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and f"{field} must be a list" in err
+        assert "Traceback" not in err
+
     def test_numerical_failure_exits_two(self, tmp_path, capsys, monkeypatch):
         import singletsim.cli as cli
 

@@ -16,10 +16,12 @@ from singletsim.hamiltonian import (
     state_energies,
     transfer_period,
 )
-from singletsim.presets import glutamate
+from singletsim.presets import glutamate, phe_gly_gly
 from singletsim.spincore import (
     SpinSystem,
     TripletAmplitudes,
+    embed_pair_operator,
+    embed_spin_operator,
     pair_basis,
     product_state_vector,
 )
@@ -109,11 +111,12 @@ class TestSpinlockHamiltonian:
             assert best > 0.999
 
 
-def eight_spin_system(seed=11):
-    """Seeded 8-spin (d=256) system with every coupling nonzero."""
+def seeded_system(n_spins=8, seed=11):
+    """Seeded system of n_spins spins in consecutive pairs, every coupling nonzero."""
     rng = np.random.default_rng(seed)
-    c = np.triu(rng.uniform(1.0, 20.0, (8, 8)) * rng.choice([-1.0, 1.0], (8, 8)), 1)
-    return SpinSystem(rng.uniform(-400.0, 400.0, 8), c + c.T, tuple((2 * k, 2 * k + 1) for k in range(4)))
+    c = np.triu(rng.uniform(1.0, 20.0, (n_spins, n_spins)) * rng.choice([-1.0, 1.0], (n_spins, n_spins)), 1)
+    pairs = tuple((2 * k, 2 * k + 1) for k in range(n_spins // 2))
+    return SpinSystem(rng.uniform(-400.0, 400.0, n_spins), c + c.T, pairs)
 
 
 def kron_operators(n_spins):
@@ -142,7 +145,7 @@ class TestAgainstKroneckerProducts:
 
     @pytest.fixture(scope="class")
     def reference(self):
-        system = eight_spin_system()
+        system = seeded_system(8)
         ops = kron_operators(system.n_spins)
         n = system.n_spins
         h = sum((system.offsets_hz[i] - self.TX_HZ) * ops["z"][i] for i in range(n))
@@ -166,6 +169,61 @@ class TestAgainstKroneckerProducts:
         system, h, rf = reference
         expected = h + self.LOCK.nutation_hz * rf
         assert np.max(np.abs(spinlock_hamiltonian(system, self.LOCK) - expected)) < 1e-12
+
+
+# I_a . I_b of two spins-1/2 in the local basis (uu, ud, du, dd)
+I_DOT_I = 0.25 * np.array([[1, 0, 0, 0], [0, -1, 2, 0], [0, 2, -1, 0], [0, 0, 0, 1]], dtype=complex)
+
+
+def dense_free_hamiltonian(system, tx_hz):
+    """The free Hamiltonian as a sum of dense embedded terms, Zeeman first, then couplings."""
+    h = np.zeros((system.dim, system.dim), dtype=complex)
+    for i in range(system.n_spins):
+        h += (system.offsets_hz[i] - tx_hz) * embed_spin_operator(system, i, "z")
+    for i in range(system.n_spins):
+        for j in range(i + 1, system.n_spins):
+            if system.couplings_hz[i, j] != 0.0:
+                h += system.couplings_hz[i, j] * embed_pair_operator(system, (i, j), I_DOT_I)
+    return h
+
+
+def dense_rf_generator(system, phase):
+    cx, sy = np.cos(phase), np.sin(phase)
+    return sum(
+        cx * embed_spin_operator(system, i, "x") + sy * embed_spin_operator(system, i, "y")
+        for i in range(system.n_spins)
+    )
+
+
+SCATTER_SYSTEMS = {
+    "glutamate_d16": glutamate,
+    "pgg_d64": lambda: phe_gly_gly(include_third_pair=True),
+    "seeded_d256": seeded_system,
+}
+
+
+class TestAgainstDenseAccumulation:
+    """Generators written in place are bitwise equal to sums of dense embedded terms."""
+
+    @pytest.fixture(scope="class", params=list(SCATTER_SYSTEMS))
+    def system(self, request):
+        return SCATTER_SYSTEMS[request.param]()
+
+    @pytest.mark.parametrize("tx_hz", [0.0, 37.5])
+    def test_free_hamiltonian(self, system, tx_hz):
+        assert np.array_equal(free_hamiltonian(system, tx_hz), dense_free_hamiltonian(system, tx_hz))
+
+    @pytest.mark.parametrize("phase", [0.0, 0.7, 0.7 + np.pi, -2.2])
+    def test_rf_generator(self, system, phase):
+        assert np.array_equal(rf_generator(system, phase), dense_rf_generator(system, phase))
+
+    @pytest.mark.parametrize("phase", [0.0, 0.7, 0.7 + np.pi, -2.2])
+    def test_spinlock_hamiltonian(self, system, phase):
+        lock = SpinLockParams(599.31, phase, 37.5)
+        expected = dense_free_hamiltonian(system, 37.5)
+        expected += lock.nutation_hz * dense_rf_generator(system, phase)
+        assert system.dim in (16, 64, 256)
+        assert np.array_equal(spinlock_hamiltonian(system, lock), expected)
 
 
 class TestInteractionStrength:

@@ -207,7 +207,7 @@ class TestSweptExpectations:
         taus = np.array([0.0, 0.013, 0.2, 1.7])
         rho0 = thermal_state(system, 0.8)
         observables = [singlet_projector(system, 0), embed_spin_operator(system, 2, "x")]
-        values = swept_expectations(system, rho0, before, swept, taus, after, observables)
+        values = swept_expectations(system, rho0, before, swept, taus, after, observables[1:])
         assert values.shape == (2, taus.size)
         for k, tau in enumerate(taus):
             played = [replace(segment, duration_s=tau) for segment in swept]

@@ -778,6 +778,32 @@ class TestEvolutionEngine:
         assert np.max(np.abs(trace.observable - observable)) < 1e-12
         assert np.max(np.abs(trace.singlet_populations - populations)) < 1e-12
 
+    @pytest.mark.parametrize("kind", list(RUNNERS))
+    def test_every_pair_population_at_d64_matches_final_state(self, kind):
+        # the engine reads each pair's population through its |ud>, |du> rows,
+        # with no d x d projector; here against final_state and the projector
+        pgg = phe_gly_gly(include_third_pair=True)
+        lock = SpinLockParams(280.0, 0.7, pair_center_offset(pgg, 0))
+        free = SpinLockParams(47.0, 0.7, pair_center_offset(pgg, 1))
+        protocol = Protocol(
+            kind=kind, sweep=np.linspace(0.05, 2.0, 5), transfer=lock, triplet_init="phi_minus",
+            pi_half_duration_s=0.1, free_lock=free, double_rabi_phases=(0.7, 0.7 + np.pi),
+        )
+        trace = RUNNERS[kind](pgg, protocol)
+        rho0 = ideal_transfer_state(pgg, 0, "phi_minus", 0.7)
+        half = SpinLock(lock, 0.1)
+        expected = []
+        for tau in protocol.sweep:
+            segments = {
+                "rabi": [SpinLock(lock, tau)],
+                "ramsey": [half, SpinLock(free, tau), half],
+                "double_rabi": [SpinLock(lock, tau), SpinLock(replace(lock, phase=0.7 + np.pi), tau)],
+            }[kind]
+            state = final_state(rho0, segments, pgg)
+            expected.append([expectation(state, singlet_projector(pgg, p)).real for p in range(3)])
+        assert pgg.dim == 64 and trace.singlet_populations.shape == (3, 5)
+        assert np.max(np.abs(trace.singlet_populations - np.array(expected).T)) < 1e-12
+
     @pytest.mark.parametrize("kind", ["rabi", "double_rabi"])
     def test_sweep_memory_does_not_grow_with_d_squared_per_point(self, kind):
         # 2000 points at d = 64: a per-point state list or an (n, d, d)

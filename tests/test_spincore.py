@@ -284,6 +284,26 @@ class TestStatesAndValidation:
         with pytest.raises(ValueError, match="negative"):
             check_density(rho)
 
+    @staticmethod
+    def rotated_density(eigenvalues, seed=3):
+        """Q diag(eigenvalues) Q^dagger for a seeded random unitary Q."""
+        rng = np.random.default_rng(seed)
+        n = len(eigenvalues)
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        return (q * np.asarray(eigenvalues)) @ q.conj().T
+
+    def test_check_density_rejects_just_past_the_eigenvalue_tolerance(self):
+        rho = self.rotated_density([0.6, 0.4 + 2e-10, 0.0, -2e-10])
+        with pytest.raises(ValueError, match="negative eigenvalue -2.000e-10"):
+            check_density(rho)
+
+    def test_check_density_accepts_within_the_eigenvalue_tolerance(self):
+        check_density(self.rotated_density([0.6, 0.4 + 5e-11, 0.0, -5e-11]))
+
+    def test_check_density_accepts_a_pure_state_at_d256(self):
+        rng = np.random.default_rng(5)
+        check_density(pure_state_density(rng.normal(size=256) + 1j * rng.normal(size=256)))
+
     def test_triplet_amplitudes_normalization(self):
         with pytest.raises(ValueError, match="normalized"):
             TripletAmplitudes(1.0, 1.0, 0.0)
