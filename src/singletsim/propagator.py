@@ -1,16 +1,16 @@
 """Exact piecewise-constant evolution of density matrices through pulse sequences.
 
-One engine, `sequence_propagators`, turns segment lists into propagators
-U = prod_k V_k exp(-i 2 pi E_k t_k) V_k^dagger, which is exact for the
-piecewise-constant Hamiltonians used here.  A hard pulse is an ideal
-zero-duration rotation: its generator run for theta / 2 pi.  Each distinct
-generator (a segment without its duration) is diagonalised once per call.
-`final_state`, `propagate`, `segment_propagator` and `hard_pulse_propagator`
-are thin names over it.  Every sweep of a duration tau shared by k
-consecutive segments is read by `swept_expectations` in their eigenbases,
-vectorised over tau for k = 1, with no propagator formed per tau.  It reads
-each assigned pair's singlet population from the rows of the pair's |ud>
-and |du> states, with no d x d projector, then any dense observables.
+Two entry points share one engine.  `sequence_propagators` turns segment
+lists into propagators U = prod_k V_k exp(-i 2 pi E_k t_k) V_k^dagger, which
+is exact for the piecewise-constant Hamiltonians used here.  A hard pulse is
+an ideal zero-duration rotation: its generator run for theta / 2 pi.  Each
+distinct generator (a segment without its duration) is diagonalised once per
+call.  `swept_expectations` reads every population: a sweep of a duration
+tau shared by k consecutive segments (a fixed sequence is a one-point sweep)
+is read in their eigenbases, vectorised over tau for k = 1, with no
+propagator formed per tau.  It reads each assigned pair's singlet
+population from the rows of the pair's |ud> and |du> states, with no d x d
+projector, then any dense observables.
 Relaxation enters only as phenomenological decay envelopes applied to
 observable traces.
 """
@@ -25,9 +25,6 @@ import numpy as np
 from .hamiltonian import SpinLockParams, free_hamiltonian, rf_generator, spinlock_hamiltonian
 from .spincore import SpinSystem, _spin_states, check_density, check_hermitian
 from .trace import Trace
-
-BOUNDARY_SNAP_S = 1e-9
-
 
 @dataclass(frozen=True)
 class HardPulse:
@@ -72,10 +69,6 @@ class SpinLock:
 Segment = HardPulse | Delay | SpinLock
 
 
-def sequence_duration(segments: list[Segment]) -> float:
-    return float(sum(seg.duration_s for seg in segments))
-
-
 def segment_hamiltonian(system: SpinSystem, segment: Segment) -> np.ndarray:
     """Generator (Hz) of a segment: a hard pulse's runs for theta / 2 pi."""
     if isinstance(segment, Delay):
@@ -93,8 +86,7 @@ def _generator(segment: Segment) -> tuple[Segment, float]:
 
 
 def _eigh(hamiltonian_hz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    check_hermitian(hamiltonian_hz, tol=1e-9)
-    return np.linalg.eigh(0.5 * (hamiltonian_hz + hamiltonian_hz.conj().T))
+    return np.linalg.eigh(check_hermitian(hamiltonian_hz, tol=1e-9))
 
 
 def _unitary(eig: tuple[np.ndarray, np.ndarray], duration_s: float) -> np.ndarray:
@@ -195,62 +187,6 @@ def swept_expectations(
             x = c @ (a[n, :, None] * x * a[n].conj()) @ c.conj().T
         values[:, n] = read(x, phases[-1][n])
     return values
-
-
-def segment_propagator(hamiltonian_hz: np.ndarray, duration_s: float) -> np.ndarray:
-    """U = exp(-i 2 pi H t) via eigendecomposition of the Hermitian H (Hz)."""
-    return _unitary(_eigh(hamiltonian_hz), duration_s)
-
-
-def hard_pulse_propagator(system: SpinSystem, pulse: HardPulse) -> np.ndarray:
-    """Global rotation exp(-i theta G), G = sum_i (cos(phase) I_ix + sin(phase) I_iy)."""
-    return next(sequence_propagators(system, [[pulse]]))
-
-
-def final_state(state: np.ndarray, segments: list[Segment], system: SpinSystem) -> np.ndarray:
-    """State after the full sequence (including any trailing zero-duration pulses)."""
-    check_density(state)
-    u = next(sequence_propagators(system, [segments]))
-    return u @ state @ u.conj().T
-
-
-def _played_until(segments: list[Segment], time_s: float) -> list[Segment]:
-    """The part of the sequence played by time_s, a boundary within 1e-9 s counting as reached.
-
-    A time that coincides with a hard pulse stops before it.
-    """
-    played: list[Segment] = []
-    reached = 0.0
-    for segment in segments:
-        if isinstance(segment, HardPulse):
-            if time_s <= reached + BOUNDARY_SNAP_S:
-                break
-        elif segment.duration_s > 0.0:
-            if time_s <= reached + segment.duration_s + BOUNDARY_SNAP_S:
-                elapsed = min(max(time_s - reached, 0.0), segment.duration_s)
-                played.append(replace(segment, duration_s=elapsed))
-                break
-            reached += segment.duration_s
-        played.append(segment)
-    return played
-
-
-def propagate(
-    state: np.ndarray, segments: list[Segment], system: SpinSystem, sample_times_s
-) -> list[np.ndarray]:
-    """Evolve a density matrix through the sequence, sampling at the given times.
-
-    Sample times are measured from the start of the sequence and must lie
-    within its total duration (snapped to segment boundaries within 1e-9 s).
-    A sample that coincides with a hard pulse sees the pre-pulse state.
-    """
-    check_density(state)
-    times = np.asarray(sample_times_s, dtype=float)
-    total = sequence_duration(segments)
-    if times.size and (times.min() < -BOUNDARY_SNAP_S or times.max() > total + BOUNDARY_SNAP_S):
-        raise ValueError(f"sample times must lie within the sequence duration [0, {total}] s")
-    played = (_played_until(segments, float(t)) for t in times)
-    return [u @ state @ u.conj().T for u in sequence_propagators(system, played)]
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,16 @@ triplet; the simulated preparation sequences (lock-crossing, three-pulse)
 can replace the ideal preparation, in which case the achieved singlet
 population scales the prepared order.
 
-Every time sweep (Rabi, Ramsey, double-Rabi and each resonance-scan point)
-is read through `swept_expectations`: every pair's singlet population (with
-no projector built) and the configured readout, with no propagator per
-sweep point.  Rabi and Ramsey sweep one lock, read vectorised over tau in
-its eigenbasis; double-Rabi sweeps its two locks together, read in their
-two eigenbases.
+Every population is read through `swept_expectations`: every pair's
+singlet population (with no projector built) and the configured readout,
+with no propagator per sweep point.  Rabi and Ramsey sweep one lock, read
+vectorised over tau in its eigenbasis; double-Rabi sweeps its two locks
+together, read in their two eigenbases.  A preparation is a one-point
+sweep of its last segment, and pumping a two-point sweep (0 and the pump
+time) of its transfer lock.
 The `signal_proxy` readout is one observable, the transverse magnetization
-back-propagated once per run through the readout sequence.
+back-propagated once per run through the readout sequence with
+`sequence_propagators`.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .propagator import (
     Segment,
     SpinLock,
     apply_relaxation_envelope,
-    final_state,
     sequence_propagators,
     swept_expectations,
 )
@@ -50,12 +51,10 @@ from .spincore import (
     PHI_COMPOSITIONS,
     SpinSystem,
     TripletAmplitudes,
-    expectation,
     maximally_mixed_triplet,
     pair_basis,
     pair_product_density,
     rotate_pair_ket_phase,
-    singlet_projector,
     thermal_state,
 )
 from .trace import Trace
@@ -231,10 +230,14 @@ def ideal_transfer_state(
 def prepared_singlet_population(
     system: SpinSystem, pair_index: int, prep: PrepSpec
 ) -> float:
-    """Source-pair singlet population achieved by simulating the preparation."""
-    rho = thermal_state(system, prep.polarization)
-    rho = final_state(rho, prep_sequence(system, pair_index, prep), system)
-    return expectation(rho, singlet_projector(system, pair_index)).real
+    """Source-pair singlet population achieved by simulating the preparation.
+
+    The last segment is read as a one-point sweep of its own duration.
+    """
+    thermal = thermal_state(system, prep.polarization)
+    *before, last = prep_sequence(system, pair_index, prep)
+    values = swept_expectations(system, thermal, before, [last], [last.duration_s], [], [])
+    return float(values[pair_index, 0])
 
 
 def transfer_initial_state(system: SpinSystem, protocol: Protocol) -> np.ndarray:
@@ -389,13 +392,18 @@ def run_resonance_scan(
     fitted frequencies and the effective nutation differences accompany the
     trace in its metadata.  Per-point fit failures are recorded as NaN.  The
     initial state does not depend on the nutation, so it is prepared once.
+    delta_nu12 is the splitting of the source and readout pair centres, or of
+    the source and the lowest-index other pair when they are the same pair.
     """
     if protocol.kind != "resonance_scan":
         raise ValueError(
             f"run_resonance_scan needs a resonance_scan protocol, got {protocol.kind!r}"
         )
-    delta_nu12 = abs(pair_center_offset(system, 1) - pair_center_offset(system, 0))
-    mode = "cos2" if protocol.readout_pair == protocol.source_pair else "sin2"
+    source, other = protocol.source_pair, protocol.readout_pair
+    mode = "cos2" if other == source else "sin2"
+    if other == source:
+        other = 1 if source == 0 else 0
+    delta_nu12 = abs(pair_center_offset(system, other) - pair_center_offset(system, source))
     amplitudes = np.full(protocol.sweep.size, np.nan)
     frequencies = np.full(protocol.sweep.size, np.nan)
     delta_nu_n = np.zeros(protocol.sweep.size)
@@ -442,11 +450,11 @@ def run_pumping(
     if np.any(counts < 1) or np.any(counts != np.round(counts)):
         raise ValueError("pumping sweep must contain positive integer cycle counts")
     rho0 = transfer_initial_state(system, protocol)
-    before = expectation(rho0, singlet_projector(system, protocol.readout_pair)).real
     lock = SpinLock(protocol.transfer, protocol.pump_transfer_duration_s)
-    after_state = final_state(rho0, [lock], system)
-    after = expectation(after_state, singlet_projector(system, protocol.readout_pair)).real
-    gain = after - before
+    before, after = swept_expectations(
+        system, rho0, [], [lock], [0.0, lock.duration_s], [], []
+    )[protocol.readout_pair]
+    gain = float(after - before)
 
     cycle_time = protocol.pump_transfer_duration_s + protocol.pump_reset_delay_s
     decay = 1.0

@@ -300,19 +300,21 @@ def thermal_state(system: SpinSystem, polarization: float = 1.0) -> np.ndarray:
     return np.diag(((1.0 + scale * iz_total) / system.dim).astype(complex))
 
 
-def check_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
-    dev = np.max(np.abs(matrix - matrix.conj().T))
+def check_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+    """The Hermitian part (M + M^dagger) / 2, after checking that M is Hermitian within tol."""
+    adjoint = matrix.conj().T
+    dev = np.max(np.abs(matrix - adjoint))
     if dev > tol:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e} > {tol:.0e})")
+    return 0.5 * (matrix + adjoint)
 
 
 def check_density(rho: np.ndarray) -> None:
     """Validate Hermiticity, unit trace and positivity of a density matrix."""
-    check_hermitian(rho, HERMITICITY_TOL)
+    rho_h = check_hermitian(rho, HERMITICITY_TOL)
     tr = np.trace(rho).real
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"density trace is {tr}, expected 1")
-    rho_h = 0.5 * (rho + rho.conj().T)
     try:  # positive definite once shifted: every eigenvalue above -EIGENVALUE_TOL
         np.linalg.cholesky(rho_h + EIGENVALUE_TOL * np.eye(len(rho_h)))
     except np.linalg.LinAlgError:

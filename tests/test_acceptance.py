@@ -29,9 +29,7 @@ from singletsim.propagator import (
     HardPulse,
     RelaxationEnvelope,
     SpinLock,
-    propagate,
-    segment_propagator,
-    segment_hamiltonian,
+    sequence_propagators,
 )
 from singletsim.sequences import (
     PrepSpec,
@@ -137,16 +135,12 @@ def test_criterion_04_numerical_hygiene():
                 params = SpinLockParams(rng.uniform(10.0, 600.0), rng.uniform(0, 2 * np.pi), 408.0)
                 segments.append(SpinLock(params, rng.uniform(1e-4, 5e-3)))
         worst = 0.0
-        for seg in segments:
-            if isinstance(seg, HardPulse):
-                continue
-            u = segment_propagator(segment_hamiltonian(glu, seg), seg.duration_s)
+        for u in sequence_propagators(glu, ([seg] for seg in segments)):
             worst = max(worst, np.max(np.abs(u @ u.conj().T - np.eye(16))))
         assert worst < 1e-10
         rho = thermal_state(glu, 1.0)
-        total = sum(s.duration_s for s in segments)
-        (final,) = propagate(rho, segments, glu, [total])
-        drift = abs(np.trace(final).real - 1.0)
+        u = next(sequence_propagators(glu, [segments]))
+        drift = abs(np.trace(u @ rho @ u.conj().T).real - 1.0)
         assert drift < 1e-10
     report(4, f"max |U U+ - 1| = {worst:.1e}, trace drift {drift:.1e} over 1000 segments, {budget.elapsed:.1f} s")
 

@@ -2,20 +2,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import oracle_state
 
 from singletsim.analysis import fit_exponential
-from singletsim.hamiltonian import SpinLockParams, free_hamiltonian
+from singletsim.hamiltonian import SpinLockParams
 from singletsim.propagator import (
     Delay,
     HardPulse,
     RelaxationEnvelope,
     SpinLock,
     apply_relaxation_envelope,
-    final_state,
-    hard_pulse_propagator,
-    propagate,
-    segment_propagator,
-    sequence_duration,
+    sequence_propagators,
     swept_expectations,
 )
 from singletsim.spincore import (
@@ -37,17 +34,24 @@ def coupled_pair(j=12.0):
     return SpinSystem(np.zeros(2), np.array([[0.0, j], [j, 0.0]]), ((0, 1),))
 
 
+def propagator(system, segments):
+    return next(sequence_propagators(system, [segments]))
+
+
+def evolve(system, rho, segments):
+    u = propagator(system, segments)
+    return u @ rho @ u.conj().T
+
+
 class TestSegmentPropagator:
     def test_zero_duration_is_identity(self):
-        h = free_hamiltonian(coupled_pair())
-        u = segment_propagator(h, 0.0)
+        u = propagator(coupled_pair(), [Delay(0.0)])
         assert np.max(np.abs(u - np.eye(4))) < 1e-14
 
     def test_half_rabi_period_inverts_spin(self):
         nut = 40.0
         system = single_spin()
-        h = nut * embed_spin_operator(system, 0, "x")
-        u = segment_propagator(h, 1.0 / (2 * nut))
+        u = propagator(system, [SpinLock(SpinLockParams(nut), 1.0 / (2 * nut))])
         up = np.array([1.0, 0.0], dtype=complex)
         out = u @ up
         assert np.allclose(out, [0.0, -1j], atol=1e-12)
@@ -57,7 +61,7 @@ class TestSegmentPropagator:
         # exp(-i 2 pi (E_S - E_T) t) = exp(i 4 pi) = 1
         j = 12.0
         system = coupled_pair(j)
-        u = segment_propagator(free_hamiltonian(system), 2.0 / j)
+        u = propagator(system, [Delay(2.0 / j)])
         s0 = np.array([0, 1, -1, 0]) / np.sqrt(2)
         t0 = np.array([0, 1, 1, 0]) / np.sqrt(2)
         phase_s = np.angle(s0.conj() @ u @ s0)
@@ -66,28 +70,24 @@ class TestSegmentPropagator:
 
     def test_unitarity(self):
         rng = np.random.default_rng(7)
-        m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        h = 0.5 * (m + m.conj().T)
-        u = segment_propagator(h, 0.0137)
+        j = rng.normal(scale=10.0, size=(4, 4))
+        system = SpinSystem(rng.normal(scale=50.0, size=4), np.triu(j, 1) + np.triu(j, 1).T)
+        lock = SpinLockParams(rng.uniform(10.0, 100.0), rng.uniform(0, 2 * np.pi), 3.0)
+        u = propagator(system, [SpinLock(lock, 0.0137)])
         assert np.max(np.abs(u @ u.conj().T - np.eye(16))) < 1e-10
-
-    def test_non_hermitian_rejected(self):
-        h = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        with pytest.raises(ValueError, match="Hermitian"):
-            segment_propagator(h, 1.0)
 
 
 class TestHardPulse:
     def test_pi_pulse_inverts_population(self):
         system = single_spin()
-        u = hard_pulse_propagator(system, HardPulse(np.pi, 0.0))
+        u = propagator(system, [HardPulse(np.pi, 0.0)])
         out = u @ np.array([1.0, 0.0], dtype=complex)
         assert abs(abs(out[1]) - 1.0) < 1e-12
 
     def test_flip_angle_composition(self):
         system = coupled_pair()
-        u_half = hard_pulse_propagator(system, HardPulse(np.pi / 4, 1.0))
-        u_full = hard_pulse_propagator(system, HardPulse(np.pi / 2, 1.0))
+        u_half = propagator(system, [HardPulse(np.pi / 4, 1.0)])
+        u_full = propagator(system, [HardPulse(np.pi / 2, 1.0)])
         assert np.max(np.abs(u_half @ u_half - u_full)) < 1e-12
 
 
@@ -95,7 +95,7 @@ class TestPropagate:
     def test_empty_sequence_returns_input(self):
         system = coupled_pair()
         rho = thermal_state(system)
-        (out,) = propagate(rho, [], system, [0.0])
+        out = evolve(system, rho, [])
         assert np.max(np.abs(out - rho)) < 1e-14
 
     def test_90_pulse_converts_longitudinal_to_transverse(self):
@@ -104,7 +104,7 @@ class TestPropagate:
         iz = sum(embed_spin_operator(system, i, "z") for i in range(2))
         ix = sum(embed_spin_operator(system, i, "x") for i in range(2))
         mz0 = expectation(rho, iz).real
-        out = final_state(rho, [HardPulse(np.pi / 2, np.pi / 2)], system)
+        out = evolve(system, rho, [HardPulse(np.pi / 2, np.pi / 2)])
         assert abs(expectation(out, ix).real - mz0) < 1e-12
         assert abs(expectation(out, iz).real) < 1e-12
 
@@ -119,7 +119,7 @@ class TestPropagate:
             HardPulse(np.pi, 1.1),
             Delay(0.31),
         ]
-        out = final_state(rho, segments, system)
+        out = evolve(system, rho, segments)
         assert abs(np.trace(out).real - 1.0) < 1e-10
         assert np.max(np.abs(np.sort(np.linalg.eigvalsh(out)) - eigs0)) < 1e-10
 
@@ -127,69 +127,20 @@ class TestPropagate:
         system = coupled_pair()
         rho = thermal_state(system, 0.5)
         lock = SpinLockParams(33.0, 0.0, 1.0)
-        one = final_state(rho, [SpinLock(lock, 0.7)], system)
-        two = final_state(rho, [SpinLock(lock, 0.3), SpinLock(lock, 0.4)], system)
+        one = evolve(system, rho, [SpinLock(lock, 0.7)])
+        two = evolve(system, rho, [SpinLock(lock, 0.3), SpinLock(lock, 0.4)])
         assert np.max(np.abs(one - two)) < 1e-10
 
     def test_pair_population_closure(self):
         system = coupled_pair()
         rho = thermal_state(system, 1.0)
-        times = np.linspace(0.0, 0.5, 11)
-        states = propagate(rho, [SpinLock(SpinLockParams(25.0, 0.0, 0.0), 0.5)], system, times)
+        lock = SpinLockParams(25.0, 0.0, 0.0)
         ps = singlet_projector(system, 0)
         pt = triplet_projector(system, 0)
-        for state in states:
+        for t in np.linspace(0.0, 0.5, 11):
+            state = evolve(system, rho, [SpinLock(lock, t)])
             total = expectation(state, ps).real + expectation(state, pt).real
             assert abs(total - 1.0) < 1e-10
-
-    def test_sample_inside_segment_matches_split_run(self):
-        system = coupled_pair()
-        rho = thermal_state(system, 1.0)
-        lock = SpinLockParams(25.0, 0.0, 0.0)
-        mid, end = propagate(rho, [SpinLock(lock, 0.4)], system, [0.15, 0.4])
-        direct = final_state(rho, [SpinLock(lock, 0.15)], system)
-        assert np.max(np.abs(mid - direct)) < 1e-12
-        assert abs(np.trace(end).real - 1.0) < 1e-12
-
-    def test_sample_time_outside_duration(self):
-        system = coupled_pair()
-        rho = thermal_state(system)
-        with pytest.raises(ValueError, match="within the sequence duration"):
-            propagate(rho, [Delay(0.1)], system, [0.2])
-
-    def test_boundary_snap(self):
-        system = coupled_pair()
-        rho = thermal_state(system)
-        # 1e-10 beyond the end snaps to the boundary instead of raising
-        (out,) = propagate(rho, [Delay(0.1)], system, [0.1 + 1e-10])
-        assert abs(np.trace(out).real - 1.0) < 1e-12
-
-    def test_sample_at_pulse_sees_pre_pulse_state(self):
-        system = single_spin()
-        rho = np.diag([1.0, 0.0]).astype(complex)
-        states = propagate(rho, [HardPulse(np.pi, 0.0)], system, [0.0])
-        assert abs(states[0][0, 0].real - 1.0) < 1e-12
-
-    def test_samples_across_a_mid_sequence_pulse(self):
-        system = coupled_pair()
-        rho = thermal_state(system, 1.0)
-        lock = SpinLockParams(25.0, 0.3, 2.0)
-        segments = [Delay(0.1), HardPulse(np.pi / 2), SpinLock(lock, 0.2)]
-        at_pulse, snapped, inside = propagate(rho, segments, system, [0.1, 0.1 + 5e-10, 0.2])
-        before = final_state(rho, [Delay(0.1)], system)
-        after = final_state(rho, [Delay(0.1), HardPulse(np.pi / 2), SpinLock(lock, 0.1)], system)
-        assert np.max(np.abs(at_pulse - before)) < 1e-12
-        assert np.max(np.abs(snapped - before)) < 1e-12
-        assert np.max(np.abs(inside - after)) < 1e-12
-
-    def test_invalid_state_rejected(self):
-        system = single_spin()
-        with pytest.raises(ValueError):
-            propagate(np.eye(2, dtype=complex), [], system, [0.0])
-
-    def test_sequence_duration(self):
-        segs = [HardPulse(1.0, 0.0), Delay(0.2), SpinLock(SpinLockParams(10.0), 0.3)]
-        assert abs(sequence_duration(segs) - 0.5) < 1e-15
 
 
 class TestSweptExpectations:
@@ -211,7 +162,7 @@ class TestSweptExpectations:
         assert values.shape == (2, taus.size)
         for k, tau in enumerate(taus):
             played = [replace(segment, duration_s=tau) for segment in swept]
-            state = final_state(rho0, [*before, *played, *after], system)
+            state = oracle_state(system, rho0, [*before, *played, *after])
             expected = [expectation(state, obs).real for obs in observables]
             assert np.max(np.abs(values[:, k] - expected)) < 1e-12
 

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import oracle_propagator, oracle_state
 
 from singletsim.analysis import fit_rabi
 from singletsim.hamiltonian import SpinLockParams, pair_center_offset
@@ -12,9 +13,6 @@ from singletsim.propagator import (
     HardPulse,
     RelaxationEnvelope,
     SpinLock,
-    final_state,
-    segment_hamiltonian,
-    segment_propagator,
 )
 from singletsim.sequences import (
     PrepSpec,
@@ -35,6 +33,7 @@ from singletsim.sequences import (
     run_resonance_scan,
     slic_sequence,
     three_pulse_sequence,
+    transfer_initial_state,
     transfer_resonance_nutation,
 )
 from singletsim.spincore import (
@@ -72,7 +71,7 @@ class TestSlicSequence:
         system = pair_system(j, dnu)
         rho = thermal_state(system, 1.0)
         before = expectation(rho, singlet_projector(system, 0)).real
-        out = final_state(rho, slic_sequence(system, 0, nutation, duration), system)
+        out = oracle_state(system, rho, slic_sequence(system, 0, nutation, duration))
         after = expectation(out, singlet_projector(system, 0)).real
         assert before == pytest.approx(0.25, abs=1e-12)
         assert after - before > 0.2  # near the 0.25 ceiling for unit polarization
@@ -84,7 +83,7 @@ class TestSlicSequence:
         rho = thermal_state(system, 1.0)
 
         def gain(duration):
-            out = final_state(rho, slic_sequence(system, 0, 15.5, duration), system)
+            out = oracle_state(system, rho, slic_sequence(system, 0, 15.5, duration))
             return expectation(out, singlet_projector(system, 0)).real - 0.25
 
         optimal = 1.0 / (np.sqrt(2) * 4.5)
@@ -96,7 +95,7 @@ class TestSlicSequence:
         # to the opposite dressed level; the prep still works
         system = pair_system(15.5, 4.5)
         rho = thermal_state(system, 1.0)
-        out = final_state(rho, slic_sequence(system, 0, 15.5, 0.157, phase=np.pi), system)
+        out = oracle_state(system, rho, slic_sequence(system, 0, 15.5, 0.157, phase=np.pi))
         assert expectation(out, singlet_projector(system, 0)).real > 0.45
 
 
@@ -111,7 +110,7 @@ class TestThreePulseSequence:
     def test_zero_delays_are_a_plain_rotation(self):
         system = pair_system(19.8, 27.0)
         rho = thermal_state(system, 1.0)
-        out = final_state(rho, three_pulse_sequence(0.0, 0.0, 0.0), system)
+        out = oracle_state(system, rho, three_pulse_sequence(0.0, 0.0, 0.0))
         before = expectation(rho, singlet_projector(system, 0)).real
         after = expectation(out, singlet_projector(system, 0)).real
         assert abs(after - before) < 1e-6
@@ -430,10 +429,10 @@ class TestRunRamsey:
         lock = SpinLockParams(nutation, 0.0, tx)
         rho0 = ideal_transfer_state(glu, 0, "uniform", 0.0)
         tau_half = 1.0 / (4 * 2.57)
-        double_half = final_state(
-            rho0, [SpinLock(lock, tau_half), SpinLock(lock, tau_half)], glu
+        double_half = oracle_state(
+            glu, rho0, [SpinLock(lock, tau_half), SpinLock(lock, tau_half)]
         )
-        single_pi = final_state(rho0, [SpinLock(lock, 2 * tau_half)], glu)
+        single_pi = oracle_state(glu, rho0, [SpinLock(lock, 2 * tau_half)])
         p_a = expectation(double_half, singlet_projector(glu, 1)).real
         p_b = expectation(single_pi, singlet_projector(glu, 1)).real
         assert abs(p_a - p_b) < 0.02
@@ -653,24 +652,6 @@ class TestResonanceHelpers:
         assert abs(exact_channel_detuning(pgg, lock, "phi_plus", 0, 1)) < 1e-6
 
 
-def oracle_propagator(system, segments):
-    """Product of per-segment propagators, each from its own Hamiltonian; pulses from
-    G = sum_i (cos(phase) I_ix + sin(phase) I_iy) run for theta / 2 pi."""
-    u = np.eye(system.dim, dtype=complex)
-    for seg in segments:
-        if isinstance(seg, HardPulse):
-            g = sum(
-                np.cos(seg.phase) * embed_spin_operator(system, i, "x")
-                + np.sin(seg.phase) * embed_spin_operator(system, i, "y")
-                for i in range(system.n_spins)
-            )
-            step = segment_propagator(g, seg.flip_angle / (2 * np.pi))
-        else:
-            step = segment_propagator(segment_hamiltonian(system, seg), seg.duration_s)
-        u = step @ u
-    return u
-
-
 def oracle_trace(system, protocol):
     """(observable, populations) of a rabi, ramsey or double_rabi protocol, point by point."""
     lock = lock_b = protocol.transfer
@@ -781,7 +762,7 @@ class TestEvolutionEngine:
     @pytest.mark.parametrize("kind", list(RUNNERS))
     def test_every_pair_population_at_d64_matches_final_state(self, kind):
         # the engine reads each pair's population through its |ud>, |du> rows,
-        # with no d x d projector; here against final_state and the projector
+        # with no d x d projector; here against the oracle and the projector
         pgg = phe_gly_gly(include_third_pair=True)
         lock = SpinLockParams(280.0, 0.7, pair_center_offset(pgg, 0))
         free = SpinLockParams(47.0, 0.7, pair_center_offset(pgg, 1))
@@ -799,7 +780,7 @@ class TestEvolutionEngine:
                 "ramsey": [half, SpinLock(free, tau), half],
                 "double_rabi": [SpinLock(lock, tau), SpinLock(replace(lock, phase=0.7 + np.pi), tau)],
             }[kind]
-            state = final_state(rho0, segments, pgg)
+            state = oracle_state(pgg, rho0, segments)
             expected.append([expectation(state, singlet_projector(pgg, p)).real for p in range(3)])
         assert pgg.dim == 64 and trace.singlet_populations.shape == (3, 5)
         assert np.max(np.abs(trace.singlet_populations - np.array(expected).T)) < 1e-12
@@ -819,3 +800,85 @@ class TestEvolutionEngine:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+ORACLE_SYSTEMS = {
+    "glutamate": glutamate,
+    "pgg_third_pair": lambda: phe_gly_gly(include_third_pair=True),
+}
+ORACLE_PREPS = {
+    "slic": ENGINE_PREPS["slic"],
+    "three_pulse": ENGINE_PREPS["three_pulse"],
+    "three_pulse_tau3_zero": replace(ENGINE_PREPS["three_pulse"], tau3_s=0.0),
+}
+
+
+def oracle_population(system, rho, segments, pair):
+    return np.trace(oracle_state(system, rho, segments) @ singlet_projector(system, pair)).real
+
+
+class TestPreparedAndPumpedPopulations:
+    # preparation and pumping read their populations through the swept reader;
+    # here against the per-segment oracle and the d x d projector
+    @pytest.mark.parametrize("prep", list(ORACLE_PREPS))
+    @pytest.mark.parametrize("name", list(ORACLE_SYSTEMS))
+    def test_prepared_population_matches_oracle(self, name, prep):
+        system = ORACLE_SYSTEMS[name]()
+        spec = ORACLE_PREPS[prep]
+        thermal = thermal_state(system, spec.polarization)
+        for pair in range(len(system.pairs)):
+            expected = oracle_population(system, thermal, prep_sequence(system, pair, spec), pair)
+            assert abs(prepared_singlet_population(system, pair, spec) - expected) < 1e-12
+
+    @pytest.mark.parametrize("prep", list(ORACLE_PREPS))
+    @pytest.mark.parametrize("name, readout", [("glutamate", 1), ("pgg_third_pair", 2)])
+    def test_pumping_gain_matches_oracle(self, name, readout, prep):
+        system = ORACLE_SYSTEMS[name]()
+        lock = SpinLockParams(280.0, 0.7, pair_center_offset(system, 0))
+        protocol = Protocol(
+            kind="pumping", sweep=np.array([1.0]), transfer=lock, readout_pair=readout,
+            prep=ORACLE_PREPS[prep], pump_transfer_duration_s=15.5, pump_reset_delay_s=3.1,
+        )
+        gain = run_pumping(system, protocol).metadata["per_cycle_gain"]
+        rho0 = transfer_initial_state(system, protocol)
+        after = oracle_population(system, rho0, [SpinLock(lock, 15.5)], readout)
+        expected = after - oracle_population(system, rho0, [], readout)
+        assert abs(gain - expected) < 1e-12
+
+    def test_three_pulse_prep_diagonalises_each_generator_once(self, monkeypatch):
+        # the 90x pulse, the shared 180y / 90y generator and the free delays
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(matrix):
+            calls.append(matrix.shape)
+            return eigh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        prepared_singlet_population(glutamate(), 0, ENGINE_PREPS["three_pulse"])
+        assert len(calls) == 3
+
+    def test_negative_pump_duration_rejected(self):
+        glu = glutamate()
+        protocol = Protocol(
+            kind="pumping", sweep=np.array([1.0]), transfer=glu_lock(glu, nutation=280.0),
+            pump_transfer_duration_s=-1.0, pump_reset_delay_s=3.1,
+        )
+        with pytest.raises(ValueError, match="duration must be >= 0"):
+            run_pumping(glu, protocol)
+
+
+class TestResonanceScanSplitting:
+    # Phe-Gly-Gly pair centres: 778, 742 and 620 Hz
+    @pytest.mark.parametrize(
+        "source, readout, splitting", [(0, 2, 158.0), (2, 1, 122.0), (2, 2, 158.0), (0, 0, 36.0)]
+    )
+    def test_splitting_is_between_the_scanned_pairs(self, source, readout, splitting):
+        pgg = phe_gly_gly(include_third_pair=True)
+        proto = Protocol(
+            kind="resonance_scan", sweep=np.array([500.0, 600.0]),
+            transfer=SpinLockParams(500.0, 0.0, pair_center_offset(pgg, source)),
+            source_pair=source, readout_pair=readout, scan_tau_grid_s=np.linspace(0.05, 1.0, 12),
+        )
+        trace = run_resonance_scan(pgg, proto)
+        assert trace.metadata["delta_nu12_hz"] == pytest.approx(splitting, abs=1e-9)

@@ -5,6 +5,7 @@ from singletsim.spincore import (
     SpinSystem,
     TripletAmplitudes,
     check_density,
+    check_hermitian,
     embed_spin_operator,
     expectation,
     maximally_mixed_triplet,
@@ -274,6 +275,14 @@ class TestStatesAndValidation:
     def test_thermal_polarization_range(self):
         with pytest.raises(ValueError, match="polarization"):
             thermal_state(two_spin(), 1.5)
+
+    def test_check_hermitian_returns_the_hermitian_part(self):
+        m = np.array([[1.0 + 1e-12j, 2.0 - 1e-11j], [2.0, 3.0]])
+        assert np.array_equal(check_hermitian(m), 0.5 * (m + m.conj().T))
+
+    def test_check_hermitian_rejects_a_non_hermitian_matrix(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            check_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), tol=1e-9)
 
     def test_check_density_rejects_bad_trace(self):
         with pytest.raises(ValueError, match="trace"):
