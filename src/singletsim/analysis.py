@@ -11,8 +11,10 @@ Each model is stated once, as a ``FitModel`` record (``RABI``, ``RAMSEY``,
 ``LORENTZIAN``, ``EXPONENTIAL``) that drives both its fit and
 ``evaluate_model``.  Fits use a damped (Levenberg-Marquardt) least-squares
 loop with analytic Jacobians; decay times are handled internally as rates
-so that "no decay" is the well-behaved point r = 0.  A discrete spectral
-estimate provides frequency initialisation and an independent cross-check.
+so that "no decay" is the well-behaved point r = 0.  The oscillatory fits
+start from up to three local maxima of the zero-padded discrete spectrum
+(`_spectral_peak_candidates`), or from sub-period frequencies when it has
+none.
 
 Ramsey fits are returned in canonical form: A >= 0 and phi in (-pi, pi].
 A fit with A < 0 is the same curve as (-A, phi + pi, -c), and phi is only
@@ -36,10 +38,6 @@ RSS_REL_TOL = 1e-12
 STEP_NORM_TOL = 1e-12
 
 
-class NoOscillationError(ValueError):
-    """Raised when no nonzero spectral peak rises above the noise floor."""
-
-
 class FitInputError(ValueError):
     """Raised for data that does not meet a fit's preconditions."""
 
@@ -56,11 +54,7 @@ class FitResult:
     converged: bool
     n_iterations: int
     covariance: np.ndarray | None = None
-    param_order: tuple[str, ...] = field(default=())
     sign: int = 1  # fixed model sign s: Ramsey s, -1 for a cos2 Rabi fit, else 1
-
-    def __getitem__(self, name: str) -> float:
-        return self.params[name]
 
 
 @dataclass(frozen=True)
@@ -181,51 +175,6 @@ def _trace_xy(trace) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
 
 
-def estimate_frequency(trace) -> float:
-    """Dominant nonzero frequency of a uniformly sampled trace (Hz).
-
-    Zero-padded discrete transform with parabolic peak interpolation; used
-    to seed the oscillatory fits and as an independent cross-check.
-    """
-    t, y = _trace_xy(trace)
-    if t.size < 8:
-        raise FitInputError("frequency estimation needs at least 8 samples")
-    steps = np.diff(t)
-    if steps.min() <= 0 or (steps.max() - steps.min()) > 1e-9 * max(steps.max(), 1e-30):
-        raise FitInputError("frequency estimation needs uniform sampling")
-    dt = steps.mean()
-    centered = y - y.mean()
-    if np.ptp(centered) <= 1e-12 * max(1.0, float(np.max(np.abs(y)))):
-        raise NoOscillationError("no oscillation detected")
-    n_pad = 8 * t.size
-    spectrum = np.fft.rfft(centered, n=n_pad)
-    power = np.abs(spectrum) ** 2
-    freqs = np.fft.rfftfreq(n_pad, dt)
-    span = t[-1] - t[0]
-    searchable = freqs >= 0.5 / span  # demand at least half a cycle in the window
-    if not np.any(searchable):
-        raise NoOscillationError("no oscillation detected")
-    idx = np.flatnonzero(searchable)
-    k = idx[np.argmax(power[idx])]
-    floor = np.median(power[idx])
-    if power[k] <= 20.0 * max(floor, 1e-300):
-        raise NoOscillationError("no oscillation detected")
-    # parabolic interpolation on log power around the peak bin
-    if 0 < k < power.size - 1 and power[k - 1] > 0 and power[k + 1] > 0:
-        la, lb, lc = np.log(power[k - 1]), np.log(power[k]), np.log(power[k + 1])
-        denom = la - 2 * lb + lc
-        shift = 0.5 * (la - lc) / denom if denom != 0 else 0.0
-        shift = np.clip(shift, -0.5, 0.5)
-    else:
-        shift = 0.0
-    return float((k + shift) * freqs[1])
-
-
-def spectral_bin_width(trace) -> float:
-    t, _ = _trace_xy(trace)
-    return 1.0 / (t[-1] - t[0])
-
-
 def _spectral_peak_candidates(t: np.ndarray, y: np.ndarray, k: int = 3) -> list[float]:
     """Up to k local spectral maxima by decreasing power (fit seeds)."""
     steps = np.diff(t)
@@ -258,7 +207,6 @@ def levenberg_marquardt(
     p0: np.ndarray,
     lower_bounds: np.ndarray | None = None,
     upper_bounds: np.ndarray | None = None,
-    max_iterations: int = MAX_ITERATIONS,
 ):
     """Damped least squares on y - model(x; p).
 
@@ -281,7 +229,7 @@ def levenberg_marquardt(
     lam = 1e-3
     converged = False
     iterations = 0
-    while iterations < max_iterations:
+    while iterations < MAX_ITERATIONS:
         iterations += 1
         jtj = jac.T @ jac
         diag = np.diag(jtj).copy()
@@ -354,7 +302,6 @@ def _finish(
         converged=converged,
         n_iterations=iterations,
         covariance=cov,
-        param_order=tuple(params),
         sign=sign,
     )
 
@@ -402,7 +349,7 @@ def fit_rabi(trace, mode: str = "sin2", with_decay: bool = True) -> FitResult:
         if with_decay:
             params["t_rabi_s"] = math.inf
         zeros = {k: 0.0 for k in params}
-        return FitResult(mode, params, zeros, 0.0, 0.0, True, 0, None, tuple(params), sign)
+        return FitResult(mode, params, zeros, 0.0, 0.0, True, 0, None, sign)
 
     amp0 = max(np.ptp(y), 1e-12)
     off0 = max(y.min(), 0.0) / amp0
@@ -501,7 +448,7 @@ def fit_exponential(trace) -> FitResult:
     if _is_flat(y):
         params = {"amplitude": 0.0, "t_s": math.inf, "offset": float(y.mean())}
         zeros = {k: 0.0 for k in params}
-        return FitResult("exponential", params, zeros, 0.0, 0.0, True, 0, None, tuple(params))
+        return FitResult("exponential", params, zeros, 0.0, 0.0, True, 0, None)
 
     c0 = float(y[-1])
     a0 = float(y[0] - c0)

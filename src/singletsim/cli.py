@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -52,15 +53,28 @@ def _require(mapping: dict, key: str, context: str):
 _REQUIRED = object()
 
 
+def _block(mapping: dict, key: str, context: str, default=_REQUIRED) -> dict:
+    """Block `key` of `mapping`, a JSON object; absent gives `default` (required without one)."""
+    name = f"{context}.{key}" if context else key
+    if key not in mapping:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required field {name}")
+        return default
+    block = mapping[key]
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {block!r}")
+    return block
+
+
 def _is_number(value, kind: type = float) -> bool:
-    """Whether a parsed JSON value is a number (a whole one for int); bools and strings are not."""
-    return type(value) in ((int,) if kind is int else (int, float))
+    """Whether a parsed JSON value is a finite number (a whole one for int); bools are not."""
+    return type(value) in ((int,) if kind is int else (int, float)) and math.isfinite(value)
 
 
 def _number(block: dict, key: str, context: str, default=_REQUIRED, kind: type = float):
-    """Numeric field `key` of a config block as `kind`; only a JSON number passes (whole for int).
+    """Numeric field `key` of a config block as `kind`; only a finite JSON number passes.
 
-    An absent or null field gives `default` (required without one); other types are ConfigErrors.
+    An absent or null field gives `default` (required without one); other values are ConfigErrors.
     """
     value = block.get(key)
     if value is None:
@@ -68,17 +82,17 @@ def _number(block: dict, key: str, context: str, default=_REQUIRED, kind: type =
             raise ConfigError(f"missing required field {context}.{key}")
         return default
     if not _is_number(value, kind):
-        what = "an integer" if kind is int else "a number"
+        what = "an integer" if kind is int else "a finite number"
         raise ConfigError(f"{context}.{key} must be {what}, got {value!r}")
     return kind(value)
 
 
 def _number_list(value, field: str, kind: type = float, length: int | None = None) -> list:
-    """A JSON list of numbers (of `length` items when given); anything else is a ConfigError."""
+    """A JSON list of finite numbers (of `length` items when given); anything else is a ConfigError."""
     if not (isinstance(value, list) and all(_is_number(v, kind) for v in value)
             and (length is None or len(value) == length)):
-        what = "integers" if kind is int else "numbers"
-        count = "a list" if length is None else f"a list of {length}"
+        what = "integers" if kind is int else "finite numbers"
+        count = "a list of" if length is None else f"a list of {length}"
         raise ConfigError(f"{field} must be {count} {what}, got {value!r}")
     return value
 
@@ -86,6 +100,8 @@ def _number_list(value, field: str, kind: type = float, length: int | None = Non
 def _build_system(block: dict) -> tuple[SpinSystem, float]:
     spectrometer = _number(block, "spectrometer_mhz", "system", 200.0)
     spins = _require(block, "spins", "system")
+    if not (isinstance(spins, list) and all(isinstance(spin, dict) for spin in spins)):
+        raise ConfigError(f"system.spins must be a list of JSON objects, got {spins!r}")
     offsets = []
     for i, spin in enumerate(spins):
         if "offset_hz" in spin:
@@ -110,7 +126,8 @@ def _build_system(block: dict) -> tuple[SpinSystem, float]:
     return system, spectrometer
 
 
-def _build_lock(block: dict, spectrometer: float, system: SpinSystem, context: str) -> SpinLockParams:
+def _build_lock(spec: dict, key: str, spectrometer: float, system: SpinSystem) -> SpinLockParams:
+    block, context = _block(spec, key, "protocol"), f"protocol.{key}"
     nutation = _number(block, "nutation_hz", context)
     phase = np.deg2rad(_number(block, "phase_deg", context, 0.0))
     if "transmitter_offset_hz" in block:
@@ -127,14 +144,16 @@ def _build_lock(block: dict, spectrometer: float, system: SpinSystem, context: s
         raise ConfigError(f"{context}: {exc}") from exc
 
 
-def _build_sweep(block: dict, context: str) -> np.ndarray:
+def _build_sweep(spec: dict, key: str) -> np.ndarray:
+    block, context = _block(spec, key, "protocol"), f"protocol.{key}"
     if "values" in block:
         return np.array(_number_list(block["values"], f"{context}.values"), dtype=float)
     start, stop = _number(block, "start", context), _number(block, "stop", context)
     return np.linspace(start, stop, _number(block, "count", context, kind=int))
 
 
-def _build_prep(block: dict) -> PrepSpec:
+def _build_prep(spec: dict) -> PrepSpec:
+    block = _block(spec, "prep", "protocol", {})
     timings = {k: _number(block, k, "protocol.prep", None)
                for k in ("nutation_hz", "duration_s", "tau1_s", "tau2_s", "tau3_s")}
     try:
@@ -157,6 +176,8 @@ def load_config(path: str | Path) -> RunConfig:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, got {raw!r}")
 
     has_preset = "preset" in raw
     has_system = "system" in raw
@@ -169,18 +190,14 @@ def load_config(path: str | Path) -> RunConfig:
         system = preset_system(name)
         spectrometer = preset_params(name)["spectrometer_mhz"]
     else:
-        system, spectrometer = _build_system(raw["system"])
+        system, spectrometer = _build_system(_block(raw, "system", ""))
 
-    proto_spec = _require(raw, "protocol", "config")
+    proto_spec = _block(raw, "protocol", "")
     kind = _require(proto_spec, "kind", "protocol")
-    transfer = _build_lock(_require(proto_spec, "transfer", "protocol"), spectrometer, system, "protocol.transfer")
-    sweep = _build_sweep(_require(proto_spec, "sweep", "protocol"), "protocol.sweep")
-    free_lock = None
-    if "free_lock" in proto_spec:
-        free_lock = _build_lock(proto_spec["free_lock"], spectrometer, system, "protocol.free_lock")
-    scan_tau = None
-    if "scan_tau" in proto_spec:
-        scan_tau = _build_sweep(proto_spec["scan_tau"], "protocol.scan_tau")
+    transfer = _build_lock(proto_spec, "transfer", spectrometer, system)
+    sweep = _build_sweep(proto_spec, "sweep")
+    free_lock = _build_lock(proto_spec, "free_lock", spectrometer, system) if "free_lock" in proto_spec else None
+    scan_tau = _build_sweep(proto_spec, "scan_tau") if "scan_tau" in proto_spec else None
     phases = proto_spec.get("double_rabi_phases_deg", [90.0, -90.0])
     _number_list(phases, "protocol.double_rabi_phases_deg", length=2)
     phase_cycle = proto_spec.get("phase_cycle", False)
@@ -193,7 +210,7 @@ def load_config(path: str | Path) -> RunConfig:
             transfer=transfer,
             source_pair=_number(proto_spec, "source_pair", "protocol", 0, int),
             readout_pair=_number(proto_spec, "readout_pair", "protocol", 1, int),
-            prep=_build_prep(proto_spec.get("prep", {})),
+            prep=_build_prep(proto_spec),
             triplet_init=proto_spec.get("triplet_init", "uniform"),
             readout=proto_spec.get("readout", "projector"),
             phase_cycle=phase_cycle,
@@ -211,27 +228,30 @@ def load_config(path: str | Path) -> RunConfig:
 
     envelope = None
     if "envelope" in raw:
-        env_spec = dict(raw["envelope"])
+        env_spec = dict(_block(raw, "envelope", ""))
         if "t2s_star_s" in env_spec:
             env_spec["t_2s_star_s"] = env_spec.pop("t2s_star_s")
-        unknown = sorted(set(env_spec) - {f.name for f in fields(RelaxationEnvelope)})
+        names = [f.name for f in fields(RelaxationEnvelope)]
+        unknown = sorted(set(env_spec) - set(names))
         if unknown:
             raise ConfigError(f"envelope: unknown field {unknown[0]!r}")
+        times = {k: _number(env_spec, k, "envelope", None) for k in names}
         try:
-            envelope = RelaxationEnvelope(**env_spec)
+            envelope = RelaxationEnvelope(**times)
         except ValueError as exc:
             raise ConfigError(f"envelope: {exc}") from exc
 
     noise_sigma = None
     noise_seed = None
     if "noise" in raw:
-        noise_sigma = _number(raw["noise"], "sigma", "noise")
+        noise = _block(raw, "noise", "")
+        noise_sigma = _number(noise, "sigma", "noise")
         if noise_sigma < 0:
             raise ConfigError("noise.sigma must be >= 0")
         if noise_sigma > 0:
-            if "seed" not in raw["noise"]:
+            if "seed" not in noise:
                 raise ConfigError("noise.seed is required when noise is enabled")
-            noise_seed = _number(raw["noise"], "seed", "noise", kind=int)
+            noise_seed = _number(noise, "seed", "noise", kind=int)
 
     return RunConfig(system, protocol, envelope, noise_sigma, noise_seed)
 
@@ -365,8 +385,8 @@ def cmd_simulate(config_path: str, out_dir: str) -> Path:
 def _fit_report(result: FitResult) -> dict:
     report = {
         "model": result.model,
-        "params": {k: result.params[k] for k in result.param_order},
-        "uncertainties": {k: result.uncertainties[k] for k in result.param_order},
+        "params": result.params,
+        "uncertainties": result.uncertainties,
         "rss": result.rss,
         "reduced_chi_square": result.reduced_chi_square,
         "converged": result.converged,

@@ -17,10 +17,6 @@ import numpy as np
 from .spincore import PHI_COMPOSITIONS, SpinSystem, TripletAmplitudes, _spin_states
 
 
-class NoTransferError(ValueError):
-    """Raised when the antisymmetric coupling combination vanishes."""
-
-
 @dataclass(frozen=True)
 class SpinLockParams:
     """CW spin-lock: nutation frequency (Hz), RF phase (rad), transmitter offset (Hz)."""
@@ -185,16 +181,6 @@ def resonant_nutation(delta_nu12_hz: float, delta_e_hz: float) -> float:
     if de == 0.0 or de >= abs(delta_nu12_hz):
         raise ValueError("resonance requires 0 < |delta_e| < |delta_nu12|")
     return (delta_nu12_hz**2 - de**2) / (2.0 * de)
-
-
-def transfer_period(
-    j_1a2a_hz: float, j_1b2b_hz: float, j_1a2b_hz: float, j_1b2a_hz: float
-) -> float:
-    """On-resonance transfer period tau = 2 / (J_1a2a + J_1b2b - J_1a2b - J_1b2a), seconds."""
-    combination = j_1a2a_hz + j_1b2b_hz - j_1a2b_hz - j_1b2a_hz
-    if combination == 0.0:
-        raise NoTransferError("cis/trans coupling difference is zero: no singlet transfer")
-    return 2.0 / combination
 
 
 def pair_center_offset(system: SpinSystem, pair_index: int) -> float:

@@ -155,11 +155,10 @@ PRESETS = {
 }
 
 
-def preset_system(name: str, **kwargs) -> SpinSystem:
+def preset_system(name: str) -> SpinSystem:
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
-    builder, _ = PRESETS[name]
-    return builder(**kwargs)
+    return PRESETS[name][0]()
 
 
 def preset_params(name: str) -> dict:

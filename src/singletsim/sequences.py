@@ -47,12 +47,11 @@ from .propagator import (
     swept_expectations,
 )
 from .spincore import (
-    _PAIR_BASIS as _BASIS,
+    PAIR_BASIS,
     PHI_COMPOSITIONS,
     SpinSystem,
     TripletAmplitudes,
     maximally_mixed_triplet,
-    pair_basis,
     pair_product_density,
     rotate_pair_ket_phase,
     thermal_state,
@@ -148,18 +147,16 @@ def slic_sequence(
     nutation_hz: float,
     duration_s: float,
     phase: float = 0.0,
-    transmitter_offset_hz: float | None = None,
 ) -> list[Segment]:
     """Lock-induced level-crossing transfer: 90 degree pulse then resonant lock.
 
     With nutation near the pair's intrapair coupling and duration near
     1 / (sqrt(2) * delta_nu_pair), triplet polarization crosses into the
     singlet.  The pulse phase puts the initial magnetization along the
-    lock axis direction whose dressed level crosses the singlet.
+    lock axis direction whose dressed level crosses the singlet.  The
+    transmitter sits at the pair's centre.
     """
-    if transmitter_offset_hz is None:
-        transmitter_offset_hz = pair_center_offset(system, pair_index)
-    lock = SpinLockParams(nutation_hz, phase, transmitter_offset_hz)
+    lock = SpinLockParams(nutation_hz, phase, pair_center_offset(system, pair_index))
     return [HardPulse(np.pi / 2, phase - np.pi / 2), SpinLock(lock, duration_s)]
 
 
@@ -206,7 +203,7 @@ def _triplet_block(init: str | TripletAmplitudes, lock_phase: float) -> np.ndarr
     if init == "uniform":
         return maximally_mixed_triplet()
     amplitudes = PHI_COMPOSITIONS[init] if isinstance(init, str) else init
-    ket = rotate_pair_ket_phase(_BASIS.phi_for(amplitudes), lock_phase)
+    ket = rotate_pair_ket_phase(PAIR_BASIS.phi_for(amplitudes), lock_phase)
     return np.outer(ket, ket.conj())
 
 
@@ -217,13 +214,9 @@ def ideal_transfer_state(
     lock_phase: float = 0.0,
 ) -> np.ndarray:
     """Singlet on the source pair, the configured triplet on every other pair."""
-    blocks = []
-    for p, _ in enumerate(system.pairs):
-        if p == source_pair:
-            basis = pair_basis(system, p)
-            blocks.append(np.outer(basis.s0, basis.s0.conj()))
-        else:
-            blocks.append(_triplet_block(triplet_init, lock_phase))
+    singlet = np.outer(PAIR_BASIS.s0, PAIR_BASIS.s0.conj())
+    triplet = _triplet_block(triplet_init, lock_phase)
+    blocks = [singlet if p == source_pair else triplet for p in range(len(system.pairs))]
     return pair_product_density(system, blocks)
 
 
@@ -548,10 +541,10 @@ def _pair_block_levels(
     h = spinlock_hamiltonian(sub, SpinLockParams(lock.nutation_hz, lock.phase, 0.0))
     energies, vectors = np.linalg.eigh(h)
     reference = {
-        "s0": rotate_pair_ket_phase(_BASIS.s0, lock.phase),
-        "phi_plus": rotate_pair_ket_phase(_BASIS.phi_plus, lock.phase),
-        "phi_0": rotate_pair_ket_phase(_BASIS.phi_0, lock.phase),
-        "phi_minus": rotate_pair_ket_phase(_BASIS.phi_minus, lock.phase),
+        "s0": rotate_pair_ket_phase(PAIR_BASIS.s0, lock.phase),
+        "phi_plus": rotate_pair_ket_phase(PAIR_BASIS.phi_plus, lock.phase),
+        "phi_0": rotate_pair_ket_phase(PAIR_BASIS.phi_0, lock.phase),
+        "phi_minus": rotate_pair_ket_phase(PAIR_BASIS.phi_minus, lock.phase),
     }
     levels: dict[str, float] = {}
     taken: set[int] = set()
@@ -586,23 +579,20 @@ def exact_resonance_nutation(
     channel: str,
     pair_1: int = 0,
     pair_2: int = 1,
-    phase: float = 0.0,
-    transmitter_offset_hz: float | None = None,
-    bracket_hz: tuple[float, float] = (30.0, 5000.0),
 ) -> float:
     """Lock nutation that zeroes the exact detuning of one transfer channel.
 
-    Bisection on the local-block detuning; raises if the bracket does not
-    straddle a sign change.
+    Bisection on the local-block detuning of a phase-0 lock with its
+    transmitter at pair_1's centre, over 30-5000 Hz; raises if that bracket
+    does not straddle a sign change.
     """
-    if transmitter_offset_hz is None:
-        transmitter_offset_hz = pair_center_offset(system, pair_1)
+    transmitter_offset_hz = pair_center_offset(system, pair_1)
 
     def detuning(nu: float) -> float:
-        lock = SpinLockParams(nu, phase, transmitter_offset_hz)
+        lock = SpinLockParams(nu, 0.0, transmitter_offset_hz)
         return exact_channel_detuning(system, lock, channel, pair_1, pair_2)
 
-    lo, hi = bracket_hz
+    lo, hi = 30.0, 5000.0
     f_lo, f_hi = detuning(lo), detuning(hi)
     if f_lo * f_hi > 0:
         raise ValueError("resonance bracket does not straddle a detuning sign change")

@@ -10,9 +10,13 @@ Conventions (fixed throughout the package):
   spin-locked eigenbasis here: T- = |uu>, T+ = |dd>.  This is the
   reverse of the most common textbook labelling and is intentional.
 
-All operators are dense complex matrices in ordinary-frequency units, built
-by basis-state bit index with no Kronecker products; densities are
-Hermitian, unit-trace, positive-semidefinite arrays.  `check_density`
+The module holds spin systems, the singlet/triplet and dressed pair kets
+(`PAIR_BASIS`), the initial densities and density validation.  Densities
+are dense complex Hermitian, unit-trace, positive-semidefinite arrays,
+assembled by basis-state bit index with no Kronecker products: `_basis_split`
+gives each basis state's pattern over some spins and the index of the rest,
+and `_spin_states` each spin's bit, from which `hamiltonian` writes its
+generators and `propagator` reads pair populations.  `check_density`
 accepts a state whose rho + EIGENVALUE_TOL * I has a Cholesky factor, and
 tests only the others by their smallest eigenvalue.
 """
@@ -24,12 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 SQRT2 = np.sqrt(2.0)
-
-# single spin-1/2 operators
-SIGMA_X = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = 0.5 * np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = 0.5 * np.array([[1, 0], [0, -1]], dtype=complex)
-_SINGLE = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -144,7 +142,7 @@ class PairBasis:
         )
 
 
-_PAIR_BASIS = PairBasis(
+PAIR_BASIS = PairBasis(
     s0=np.array([0, 1, -1, 0], dtype=complex) / SQRT2,
     t_minus=np.array([1, 0, 0, 0], dtype=complex),
     t_0=np.array([0, 1, 1, 0], dtype=complex) / SQRT2,
@@ -154,12 +152,6 @@ _PAIR_BASIS = PairBasis(
     phi_s=np.array([0, 1, -1, 0], dtype=complex) / SQRT2,
     phi_minus=np.array([-1, 1, 1, -1], dtype=complex) / 2.0,
 )
-
-
-def pair_basis(system: SpinSystem, pair_index: int) -> PairBasis:
-    """Singlet/triplet and spin-locked kets for an assigned pair."""
-    system.pair(pair_index)  # raises if unassigned
-    return _PAIR_BASIS
 
 
 def rotate_pair_ket_phase(ket: np.ndarray, phase: float) -> np.ndarray:
@@ -186,84 +178,6 @@ def _spin_states(system: SpinSystem) -> tuple[np.ndarray, np.ndarray]:
     return masks, (np.arange(system.dim) & masks[:, None]) != 0
 
 
-def _embed(system: SpinSystem, spins: tuple[int, ...], op: np.ndarray) -> np.ndarray:
-    """Operator `op` on the local basis of `spins`, identity on the rest, by bit index."""
-    pattern, rest = _basis_split(system, spins)
-    rows = np.arange(system.dim)
-    placed = np.empty(len(op), dtype=int)  # basis index of each local pattern, other bits 0
-    placed[pattern[rest == 0]] = rows[rest == 0]
-    full = np.zeros((system.dim, system.dim), dtype=complex)
-    full[rows[:, None], rest[:, None] + placed] = op[pattern]
-    return full
-
-
-def embed_spin_operator(system: SpinSystem, spin_index: int, axis: str) -> np.ndarray:
-    """Single-spin operator I_axis on the designated spin, identity elsewhere."""
-    if not 0 <= spin_index < system.n_spins:
-        raise ValueError(f"spin index {spin_index} out of range for {system.n_spins} spins")
-    if axis not in _SINGLE:
-        raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
-    return _embed(system, (spin_index,), _SINGLE[axis])
-
-
-def embed_pair_operator(system: SpinSystem, pair: tuple[int, int], op4: np.ndarray) -> np.ndarray:
-    """Embed a 4x4 operator acting on the two spins of `pair`, identity on the rest."""
-    return _embed(system, pair, op4)
-
-
-def singlet_projector(system: SpinSystem, pair_index: int) -> np.ndarray:
-    """|S0><S0| on the pair, tensored with identity on all other spins."""
-    basis = pair_basis(system, pair_index)
-    p4 = np.outer(basis.s0, basis.s0.conj())
-    return embed_pair_operator(system, system.pair(pair_index), p4)
-
-
-def triplet_projector(system: SpinSystem, pair_index: int) -> np.ndarray:
-    """Projector onto the pair's three triplet states, identity elsewhere."""
-    basis = pair_basis(system, pair_index)
-    p4 = np.eye(4, dtype=complex) - np.outer(basis.s0, basis.s0.conj())
-    return embed_pair_operator(system, system.pair(pair_index), p4)
-
-
-def expectation(state: np.ndarray, obs: np.ndarray) -> complex:
-    """trace(state @ obs), summed elementwise in O(d^2); real for Hermitian obs."""
-    if state.shape != obs.shape:
-        raise ValueError(f"dimension mismatch: state {state.shape} vs observable {obs.shape}")
-    return complex(np.sum(state * obs.T))
-
-
-def product_state_vector(system: SpinSystem, pair_kets: list[np.ndarray]) -> np.ndarray:
-    """Full-system ket from one 4-component ket per assigned pair.
-
-    The pairs must cover every spin of the system.
-    """
-    if len(pair_kets) != len(system.pairs):
-        raise ValueError(f"need one ket per pair, got {len(pair_kets)} for {len(system.pairs)} pairs")
-    covered = {i for p in system.pairs for i in p}
-    if covered != set(range(system.n_spins)):
-        raise ValueError("pair assignments do not cover all spins")
-    vec = np.ones(system.dim, dtype=complex)
-    for pair, ket in zip(system.pairs, pair_kets):
-        pattern, _ = _basis_split(system, pair)
-        vec = vec * np.asarray(ket, dtype=complex)[pattern]
-    return vec
-
-
-def pure_state_density(vec: np.ndarray) -> np.ndarray:
-    """Density matrix of a (re-normalized) pure state vector."""
-    v = np.asarray(vec, dtype=complex)
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        raise ValueError("cannot build a density matrix from the zero vector")
-    v = v / norm
-    return np.outer(v, v.conj())
-
-
-def product_state(system: SpinSystem, pair_kets: list[np.ndarray]) -> np.ndarray:
-    """Pure density matrix of the tensor product of per-pair kets."""
-    return pure_state_density(product_state_vector(system, pair_kets))
-
-
 def pair_product_density(system: SpinSystem, pair_densities: list[np.ndarray]) -> np.ndarray:
     """Full density matrix from one 4x4 density block per pair (pairs must cover all spins)."""
     if len(pair_densities) != len(system.pairs):
@@ -280,7 +194,7 @@ def pair_product_density(system: SpinSystem, pair_densities: list[np.ndarray]) -
 
 def maximally_mixed_triplet() -> np.ndarray:
     """4x4 density of a pair with equal phi+, phi0, phi- populations and no singlet."""
-    b = _PAIR_BASIS
+    b = PAIR_BASIS
     rho = np.zeros((4, 4), dtype=complex)
     for ket in (b.phi_plus, b.phi_0, b.phi_minus):
         rho += np.outer(ket, ket.conj()) / 3.0

@@ -1,9 +1,151 @@
-"""Shared test reference: an evolution oracle independent of the engine's tables."""
+"""Shared test references that no runtime path of the package uses.
+
+Dense spin and pair operators embedded by bit index, projectors, product
+states, `expectation` and a spectral frequency estimate are the references
+for the package's generators, populations and fits.  The evolution oracle is
+independent of the engine's tables: one `eigh` per segment.
+"""
+
+from __future__ import annotations
 
 import numpy as np
 
+from singletsim.analysis import FitInputError, _trace_xy
 from singletsim.propagator import HardPulse, segment_hamiltonian
-from singletsim.spincore import embed_spin_operator
+from singletsim.spincore import PAIR_BASIS, SpinSystem, _basis_split
+
+# single spin-1/2 operators
+SIGMA_X = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = 0.5 * np.array([[0, -1j], [1j, 0]], dtype=complex)
+SIGMA_Z = 0.5 * np.array([[1, 0], [0, -1]], dtype=complex)
+_SINGLE = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
+
+
+def _embed(system: SpinSystem, spins: tuple[int, ...], op: np.ndarray) -> np.ndarray:
+    """Operator `op` on the local basis of `spins`, identity on the rest, by bit index."""
+    pattern, rest = _basis_split(system, spins)
+    rows = np.arange(system.dim)
+    placed = np.empty(len(op), dtype=int)  # basis index of each local pattern, other bits 0
+    placed[pattern[rest == 0]] = rows[rest == 0]
+    full = np.zeros((system.dim, system.dim), dtype=complex)
+    full[rows[:, None], rest[:, None] + placed] = op[pattern]
+    return full
+
+
+def embed_spin_operator(system: SpinSystem, spin_index: int, axis: str) -> np.ndarray:
+    """Single-spin operator I_axis on the designated spin, identity elsewhere."""
+    if not 0 <= spin_index < system.n_spins:
+        raise ValueError(f"spin index {spin_index} out of range for {system.n_spins} spins")
+    if axis not in _SINGLE:
+        raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
+    return _embed(system, (spin_index,), _SINGLE[axis])
+
+
+def embed_pair_operator(system: SpinSystem, pair: tuple[int, int], op4: np.ndarray) -> np.ndarray:
+    """Embed a 4x4 operator acting on the two spins of `pair`, identity on the rest."""
+    return _embed(system, pair, op4)
+
+
+def singlet_projector(system: SpinSystem, pair_index: int) -> np.ndarray:
+    """|S0><S0| on the pair, tensored with identity on all other spins."""
+    basis = PAIR_BASIS
+    p4 = np.outer(basis.s0, basis.s0.conj())
+    return embed_pair_operator(system, system.pair(pair_index), p4)
+
+
+def triplet_projector(system: SpinSystem, pair_index: int) -> np.ndarray:
+    """Projector onto the pair's three triplet states, identity elsewhere."""
+    basis = PAIR_BASIS
+    p4 = np.eye(4, dtype=complex) - np.outer(basis.s0, basis.s0.conj())
+    return embed_pair_operator(system, system.pair(pair_index), p4)
+
+
+def expectation(state: np.ndarray, obs: np.ndarray) -> complex:
+    """trace(state @ obs), summed elementwise in O(d^2); real for Hermitian obs."""
+    if state.shape != obs.shape:
+        raise ValueError(f"dimension mismatch: state {state.shape} vs observable {obs.shape}")
+    return complex(np.sum(state * obs.T))
+
+
+def product_state_vector(system: SpinSystem, pair_kets: list[np.ndarray]) -> np.ndarray:
+    """Full-system ket from one 4-component ket per assigned pair.
+
+    The pairs must cover every spin of the system.
+    """
+    if len(pair_kets) != len(system.pairs):
+        raise ValueError(f"need one ket per pair, got {len(pair_kets)} for {len(system.pairs)} pairs")
+    covered = {i for p in system.pairs for i in p}
+    if covered != set(range(system.n_spins)):
+        raise ValueError("pair assignments do not cover all spins")
+    vec = np.ones(system.dim, dtype=complex)
+    for pair, ket in zip(system.pairs, pair_kets):
+        pattern, _ = _basis_split(system, pair)
+        vec = vec * np.asarray(ket, dtype=complex)[pattern]
+    return vec
+
+
+def pure_state_density(vec: np.ndarray) -> np.ndarray:
+    """Density matrix of a (re-normalized) pure state vector."""
+    v = np.asarray(vec, dtype=complex)
+    norm = np.linalg.norm(v)
+    if norm == 0:
+        raise ValueError("cannot build a density matrix from the zero vector")
+    v = v / norm
+    return np.outer(v, v.conj())
+
+
+def product_state(system: SpinSystem, pair_kets: list[np.ndarray]) -> np.ndarray:
+    """Pure density matrix of the tensor product of per-pair kets."""
+    return pure_state_density(product_state_vector(system, pair_kets))
+
+
+class NoOscillationError(ValueError):
+    """Raised when no nonzero spectral peak rises above the noise floor."""
+
+
+def estimate_frequency(trace) -> float:
+    """Dominant nonzero frequency of a uniformly sampled trace (Hz).
+
+    Zero-padded discrete transform with parabolic peak interpolation; an
+    independent cross-check of the frequencies the fits return.
+    """
+    t, y = _trace_xy(trace)
+    if t.size < 8:
+        raise FitInputError("frequency estimation needs at least 8 samples")
+    steps = np.diff(t)
+    if steps.min() <= 0 or (steps.max() - steps.min()) > 1e-9 * max(steps.max(), 1e-30):
+        raise FitInputError("frequency estimation needs uniform sampling")
+    dt = steps.mean()
+    centered = y - y.mean()
+    if np.ptp(centered) <= 1e-12 * max(1.0, float(np.max(np.abs(y)))):
+        raise NoOscillationError("no oscillation detected")
+    n_pad = 8 * t.size
+    spectrum = np.fft.rfft(centered, n=n_pad)
+    power = np.abs(spectrum) ** 2
+    freqs = np.fft.rfftfreq(n_pad, dt)
+    span = t[-1] - t[0]
+    searchable = freqs >= 0.5 / span  # demand at least half a cycle in the window
+    if not np.any(searchable):
+        raise NoOscillationError("no oscillation detected")
+    idx = np.flatnonzero(searchable)
+    k = idx[np.argmax(power[idx])]
+    floor = np.median(power[idx])
+    if power[k] <= 20.0 * max(floor, 1e-300):
+        raise NoOscillationError("no oscillation detected")
+    # parabolic interpolation on log power around the peak bin
+    if 0 < k < power.size - 1 and power[k - 1] > 0 and power[k + 1] > 0:
+        la, lb, lc = np.log(power[k - 1]), np.log(power[k]), np.log(power[k + 1])
+        denom = la - 2 * lb + lc
+        shift = 0.5 * (la - lc) / denom if denom != 0 else 0.0
+        shift = np.clip(shift, -0.5, 0.5)
+    else:
+        shift = 0.0
+    return float((k + shift) * freqs[1])
+
+
+def spectral_bin_width(trace) -> float:
+    t, _ = _trace_xy(trace)
+    return 1.0 / (t[-1] - t[0])
 
 
 def oracle_propagator(system, segments):

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import NoOscillationError, estimate_frequency, spectral_bin_width
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,14 +12,11 @@ from singletsim.analysis import (
     RABI,
     RAMSEY,
     FitInputError,
-    NoOscillationError,
-    estimate_frequency,
     evaluate_model,
     fit_exponential,
     fit_lorentzian,
     fit_rabi,
     fit_ramsey,
-    spectral_bin_width,
 )
 
 

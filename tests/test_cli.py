@@ -390,18 +390,24 @@ class TestMainEntry:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("source_pair", [0]),
-            ("transfer.nutation_hz", [599.0]),
-            ("pi_half_duration_s", "0.1"),
-            ("prep.nutation_hz", "15"),
+            ("protocol.source_pair", [0]),
+            ("protocol.transfer.nutation_hz", [599.0]),
+            ("protocol.pi_half_duration_s", "0.1"),
+            ("protocol.prep.nutation_hz", "15"),
+            ("protocol.transfer.nutation_hz", float("nan")),
+            ("envelope.t_rabi_s", float("nan")),
+            ("envelope.t_rabi_s", True),
+            ("envelope.t_rabi_s", "abc"),
+            ("noise.sigma", float("nan")),
         ],
-        ids=["source_pair", "transfer_nutation", "pi_half_duration", "prep_nutation"],
+        ids=["source_pair", "transfer_nutation", "pi_half_duration", "prep_nutation", "transfer_nutation_nan",
+             "envelope_nan", "envelope_bool", "envelope_string", "noise_sigma_nan"],
     )
     def test_non_numeric_field_exits_one(self, tmp_path, capsys, field, value):
-        cfg = rabi_config()
+        cfg = rabi_config(envelope={"t_rabi_s": 1.6}, noise={"sigma": 0.01, "seed": 1})
         cfg["protocol"]["prep"] = {"kind": "slic", "nutation_hz": 15.0, "duration_s": 0.157}
         cfg["protocol"].update(pi_half_duration_s=0.1, free_lock={"nutation_hz": 47.0})
-        block, _, key = ("protocol." + field).rpartition(".")
+        block, _, key = field.rpartition(".")
         target = cfg
         for part in block.split("."):
             target = target[part]
@@ -409,7 +415,43 @@ class TestMainEntry:
         code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "t")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("input error") and f"protocol.{field} must be" in err
+        assert err.startswith("input error") and f"{field} must be" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "t" / "trace.csv").exists()
+
+    @pytest.mark.parametrize(
+        "block, value",
+        [
+            ("protocol.prep", []),
+            ("protocol.transfer", [1]),
+            ("protocol.sweep", [1, 2]),
+            ("protocol.free_lock", "weak"),
+            ("noise", [1]),
+            ("envelope", [1]),
+            ("protocol", 5),
+        ],
+        ids=["prep", "transfer", "sweep", "free_lock", "noise", "envelope", "protocol"],
+    )
+    def test_non_object_block_exits_one(self, tmp_path, capsys, block, value):
+        cfg = rabi_config()
+        *path, key = block.split(".")
+        target = cfg
+        for part in path:
+            target = target[part]
+        target[key] = value
+        code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "t")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and f"{block} must be a JSON object, got {value!r}" in err
+        assert "Traceback" not in err
+
+    def test_unassigned_readout_pair_exits_one(self, tmp_path, capsys):
+        cfg = rabi_config()
+        cfg["protocol"]["readout_pair"] = 2
+        code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "t")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and "pair 2 is not assigned" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("value", ["no", "true", 1, None], ids=["no", "true_string", "one", "null"])

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+from conftest import embed_pair_operator, embed_spin_operator, product_state_vector
 
 from singletsim.hamiltonian import (
     EffectiveTwoLevel,
-    NoTransferError,
     SpinLockParams,
     dressed_splitting,
     effective_channels,
@@ -14,17 +14,9 @@ from singletsim.hamiltonian import (
     rf_generator,
     spinlock_hamiltonian,
     state_energies,
-    transfer_period,
 )
 from singletsim.presets import glutamate, phe_gly_gly
-from singletsim.spincore import (
-    SpinSystem,
-    TripletAmplitudes,
-    embed_pair_operator,
-    embed_spin_operator,
-    pair_basis,
-    product_state_vector,
-)
+from singletsim.spincore import PAIR_BASIS, SpinSystem, TripletAmplitudes
 
 PHI_PLUS = TripletAmplitudes(1.0, 0.0, 0.0)
 PHI_0 = TripletAmplitudes(0.0, 1.0, 0.0)
@@ -62,7 +54,7 @@ class TestFreeHamiltonian:
         sys4 = SpinSystem(np.array([0.0, 0.0, 52.0, 52.0]), c, ((0, 1), (2, 3)))
         h = free_hamiltonian(sys4)
         w, v = np.linalg.eigh(h)
-        b = pair_basis(sys4, 0)
+        b = PAIR_BASIS
         target = product_state_vector(sys4, [b.s0, b.s0])
         overlaps = np.abs(v.conj().T @ target) ** 2
         k = np.argmax(overlaps)
@@ -105,7 +97,7 @@ class TestSpinlockHamiltonian:
         system = pair_system(15.0, dnu)
         h = spinlock_hamiltonian(system, SpinLockParams(100 * dnu, 0.0, 0.0))
         _, vectors = np.linalg.eigh(h)
-        b = pair_basis(system, 0)
+        b = PAIR_BASIS
         for ket in (b.phi_plus, b.phi_0, b.phi_s, b.phi_minus):
             best = np.max(np.abs(vectors.conj().T @ ket) ** 2)
             assert best > 0.999
@@ -269,8 +261,8 @@ class TestEffectiveTwoLevel:
         two = EffectiveTwoLevel(3.0, 3.0, 1.285)
         assert abs(two.oscillation_frequency_hz - 2.57) < 1e-12
         assert abs(two.transfer_contrast - 1.0) < 1e-12
-        # on resonance 1/f equals the transfer period of the same couplings
-        assert abs(1.0 / two.oscillation_frequency_hz - transfer_period(5.0, 5.0, 2.43, 2.43)) < 1e-12
+        # on resonance 1/f equals the transfer period 2 / (J_aa + J_bb - J_ab - J_ba)
+        assert abs(1.0 / two.oscillation_frequency_hz - 2.0 / (5.0 + 5.0 - 2.43 - 2.43)) < 1e-12
 
     def test_zero_coupling_no_contrast(self):
         two = EffectiveTwoLevel(1.0, 5.0, 0.0)
@@ -331,18 +323,6 @@ class TestEffectiveNutationDifference:
             resonant_nutation(52.0, 0.0)
         with pytest.raises(ValueError):
             resonant_nutation(2.0, 5.0)
-
-
-class TestTransferPeriod:
-    def test_glutamate_scale(self):
-        assert abs(transfer_period(5.0, 5.0, 2.43, 2.43) - 0.389) < 1e-3
-
-    def test_weak_coupling_scale(self):
-        assert abs(transfer_period(0.020, 0.020, 0.012, 0.012) - 125.0) < 1e-9
-
-    def test_no_transfer_condition(self):
-        with pytest.raises(NoTransferError):
-            transfer_period(3.0, 3.0, 3.0, 3.0)
 
 
 class TestEffectiveChannels:

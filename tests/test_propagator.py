@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import oracle_state
+from conftest import embed_spin_operator, expectation, oracle_state, singlet_projector, triplet_projector
 
 from singletsim.analysis import fit_exponential
 from singletsim.hamiltonian import SpinLockParams
@@ -15,14 +15,7 @@ from singletsim.propagator import (
     sequence_propagators,
     swept_expectations,
 )
-from singletsim.spincore import (
-    SpinSystem,
-    embed_spin_operator,
-    expectation,
-    singlet_projector,
-    thermal_state,
-    triplet_projector,
-)
+from singletsim.spincore import SpinSystem, thermal_state
 from singletsim.trace import Trace
 
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import oracle_propagator, oracle_state
+from conftest import embed_spin_operator, expectation, oracle_propagator, oracle_state, singlet_projector
 
 from singletsim.analysis import fit_rabi
 from singletsim.hamiltonian import SpinLockParams, pair_center_offset
@@ -36,13 +36,7 @@ from singletsim.sequences import (
     transfer_initial_state,
     transfer_resonance_nutation,
 )
-from singletsim.spincore import (
-    SpinSystem,
-    embed_spin_operator,
-    expectation,
-    singlet_projector,
-    thermal_state,
-)
+from singletsim.spincore import SpinSystem, thermal_state
 
 
 def pair_system(j, dnu):

@@ -1,23 +1,25 @@
 import numpy as np
 import pytest
+from conftest import (
+    embed_spin_operator,
+    expectation,
+    product_state,
+    product_state_vector,
+    pure_state_density,
+    singlet_projector,
+    triplet_projector,
+)
 
 from singletsim.spincore import (
+    PAIR_BASIS,
     SpinSystem,
     TripletAmplitudes,
     check_density,
     check_hermitian,
-    embed_spin_operator,
-    expectation,
     maximally_mixed_triplet,
-    pair_basis,
     pair_product_density,
-    product_state,
-    product_state_vector,
-    pure_state_density,
     rotate_pair_ket_phase,
-    singlet_projector,
     thermal_state,
-    triplet_projector,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -119,50 +121,50 @@ class TestEmbeddedOperators:
 class TestPairBasis:
     # local ket order is (uu, ud, du, dd)
     def test_phi_plus_coefficients(self):
-        b = pair_basis(two_spin(), 0)
+        b = PAIR_BASIS
         # 1/2 on each of ud, du, uu, dd
         assert np.allclose(b.phi_plus, [0.5, 0.5, 0.5, 0.5])
 
     def test_phi_0_coefficients(self):
-        b = pair_basis(two_spin(), 0)
+        b = PAIR_BASIS
         assert np.allclose(b.phi_0, [1 / SQRT2, 0.0, 0.0, -1 / SQRT2])
 
     def test_singlet_and_triplet_labels(self):
-        b = pair_basis(two_spin(), 0)
+        b = PAIR_BASIS
         assert np.allclose(b.s0, [0.0, 1 / SQRT2, -1 / SQRT2, 0.0])
         # T- is the all-up state, T+ the all-down state
         assert np.allclose(b.t_minus, [1, 0, 0, 0])
         assert np.allclose(b.t_plus, [0, 0, 0, 1])
 
     def test_phi_s_equals_s0(self):
-        b = pair_basis(two_spin(), 0)
+        b = PAIR_BASIS
         assert np.array_equal(b.phi_s, b.s0)
 
     def test_orthonormal_families(self):
-        b = pair_basis(two_spin(), 0)
+        b = PAIR_BASIS
         for family in ([b.s0, b.t_plus, b.t_0, b.t_minus], [b.phi_plus, b.phi_0, b.phi_s, b.phi_minus]):
             gram = np.array([[u.conj() @ v for v in family] for u in family])
             assert np.max(np.abs(gram - np.eye(4))) < 1e-12
 
     def test_phi_plus_minus_orthogonal(self):
-        b = pair_basis(two_spin(), 0)
+        b = PAIR_BASIS
         assert abs(b.phi_plus.conj() @ b.phi_minus) < 1e-14
 
     def test_triplet_transform_is_orthogonal(self):
         # coefficients of (phi+, phi0, phi-) over (T+, T0, T-) form an
         # orthogonal 3x3 matrix on the triplet subspace
-        b = pair_basis(two_spin(), 0)
+        b = PAIR_BASIS
         triplets = [b.t_plus, b.t_0, b.t_minus]
         m = np.array([[t.conj() @ phi for t in triplets] for phi in (b.phi_plus, b.phi_0, b.phi_minus)])
         assert np.max(np.abs(m.imag)) < 1e-14
         assert np.max(np.abs(m.real @ m.real.T - np.eye(3))) < 1e-12
 
     def test_unassigned_pair(self):
-        with pytest.raises(ValueError, match="not assigned"):
-            pair_basis(two_spin(), 1)
+        with pytest.raises(ValueError, match="pair 1 is not assigned"):
+            two_spin().pair(1)
 
     def test_phase_rotation_preserves_norm(self):
-        b = pair_basis(two_spin(), 0)
+        b = PAIR_BASIS
         rotated = rotate_pair_ket_phase(b.phi_plus, 0.7)
         assert abs(np.linalg.norm(rotated) - 1.0) < 1e-12
 
@@ -179,7 +181,7 @@ class TestProjectors:
 
     def test_eigenstate_expectation(self):
         sys4 = four_spin()
-        b = pair_basis(sys4, 0)
+        b = PAIR_BASIS
         rho = product_state(sys4, [b.s0, b.t_plus])
         assert abs(expectation(rho, singlet_projector(sys4, 0)).real - 1.0) < 1e-12
         assert abs(expectation(rho, singlet_projector(sys4, 1)).real) < 1e-12
@@ -212,7 +214,7 @@ class TestExpectation:
 
     def test_singlet_has_zero_total_z(self):
         sys2 = two_spin()
-        b = pair_basis(sys2, 0)
+        b = PAIR_BASIS
         rho = pure_state_density(b.s0)
         obs = embed_spin_operator(sys2, 0, "z") + embed_spin_operator(sys2, 1, "z")
         assert abs(expectation(rho, obs)) < 1e-12
@@ -225,7 +227,7 @@ class TestExpectation:
 class TestProductStates:
     def test_pure_double_singlet(self):
         sys4 = four_spin()
-        b = pair_basis(sys4, 0)
+        b = PAIR_BASIS
         rho = product_state(sys4, [b.s0, b.s0])
         assert abs(np.trace(rho).real - 1.0) < 1e-12
         assert abs(np.trace(rho @ rho).real - 1.0) < 1e-12
@@ -233,14 +235,14 @@ class TestProductStates:
 
     def test_phi_plus_singlet_populations(self):
         sys4 = four_spin()
-        b = pair_basis(sys4, 0)
+        b = PAIR_BASIS
         rho = product_state(sys4, [b.phi_plus, b.s0])
         assert abs(expectation(rho, singlet_projector(sys4, 1)).real - 1.0) < 1e-12
         assert abs(expectation(rho, singlet_projector(sys4, 0)).real) < 1e-12
 
     def test_transfer_superposition_splits_population(self):
         sys4 = four_spin()
-        b = pair_basis(sys4, 0)
+        b = PAIR_BASIS
         vec = (
             product_state_vector(sys4, [b.phi_plus, b.s0])
             + product_state_vector(sys4, [b.s0, b.phi_plus])
@@ -251,13 +253,13 @@ class TestProductStates:
 
     def test_incomplete_coverage_rejected(self):
         sys3 = SpinSystem(np.zeros(3), np.zeros((3, 3)), ((0, 1),))
-        b = pair_basis(sys3, 0)
+        b = PAIR_BASIS
         with pytest.raises(ValueError, match="cover"):
             product_state_vector(sys3, [b.s0])
 
     def test_mixed_triplet_block_is_valid_density(self):
         sys4 = four_spin()
-        b = pair_basis(sys4, 0)
+        b = PAIR_BASIS
         rho = pair_product_density(
             sys4, [np.outer(b.s0, b.s0.conj()), maximally_mixed_triplet()]
         )
