@@ -149,7 +149,10 @@ def _build_sweep(spec: dict, key: str) -> np.ndarray:
     if "values" in block:
         return np.array(_number_list(block["values"], f"{context}.values"), dtype=float)
     start, stop = _number(block, "start", context), _number(block, "stop", context)
-    return np.linspace(start, stop, _number(block, "count", context, kind=int))
+    count = _number(block, "count", context, kind=int)
+    if count < 1:
+        raise ConfigError(f"{context}.count must be >= 1, got {count}")
+    return np.linspace(start, stop, count)
 
 
 def _build_prep(spec: dict) -> PrepSpec:
@@ -228,18 +231,17 @@ def load_config(path: str | Path) -> RunConfig:
 
     envelope = None
     if "envelope" in raw:
-        env_spec = dict(_block(raw, "envelope", ""))
-        if "t2s_star_s" in env_spec:
-            env_spec["t_2s_star_s"] = env_spec.pop("t2s_star_s")
-        names = [f.name for f in fields(RelaxationEnvelope)]
-        unknown = sorted(set(env_spec) - set(names))
-        if unknown:
-            raise ConfigError(f"envelope: unknown field {unknown[0]!r}")
-        times = {k: _number(env_spec, k, "envelope", None) for k in names}
-        try:
-            envelope = RelaxationEnvelope(**times)
-        except ValueError as exc:
-            raise ConfigError(f"envelope: {exc}") from exc
+        env_spec = _block(raw, "envelope", "")
+        names = {f.name for f in fields(RelaxationEnvelope)}
+        times = {}
+        for key in sorted(env_spec):  # errors name the key as written
+            name = "t_2s_star_s" if key == "t2s_star_s" else key
+            if name not in names:
+                raise ConfigError(f"envelope: unknown field {key!r}")
+            times[name] = _number(env_spec, key, "envelope", None)
+            if times[name] is not None and times[name] <= 0:
+                raise ConfigError(f"envelope.{key} must be positive, got {times[name]}")
+        envelope = RelaxationEnvelope(**times)
 
     noise_sigma = None
     noise_seed = None
@@ -252,6 +254,8 @@ def load_config(path: str | Path) -> RunConfig:
             if "seed" not in noise:
                 raise ConfigError("noise.seed is required when noise is enabled")
             noise_seed = _number(noise, "seed", "noise", kind=int)
+            if noise_seed < 0:
+                raise ConfigError(f"noise.seed must be >= 0, got {noise_seed}")
 
     return RunConfig(system, protocol, envelope, noise_sigma, noise_seed)
 

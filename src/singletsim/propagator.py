@@ -2,15 +2,19 @@
 
 Two entry points share one engine.  `sequence_propagators` turns segment
 lists into propagators U = prod_k V_k exp(-i 2 pi E_k t_k) V_k^dagger, which
-is exact for the piecewise-constant Hamiltonians used here.  A hard pulse is
-an ideal zero-duration rotation: its generator run for theta / 2 pi.  Each
-distinct generator (a segment without its duration) is diagonalised once per
-call.  `swept_expectations` reads every population: a sweep of a duration
-tau shared by k consecutive segments (a fixed sequence is a one-point sweep)
-is read in their eigenbases, vectorised over tau for k = 1, with no
-propagator formed per tau.  It reads each assigned pair's singlet
-population from the rows of the pair's |ud> and |du> states, with no d x d
-projector, then any dense observables.
+is exact for the piecewise-constant Hamiltonians used here.  A lock at RF
+phase phi has the generator Z H(0) Z^dagger with Z = exp(-i phi Fz), and
+H(0) is real symmetric: each distinct phase-0 generator (a segment at phase
+0 without its duration) is diagonalised once per call, in real arithmetic,
+and its eigenvectors are rotated to each phase, so locks that differ only
+in phase share one `eigh`.  A hard pulse is an ideal zero-duration
+rotation, the same 2 x 2 rotation on every spin, written in closed form by
+bit index with no `eigh`.  `swept_expectations` reads every population: a
+sweep of a duration tau shared by k consecutive segments (a fixed sequence
+is a one-point sweep) is read in their eigenbases, vectorised over tau for
+k = 1, with no propagator formed per tau.  It reads each assigned pair's
+singlet population from the rows of the pair's |ud> and |du> states, with
+no d x d projector, then any dense observables.
 Relaxation enters only as phenomenological decay envelopes applied to
 observable traces.
 """
@@ -22,8 +26,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .hamiltonian import SpinLockParams, free_hamiltonian, rf_generator, spinlock_hamiltonian
-from .spincore import SpinSystem, _spin_states, check_density, check_hermitian
+from .hamiltonian import SpinLockParams, free_hamiltonian, spinlock_hamiltonian
+from .spincore import SpinSystem, _fz, _spin_states, check_density, check_hermitian
 from .trace import Trace
 
 @dataclass(frozen=True)
@@ -69,24 +73,36 @@ class SpinLock:
 Segment = HardPulse | Delay | SpinLock
 
 
-def segment_hamiltonian(system: SpinSystem, segment: Segment) -> np.ndarray:
-    """Generator (Hz) of a segment: a hard pulse's runs for theta / 2 pi."""
+def segment_hamiltonian(system: SpinSystem, segment: SpinLock | Delay) -> np.ndarray:
+    """Generator (Hz) of a delay or spin-lock segment."""
     if isinstance(segment, Delay):
         return free_hamiltonian(system, segment.transmitter_offset_hz)
+    return spinlock_hamiltonian(system, segment.params)
+
+
+def _phase_free(segment: SpinLock | Delay) -> tuple[SpinLock | Delay, float]:
+    """(the segment at RF phase 0 without its duration, its RF phase)."""
     if isinstance(segment, SpinLock):
-        return spinlock_hamiltonian(system, segment.params)
-    return rf_generator(system, segment.phase)
+        return SpinLock(replace(segment.params, phase=0.0), 0.0), segment.params.phase
+    return replace(segment, duration_s=0.0), 0.0
 
 
-def _generator(segment: Segment) -> tuple[Segment, float]:
-    """(the segment without its duration, how long its generator runs)."""
-    if isinstance(segment, HardPulse):
-        return replace(segment, flip_angle=0.0), segment.flip_angle / (2 * np.pi)
-    return replace(segment, duration_s=0.0), segment.duration_s
+def _segment_eig(
+    system: SpinSystem, segment: SpinLock | Delay, eigs: dict
+) -> tuple[np.ndarray, np.ndarray]:
+    """(E, V) of the segment's generator H(phase) = Z H(0) Z^dagger, Z = exp(-i phase Fz).
 
-
-def _eigh(hamiltonian_hz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return np.linalg.eigh(check_hermitian(hamiltonian_hz, tol=1e-9))
+    H(0) is real symmetric, so it is diagonalised in real arithmetic, once
+    per table whatever the phase; V(phase) = Z V(0) scales its rows.
+    """
+    key, phase = _phase_free(segment)
+    if key not in eigs:
+        h0 = check_hermitian(segment_hamiltonian(system, key), tol=1e-9)
+        if np.any(h0.imag != 0.0):
+            raise ValueError("the phase-0 generator of a segment must be real")
+        eigs[key] = np.linalg.eigh(h0.real)
+    energies, vectors = eigs[key]
+    return energies, np.exp(-1j * phase * _fz(system))[:, None] * vectors
 
 
 def _unitary(eig: tuple[np.ndarray, np.ndarray], duration_s: float) -> np.ndarray:
@@ -94,24 +110,33 @@ def _unitary(eig: tuple[np.ndarray, np.ndarray], duration_s: float) -> np.ndarra
     return vectors @ (np.exp(-2j * np.pi * energies * duration_s)[:, None] * vectors.conj().T)
 
 
-def _segment_eig(system: SpinSystem, segment: Segment, eigs: dict) -> tuple[np.ndarray, np.ndarray]:
-    """(E, V) of the segment's generator, diagonalised once per table."""
-    key = _generator(segment)[0]
-    if key not in eigs:
-        eigs[key] = _eigh(segment_hamiltonian(system, segment))
-    return eigs[key]
+def _pulse(system: SpinSystem, pulse: HardPulse) -> np.ndarray:
+    """exp(-i theta sum_i (cos(phase) I_ix + sin(phase) I_iy)), entry by bit index.
+
+    Each spin contributes cos(theta / 2) where basis states k and l agree
+    and -i sin(theta / 2) where they differ; the phase enters as Z R(0) Z^dagger.
+    """
+    index = np.arange(system.dim)
+    flips = index[:, None] ^ index
+    n_flips = sum((flips >> spin) & 1 for spin in range(system.n_spins))
+    c, s = np.cos(pulse.flip_angle / 2), -1j * np.sin(pulse.flip_angle / 2)
+    factors = np.array([c ** (system.n_spins - h) * s**h for h in range(system.n_spins + 1)])
+    z = np.exp(-1j * pulse.phase * _fz(system))
+    return z[:, None] * factors[n_flips] * z.conj()
 
 
-def _propagator(
-    system: SpinSystem, segments: list[Segment], eigs: dict[Segment, tuple[np.ndarray, np.ndarray]]
-) -> np.ndarray | None:
+def _propagator(system: SpinSystem, segments: list[Segment], eigs: dict) -> np.ndarray | None:
     """The propagator of a segment list, or None when it plays for no time."""
     u = None
     for segment in segments:
-        duration = _generator(segment)[1]
-        if duration == 0.0:
-            continue
-        step = _unitary(_segment_eig(system, segment, eigs), duration)
+        if isinstance(segment, HardPulse):
+            if segment.flip_angle == 0.0:
+                continue
+            step = _pulse(system, segment)
+        else:
+            if segment.duration_s == 0.0:
+                continue
+            step = _unitary(_segment_eig(system, segment, eigs), segment.duration_s)
         u = step if u is None else step @ u
     return u
 
@@ -121,10 +146,10 @@ def sequence_propagators(
 ) -> Iterator[np.ndarray]:
     """The propagator of each segment list, yielded one at a time.
 
-    Each distinct generator is diagonalised once, in a table that lives as
-    long as this iterator; segments that last no time are skipped.
+    Each distinct phase-0 generator is diagonalised once, in a table that
+    lives as long as this iterator; segments that last no time are skipped.
     """
-    eigs: dict[Segment, tuple[np.ndarray, np.ndarray]] = {}
+    eigs: dict[SpinLock | Delay, tuple[np.ndarray, np.ndarray]] = {}
     for segments in sequences:
         u = _propagator(system, segments, eigs)
         yield np.eye(system.dim, dtype=complex) if u is None else u
@@ -156,7 +181,7 @@ def swept_expectations(
     one tau at a time.  No propagator is formed per tau.
     """
     check_density(rho0)
-    eigs: dict[Segment, tuple[np.ndarray, np.ndarray]] = {}
+    eigs: dict[SpinLock | Delay, tuple[np.ndarray, np.ndarray]] = {}
     u_before, u_after = (_propagator(system, played, eigs) for played in (before, after))
     bases = [_segment_eig(system, segment, eigs) for segment in segments]
     y = bases[0][1] if u_before is None else u_before.conj().T @ bases[0][1]

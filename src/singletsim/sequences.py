@@ -86,6 +86,8 @@ class PrepSpec:
             raise ValueError("slic prep needs nutation_hz and duration_s")
         if self.kind == "three_pulse" and None in (self.tau1_s, self.tau2_s, self.tau3_s):
             raise ValueError("three_pulse prep needs tau1_s, tau2_s, tau3_s")
+        if not -1.0 <= self.polarization <= 1.0:
+            raise ValueError(f"polarization must lie in [-1, 1], got {self.polarization}")
 
 
 @dataclass(frozen=True)
@@ -119,6 +121,8 @@ class Protocol:
         object.__setattr__(self, "sweep", sweep)
         if sweep.size == 0 or not np.all(np.isfinite(sweep)) or np.any(np.diff(sweep) <= 0):
             raise ValueError("sweep grid must be nonempty, finite and strictly increasing")
+        if sweep[0] < 0:  # durations, nutations and cycle counts alike
+            raise ValueError(f"sweep values must be >= 0, got {sweep[0]}")
         init = self.triplet_init
         if not isinstance(init, TripletAmplitudes) and init not in TRIPLET_INITS:
             raise ValueError(
@@ -136,8 +140,8 @@ class Protocol:
             raise ValueError("resonance_scan protocol needs scan_tau_grid_s")
         if self.scan_tau_grid_s is not None:
             grid = np.asarray(self.scan_tau_grid_s, float)
-            if not np.all(np.isfinite(grid)):
-                raise ValueError("scan_tau_grid_s must be finite")
+            if not np.all(np.isfinite(grid)) or np.any(grid < 0):
+                raise ValueError("scan_tau_grid_s must be finite and >= 0")
             object.__setattr__(self, "scan_tau_grid_s", grid)
 
 

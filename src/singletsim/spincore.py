@@ -16,7 +16,8 @@ are dense complex Hermitian, unit-trace, positive-semidefinite arrays,
 assembled by basis-state bit index with no Kronecker products: `_basis_split`
 gives each basis state's pattern over some spins and the index of the rest,
 and `_spin_states` each spin's bit, from which `hamiltonian` writes its
-generators and `propagator` reads pair populations.  `check_density`
+generators and `propagator` reads pair populations; `_fz` is each basis
+state's total Fz, which `propagator` rotates RF phases with.  `check_density`
 accepts a state whose rho + EIGENVALUE_TOL * I has a Cholesky factor, and
 tests only the others by their smallest eigenvalue.
 """
@@ -178,6 +179,11 @@ def _spin_states(system: SpinSystem) -> tuple[np.ndarray, np.ndarray]:
     return masks, (np.arange(system.dim) & masks[:, None]) != 0
 
 
+def _fz(system: SpinSystem) -> np.ndarray:
+    """Each basis state's total Fz, the diagonal of sum_i I_iz."""
+    return (0.5 - _spin_states(system)[1]).sum(axis=0)
+
+
 def pair_product_density(system: SpinSystem, pair_densities: list[np.ndarray]) -> np.ndarray:
     """Full density matrix from one 4x4 density block per pair (pairs must cover all spins)."""
     if len(pair_densities) != len(system.pairs):
@@ -209,9 +215,8 @@ def thermal_state(system: SpinSystem, polarization: float = 1.0) -> np.ndarray:
     """
     if not -1.0 <= polarization <= 1.0:
         raise ValueError("polarization must lie in [-1, 1] to keep the state positive")
-    iz_total = (0.5 - _spin_states(system)[1]).sum(axis=0)  # diagonal of sum_i I_iz
     scale = 2.0 * polarization / system.n_spins
-    return np.diag(((1.0 + scale * iz_total) / system.dim).astype(complex))
+    return np.diag(((1.0 + scale * _fz(system)) / system.dim).astype(complex))
 
 
 def check_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:

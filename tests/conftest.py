@@ -3,15 +3,19 @@
 Dense spin and pair operators embedded by bit index, projectors, product
 states, `expectation` and a spectral frequency estimate are the references
 for the package's generators, populations and fits.  The evolution oracle is
-independent of the engine's tables: one `eigh` per segment.
+independent of the engine's tables and its closed-form pulses: one `eigh`
+per segment, of the segment's real phase-0 generator.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
+import pytest
 
 from singletsim.analysis import FitInputError, _trace_xy
-from singletsim.propagator import HardPulse, segment_hamiltonian
+from singletsim.propagator import HardPulse, SpinLock, segment_hamiltonian
 from singletsim.spincore import PAIR_BASIS, SpinSystem, _basis_split
 
 # single spin-1/2 operators
@@ -151,23 +155,25 @@ def spectral_bin_width(trace) -> float:
 def oracle_propagator(system, segments):
     """Product of per-segment propagators, each from `np.linalg.eigh` of its own generator.
 
-    A pulse's generator is G = sum_i (cos(phase) I_ix + sin(phase) I_iy), run
-    for theta / 2 pi.  Each step is V exp(-2 pi i E t) V^dagger formed in the
+    A generator at RF phase phi is Z G(0) Z^dagger with Z = exp(-i phi Fz);
+    like the engine, the oracle diagonalises the real G(0) and scales the
+    eigenvector rows by Z.  A pulse's G(0) is sum_i I_ix, run for
+    theta / 2 pi.  Each step is V exp(-2 pi i E t) V^dagger formed in the
     engine's rounding order, so 10 s sweeps still agree with it to 1e-12.
     """
+    fz = sum(embed_spin_operator(system, i, "z") for i in range(system.n_spins)).diagonal().real
     u = np.eye(system.dim, dtype=complex)
     for seg in segments:
         if isinstance(seg, HardPulse):
-            g = sum(
-                np.cos(seg.phase) * embed_spin_operator(system, i, "x")
-                + np.sin(seg.phase) * embed_spin_operator(system, i, "y")
-                for i in range(system.n_spins)
-            )
-            w, v = np.linalg.eigh(g)
-            t = seg.flip_angle / (2 * np.pi)
+            g0 = sum(embed_spin_operator(system, i, "x") for i in range(system.n_spins))
+            phase, t = seg.phase, seg.flip_angle / (2 * np.pi)
+        elif isinstance(seg, SpinLock):
+            g0 = segment_hamiltonian(system, replace(seg, params=replace(seg.params, phase=0.0)))
+            phase, t = seg.params.phase, seg.duration_s
         else:
-            w, v = np.linalg.eigh(segment_hamiltonian(system, seg))
-            t = seg.duration_s
+            g0, phase, t = segment_hamiltonian(system, seg), 0.0, seg.duration_s
+        w, v0 = np.linalg.eigh(g0.real)
+        v = np.exp(-1j * phase * fz)[:, None] * v0
         u = v @ (np.exp(-2j * np.pi * w * t)[:, None] * v.conj().T) @ u
     return u
 
@@ -176,3 +182,17 @@ def oracle_state(system, rho, segments):
     """rho carried through the segments by `oracle_propagator`."""
     u = oracle_propagator(system, segments)
     return u @ rho @ u.conj().T
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The shape of every `np.linalg.eigh` call made while the test runs."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(matrix):
+        calls.append(matrix.shape)
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return calls

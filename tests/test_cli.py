@@ -420,6 +420,37 @@ class TestMainEntry:
         assert not (tmp_path / "t" / "trace.csv").exists()
 
     @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("protocol.sweep", {"values": [-1.0, 0.5]}, "protocol: sweep values must be >= 0"),
+            ("protocol.scan_tau", {"values": [-0.1, 0.5]}, "protocol: scan_tau_grid_s must be finite and >= 0"),
+            ("protocol.sweep.count", 0, "protocol.sweep.count must be >= 1"),
+            ("protocol.sweep.count", -1, "protocol.sweep.count must be >= 1"),
+            ("noise.seed", -1, "noise.seed must be >= 0"),
+            ("protocol.prep.polarization", 2.0, "protocol.prep: polarization must lie in [-1, 1]"),
+            ("protocol.prep.polarization", -1.5, "protocol.prep: polarization must lie in [-1, 1]"),
+            ("envelope.t2s_star_s", float("nan"), "envelope.t2s_star_s must be a finite number"),
+            ("envelope.t2s_star_s", -1.0, "envelope.t2s_star_s must be positive"),
+        ],
+        ids=["negative_sweep", "negative_scan_tau", "count_zero", "count_negative", "negative_seed",
+             "polarization_high", "polarization_low", "t2s_star_nan", "t2s_star_negative"],
+    )
+    def test_out_of_range_field_exits_one_naming_it(self, tmp_path, capsys, field, value, message):
+        cfg = rabi_config(envelope={"t_rabi_s": 1.6}, noise={"sigma": 0.01, "seed": 1})
+        cfg["protocol"]["prep"] = {"kind": "slic", "nutation_hz": 15.5, "duration_s": 0.157}
+        block, _, key = field.rpartition(".")
+        target = cfg
+        for part in block.split("."):
+            target = target[part]
+        target[key] = value
+        code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "t")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "t" / "trace.csv").exists()
+
+    @pytest.mark.parametrize(
         "block, value",
         [
             ("protocol.prep", []),

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from conftest import embed_spin_operator, expectation, oracle_state, singlet_projector, triplet_projector
 
+from singletsim import propagator as engine
 from singletsim.analysis import fit_exponential
-from singletsim.hamiltonian import SpinLockParams
+from singletsim.hamiltonian import SpinLockParams, rf_generator, spinlock_hamiltonian
 from singletsim.propagator import (
     Delay,
     HardPulse,
@@ -15,7 +16,7 @@ from singletsim.propagator import (
     sequence_propagators,
     swept_expectations,
 )
-from singletsim.spincore import SpinSystem, thermal_state
+from singletsim.spincore import SpinSystem, _fz, thermal_state
 from singletsim.trace import Trace
 
 
@@ -82,6 +83,59 @@ class TestHardPulse:
         u_half = propagator(system, [HardPulse(np.pi / 4, 1.0)])
         u_full = propagator(system, [HardPulse(np.pi / 2, 1.0)])
         assert np.max(np.abs(u_half @ u_half - u_full)) < 1e-12
+
+
+def uncoupled(n_spins):
+    return SpinSystem(np.zeros(n_spins), np.zeros((n_spins, n_spins)))
+
+
+class TestClosedFormPulse:
+    # negative angles matter: a readout inverts its preparation's pulses
+    @pytest.mark.parametrize("n_spins", [4, 6, 8], ids=["d16", "d64", "d256"])
+    def test_matches_diagonalised_pulse_generator(self, n_spins):
+        system = uncoupled(n_spins)
+        for phase in (0.0, 0.4, np.pi / 2, 2.9, -1.3):
+            generator = sum(
+                np.cos(phase) * embed_spin_operator(system, i, "x")
+                + np.sin(phase) * embed_spin_operator(system, i, "y")
+                for i in range(n_spins)
+            )
+            energies, vectors = np.linalg.eigh(generator)
+            for theta in (np.pi / 2, -np.pi / 2, np.pi, 5 * np.pi / 2):
+                expected = vectors @ (np.exp(-1j * theta * energies)[:, None] * vectors.conj().T)
+                u = propagator(system, [HardPulse(theta, phase)])
+                assert np.max(np.abs(u - expected)) < 1e-12
+
+    def test_needs_no_diagonalisation(self, eigh_calls):
+        propagator(coupled_pair(), [HardPulse(np.pi / 2, 0.3), HardPulse(-np.pi, 1.1)])
+        assert eigh_calls == []
+
+
+class TestPhaseRotation:
+    # an RF phase is a rotation about z: H(phase) = Z H(0) Z^dagger, Z = exp(-i phase Fz)
+    @pytest.mark.parametrize("phase", [0.3, np.pi / 2, np.pi, -2.2])
+    def test_phased_generators_are_rotated_phase_0_ones(self, phase):
+        rng = np.random.default_rng(11)
+        j = np.triu(rng.normal(scale=10.0, size=(4, 4)), 1)
+        system = SpinSystem(rng.normal(scale=50.0, size=4), j + j.T)
+        fz = sum(embed_spin_operator(system, i, "z") for i in range(system.n_spins)).diagonal()
+        assert np.array_equal(_fz(system), fz.real)
+        z = np.exp(-1j * phase * _fz(system))
+        lock = SpinLockParams(310.0, phase, 12.0)
+        h0 = spinlock_hamiltonian(system, replace(lock, phase=0.0))
+        assert np.max(np.abs(z[:, None] * h0 * z.conj() - spinlock_hamiltonian(system, lock))) < 1e-12
+        g0 = rf_generator(system, 0.0)
+        assert np.max(np.abs(z[:, None] * g0 * z.conj() - rf_generator(system, phase))) < 1e-15
+
+    def test_phase_0_generator_must_be_real(self, monkeypatch):
+        def complex_free_hamiltonian(system, transmitter_offset_hz):
+            h = np.zeros((system.dim, system.dim), dtype=complex)
+            h[0, 1], h[1, 0] = 1j, -1j
+            return h
+
+        monkeypatch.setattr(engine, "free_hamiltonian", complex_free_hamiltonian)
+        with pytest.raises(ValueError, match="must be real"):
+            propagator(coupled_pair(), [Delay(0.1)])
 
 
 class TestPropagate:

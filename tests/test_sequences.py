@@ -144,6 +144,24 @@ class TestProtocolValidation:
         with pytest.raises(ValueError, match="finite"):
             Protocol(kind="resonance_scan", transfer=SpinLockParams(1.0), **grids)
 
+    @pytest.mark.parametrize("kind", ["rabi", "ramsey", "double_rabi"])
+    def test_negative_swept_duration_rejected(self, kind):
+        # a negative tau would evolve backwards and grow the decay envelope
+        lock = SpinLockParams(1.0)
+        with pytest.raises(ValueError, match="sweep values must be >= 0"):
+            Protocol(kind=kind, sweep=np.array([-1.0, 0.5]), transfer=lock,
+                     pi_half_duration_s=0.1, free_lock=lock)
+
+    def test_negative_scan_duration_rejected(self):
+        with pytest.raises(ValueError, match="scan_tau_grid_s must be finite and >= 0"):
+            Protocol(kind="resonance_scan", sweep=np.array([500.0]), transfer=SpinLockParams(1.0),
+                     scan_tau_grid_s=np.array([-0.1, 0.5]))
+
+    @pytest.mark.parametrize("polarization", [1.5, -1.01])
+    def test_polarization_outside_unit_interval_rejected(self, polarization):
+        with pytest.raises(ValueError, match="polarization must lie in"):
+            PrepSpec(kind="slic", nutation_hz=15.5, duration_s=0.157, polarization=polarization)
+
     def test_kind_mismatch_between_protocol_and_runner(self):
         proto = Protocol(kind="rabi", sweep=np.array([0.1]), transfer=SpinLockParams(1.0))
         with pytest.raises(ValueError, match="double_rabi"):
@@ -467,21 +485,13 @@ class TestRunResonanceScan:
         dnn = np.array(trace.metadata["delta_nu_n_hz"])
         assert np.argmax(trace.observable) == np.argmin(dnn)
 
-    def test_initial_state_prepared_once_per_scan(self, monkeypatch):
-        # a lock-crossing prep costs two diagonalisations (pulse and lock);
-        # each nutation adds only its own transfer lock
+    def test_initial_state_prepared_once_per_scan(self, eigh_calls):
+        # a lock-crossing prep costs one diagonalisation (its lock; the pulse
+        # needs none); each nutation adds only its own transfer lock
         glu = glutamate()
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counting_eigh(matrix):
-            calls.append(matrix.shape)
-            return eigh(matrix)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         counts = []
         for n_nutations in (3, 6):
-            calls.clear()
+            eigh_calls.clear()
             proto = Protocol(
                 kind="resonance_scan",
                 sweep=np.linspace(560.0, 640.0, n_nutations),
@@ -490,7 +500,7 @@ class TestRunResonanceScan:
                 scan_tau_grid_s=np.linspace(0.02, 1.0, 24),
             )
             run_resonance_scan(glu, proto)
-            counts.append(len(calls))
+            counts.append(len(eigh_calls))
         assert counts[1] - counts[0] == 3
 
     def test_run_protocol_dispatch(self):
@@ -722,22 +732,26 @@ class TestEvolutionEngine:
         assert np.max(np.abs(trace.singlet_populations - populations)) < 1e-12
 
     @pytest.mark.parametrize("kind", list(RUNNERS))
-    def test_one_diagonalisation_per_distinct_generator(self, kind, monkeypatch):
+    def test_one_diagonalisation_per_distinct_generator(self, kind, eigh_calls):
         glu = glutamate()
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counting_eigh(matrix):
-            calls.append(matrix.shape)
-            return eigh(matrix)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         counts = []
         for n_points in (5, 40):
-            calls.clear()
+            eigh_calls.clear()
             RUNNERS[kind](glu, engine_protocol(glu, kind, n_points))
-            counts.append(len(calls))
+            counts.append(len(eigh_calls))
         assert counts[0] == counts[1] > 0
+
+    def test_double_rabi_phase_pair_shares_one_diagonalisation(self, eigh_calls):
+        # locks at phi and phi + pi have one phase-0 generator
+        glu = glutamate()
+        run_double_rabi(glu, engine_protocol(glu, "double_rabi", 5, "ideal", "projector"))
+        assert len(eigh_calls) == 1
+
+    def test_phase_cycled_readout_locks_share_one_diagonalisation(self, eigh_calls):
+        # the transfer lock, then one readout lock for both cycle phases
+        glu = glutamate()
+        run_rabi(glu, engine_protocol(glu, "rabi", 5, "ideal", "signal_proxy"))
+        assert len(eigh_calls) == 2
 
     @pytest.mark.parametrize("readout", ["projector", "signal_proxy"])
     @pytest.mark.parametrize("kind", list(RUNNERS))
@@ -839,18 +853,11 @@ class TestPreparedAndPumpedPopulations:
         expected = after - oracle_population(system, rho0, [], readout)
         assert abs(gain - expected) < 1e-12
 
-    def test_three_pulse_prep_diagonalises_each_generator_once(self, monkeypatch):
-        # the 90x pulse, the shared 180y / 90y generator and the free delays
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counting_eigh(matrix):
-            calls.append(matrix.shape)
-            return eigh(matrix)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    def test_three_pulse_prep_diagonalises_each_generator_once(self, eigh_calls):
+        # the free delays share one generator; the three pulses are written
+        # in closed form, with no eigh
         prepared_singlet_population(glutamate(), 0, ENGINE_PREPS["three_pulse"])
-        assert len(calls) == 3
+        assert len(eigh_calls) == 1
 
     def test_negative_pump_duration_rejected(self):
         glu = glutamate()
