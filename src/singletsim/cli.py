@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 input error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
 import sys
@@ -97,6 +96,18 @@ def _number_list(value, field: str, kind: type = float, length: int | None = Non
     return value
 
 
+def _one_key(block: dict, keys: tuple[str, ...], context: str, required: bool = False) -> str | None:
+    """The one of `keys` that `block` gives, or None.
+
+    More than one, or none when one is required, is a ConfigError.
+    """
+    given = [key for key in keys if key in block]
+    if len(given) > 1 or (required and not given):
+        raise ConfigError(f"{context} needs {'exactly' if required else 'at most'} one of "
+                          f"{', '.join(keys)}, got {given or 'none'}")
+    return given[0] if given else None
+
+
 def _build_system(block: dict) -> tuple[SpinSystem, float]:
     spectrometer = _number(block, "spectrometer_mhz", "system", 200.0)
     spins = _require(block, "spins", "system")
@@ -104,12 +115,9 @@ def _build_system(block: dict) -> tuple[SpinSystem, float]:
         raise ConfigError(f"system.spins must be a list of JSON objects, got {spins!r}")
     offsets = []
     for i, spin in enumerate(spins):
-        if "offset_hz" in spin:
-            offsets.append(_number(spin, "offset_hz", f"system.spins[{i}]"))
-        elif "shift_ppm" in spin:
-            offsets.append(ppm_to_hz(_number(spin, "shift_ppm", f"system.spins[{i}]"), spectrometer))
-        else:
-            raise ConfigError(f"system.spins[{i}] needs shift_ppm or offset_hz")
+        key = _one_key(spin, ("offset_hz", "shift_ppm"), f"system.spins[{i}]", required=True)
+        value = _number(spin, key, f"system.spins[{i}]")
+        offsets.append(value if key == "offset_hz" else ppm_to_hz(value, spectrometer))
     couplings = _require(block, "couplings_hz", "system")
     if not isinstance(couplings, list):
         raise ConfigError(f"system.couplings_hz must be a list of rows, got {couplings!r}")
@@ -130,14 +138,15 @@ def _build_lock(spec: dict, key: str, spectrometer: float, system: SpinSystem) -
     block, context = _block(spec, key, "protocol"), f"protocol.{key}"
     nutation = _number(block, "nutation_hz", context)
     phase = np.deg2rad(_number(block, "phase_deg", context, 0.0))
-    if "transmitter_offset_hz" in block:
-        tx = _number(block, "transmitter_offset_hz", context)
-    elif "transmitter_ppm" in block:
-        tx = ppm_to_hz(_number(block, "transmitter_ppm", context), spectrometer)
-    elif "transmitter_pair" in block:
-        tx = pair_center_offset(system, _number(block, "transmitter_pair", context, kind=int))
-    else:
+    key = _one_key(block, ("transmitter_offset_hz", "transmitter_ppm", "transmitter_pair"), context)
+    if key is None:
         tx = pair_center_offset(system, 0)
+    elif key == "transmitter_offset_hz":
+        tx = _number(block, key, context)
+    elif key == "transmitter_ppm":
+        tx = ppm_to_hz(_number(block, key, context), spectrometer)
+    else:
+        tx = pair_center_offset(system, _number(block, key, context, kind=int))
     try:
         return SpinLockParams(nutation, phase, tx)
     except ValueError as exc:
@@ -406,14 +415,11 @@ def cmd_fit(trace_path: str, model: str, out_path: str, **options) -> FitResult:
     if model not in MODEL_FITTERS:
         raise ConfigError(f"unknown model {model!r}; available: {sorted(MODEL_FITTERS)}")
     x, y = read_trace_file(trace_path)
-    fitter = MODEL_FITTERS[model]
     settings = {
-        "mode": options.get("mode", "sin2"),
-        "sign": options.get("sign", 1),
-        "with_decay": not options.get("no_decay", False),
-    }
-    accepted = inspect.signature(fitter).parameters
-    result = fitter((x, y), **{k: v for k, v in settings.items() if k in accepted})
+        "rabi": {"mode": options.get("mode", "sin2"), "with_decay": not options.get("no_decay", False)},
+        "ramsey": {"sign": options.get("sign", 1)},
+    }.get(model, {})
+    result = MODEL_FITTERS[model]((x, y), **settings)
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(_fit_report(result), indent=2, sort_keys=True) + "\n")

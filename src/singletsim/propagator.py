@@ -1,13 +1,14 @@
 """Exact piecewise-constant evolution of density matrices through pulse sequences.
 
-Two entry points share one engine.  `sequence_propagators` turns segment
-lists into propagators U = prod_k V_k exp(-i 2 pi E_k t_k) V_k^dagger, which
+Two entry points share one engine.  `sequence_propagator` turns a segment
+list into its propagator U = prod_k V_k exp(-i 2 pi E_k t_k) V_k^dagger, which
 is exact for the piecewise-constant Hamiltonians used here.  A lock at RF
 phase phi has the generator Z H(0) Z^dagger with Z = exp(-i phi Fz), and
 H(0) is real symmetric: each distinct phase-0 generator (a segment at phase
 0 without its duration) is diagonalised once per call, in real arithmetic,
 and its eigenvectors are rotated to each phase, so locks that differ only
-in phase share one `eigh`.  A hard pulse is an ideal zero-duration
+in phase share one `eigh`; this is the one place RF phase enters the
+evolution.  A hard pulse is an ideal zero-duration
 rotation, the same 2 x 2 rotation on every spin, written in closed form by
 bit index with no `eigh`.  `swept_expectations` reads every population: a
 sweep of a duration tau shared by k consecutive segments (a fixed sequence
@@ -21,7 +22,6 @@ observable traces.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -141,18 +141,13 @@ def _propagator(system: SpinSystem, segments: list[Segment], eigs: dict) -> np.n
     return u
 
 
-def sequence_propagators(
-    system: SpinSystem, sequences: Iterable[list[Segment]]
-) -> Iterator[np.ndarray]:
-    """The propagator of each segment list, yielded one at a time.
+def sequence_propagator(system: SpinSystem, segments: list[Segment]) -> np.ndarray:
+    """The propagator of a segment list, the identity when it plays for no time.
 
-    Each distinct phase-0 generator is diagonalised once, in a table that
-    lives as long as this iterator; segments that last no time are skipped.
+    Each distinct phase-0 generator is diagonalised once per call.
     """
-    eigs: dict[SpinLock | Delay, tuple[np.ndarray, np.ndarray]] = {}
-    for segments in sequences:
-        u = _propagator(system, segments, eigs)
-        yield np.eye(system.dim, dtype=complex) if u is None else u
+    u = _propagator(system, segments, {})
+    return np.eye(system.dim, dtype=complex) if u is None else u
 
 
 def swept_expectations(

@@ -16,7 +16,8 @@ sweep of its last segment, and pumping a two-point sweep (0 and the pump
 time) of its transfer lock.
 The `signal_proxy` readout is one observable, the transverse magnetization
 back-propagated once per run through the readout sequence with
-`sequence_propagators`.
+`sequence_propagator`; its 0/pi phase cycle is a coherence-parity filter on
+that observable, with no second, phase-shifted readout run.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .propagator import (
     Segment,
     SpinLock,
     apply_relaxation_envelope,
-    sequence_propagators,
+    sequence_propagator,
     swept_expectations,
 )
 from .spincore import (
@@ -51,6 +52,7 @@ from .spincore import (
     PHI_COMPOSITIONS,
     SpinSystem,
     TripletAmplitudes,
+    _fz,
     maximally_mixed_triplet,
     pair_product_density,
     rotate_pair_ket_phase,
@@ -60,6 +62,14 @@ from .trace import Trace
 
 PROTOCOL_KINDS = ("rabi", "ramsey", "double_rabi", "pumping", "resonance_scan")
 TRIPLET_INITS = ("uniform", *PHI_COMPOSITIONS)
+
+
+def _check_durations(spec, names: tuple[str, ...]) -> None:
+    """Raise naming the first of the given duration fields that is set and not finite and >= 0."""
+    for name in names:
+        value = getattr(spec, name)
+        if value is not None and not 0.0 <= value < np.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -88,6 +98,7 @@ class PrepSpec:
             raise ValueError("three_pulse prep needs tau1_s, tau2_s, tau3_s")
         if not -1.0 <= self.polarization <= 1.0:
             raise ValueError(f"polarization must lie in [-1, 1], got {self.polarization}")
+        _check_durations(self, ("duration_s", "tau1_s", "tau2_s", "tau3_s"))
 
 
 @dataclass(frozen=True)
@@ -136,6 +147,7 @@ class Protocol:
             self.pump_transfer_duration_s is None or self.pump_reset_delay_s is None
         ):
             raise ValueError("pumping protocol needs pump_transfer_duration_s and pump_reset_delay_s")
+        _check_durations(self, ("pi_half_duration_s", "pump_transfer_duration_s", "pump_reset_delay_s"))
         if self.kind == "resonance_scan" and self.scan_tau_grid_s is None:
             raise ValueError("resonance_scan protocol needs scan_tau_grid_s")
         if self.scan_tau_grid_s is not None:
@@ -261,15 +273,18 @@ def transfer_initial_state(system: SpinSystem, protocol: Protocol) -> np.ndarray
 def _signal_observable(system: SpinSystem, protocol: Protocol) -> np.ndarray:
     """Total transverse magnetization back-propagated through the readout sequence.
 
-    tr(U rho U^dagger Mx) = tr(rho U^dagger Mx U); a phase cycle subtracts the
-    run with flipped pulse and lock phases and halves the difference.
+    tr(U rho U^dagger Mx) = tr(rho U^dagger Mx U) = tr(rho O).  A phase cycle
+    halves the difference from the run with every pulse and lock phase shifted
+    by pi.  That run's propagator is Z U Z^dagger with Z = exp(-i pi Fz) (free
+    delays commute with Fz), and Z^dagger Mx Z = -Mx, so the cycled observable
+    is (O + Z O Z^dagger) / 2: O with every entry zeroed whose two basis
+    states' Fz differ by an odd number, a coherence-parity filter.
     """
-    readout = _readout_sequence(system, protocol)
-    cycle = [readout, _phase_shifted_pulses(readout, np.pi)] if protocol.phase_cycle else [readout]
-    mx = rf_generator(system, 0.0)
-    observable = np.zeros_like(mx)
-    for sign, u in zip((1.0, -1.0), sequence_propagators(system, cycle)):
-        observable += sign / len(cycle) * (u.conj().T @ mx @ u)
+    u = sequence_propagator(system, _readout_sequence(system, protocol))
+    observable = u.conj().T @ rf_generator(system, 0.0) @ u
+    if protocol.phase_cycle:
+        fz = _fz(system)
+        observable[(fz[:, None] - fz) % 2 == 1] = 0.0
     return observable
 
 
@@ -296,19 +311,6 @@ def _inverted_sequence(segments: list[Segment]) -> list[Segment]:
         else:
             inverted.append(seg)
     return inverted
-
-
-def _phase_shifted_pulses(segments: list[Segment], shift: float) -> list[Segment]:
-    """Shift the RF phase of every pulse and lock (the phase-cycling step)."""
-    out: list[Segment] = []
-    for seg in segments:
-        if isinstance(seg, HardPulse):
-            out.append(HardPulse(seg.flip_angle, seg.phase + shift))
-        elif isinstance(seg, SpinLock):
-            out.append(SpinLock(replace(seg.params, phase=seg.params.phase + shift), seg.duration_s))
-        else:
-            out.append(seg)
-    return out
 
 
 def _base_metadata(system: SpinSystem, protocol: Protocol, sweep_unit: str) -> dict:
@@ -530,31 +532,23 @@ def _pair_block_levels(
     Diagonalizes the pair's local two-spin block and labels each eigenstate
     by its dominant overlap with the lock-axis dressed basis.
     """
+    # at lock phase 0: H(phi) = Z H(0) Z^dagger, Z = exp(-i phi Fz), has the
+    # same levels, and the overlaps |<Z ref|Z v>| do not change with phi
     a, b = system.pair(pair_index)
     j = system.couplings_hz[a, b]
     sub = SpinSystem(
-        offsets_hz=np.array(
-            [
-                system.offsets_hz[a] - lock.transmitter_offset_hz,
-                system.offsets_hz[b] - lock.transmitter_offset_hz,
-            ]
-        ),
+        offsets_hz=system.offsets_hz[[a, b]] - lock.transmitter_offset_hz,
         couplings_hz=np.array([[0.0, j], [j, 0.0]]),
         pairs=((0, 1),),
     )
-    h = spinlock_hamiltonian(sub, SpinLockParams(lock.nutation_hz, lock.phase, 0.0))
+    h = spinlock_hamiltonian(sub, SpinLockParams(lock.nutation_hz, 0.0, 0.0))
     energies, vectors = np.linalg.eigh(h)
-    reference = {
-        "s0": rotate_pair_ket_phase(PAIR_BASIS.s0, lock.phase),
-        "phi_plus": rotate_pair_ket_phase(PAIR_BASIS.phi_plus, lock.phase),
-        "phi_0": rotate_pair_ket_phase(PAIR_BASIS.phi_0, lock.phase),
-        "phi_minus": rotate_pair_ket_phase(PAIR_BASIS.phi_minus, lock.phase),
-    }
     levels: dict[str, float] = {}
     taken: set[int] = set()
     # assign labels greedily by decreasing overlap
     overlaps = []
-    for name, ket in reference.items():
+    for name in ("s0", "phi_plus", "phi_0", "phi_minus"):
+        ket = getattr(PAIR_BASIS, name)
         for col in range(4):
             overlaps.append((abs(ket.conj() @ vectors[:, col]) ** 2, name, col))
     for _, name, col in sorted(overlaps, reverse=True):

@@ -4,7 +4,9 @@ Dense spin and pair operators embedded by bit index, projectors, product
 states, `expectation` and a spectral frequency estimate are the references
 for the package's generators, populations and fits.  The evolution oracle is
 independent of the engine's tables and its closed-form pulses: one `eigh`
-per segment, of the segment's real phase-0 generator.
+per segment, of the segment's real phase-0 generator.  A phase-cycled
+readout is checked against its second, phase-shifted run, built segment by
+segment with `_phase_shifted_pulses`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 from singletsim.analysis import FitInputError, _trace_xy
-from singletsim.propagator import HardPulse, SpinLock, segment_hamiltonian
+from singletsim.propagator import HardPulse, Segment, SpinLock, segment_hamiltonian
 from singletsim.spincore import PAIR_BASIS, SpinSystem, _basis_split
 
 # single spin-1/2 operators
@@ -176,6 +178,19 @@ def oracle_propagator(system, segments):
         v = np.exp(-1j * phase * fz)[:, None] * v0
         u = v @ (np.exp(-2j * np.pi * w * t)[:, None] * v.conj().T) @ u
     return u
+
+
+def _phase_shifted_pulses(segments: list[Segment], shift: float) -> list[Segment]:
+    """Shift the RF phase of every pulse and lock (the phase-cycling step)."""
+    out: list[Segment] = []
+    for seg in segments:
+        if isinstance(seg, HardPulse):
+            out.append(HardPulse(seg.flip_angle, seg.phase + shift))
+        elif isinstance(seg, SpinLock):
+            out.append(SpinLock(replace(seg.params, phase=seg.params.phase + shift), seg.duration_s))
+        else:
+            out.append(seg)
+    return out
 
 
 def oracle_state(system, rho, segments):

@@ -29,7 +29,7 @@ from singletsim.propagator import (
     HardPulse,
     RelaxationEnvelope,
     SpinLock,
-    sequence_propagators,
+    sequence_propagator,
 )
 from singletsim.sequences import (
     PrepSpec,
@@ -135,11 +135,12 @@ def test_criterion_04_numerical_hygiene():
                 params = SpinLockParams(rng.uniform(10.0, 600.0), rng.uniform(0, 2 * np.pi), 408.0)
                 segments.append(SpinLock(params, rng.uniform(1e-4, 5e-3)))
         worst = 0.0
-        for u in sequence_propagators(glu, ([seg] for seg in segments)):
+        for seg in segments:
+            u = sequence_propagator(glu, [seg])
             worst = max(worst, np.max(np.abs(u @ u.conj().T - np.eye(16))))
         assert worst < 1e-10
         rho = thermal_state(glu, 1.0)
-        u = next(sequence_propagators(glu, [segments]))
+        u = sequence_propagator(glu, segments)
         drift = abs(np.trace(u @ rho @ u.conj().T).real - 1.0)
         assert drift < 1e-10
     report(4, f"max |U U+ - 1| = {worst:.1e}, trace drift {drift:.1e} over 1000 segments, {budget.elapsed:.1f} s")

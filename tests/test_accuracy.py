@@ -25,6 +25,7 @@ from functools import cache
 import mpmath
 import numpy as np
 import pytest
+from conftest import _phase_shifted_pulses
 
 from singletsim.hamiltonian import SpinLockParams, pair_center_offset
 from singletsim.presets import glutamate
@@ -32,7 +33,6 @@ from singletsim.propagator import Delay, HardPulse, SpinLock
 from singletsim.sequences import (
     PrepSpec,
     Protocol,
-    _phase_shifted_pulses,
     _readout_sequence,
     ideal_transfer_state,
     prep_sequence,

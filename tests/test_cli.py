@@ -431,9 +431,15 @@ class TestMainEntry:
             ("protocol.prep.polarization", -1.5, "protocol.prep: polarization must lie in [-1, 1]"),
             ("envelope.t2s_star_s", float("nan"), "envelope.t2s_star_s must be a finite number"),
             ("envelope.t2s_star_s", -1.0, "envelope.t2s_star_s must be positive"),
+            *((f"protocol.{key}", -20.5, f"protocol: {key} must be finite and >= 0, got -20.5")
+              for key in ("pi_half_duration_s", "pump_transfer_duration_s", "pump_reset_delay_s")),
+            *((f"protocol.prep.{key}", -20.5, f"protocol.prep: {key} must be finite and >= 0, got -20.5")
+              for key in ("duration_s", "tau1_s", "tau2_s", "tau3_s")),
         ],
         ids=["negative_sweep", "negative_scan_tau", "count_zero", "count_negative", "negative_seed",
-             "polarization_high", "polarization_low", "t2s_star_nan", "t2s_star_negative"],
+             "polarization_high", "polarization_low", "t2s_star_nan", "t2s_star_negative",
+             "negative_pi_half", "negative_pump_transfer", "negative_pump_reset", "negative_prep_duration",
+             "negative_tau1", "negative_tau2", "negative_tau3"],
     )
     def test_out_of_range_field_exits_one_naming_it(self, tmp_path, capsys, field, value, message):
         cfg = rabi_config(envelope={"t_rabi_s": 1.6}, noise={"sigma": 0.01, "seed": 1})
@@ -448,6 +454,33 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("input error") and message in err
         assert "Traceback" not in err
+        assert not (tmp_path / "t" / "trace.csv").exists()
+
+    @pytest.mark.parametrize(
+        "block, keys",
+        [
+            ("protocol.transfer", {"transmitter_ppm": 2.04, "transmitter_pair": 5}),
+            ("protocol.transfer", {"transmitter_offset_hz": 408.0, "transmitter_ppm": 2.04}),
+            ("protocol.free_lock", {"transmitter_offset_hz": 408.0, "transmitter_pair": 1}),
+            ("system.spins[0]", {"offset_hz": 408.0, "shift_ppm": 2.04}),
+            ("system.spins[0]", {}),
+        ],
+        ids=["transfer_ppm_pair", "transfer_offset_ppm", "free_lock_offset_pair", "spin_offset_shift",
+             "spin_neither"],
+    )
+    def test_position_needs_at_most_one_key(self, tmp_path, capsys, block, keys):
+        # a lock may give none (pair 0's centre), a spin exactly one
+        cfg = json.loads(json.dumps(ALL_FIELDS_CONFIG))
+        if block == "system.spins[0]":
+            del cfg["preset"]
+            cfg["system"] = {"spins": [keys, {"offset_hz": 190.0}], "couplings_hz": [[0.0, 7.0], [7.0, 0.0]]}
+        else:  # each lock already gives one of the keys
+            cfg["protocol"][block.rpartition(".")[2]].update(keys)
+        code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "t")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and f"{block} needs " in err
+        assert all(key in err for key in keys)
         assert not (tmp_path / "t" / "trace.csv").exists()
 
     @pytest.mark.parametrize(

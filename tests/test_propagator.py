@@ -13,7 +13,7 @@ from singletsim.propagator import (
     RelaxationEnvelope,
     SpinLock,
     apply_relaxation_envelope,
-    sequence_propagators,
+    sequence_propagator,
     swept_expectations,
 )
 from singletsim.spincore import SpinSystem, _fz, thermal_state
@@ -28,24 +28,20 @@ def coupled_pair(j=12.0):
     return SpinSystem(np.zeros(2), np.array([[0.0, j], [j, 0.0]]), ((0, 1),))
 
 
-def propagator(system, segments):
-    return next(sequence_propagators(system, [segments]))
-
-
 def evolve(system, rho, segments):
-    u = propagator(system, segments)
+    u = sequence_propagator(system, segments)
     return u @ rho @ u.conj().T
 
 
 class TestSegmentPropagator:
     def test_zero_duration_is_identity(self):
-        u = propagator(coupled_pair(), [Delay(0.0)])
+        u = sequence_propagator(coupled_pair(), [Delay(0.0)])
         assert np.max(np.abs(u - np.eye(4))) < 1e-14
 
     def test_half_rabi_period_inverts_spin(self):
         nut = 40.0
         system = single_spin()
-        u = propagator(system, [SpinLock(SpinLockParams(nut), 1.0 / (2 * nut))])
+        u = sequence_propagator(system, [SpinLock(SpinLockParams(nut), 1.0 / (2 * nut))])
         up = np.array([1.0, 0.0], dtype=complex)
         out = u @ up
         assert np.allclose(out, [0.0, -1j], atol=1e-12)
@@ -55,7 +51,7 @@ class TestSegmentPropagator:
         # exp(-i 2 pi (E_S - E_T) t) = exp(i 4 pi) = 1
         j = 12.0
         system = coupled_pair(j)
-        u = propagator(system, [Delay(2.0 / j)])
+        u = sequence_propagator(system, [Delay(2.0 / j)])
         s0 = np.array([0, 1, -1, 0]) / np.sqrt(2)
         t0 = np.array([0, 1, 1, 0]) / np.sqrt(2)
         phase_s = np.angle(s0.conj() @ u @ s0)
@@ -67,21 +63,21 @@ class TestSegmentPropagator:
         j = rng.normal(scale=10.0, size=(4, 4))
         system = SpinSystem(rng.normal(scale=50.0, size=4), np.triu(j, 1) + np.triu(j, 1).T)
         lock = SpinLockParams(rng.uniform(10.0, 100.0), rng.uniform(0, 2 * np.pi), 3.0)
-        u = propagator(system, [SpinLock(lock, 0.0137)])
+        u = sequence_propagator(system, [SpinLock(lock, 0.0137)])
         assert np.max(np.abs(u @ u.conj().T - np.eye(16))) < 1e-10
 
 
 class TestHardPulse:
     def test_pi_pulse_inverts_population(self):
         system = single_spin()
-        u = propagator(system, [HardPulse(np.pi, 0.0)])
+        u = sequence_propagator(system, [HardPulse(np.pi, 0.0)])
         out = u @ np.array([1.0, 0.0], dtype=complex)
         assert abs(abs(out[1]) - 1.0) < 1e-12
 
     def test_flip_angle_composition(self):
         system = coupled_pair()
-        u_half = propagator(system, [HardPulse(np.pi / 4, 1.0)])
-        u_full = propagator(system, [HardPulse(np.pi / 2, 1.0)])
+        u_half = sequence_propagator(system, [HardPulse(np.pi / 4, 1.0)])
+        u_full = sequence_propagator(system, [HardPulse(np.pi / 2, 1.0)])
         assert np.max(np.abs(u_half @ u_half - u_full)) < 1e-12
 
 
@@ -103,11 +99,11 @@ class TestClosedFormPulse:
             energies, vectors = np.linalg.eigh(generator)
             for theta in (np.pi / 2, -np.pi / 2, np.pi, 5 * np.pi / 2):
                 expected = vectors @ (np.exp(-1j * theta * energies)[:, None] * vectors.conj().T)
-                u = propagator(system, [HardPulse(theta, phase)])
+                u = sequence_propagator(system, [HardPulse(theta, phase)])
                 assert np.max(np.abs(u - expected)) < 1e-12
 
     def test_needs_no_diagonalisation(self, eigh_calls):
-        propagator(coupled_pair(), [HardPulse(np.pi / 2, 0.3), HardPulse(-np.pi, 1.1)])
+        sequence_propagator(coupled_pair(), [HardPulse(np.pi / 2, 0.3), HardPulse(-np.pi, 1.1)])
         assert eigh_calls == []
 
 
@@ -135,7 +131,7 @@ class TestPhaseRotation:
 
         monkeypatch.setattr(engine, "free_hamiltonian", complex_free_hamiltonian)
         with pytest.raises(ValueError, match="must be real"):
-            propagator(coupled_pair(), [Delay(0.1)])
+            sequence_propagator(coupled_pair(), [Delay(0.1)])
 
 
 class TestPropagate:

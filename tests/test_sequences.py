@@ -3,7 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import embed_spin_operator, expectation, oracle_propagator, oracle_state, singlet_projector
+from conftest import (
+    _phase_shifted_pulses,
+    embed_spin_operator,
+    expectation,
+    oracle_propagator,
+    oracle_state,
+    singlet_projector,
+)
 
 from singletsim.analysis import fit_rabi
 from singletsim.hamiltonian import SpinLockParams, pair_center_offset
@@ -17,8 +24,8 @@ from singletsim.propagator import (
 from singletsim.sequences import (
     PrepSpec,
     Protocol,
-    _phase_shifted_pulses,
     _readout_sequence,
+    _signal_observable,
     effective_receiving_trace,
     exact_channel_detuning,
     exact_resonance_nutation,
@@ -156,6 +163,17 @@ class TestProtocolValidation:
         with pytest.raises(ValueError, match="scan_tau_grid_s must be finite and >= 0"):
             Protocol(kind="resonance_scan", sweep=np.array([500.0]), transfer=SpinLockParams(1.0),
                      scan_tau_grid_s=np.array([-0.1, 0.5]))
+
+    @pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["pi_half_duration_s", "pump_transfer_duration_s", "pump_reset_delay_s",
+                                       "duration_s", "tau1_s", "tau2_s", "tau3_s"])
+    def test_duration_not_finite_and_non_negative_rejected(self, field, value):
+        # the Python API has no config loader to stop a NaN, which would run to an all-NaN trace
+        with pytest.raises(ValueError, match=f"{field} must be finite and >= 0"):
+            if field.startswith("p"):
+                Protocol(kind="rabi", sweep=np.array([0.1]), transfer=SpinLockParams(1.0), **{field: value})
+            else:
+                PrepSpec(**{**vars(ENGINE_PREPS["three_pulse"]), field: value})
 
     @pytest.mark.parametrize("polarization", [1.5, -1.01])
     def test_polarization_outside_unit_interval_rejected(self, polarization):
@@ -602,6 +620,28 @@ class TestSignalProxyReadout:
         )
         assert np.all(np.isfinite(trace.observable))
 
+    @pytest.mark.parametrize("prep", ["ideal", "slic", "three_pulse"])
+    @pytest.mark.parametrize("name", ["three_spins", "pgg_third_pair"])
+    def test_phase_cycle_is_the_two_run_difference(self, name, prep):
+        # the cycled observable, a parity filter on one back-propagated Mx,
+        # against half the difference of the 0 and pi readout runs built
+        # segment by segment; three spins have half-integer Fz
+        if name == "three_spins":
+            system = SpinSystem(np.array([400.0, 415.0, 470.0]),
+                                np.array([[0.0, 15.0, 6.5], [15.0, 0.0, 2.0], [6.5, 2.0, 0.0]]), ((0, 1),))
+            readout_pair = 0
+        else:
+            system, readout_pair = phe_gly_gly(include_third_pair=True), 2
+        protocol = Protocol(kind="rabi", sweep=np.array([0.1]), transfer=glu_lock(glutamate()),
+                            source_pair=0, readout_pair=readout_pair, prep=ENGINE_PREPS[prep], phase_cycle=True)
+        readout = _readout_sequence(system, protocol)
+        mx = sum(embed_spin_operator(system, i, "x") for i in range(system.n_spins))
+        runs = [oracle_propagator(system, seq) for seq in (readout, _phase_shifted_pulses(readout, np.pi))]
+        expected = 0.5 * sum(sign * (u.conj().T @ mx @ u) for sign, u in zip((1, -1), runs))
+        assert np.max(np.abs(_signal_observable(system, protocol) - expected)) < 1e-13
+        uncycled = _signal_observable(system, replace(protocol, phase_cycle=False))
+        assert np.max(np.abs(uncycled - expected)) > 1e-3
+
 
 class TestReadoutSequence:
     """The readout runs the preparation backwards on the readout pair, minus its excitation."""
@@ -654,6 +694,16 @@ class TestResonanceHelpers:
         nutation = exact_resonance_nutation(pgg, "phi_plus", 0, 1)
         lock = SpinLockParams(nutation, 0.0, pair_center_offset(pgg, 0))
         assert abs(exact_channel_detuning(pgg, lock, "phi_plus", 0, 1)) < 1e-6
+
+    @pytest.mark.parametrize("channel", ["phi_plus", "phi_0", "phi_minus"])
+    @pytest.mark.parametrize("name", ["glutamate", "phe_gly_gly"])
+    def test_channel_detuning_does_not_depend_on_lock_phase(self, name, channel):
+        system = {"glutamate": glutamate, "phe_gly_gly": phe_gly_gly}[name]()
+        lock = SpinLockParams(320.0, 0.0, pair_center_offset(system, 0))
+        at_zero = exact_channel_detuning(system, lock, channel, 0, 1)
+        for phase in (0.7, np.pi, -2.0):
+            phased = exact_channel_detuning(system, replace(lock, phase=phase), channel, 0, 1)
+            assert abs(phased - at_zero) < 1e-12
 
 
 def oracle_trace(system, protocol):
@@ -860,13 +910,13 @@ class TestPreparedAndPumpedPopulations:
         assert len(eigh_calls) == 1
 
     def test_negative_pump_duration_rejected(self):
+        # rejected where it is declared, before any run
         glu = glutamate()
-        protocol = Protocol(
-            kind="pumping", sweep=np.array([1.0]), transfer=glu_lock(glu, nutation=280.0),
-            pump_transfer_duration_s=-1.0, pump_reset_delay_s=3.1,
-        )
-        with pytest.raises(ValueError, match="duration must be >= 0"):
-            run_pumping(glu, protocol)
+        with pytest.raises(ValueError, match="pump_transfer_duration_s must be finite and >= 0"):
+            Protocol(
+                kind="pumping", sweep=np.array([1.0]), transfer=glu_lock(glu, nutation=280.0),
+                pump_transfer_duration_s=-1.0, pump_reset_delay_s=3.1,
+            )
 
 
 class TestResonanceScanSplitting:
