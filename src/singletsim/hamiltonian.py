@@ -1,7 +1,9 @@
 """Rotating-frame Hamiltonians and the effective two-level transfer theory.
 
 Hamiltonians are stored in ordinary-frequency units (Hz); the factor 2*pi
-enters only in the propagator exponent.  Scalar couplings use the full
+enters only in the propagator exponent.  A generator is float64 when it is
+real (every free Hamiltonian, and a lock or RF term whose phase has zero
+sine) and complex only otherwise.  Scalar couplings use the full
 isotropic form I_i . I_j, which the singlet physics requires.  Generators
 are written in place into one d x d array, entry by basis-state bit index,
 with no dense operator formed per term; each entry is summed in the order a
@@ -87,7 +89,7 @@ def free_hamiltonian(system: SpinSystem, transmitter_offset_hz: float = 0.0) -> 
         diagonal += (system.offsets_hz[i] - transmitter_offset_hz) * iz[i]
     for i, j, j_ij in zip(first, second, couplings):
         diagonal += j_ij * (iz[i] * iz[j])
-    h = np.diag(diagonal.astype(complex))
+    h = np.diag(diagonal)
     # |up_i down_j> <-> |down_i up_j> of each coupled pair
     pair, rows = np.nonzero(~down[first] & down[second])
     cols = rows ^ (masks[first] | masks[second])[pair]
@@ -98,15 +100,17 @@ def free_hamiltonian(system: SpinSystem, transmitter_offset_hz: float = 0.0) -> 
 def rf_generator(system: SpinSystem, phase: float) -> np.ndarray:
     """Transverse operator sum_i (cos(phase) I_ix + sin(phase) I_iy) driven by RF at a phase.
 
-    Written in place on each spin's single-flip entries.
+    Written in place on each spin's single-flip entries; real when sin(phase) is 0.
     """
     cx, sy = np.cos(phase), np.sin(phase)
     masks, down = _spin_states(system)
     spin, up = np.nonzero(~down)
     flipped = up | masks[spin]
-    g = np.zeros((system.dim, system.dim), dtype=complex)
-    g[up, flipped] = cx * 0.5 - 0.5j * sy
-    g[flipped, up] = cx * 0.5 + 0.5j * sy
+    g = np.zeros((system.dim, system.dim), dtype=float if sy == 0.0 else complex)
+    g[up, flipped] = g[flipped, up] = cx * 0.5
+    if sy != 0.0:
+        g[up, flipped] -= 0.5j * sy
+        g[flipped, up] += 0.5j * sy
     return g
 
 
@@ -118,7 +122,7 @@ def spinlock_hamiltonian(system: SpinSystem, params: SpinLockParams) -> np.ndarr
     """
     h = free_hamiltonian(system, params.transmitter_offset_hz)
     if params.nutation_hz != 0.0:
-        h += params.nutation_hz * rf_generator(system, params.phase)
+        h = h + params.nutation_hz * rf_generator(system, params.phase)
     return h
 
 

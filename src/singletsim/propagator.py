@@ -6,16 +6,20 @@ is exact for the piecewise-constant Hamiltonians used here.  A lock at RF
 phase phi has the generator Z H(0) Z^dagger with Z = exp(-i phi Fz), and
 H(0) is real symmetric: each distinct phase-0 generator (a segment at phase
 0 without its duration) is diagonalised once per call, in real arithmetic,
-and its eigenvectors are rotated to each phase, so locks that differ only
-in phase share one `eigh`; this is the one place RF phase enters the
-evolution.  A hard pulse is an ideal zero-duration
-rotation, the same 2 x 2 rotation on every spin, written in closed form by
-bit index with no `eigh`.  `swept_expectations` reads every population: a
-sweep of a duration tau shared by k consecutive segments (a fixed sequence
-is a one-point sweep) is read in their eigenbases, vectorised over tau for
-k = 1, with no propagator formed per tau.  It reads each assigned pair's
-singlet population from the rows of the pair's |ud> and |du> states, with
-no d x d projector, then any dense observables.
+and its eigenvectors are rotated to each nonzero phase, so locks that differ
+only in phase share one `eigh`; this is the one place RF phase enters the
+evolution.  `sequences` runs each transfer in its lock's frame, where that
+lock is at phase 0 and its eigenvectors stay real.  A hard pulse is an ideal
+zero-duration rotation, the same 2 x 2 rotation on every spin, written in
+closed form by bit index with no `eigh`.  `swept_expectations` reads every
+population: a sweep of a duration tau shared by k consecutive segments (a
+fixed sequence is a one-point sweep) is read in their eigenbases, vectorised
+over tau for k = 1, with no propagator formed per tau.  It reads each
+assigned pair's singlet population from the rows of the pair's |ud> and
+|du> states, with no d x d projector, then any dense observables.  Arrays
+stay float64 while every factor is real, and a product of a real factor
+with a complex one runs as one real product on the complex factor's real
+view (`_mul`).
 Relaxation enters only as phenomenological decay envelopes applied to
 observable traces.
 """
@@ -93,7 +97,8 @@ def _segment_eig(
     """(E, V) of the segment's generator H(phase) = Z H(0) Z^dagger, Z = exp(-i phase Fz).
 
     H(0) is real symmetric, so it is diagonalised in real arithmetic, once
-    per table whatever the phase; V(phase) = Z V(0) scales its rows.
+    per table whatever the phase; V(phase) = Z V(0) scales its rows, and at
+    phase 0 the real V(0) is returned as it is.
     """
     key, phase = _phase_free(segment)
     if key not in eigs:
@@ -102,12 +107,33 @@ def _segment_eig(
             raise ValueError("the phase-0 generator of a segment must be real")
         eigs[key] = np.linalg.eigh(h0.real)
     energies, vectors = eigs[key]
+    if phase == 0.0:
+        return energies, vectors
     return energies, np.exp(-1j * phase * _fz(system))[:, None] * vectors
+
+
+def _angles(energies: np.ndarray, durations_s) -> np.ndarray:
+    """-2 pi E t: the phase each eigenvalue E gathers over each duration t."""
+    return (-2 * np.pi * energies) * durations_s
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2-d arrays; a real factor multiplies the complex one's real view.
+
+    numpy's own real-by-complex product is slower than a complex one; a real
+    a applied to b viewed as (d, 2d) reals is one real product, half the work.
+    """
+    if np.iscomplexobj(a) == np.iscomplexobj(b):
+        return a @ b
+    if np.iscomplexobj(b):
+        return (a @ np.ascontiguousarray(b).view(np.float64)).view(np.complex128)
+    return _mul(b.T, a.T).T
 
 
 def _unitary(eig: tuple[np.ndarray, np.ndarray], duration_s: float) -> np.ndarray:
     energies, vectors = eig
-    return vectors @ (np.exp(-2j * np.pi * energies * duration_s)[:, None] * vectors.conj().T)
+    phases = np.exp(1j * _angles(energies, duration_s))
+    return _mul(vectors, phases[:, None] * np.conjugate(vectors.T, order="C"))
 
 
 def _pulse(system: SpinSystem, pulse: HardPulse) -> np.ndarray:
@@ -170,42 +196,59 @@ def swept_expectations(
     pair's singlet projector sums |S0, rest><S0, rest| over the other spins,
     so its M is B^dagger B with B = (W[ud] - W[du]) / sqrt(2), the rows of W
     at the pair's |ud> and |du> states.  For one swept segment, with
-    a = exp(-2 pi i E tau), the trace is sum_ij a_i R_ij conj(a_j) M_ji: one
-    (n_tau, d) x (d, d) product per row.  For more, R is carried from each
-    eigenbasis to the next through the overlaps C_j = V_{j+1}^dagger V_j,
-    one tau at a time.  No propagator is formed per tau.
+    a = exp(-2 pi i E tau), the trace is Re sum_ij a_i R_ij conj(a_j) M_ji,
+    read in real arithmetic: one (2 n_tau, d) x (d, d) real product per row
+    of [cos; sin] of the phases against R * M^T, over its real view when it
+    is complex.  For more, R is carried from each eigenbasis to the next
+    through the overlaps C_j = V_{j+1}^dagger V_j, one tau at a time.  No
+    propagator is formed per tau.  With real eigenvectors, rho0 and
+    observables, every array here is float64.
     """
     check_density(rho0)
     eigs: dict[SpinLock | Delay, tuple[np.ndarray, np.ndarray]] = {}
     u_before, u_after = (_propagator(system, played, eigs) for played in (before, after))
     bases = [_segment_eig(system, segment, eigs) for segment in segments]
-    y = bases[0][1] if u_before is None else u_before.conj().T @ bases[0][1]
-    w = bases[-1][1] if u_after is None else u_after @ bases[-1][1]
-    r = y.conj().T @ rho0 @ y
+    y = bases[0][1] if u_before is None else _mul(u_before.conj().T, bases[0][1])
+    w = bases[-1][1] if u_after is None else _mul(u_after, bases[-1][1])
+    r = _mul(y.conj().T, _mul(rho0, y))
     masks, down = _spin_states(system)
     m_t = []  # the transpose of each M
     for a, b in system.pairs:
         ud = np.flatnonzero(~down[a] & down[b])
         diff = w[ud] - w[ud ^ (masks[a] | masks[b])]  # sqrt(2) B
         m_t.append(0.5 * (diff.T @ diff.conj()))
-    m_t += [(w.conj().T @ obs @ w).T for obs in observables]
+    m_t += [_mul(_mul(w.conj().T, obs), w).T for obs in observables]
 
-    def read(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """sum_ij a_i x_ij conj(a_j) M_ji for each M, over a's leading axis."""
-        return np.array([((a @ (x * mt)) * a.conj()).sum(axis=-1).real for mt in m_t])
+    def read(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """Re sum_ij a_i x_ij conj(a_j) M_ji for each M, a = exp(i theta), over theta's leading axis.
 
-    # same rounding order as _unitary, so each tau's phases match its propagator's
+        With c = cos(theta), s = sin(theta) and X = x * M^T, the sum is
+        c X c + s X s over Re X, plus c X s - s X c over Im X when X is complex.
+        """
+        n = theta.shape[0]
+        cs = np.concatenate([np.cos(theta), np.sin(theta)])
+        rows = []
+        for mt in m_t:
+            g = _mul(cs, x * mt)  # [c X; s X]
+            value = (g.real * cs).reshape(2, n, -1).sum(axis=(0, 2))
+            if np.iscomplexobj(g):
+                value += (g[:n].imag * cs[n:] - g[n:].imag * cs[:n]).sum(axis=-1)
+            rows.append(value)
+        return np.array(rows)
+
+    # the angles round as _unitary's do, so each tau's phases match its propagator's
     taus = np.asarray(durations_s, dtype=float)[:, None]
-    phases = [np.exp(-2j * np.pi * energies * taus) for energies, _ in bases]
+    angles = [_angles(energies, taus) for energies, _ in bases]
     if len(bases) == 1:
-        return read(r, phases[0])
-    overlaps = [v_next.conj().T @ v for (_, v), (_, v_next) in zip(bases, bases[1:])]
+        return read(r, angles[0])
+    phases = [np.exp(1j * theta) for theta in angles[:-1]]
+    overlaps = [_mul(v_next.conj().T, v) for (_, v), (_, v_next) in zip(bases, bases[1:])]
     values = np.empty((len(m_t), taus.shape[0]))
     for n in range(taus.shape[0]):
         x = r
         for c, a in zip(overlaps, phases):
-            x = c @ (a[n, :, None] * x * a[n].conj()) @ c.conj().T
-        values[:, n] = read(x, phases[-1][n])
+            x = _mul(_mul(c, a[n, :, None] * x * a[n].conj()), c.conj().T)
+        values[:, n] = read(x, angles[-1][n : n + 1])[:, 0]
     return values
 
 

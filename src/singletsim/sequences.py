@@ -18,6 +18,14 @@ The `signal_proxy` readout is one observable, the transverse magnetization
 back-propagated once per run through the readout sequence with
 `sequence_propagator`; its 0/pi phase cycle is a coherence-parity filter on
 that observable, with no second, phase-shifted readout run.
+
+Each run is simulated in the rotating frame of its transfer lock
+(`_in_frame`): every segment's RF phase is taken relative to that lock's, so
+the ideal state is built at phase 0 and is real, and the transfer lock's
+eigenvectors are real.  Pair singlet projectors and the thermal state
+commute with Fz, so populations read the same as in the lab frame; the
+transfer phase enters only the signal observable O, as Z^dagger O Z with
+Z = exp(-i phase Fz).  A preparation runs in the frame of its own lock.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ from .propagator import (
     RelaxationEnvelope,
     Segment,
     SpinLock,
+    _mul,
     apply_relaxation_envelope,
     sequence_propagator,
     swept_expectations,
@@ -55,7 +64,6 @@ from .spincore import (
     _fz,
     maximally_mixed_triplet,
     pair_product_density,
-    rotate_pair_ket_phase,
     thermal_state,
 )
 from .trace import Trace
@@ -209,17 +217,16 @@ def prep_sequence(system: SpinSystem, pair_index: int, prep: PrepSpec) -> list[S
     raise ValueError("ideal preparation has no pulse sequence")
 
 
-def _triplet_block(init: str | TripletAmplitudes, lock_phase: float) -> np.ndarray:
+def _triplet_block(init: str | TripletAmplitudes) -> np.ndarray:
     """4x4 pair density for the non-singlet pair at the start of a transfer.
 
-    Pure compositions are expressed in the lock-axis dressed basis, so the
-    kets rotate with the lock phase; the maximally mixed triplet is
-    phase-invariant.
+    Pure compositions are expressed in the dressed basis of a lock along +x,
+    the transfer lock in its own frame.
     """
     if init == "uniform":
         return maximally_mixed_triplet()
     amplitudes = PHI_COMPOSITIONS[init] if isinstance(init, str) else init
-    ket = rotate_pair_ket_phase(PAIR_BASIS.phi_for(amplitudes), lock_phase)
+    ket = PAIR_BASIS.phi_for(amplitudes)
     return np.outer(ket, ket.conj())
 
 
@@ -227,11 +234,13 @@ def ideal_transfer_state(
     system: SpinSystem,
     source_pair: int,
     triplet_init: str | TripletAmplitudes = "uniform",
-    lock_phase: float = 0.0,
 ) -> np.ndarray:
-    """Singlet on the source pair, the configured triplet on every other pair."""
+    """Singlet on the source pair, the configured triplet on every other pair.
+
+    The state in the transfer lock's frame; it is real.
+    """
     singlet = np.outer(PAIR_BASIS.s0, PAIR_BASIS.s0.conj())
-    triplet = _triplet_block(triplet_init, lock_phase)
+    triplet = _triplet_block(triplet_init)
     blocks = [singlet if p == source_pair else triplet for p in range(len(system.pairs))]
     return pair_product_density(system, blocks)
 
@@ -241,16 +250,17 @@ def prepared_singlet_population(
 ) -> float:
     """Source-pair singlet population achieved by simulating the preparation.
 
-    The last segment is read as a one-point sweep of its own duration.
+    Simulated in the frame of the preparation's lock; the last segment is
+    read as a one-point sweep of its own duration.
     """
     thermal = thermal_state(system, prep.polarization)
-    *before, last = prep_sequence(system, pair_index, prep)
+    *before, last = _in_frame(prep_sequence(system, pair_index, prep), prep.phase)
     values = swept_expectations(system, thermal, before, [last], [last.duration_s], [], [])
     return float(values[pair_index, 0])
 
 
 def transfer_initial_state(system: SpinSystem, protocol: Protocol) -> np.ndarray:
-    """Initial density for a transfer run.
+    """Initial density for a transfer run, in the transfer lock's frame.
 
     Ideal preparation yields the pure singlet (x) mixed-triplet product.
     A simulated preparation is folded in by mixing the ideal order with the
@@ -259,9 +269,7 @@ def transfer_initial_state(system: SpinSystem, protocol: Protocol) -> np.ndarray
     """
     system.pair(protocol.source_pair)
     system.pair(protocol.readout_pair)
-    ideal = ideal_transfer_state(
-        system, protocol.source_pair, protocol.triplet_init, protocol.transfer.phase
-    )
+    ideal = ideal_transfer_state(system, protocol.source_pair, protocol.triplet_init)
     if protocol.prep.kind == "ideal":
         return ideal
     achieved = prepared_singlet_population(system, protocol.source_pair, protocol.prep)
@@ -270,7 +278,7 @@ def transfer_initial_state(system: SpinSystem, protocol: Protocol) -> np.ndarray
     return ideal * weight + np.eye(system.dim) / system.dim * (1.0 - weight)
 
 
-def _signal_observable(system: SpinSystem, protocol: Protocol) -> np.ndarray:
+def _signal_observable(system: SpinSystem, protocol: Protocol, frame: float) -> np.ndarray:
     """Total transverse magnetization back-propagated through the readout sequence.
 
     tr(U rho U^dagger Mx) = tr(rho U^dagger Mx U) = tr(rho O).  A phase cycle
@@ -278,14 +286,16 @@ def _signal_observable(system: SpinSystem, protocol: Protocol) -> np.ndarray:
     by pi.  That run's propagator is Z U Z^dagger with Z = exp(-i pi Fz) (free
     delays commute with Fz), and Z^dagger Mx Z = -Mx, so the cycled observable
     is (O + Z O Z^dagger) / 2: O with every entry zeroed whose two basis
-    states' Fz differ by an odd number, a coherence-parity filter.
+    states' Fz differ by an odd number, a coherence-parity filter.  O is
+    returned in the frame of a lock at RF phase `frame`, as Z^dagger O Z with
+    Z = exp(-i frame Fz): entry k, l scaled by exp(i frame (m_k - m_l)), m = Fz.
     """
     u = sequence_propagator(system, _readout_sequence(system, protocol))
-    observable = u.conj().T @ rf_generator(system, 0.0) @ u
+    observable = _mul(u.conj().T, _mul(rf_generator(system, 0.0), u))
+    fz = _fz(system)
     if protocol.phase_cycle:
-        fz = _fz(system)
         observable[(fz[:, None] - fz) % 2 == 1] = 0.0
-    return observable
+    return np.exp(1j * frame * (fz[:, None] - fz)) * observable
 
 
 def _readout_sequence(system: SpinSystem, protocol: Protocol) -> list[Segment]:
@@ -329,12 +339,35 @@ def _base_metadata(system: SpinSystem, protocol: Protocol, sweep_unit: str) -> d
     }
 
 
-def _sweep_trace(system: SpinSystem, protocol: Protocol, rho0: np.ndarray,
+def _in_frame(segments: list[Segment], phase: float) -> list[Segment]:
+    """The segments in the rotating frame of a lock at RF phase `phase`.
+
+    Every pulse and lock phase is taken relative to `phase`, which turns each
+    propagator U into Z^dagger U Z with Z = exp(-i phase Fz); free delays
+    commute with Fz.  Pair singlet populations read the same in either frame.
+    """
+    shifted: list[Segment] = []
+    for seg in segments:
+        if isinstance(seg, HardPulse):
+            seg = HardPulse(seg.flip_angle, seg.phase - phase)
+        elif isinstance(seg, SpinLock):
+            seg = SpinLock(replace(seg.params, phase=seg.params.phase - phase), seg.duration_s)
+        shifted.append(seg)
+    return shifted
+
+
+def _sweep_trace(system: SpinSystem, protocol: Protocol, frame: float, rho0: np.ndarray,
                  before: list[Segment], swept: list[SpinLock], after: list[Segment],
                  envelope: RelaxationEnvelope | None, **metadata) -> Trace:
-    """Trace of rho0 through before, the swept locks (each lasting every tau) and after."""
+    """Trace of rho0 through before, the swept locks (each lasting every tau) and after.
+
+    The run is simulated in the frame of a lock at RF phase `frame`, in which
+    rho0 is given: `_in_frame` takes every segment's phase relative to it,
+    and the signal observable is moved into that frame.
+    """
     n_pairs = len(system.pairs)
-    signal = [_signal_observable(system, protocol)] if protocol.readout == "signal_proxy" else []
+    signal = [_signal_observable(system, protocol, frame)] if protocol.readout == "signal_proxy" else []
+    before, swept, after = (_in_frame(segments, frame) for segments in (before, swept, after))
     values = swept_expectations(system, rho0, before, swept, protocol.sweep, after, signal)
     readout = n_pairs if protocol.readout == "signal_proxy" else protocol.readout_pair
     metadata = {**_base_metadata(system, protocol, "s"), **metadata}
@@ -352,7 +385,7 @@ def run_rabi(
         raise ValueError(f"run_rabi needs a rabi protocol, got {protocol.kind!r}")
     rho0 = transfer_initial_state(system, protocol)
     lock = SpinLock(protocol.transfer, 0.0)
-    return _sweep_trace(system, protocol, rho0, [], [lock], [], envelope)
+    return _sweep_trace(system, protocol, protocol.transfer.phase, rho0, [], [lock], [], envelope)
 
 
 def run_double_rabi(
@@ -362,9 +395,9 @@ def run_double_rabi(
     if protocol.kind != "double_rabi":
         raise ValueError(f"run_double_rabi needs a double_rabi protocol, got {protocol.kind!r}")
     lock_a, lock_b = (replace(protocol.transfer, phase=p) for p in protocol.double_rabi_phases)
-    rho0 = transfer_initial_state(system, replace(protocol, transfer=lock_a))
+    rho0 = transfer_initial_state(system, protocol)
     swept = [SpinLock(lock_a, 0.0), SpinLock(lock_b, 0.0)]
-    return _sweep_trace(system, protocol, rho0, [], swept, [], envelope,
+    return _sweep_trace(system, protocol, lock_a.phase, rho0, [], swept, [], envelope,
                         double_rabi_phases_rad=[lock_a.phase, lock_b.phase])
 
 
@@ -377,7 +410,7 @@ def run_ramsey(
     rho0 = transfer_initial_state(system, protocol)
     half = SpinLock(protocol.transfer, protocol.pi_half_duration_s)
     free = SpinLock(protocol.free_lock, 0.0)
-    return _sweep_trace(system, protocol, rho0, [half], [free], [half], envelope,
+    return _sweep_trace(system, protocol, protocol.transfer.phase, rho0, [half], [free], [half], envelope,
                         free_nutation_hz=protocol.free_lock.nutation_hz,
                         pi_half_duration_s=protocol.pi_half_duration_s)
 
@@ -418,7 +451,7 @@ def run_resonance_scan(
             prep=protocol.prep,
             triplet_init=protocol.triplet_init,
         )
-        trace = _sweep_trace(system, point, rho0, [], [SpinLock(lock, 0.0)], [], envelope)
+        trace = _sweep_trace(system, point, lock.phase, rho0, [], [SpinLock(lock, 0.0)], [], envelope)
         delta_nu_n[k] = effective_nutation_difference(float(nutation), delta_nu12)
         try:
             fit = fit_rabi(trace, mode=mode, with_decay=envelope is not None)
@@ -451,7 +484,7 @@ def run_pumping(
     rho0 = transfer_initial_state(system, protocol)
     lock = SpinLock(protocol.transfer, protocol.pump_transfer_duration_s)
     before, after = swept_expectations(
-        system, rho0, [], [lock], [0.0, lock.duration_s], [], []
+        system, rho0, [], _in_frame([lock], protocol.transfer.phase), [0.0, lock.duration_s], [], []
     )[protocol.readout_pair]
     gain = float(after - before)
 

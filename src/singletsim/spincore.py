@@ -12,12 +12,15 @@ Conventions (fixed throughout the package):
 
 The module holds spin systems, the singlet/triplet and dressed pair kets
 (`PAIR_BASIS`), the initial densities and density validation.  Densities
-are dense complex Hermitian, unit-trace, positive-semidefinite arrays,
+are dense Hermitian, unit-trace, positive-semidefinite arrays, float64 where
+the state is real (the pair kets, the mixed triplet, the pseudo-thermal
+state and every product of real pair blocks) and complex only otherwise,
 assembled by basis-state bit index with no Kronecker products: `_basis_split`
 gives each basis state's pattern over some spins and the index of the rest,
 and `_spin_states` each spin's bit, from which `hamiltonian` writes its
 generators and `propagator` reads pair populations; `_fz` is each basis
-state's total Fz, which `propagator` rotates RF phases with.  `check_density`
+state's total Fz, which `propagator` rotates RF phases with and `sequences`
+moves an observable into a transfer lock's frame with.  `check_density`
 accepts a state whose rho + EIGENVALUE_TOL * I has a Cholesky factor, and
 tests only the others by their smallest eigenvalue.
 """
@@ -144,22 +147,15 @@ class PairBasis:
 
 
 PAIR_BASIS = PairBasis(
-    s0=np.array([0, 1, -1, 0], dtype=complex) / SQRT2,
-    t_minus=np.array([1, 0, 0, 0], dtype=complex),
-    t_0=np.array([0, 1, 1, 0], dtype=complex) / SQRT2,
-    t_plus=np.array([0, 0, 0, 1], dtype=complex),
-    phi_plus=np.array([1, 1, 1, 1], dtype=complex) / 2.0,
-    phi_0=np.array([1, 0, 0, -1], dtype=complex) / SQRT2,
-    phi_s=np.array([0, 1, -1, 0], dtype=complex) / SQRT2,
-    phi_minus=np.array([-1, 1, 1, -1], dtype=complex) / 2.0,
+    s0=np.array([0.0, 1, -1, 0]) / SQRT2,
+    t_minus=np.array([1.0, 0, 0, 0]),
+    t_0=np.array([0.0, 1, 1, 0]) / SQRT2,
+    t_plus=np.array([0.0, 0, 0, 1]),
+    phi_plus=np.array([1.0, 1, 1, 1]) / 2.0,
+    phi_0=np.array([1.0, 0, 0, -1]) / SQRT2,
+    phi_s=np.array([0.0, 1, -1, 0]) / SQRT2,
+    phi_minus=np.array([-1.0, 1, 1, -1]) / 2.0,
 )
-
-
-def rotate_pair_ket_phase(ket: np.ndarray, phase: float) -> np.ndarray:
-    """Rotate a 4-component pair ket about z so the +x lock axis maps to the given phase."""
-    # exp(-i phase (I_az + I_bz)); diagonal in the local basis
-    mz = np.array([1.0, 0.0, 0.0, -1.0])
-    return np.exp(-1j * phase * mz) * ket
 
 
 def _basis_split(system: SpinSystem, spins: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -191,17 +187,17 @@ def pair_product_density(system: SpinSystem, pair_densities: list[np.ndarray]) -
     covered = {i for p in system.pairs for i in p}
     if covered != set(range(system.n_spins)):
         raise ValueError("pair assignments do not cover all spins")
-    rho = np.ones((system.dim, system.dim), dtype=complex)
+    rho = 1.0  # takes the blocks' dtype: real blocks give a real density
     for pair, rho4 in zip(system.pairs, pair_densities):
         pattern, _ = _basis_split(system, pair)
-        rho = rho * np.asarray(rho4, dtype=complex)[np.ix_(pattern, pattern)]
+        rho = rho * np.asarray(rho4)[np.ix_(pattern, pattern)]
     return rho
 
 
 def maximally_mixed_triplet() -> np.ndarray:
     """4x4 density of a pair with equal phi+, phi0, phi- populations and no singlet."""
     b = PAIR_BASIS
-    rho = np.zeros((4, 4), dtype=complex)
+    rho = np.zeros((4, 4))
     for ket in (b.phi_plus, b.phi_0, b.phi_minus):
         rho += np.outer(ket, ket.conj()) / 3.0
     return rho
@@ -216,7 +212,7 @@ def thermal_state(system: SpinSystem, polarization: float = 1.0) -> np.ndarray:
     if not -1.0 <= polarization <= 1.0:
         raise ValueError("polarization must lie in [-1, 1] to keep the state positive")
     scale = 2.0 * polarization / system.n_spins
-    return np.diag(((1.0 + scale * _fz(system)) / system.dim).astype(complex))
+    return np.diag((1.0 + scale * _fz(system)) / system.dim)
 
 
 def check_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:

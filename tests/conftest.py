@@ -6,7 +6,9 @@ for the package's generators, populations and fits.  The evolution oracle is
 independent of the engine's tables and its closed-form pulses: one `eigh`
 per segment, of the segment's real phase-0 generator.  A phase-cycled
 readout is checked against its second, phase-shifted run, built segment by
-segment with `_phase_shifted_pulses`.
+segment with `_phase_shifted_pulses`.  The package simulates each run in its
+transfer lock's frame; the oracles work in the lab frame, from the initial
+state `ideal_transfer_state` builds at the transfer lock's phase.
 """
 
 from __future__ import annotations
@@ -18,7 +20,25 @@ import pytest
 
 from singletsim.analysis import FitInputError, _trace_xy
 from singletsim.propagator import HardPulse, Segment, SpinLock, segment_hamiltonian
-from singletsim.spincore import PAIR_BASIS, SpinSystem, _basis_split
+from singletsim.spincore import (
+    PAIR_BASIS,
+    PHI_COMPOSITIONS,
+    SpinSystem,
+    TripletAmplitudes,
+    _basis_split,
+    maximally_mixed_triplet,
+    pair_product_density,
+)
+
+
+def pytest_configure(config):
+    # a complex value written into a real array loses its imaginary part with
+    # only a warning; in tests that is an error.  numpy < 1.25 has no
+    # numpy.exceptions, and the floor is 1.24
+    complex_warning = getattr(np, "exceptions", np).ComplexWarning
+    name = f"{complex_warning.__module__}.{complex_warning.__qualname__}"
+    config.addinivalue_line("filterwarnings", f"error::{name}")
+
 
 # single spin-1/2 operators
 SIGMA_X = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
@@ -103,6 +123,40 @@ def pure_state_density(vec: np.ndarray) -> np.ndarray:
 def product_state(system: SpinSystem, pair_kets: list[np.ndarray]) -> np.ndarray:
     """Pure density matrix of the tensor product of per-pair kets."""
     return pure_state_density(product_state_vector(system, pair_kets))
+
+
+def rotate_pair_ket_phase(ket: np.ndarray, phase: float) -> np.ndarray:
+    """Rotate a 4-component pair ket about z so the +x lock axis maps to the given phase."""
+    # exp(-i phase (I_az + I_bz)); diagonal in the local basis
+    mz = np.array([1.0, 0.0, 0.0, -1.0])
+    return np.exp(-1j * phase * mz) * ket
+
+
+def _triplet_block(init: str | TripletAmplitudes, lock_phase: float) -> np.ndarray:
+    """4x4 pair density for the non-singlet pair at the start of a transfer.
+
+    Pure compositions are expressed in the lock-axis dressed basis, so the
+    kets rotate with the lock phase; the maximally mixed triplet is
+    phase-invariant.
+    """
+    if init == "uniform":
+        return maximally_mixed_triplet()
+    amplitudes = PHI_COMPOSITIONS[init] if isinstance(init, str) else init
+    ket = rotate_pair_ket_phase(PAIR_BASIS.phi_for(amplitudes), lock_phase)
+    return np.outer(ket, ket.conj())
+
+
+def ideal_transfer_state(
+    system: SpinSystem,
+    source_pair: int,
+    triplet_init: str | TripletAmplitudes = "uniform",
+    lock_phase: float = 0.0,
+) -> np.ndarray:
+    """Singlet on the source pair, the configured triplet on every other pair."""
+    singlet = np.outer(PAIR_BASIS.s0, PAIR_BASIS.s0.conj())
+    triplet = _triplet_block(triplet_init, lock_phase)
+    blocks = [singlet if p == source_pair else triplet for p in range(len(system.pairs))]
+    return pair_product_density(system, blocks)
 
 
 class NoOscillationError(ValueError):

@@ -25,7 +25,7 @@ from functools import cache
 import mpmath
 import numpy as np
 import pytest
-from conftest import _phase_shifted_pulses
+from conftest import _phase_shifted_pulses, ideal_transfer_state
 
 from singletsim.hamiltonian import SpinLockParams, pair_center_offset
 from singletsim.presets import glutamate
@@ -34,7 +34,6 @@ from singletsim.sequences import (
     PrepSpec,
     Protocol,
     _readout_sequence,
-    ideal_transfer_state,
     prep_sequence,
     run_double_rabi,
     run_rabi,

@@ -5,8 +5,16 @@ import pytest
 from conftest import embed_spin_operator, expectation, oracle_state, singlet_projector, triplet_projector
 
 from singletsim import propagator as engine
+from singletsim import sequences
 from singletsim.analysis import fit_exponential
-from singletsim.hamiltonian import SpinLockParams, rf_generator, spinlock_hamiltonian
+from singletsim.hamiltonian import (
+    SpinLockParams,
+    free_hamiltonian,
+    pair_center_offset,
+    rf_generator,
+    spinlock_hamiltonian,
+)
+from singletsim.presets import glutamate, phe_gly_gly
 from singletsim.propagator import (
     Delay,
     HardPulse,
@@ -132,6 +140,55 @@ class TestPhaseRotation:
         monkeypatch.setattr(engine, "free_hamiltonian", complex_free_hamiltonian)
         with pytest.raises(ValueError, match="must be real"):
             sequence_propagator(coupled_pair(), [Delay(0.1)])
+
+
+class TestRealArithmetic:
+    # in a transfer lock's frame the phase-0 operators are real; float64
+    # keeps every product on them in real arithmetic
+    @pytest.mark.parametrize("make", [glutamate, lambda: phe_gly_gly(include_third_pair=True)])
+    def test_phase_0_operators_and_states_are_float64(self, make):
+        system = make()
+        lock = SpinLockParams(310.0, 0.0, pair_center_offset(system, 0))
+        assert free_hamiltonian(system, 12.0).dtype == np.float64
+        assert spinlock_hamiltonian(system, lock).dtype == np.float64
+        assert thermal_state(system, 0.9).dtype == np.float64
+        for init in ("uniform", "phi_minus"):
+            assert sequences.ideal_transfer_state(system, 0, init).dtype == np.float64
+        energies, vectors = engine._segment_eig(system, SpinLock(lock, 0.0), {})
+        assert vectors.dtype == np.float64
+        _, phased = engine._segment_eig(system, SpinLock(replace(lock, phase=0.7), 0.0), {})
+        assert phased.dtype == np.complex128
+
+    def test_phased_lock_is_complex(self):
+        system = coupled_pair()
+        assert spinlock_hamiltonian(system, SpinLockParams(30.0, 0.7)).dtype == np.complex128
+        assert rf_generator(system, np.pi / 2).dtype == np.complex128
+
+    def test_rabi_at_a_nonzero_transfer_phase_reads_in_real_arithmetic(self, monkeypatch):
+        # rho0, each pair's M and the swept read: every product is real by real
+        glu = glutamate()
+        lock = SpinLockParams(599.31, 0.7, pair_center_offset(glu, 0))
+        protocol = sequences.Protocol(kind="rabi", sweep=np.linspace(0.05, 1.0, 6), transfer=lock,
+                                      triplet_init="phi_minus")
+        states, products = [], []
+        swept, mul = sequences.swept_expectations, engine._mul
+
+        def recording_swept(system, rho0, *args):
+            states.append(rho0)
+            return swept(system, rho0, *args)
+
+        def recording_mul(a, b):
+            out = mul(a, b)
+            products.append((a.dtype, b.dtype, out.dtype))
+            return out
+
+        monkeypatch.setattr(sequences, "swept_expectations", recording_swept)
+        monkeypatch.setattr(engine, "_mul", recording_mul)
+        sequences.run_rabi(glu, protocol)
+        assert [rho.dtype for rho in states] == [np.float64]
+        # r = V^T rho0 V, then one read per pair: x * M^T against [cos; sin]
+        assert len(products) == 2 + len(glu.pairs)
+        assert all(dtypes == (np.float64,) * 3 for dtypes in products)
 
 
 class TestPropagate:

@@ -7,6 +7,7 @@ from conftest import (
     _phase_shifted_pulses,
     embed_spin_operator,
     expectation,
+    ideal_transfer_state,
     oracle_propagator,
     oracle_state,
     singlet_projector,
@@ -29,7 +30,6 @@ from singletsim.sequences import (
     effective_receiving_trace,
     exact_channel_detuning,
     exact_resonance_nutation,
-    ideal_transfer_state,
     prep_sequence,
     prepared_singlet_population,
     run_double_rabi,
@@ -638,8 +638,8 @@ class TestSignalProxyReadout:
         mx = sum(embed_spin_operator(system, i, "x") for i in range(system.n_spins))
         runs = [oracle_propagator(system, seq) for seq in (readout, _phase_shifted_pulses(readout, np.pi))]
         expected = 0.5 * sum(sign * (u.conj().T @ mx @ u) for sign, u in zip((1, -1), runs))
-        assert np.max(np.abs(_signal_observable(system, protocol) - expected)) < 1e-13
-        uncycled = _signal_observable(system, replace(protocol, phase_cycle=False))
+        assert np.max(np.abs(_signal_observable(system, protocol, 0.0) - expected)) < 1e-13
+        uncycled = _signal_observable(system, replace(protocol, phase_cycle=False), 0.0)
         assert np.max(np.abs(uncycled - expected)) > 1e-3
 
 
@@ -706,20 +706,26 @@ class TestResonanceHelpers:
             assert abs(phased - at_zero) < 1e-12
 
 
+def oracle_initial_state(system, protocol, lock_phase):
+    """The lab-frame initial state: the ideal order at the first lock's phase, mixed to the prepared population."""
+    rho0 = ideal_transfer_state(system, protocol.source_pair, protocol.triplet_init, lock_phase)
+    if protocol.prep.kind == "ideal":
+        return rho0
+    prep = oracle_propagator(system, prep_sequence(system, protocol.source_pair, protocol.prep))
+    thermal = thermal_state(system, protocol.prep.polarization)
+    source = singlet_projector(system, protocol.source_pair)
+    achieved = np.trace(prep @ thermal @ prep.conj().T @ source).real
+    weight = np.clip((achieved - 0.25) / 0.75, 0.0, 1.0)
+    return rho0 * weight + np.eye(system.dim) / system.dim * (1.0 - weight)
+
+
 def oracle_trace(system, protocol):
-    """(observable, populations) of a rabi, ramsey or double_rabi protocol, point by point."""
+    """(observable, populations) of a rabi, ramsey or double_rabi protocol, point by point, in the lab frame."""
     lock = lock_b = protocol.transfer
     if protocol.kind == "double_rabi":
         nutation, tx = lock.nutation_hz, lock.transmitter_offset_hz
         lock, lock_b = (SpinLockParams(nutation, p, tx) for p in protocol.double_rabi_phases)
-    rho0 = ideal_transfer_state(system, protocol.source_pair, protocol.triplet_init, lock.phase)
-    if protocol.prep.kind != "ideal":
-        prep = oracle_propagator(system, prep_sequence(system, protocol.source_pair, protocol.prep))
-        thermal = thermal_state(system, protocol.prep.polarization)
-        source = singlet_projector(system, protocol.source_pair)
-        achieved = np.trace(prep @ thermal @ prep.conj().T @ source).real
-        weight = np.clip((achieved - 0.25) / 0.75, 0.0, 1.0)
-        rho0 = rho0 * weight + np.eye(system.dim) / system.dim * (1.0 - weight)
+    rho0 = oracle_initial_state(system, protocol, lock.phase)
     readout = _readout_sequence(system, protocol)
     cycle = [(readout, 1.0)]
     if protocol.phase_cycle:
@@ -776,6 +782,30 @@ class TestEvolutionEngine:
     def test_runner_matches_per_segment_oracle(self, kind, prep, readout):
         glu = glutamate()
         protocol = engine_protocol(glu, kind, 4, prep, readout)
+        trace = RUNNERS[kind](glu, protocol)
+        observable, populations = oracle_trace(glu, protocol)
+        assert np.max(np.abs(trace.observable - observable)) < 1e-12
+        assert np.max(np.abs(trace.singlet_populations - populations)) < 1e-12
+
+    @pytest.mark.parametrize("case", [
+        "signal_proxy_rabi_uncycled", "ramsey_free_lock_off_transfer_phase", "double_rabi_not_pi_apart",
+    ])
+    def test_transfer_frame_matches_lab_frame_oracle(self, case):
+        # each run is simulated in its transfer lock's frame; here phases
+        # differ between the locks and the preparation, so the frame shift of
+        # every segment and the rotation of the signal observable show.  The
+        # cycled signal-proxy case is test_runner_matches_per_segment_oracle's
+        glu = glutamate()
+        kind, prep, readout = {
+            "signal_proxy_rabi_uncycled": ("rabi", "slic", "signal_proxy"),
+            "ramsey_free_lock_off_transfer_phase": ("ramsey", "slic", "signal_proxy"),
+            "double_rabi_not_pi_apart": ("double_rabi", "three_pulse", "projector"),
+        }[case]
+        protocol = replace(
+            engine_protocol(glu, kind, 4, prep, readout), phase_cycle=False,
+            free_lock=SpinLockParams(47.0, 2.0, pair_center_offset(glu, 1)), double_rabi_phases=(0.3, 2.1),
+        )
+        assert protocol.prep.phase != protocol.transfer.phase != protocol.free_lock.phase
         trace = RUNNERS[kind](glu, protocol)
         observable, populations = oracle_trace(glu, protocol)
         assert np.max(np.abs(trace.observable - observable)) < 1e-12
@@ -863,11 +893,18 @@ class TestEvolutionEngine:
 ORACLE_SYSTEMS = {
     "glutamate": glutamate,
     "pgg_third_pair": lambda: phe_gly_gly(include_third_pair=True),
+    # odd n: half-integer Fz, so exp(-i pi Fz) is not real
+    "three_spins": lambda: SpinSystem(np.array([400.0, 415.0, 470.0]),
+                                      np.array([[0.0, 15.0, 6.5], [15.0, 0.0, 2.0], [6.5, 2.0, 0.0]]), ((0, 1),)),
 }
 ORACLE_PREPS = {
     "slic": ENGINE_PREPS["slic"],
     "three_pulse": ENGINE_PREPS["three_pulse"],
     "three_pulse_tau3_zero": replace(ENGINE_PREPS["three_pulse"], tau3_s=0.0),
+    # the preparation runs in the frame of prep.phase, which moves every pulse
+    "three_pulse_phased": replace(ENGINE_PREPS["three_pulse"], phase=1.3),
+    # a frame at pi: exp(-i pi Fz) is real only for an even number of spins
+    "slic_at_pi": replace(ENGINE_PREPS["slic"], phase=np.pi),
 }
 
 
@@ -901,6 +938,21 @@ class TestPreparedAndPumpedPopulations:
         rho0 = transfer_initial_state(system, protocol)
         after = oracle_population(system, rho0, [SpinLock(lock, 15.5)], readout)
         expected = after - oracle_population(system, rho0, [], readout)
+        assert abs(gain - expected) < 1e-12
+
+    @pytest.mark.parametrize("init", ["uniform", "phi_minus"])
+    def test_pumping_at_a_transfer_phase_matches_lab_frame_oracle(self, init):
+        # the gain is read in the transfer lock's frame; the oracle starts
+        # from the lab-frame state at the lock's phase
+        glu = glutamate()
+        lock = SpinLockParams(280.0, 1.1, pair_center_offset(glu, 0))
+        protocol = Protocol(
+            kind="pumping", sweep=np.array([1.0]), transfer=lock, prep=ENGINE_PREPS["slic"],
+            triplet_init=init, pump_transfer_duration_s=15.5, pump_reset_delay_s=3.1,
+        )
+        gain = run_pumping(glu, protocol).metadata["per_cycle_gain"]
+        rho0 = oracle_initial_state(glu, protocol, lock.phase)
+        expected = oracle_population(glu, rho0, [SpinLock(lock, 15.5)], 1) - oracle_population(glu, rho0, [], 1)
         assert abs(gain - expected) < 1e-12
 
     def test_three_pulse_prep_diagonalises_each_generator_once(self, eigh_calls):

@@ -6,6 +6,7 @@ from conftest import (
     product_state,
     product_state_vector,
     pure_state_density,
+    rotate_pair_ket_phase,
     singlet_projector,
     triplet_projector,
 )
@@ -18,7 +19,6 @@ from singletsim.spincore import (
     check_hermitian,
     maximally_mixed_triplet,
     pair_product_density,
-    rotate_pair_ket_phase,
     thermal_state,
 )
 
