@@ -8,8 +8,10 @@ H(0) is real symmetric: each distinct phase-0 generator (a segment at phase
 0 without its duration) is diagonalised once per call, in real arithmetic,
 and its eigenvectors are rotated to each nonzero phase, so locks that differ
 only in phase share one `eigh`; this is the one place RF phase enters the
-evolution.  `sequences` runs each transfer in its lock's frame, where that
-lock is at phase 0 and its eigenvectors stay real.  A hard pulse is an ideal
+evolution.  A free delay is a lock at zero nutation: its generator is the
+free Hamiltonian at the transmitter offset, and it carries no RF phase.
+`sequences` runs each transfer in its lock's frame, where that lock is at
+phase 0 and its eigenvectors stay real.  A hard pulse is an ideal
 zero-duration rotation, the same 2 x 2 rotation on every spin, written in
 closed form by bit index with no `eigh`.  `swept_expectations` reads every
 population: a sweep of a duration tau shared by k consecutive segments (a
@@ -30,7 +32,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .hamiltonian import SpinLockParams, free_hamiltonian, spinlock_hamiltonian
+from .hamiltonian import SpinLockParams, spinlock_hamiltonian
 from .spincore import SpinSystem, _fz, _spin_states, check_density, check_hermitian
 from .trace import Trace
 
@@ -45,26 +47,10 @@ class HardPulse:
         if not np.isfinite(self.flip_angle):
             raise ValueError("flip angle must be finite")
 
-    @property
-    def duration_s(self) -> float:
-        return 0.0
-
-
-@dataclass(frozen=True)
-class Delay:
-    """Free evolution under the system Hamiltonian at a given transmitter offset."""
-
-    duration_s: float
-    transmitter_offset_hz: float = 0.0
-
-    def __post_init__(self):
-        if self.duration_s < 0:
-            raise ValueError("delay duration must be >= 0")
-
 
 @dataclass(frozen=True)
 class SpinLock:
-    """CW spin-lock segment."""
+    """CW spin-lock segment; at zero nutation it is free evolution at the transmitter offset."""
 
     params: SpinLockParams
     duration_s: float
@@ -74,26 +60,16 @@ class SpinLock:
             raise ValueError("spin-lock duration must be >= 0")
 
 
-Segment = HardPulse | Delay | SpinLock
+Segment = HardPulse | SpinLock
 
 
-def segment_hamiltonian(system: SpinSystem, segment: SpinLock | Delay) -> np.ndarray:
-    """Generator (Hz) of a delay or spin-lock segment."""
-    if isinstance(segment, Delay):
-        return free_hamiltonian(system, segment.transmitter_offset_hz)
-    return spinlock_hamiltonian(system, segment.params)
+def _phase_free(segment: SpinLock) -> tuple[SpinLock, float]:
+    """(the lock at RF phase 0 without its duration, its RF phase; 0 at zero nutation)."""
+    phase = segment.params.phase if segment.params.nutation_hz != 0.0 else 0.0
+    return SpinLock(replace(segment.params, phase=0.0), 0.0), phase
 
 
-def _phase_free(segment: SpinLock | Delay) -> tuple[SpinLock | Delay, float]:
-    """(the segment at RF phase 0 without its duration, its RF phase)."""
-    if isinstance(segment, SpinLock):
-        return SpinLock(replace(segment.params, phase=0.0), 0.0), segment.params.phase
-    return replace(segment, duration_s=0.0), 0.0
-
-
-def _segment_eig(
-    system: SpinSystem, segment: SpinLock | Delay, eigs: dict
-) -> tuple[np.ndarray, np.ndarray]:
+def _segment_eig(system: SpinSystem, segment: SpinLock, eigs: dict) -> tuple[np.ndarray, np.ndarray]:
     """(E, V) of the segment's generator H(phase) = Z H(0) Z^dagger, Z = exp(-i phase Fz).
 
     H(0) is real symmetric, so it is diagonalised in real arithmetic, once
@@ -102,7 +78,7 @@ def _segment_eig(
     """
     key, phase = _phase_free(segment)
     if key not in eigs:
-        h0 = check_hermitian(segment_hamiltonian(system, key), tol=1e-9)
+        h0 = check_hermitian(spinlock_hamiltonian(system, key.params), tol=1e-9)
         if np.any(h0.imag != 0.0):
             raise ValueError("the phase-0 generator of a segment must be real")
         eigs[key] = np.linalg.eigh(h0.real)
@@ -180,7 +156,7 @@ def swept_expectations(
     system: SpinSystem,
     rho0: np.ndarray,
     before: list[Segment],
-    segments: list[SpinLock | Delay],
+    segments: list[SpinLock],
     durations_s,
     after: list[Segment],
     observables: list[np.ndarray],
@@ -205,8 +181,9 @@ def swept_expectations(
     observables, every array here is float64.
     """
     check_density(rho0)
-    eigs: dict[SpinLock | Delay, tuple[np.ndarray, np.ndarray]] = {}
-    u_before, u_after = (_propagator(system, played, eigs) for played in (before, after))
+    eigs: dict[SpinLock, tuple[np.ndarray, np.ndarray]] = {}
+    u_before = _propagator(system, before, eigs)
+    u_after = u_before if after == before else _propagator(system, after, eigs)  # Ramsey's pi/2 locks
     bases = [_segment_eig(system, segment, eigs) for segment in segments]
     y = bases[0][1] if u_before is None else _mul(u_before.conj().T, bases[0][1])
     w = bases[-1][1] if u_after is None else _mul(u_after, bases[-1][1])

@@ -5,7 +5,8 @@ default initial state for a transfer experiment is an ideally prepared
 singlet on the source pair with every other pair in the maximally mixed
 triplet; the simulated preparation sequences (lock-crossing, three-pulse)
 can replace the ideal preparation, in which case the achieved singlet
-population scales the prepared order.
+population scales the prepared order.  A free delay is a lock at zero
+nutation, so every segment is a hard pulse or a lock.
 
 Every population is read through `swept_expectations`: every pair's
 singlet population (with no projector built) and the configured readout,
@@ -46,7 +47,6 @@ from .hamiltonian import (
     spinlock_hamiltonian,
 )
 from .propagator import (
-    Delay,
     HardPulse,
     RelaxationEnvelope,
     Segment,
@@ -149,6 +149,8 @@ class Protocol:
             )
         if self.readout not in ("projector", "signal_proxy"):
             raise ValueError(f"unknown readout {self.readout!r}")
+        if self.kind in ("pumping", "resonance_scan") and self.readout != "projector":
+            raise ValueError(f"readout must be 'projector' for a {self.kind} protocol, got {self.readout!r}")
         if self.kind == "ramsey" and (self.pi_half_duration_s is None or self.free_lock is None):
             raise ValueError("ramsey protocol needs pi_half_duration_s and free_lock")
         if self.kind == "pumping" and (
@@ -193,18 +195,16 @@ def three_pulse_sequence(
     """90x - tau1 - 180y - tau2 - 90y - tau3 singlet preparation.
 
     Creates singlet order on a strongly coupled inequivalent pair when the
-    delays suit its (J, delta_nu); delays are fully configurable.
+    delays suit its (J, delta_nu); each delay is a lock at zero nutation.
     """
-    for tau in (tau1_s, tau2_s, tau3_s):
-        if tau < 0:
-            raise ValueError("three-pulse delays must be >= 0")
+    free = SpinLockParams(0.0, 0.0, transmitter_offset_hz)
     return [
         HardPulse(np.pi / 2, 0.0),
-        Delay(tau1_s, transmitter_offset_hz),
+        SpinLock(free, tau1_s),
         HardPulse(np.pi, np.pi / 2),
-        Delay(tau2_s, transmitter_offset_hz),
+        SpinLock(free, tau2_s),
         HardPulse(np.pi / 2, np.pi / 2),
-        Delay(tau3_s, transmitter_offset_hz),
+        SpinLock(free, tau3_s),
     ]
 
 
@@ -283,8 +283,8 @@ def _signal_observable(system: SpinSystem, protocol: Protocol, frame: float) -> 
 
     tr(U rho U^dagger Mx) = tr(rho U^dagger Mx U) = tr(rho O).  A phase cycle
     halves the difference from the run with every pulse and lock phase shifted
-    by pi.  That run's propagator is Z U Z^dagger with Z = exp(-i pi Fz) (free
-    delays commute with Fz), and Z^dagger Mx Z = -Mx, so the cycled observable
+    by pi.  That run's propagator is Z U Z^dagger with Z = exp(-i pi Fz) (a free
+    delay commutes with Fz), and Z^dagger Mx Z = -Mx, so the cycled observable
     is (O + Z O Z^dagger) / 2: O with every entry zeroed whose two basis
     states' Fz differ by an odd number, a coherence-parity filter.  O is
     returned in the frame of a lock at RF phase `frame`, as Z^dagger O Z with
@@ -343,16 +343,16 @@ def _in_frame(segments: list[Segment], phase: float) -> list[Segment]:
     """The segments in the rotating frame of a lock at RF phase `phase`.
 
     Every pulse and lock phase is taken relative to `phase`, which turns each
-    propagator U into Z^dagger U Z with Z = exp(-i phase Fz); free delays
-    commute with Fz.  Pair singlet populations read the same in either frame.
+    propagator U into Z^dagger U Z with Z = exp(-i phase Fz); a free delay, a
+    lock at zero nutation, carries no RF phase and commutes with Fz.  Pair
+    singlet populations read the same in either frame.
     """
     shifted: list[Segment] = []
     for seg in segments:
         if isinstance(seg, HardPulse):
-            seg = HardPulse(seg.flip_angle, seg.phase - phase)
-        elif isinstance(seg, SpinLock):
-            seg = SpinLock(replace(seg.params, phase=seg.params.phase - phase), seg.duration_s)
-        shifted.append(seg)
+            shifted.append(HardPulse(seg.flip_angle, seg.phase - phase))
+        else:
+            shifted.append(SpinLock(replace(seg.params, phase=seg.params.phase - phase), seg.duration_s))
     return shifted
 
 

@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from singletsim.analysis import FitInputError, _trace_xy
-from singletsim.propagator import HardPulse, Segment, SpinLock, segment_hamiltonian
+from singletsim.hamiltonian import spinlock_hamiltonian
+from singletsim.propagator import HardPulse, Segment, SpinLock
 from singletsim.spincore import (
     PAIR_BASIS,
     PHI_COMPOSITIONS,
@@ -223,11 +224,9 @@ def oracle_propagator(system, segments):
         if isinstance(seg, HardPulse):
             g0 = sum(embed_spin_operator(system, i, "x") for i in range(system.n_spins))
             phase, t = seg.phase, seg.flip_angle / (2 * np.pi)
-        elif isinstance(seg, SpinLock):
-            g0 = segment_hamiltonian(system, replace(seg, params=replace(seg.params, phase=0.0)))
-            phase, t = seg.params.phase, seg.duration_s
         else:
-            g0, phase, t = segment_hamiltonian(system, seg), 0.0, seg.duration_s
+            g0 = spinlock_hamiltonian(system, replace(seg.params, phase=0.0))
+            phase, t = seg.params.phase, seg.duration_s
         w, v0 = np.linalg.eigh(g0.real)
         v = np.exp(-1j * phase * fz)[:, None] * v0
         u = v @ (np.exp(-2j * np.pi * w * t)[:, None] * v.conj().T) @ u
@@ -240,10 +239,8 @@ def _phase_shifted_pulses(segments: list[Segment], shift: float) -> list[Segment
     for seg in segments:
         if isinstance(seg, HardPulse):
             out.append(HardPulse(seg.flip_angle, seg.phase + shift))
-        elif isinstance(seg, SpinLock):
-            out.append(SpinLock(replace(seg.params, phase=seg.params.phase + shift), seg.duration_s))
         else:
-            out.append(seg)
+            out.append(SpinLock(replace(seg.params, phase=seg.params.phase + shift), seg.duration_s))
     return out
 
 

@@ -25,7 +25,6 @@ from singletsim.hamiltonian import (
 )
 from singletsim.presets import glutamate, phe_gly_gly
 from singletsim.propagator import (
-    Delay,
     HardPulse,
     RelaxationEnvelope,
     SpinLock,
@@ -130,7 +129,7 @@ def test_criterion_04_numerical_hygiene():
             if r == 0:
                 segments.append(HardPulse(rng.uniform(0.1, np.pi), rng.uniform(0, 2 * np.pi)))
             elif r == 1:
-                segments.append(Delay(rng.uniform(1e-4, 5e-3), 408.0))
+                segments.append(SpinLock(SpinLockParams(0.0, 0.0, 408.0), rng.uniform(1e-4, 5e-3)))
             else:
                 params = SpinLockParams(rng.uniform(10.0, 600.0), rng.uniform(0, 2 * np.pi), 408.0)
                 segments.append(SpinLock(params, rng.uniform(1e-4, 5e-3)))

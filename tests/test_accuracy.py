@@ -29,7 +29,7 @@ from conftest import _phase_shifted_pulses, ideal_transfer_state
 
 from singletsim.hamiltonian import SpinLockParams, pair_center_offset
 from singletsim.presets import glutamate
-from singletsim.propagator import Delay, HardPulse, SpinLock
+from singletsim.propagator import HardPulse, SpinLock
 from singletsim.sequences import (
     PrepSpec,
     Protocol,
@@ -80,8 +80,6 @@ def _phase0_generator(key):
     """The exact generator (Hz) of a phase-0 segment key; a pulse's is sum_i I_ix."""
     if key == "pulse":
         nutation, free, tx = mp.mpf(1), False, 0.0
-    elif isinstance(key, Delay):
-        nutation, free, tx = mp.mpf(0), True, key.transmitter_offset_hz
     else:
         nutation, free, tx = mp.mpf(key.params.nutation_hz), True, key.params.transmitter_offset_hz
     h = mp.zeros(DIM, DIM)
@@ -115,11 +113,9 @@ def _step(segment):
     """
     if isinstance(segment, HardPulse):
         key, phase, angle = "pulse", segment.phase, mp.mpf(segment.flip_angle)
-    elif isinstance(segment, SpinLock):
+    else:
         key, phase = SpinLock(replace(segment.params, phase=0.0), 0.0), segment.params.phase
         angle = 2 * mp.pi * mp.mpf(segment.duration_s)
-    else:
-        key, phase, angle = replace(segment, duration_s=0.0), 0.0, 2 * mp.pi * mp.mpf(segment.duration_s)
     energies, vectors, norm = _eig(key)
     rotated = vectors.copy()
     for j, energy in enumerate(energies):

@@ -362,6 +362,29 @@ class TestMainEntry:
         assert code == 1
         assert "input error: pumping sweep must contain positive integer cycle counts" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, config", [("simulate", "pgg_pumping"), ("scan", "glutamate_scan")])
+    def test_signal_proxy_where_unread_exits_one(self, tmp_path, capsys, command, config):
+        cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / f"{config}.json").read_text())
+        cfg["protocol"]["readout"] = "signal_proxy"
+        code = main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "t")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: protocol: readout must be 'projector'")
+        assert not (tmp_path / "t").exists()
+
+    def test_unconverged_fit_exits_two(self, tmp_path, capsys, monkeypatch):
+        cfg_path = write_config(tmp_path, rabi_config())
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "m")]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr("singletsim.analysis.MAX_ITERATIONS", 1)
+        report = tmp_path / "m" / "fit.json"
+        code = main(["fit", "--trace", str(tmp_path / "m" / "trace.csv"), "--model", "rabi", "--out", str(report)])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "fit did not converge after 1 iterations (rss=" in err
+        assert json.loads(report.read_text())["converged"] is False
+
     def test_list_triplet_init_exits_one(self, tmp_path, capsys):
         cfg = rabi_config()
         cfg["protocol"]["triplet_init"] = [1, 0, 0]

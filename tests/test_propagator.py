@@ -16,7 +16,6 @@ from singletsim.hamiltonian import (
 )
 from singletsim.presets import glutamate, phe_gly_gly
 from singletsim.propagator import (
-    Delay,
     HardPulse,
     RelaxationEnvelope,
     SpinLock,
@@ -43,7 +42,7 @@ def evolve(system, rho, segments):
 
 class TestSegmentPropagator:
     def test_zero_duration_is_identity(self):
-        u = sequence_propagator(coupled_pair(), [Delay(0.0)])
+        u = sequence_propagator(coupled_pair(), [SpinLock(SpinLockParams(0.0), 0.0)])
         assert np.max(np.abs(u - np.eye(4))) < 1e-14
 
     def test_half_rabi_period_inverts_spin(self):
@@ -59,7 +58,7 @@ class TestSegmentPropagator:
         # exp(-i 2 pi (E_S - E_T) t) = exp(i 4 pi) = 1
         j = 12.0
         system = coupled_pair(j)
-        u = sequence_propagator(system, [Delay(2.0 / j)])
+        u = sequence_propagator(system, [SpinLock(SpinLockParams(0.0), 2.0 / j)])
         s0 = np.array([0, 1, -1, 0]) / np.sqrt(2)
         t0 = np.array([0, 1, 1, 0]) / np.sqrt(2)
         phase_s = np.angle(s0.conj() @ u @ s0)
@@ -137,9 +136,9 @@ class TestPhaseRotation:
             h[0, 1], h[1, 0] = 1j, -1j
             return h
 
-        monkeypatch.setattr(engine, "free_hamiltonian", complex_free_hamiltonian)
+        monkeypatch.setattr("singletsim.hamiltonian.free_hamiltonian", complex_free_hamiltonian)
         with pytest.raises(ValueError, match="must be real"):
-            sequence_propagator(coupled_pair(), [Delay(0.1)])
+            sequence_propagator(coupled_pair(), [SpinLock(SpinLockParams(0.0), 0.1)])
 
 
 class TestRealArithmetic:
@@ -163,6 +162,16 @@ class TestRealArithmetic:
         system = coupled_pair()
         assert spinlock_hamiltonian(system, SpinLockParams(30.0, 0.7)).dtype == np.complex128
         assert rf_generator(system, np.pi / 2).dtype == np.complex128
+
+    def test_zero_nutation_lock_carries_no_phase(self):
+        # a free delay: a phase shift leaves its generator and its real eigenvectors as they are
+        system = glutamate()
+        free = SpinLockParams(0.0, 0.0, pair_center_offset(system, 0))
+        eigs = {}
+        energies, vectors = engine._segment_eig(system, SpinLock(free, 0.0), eigs)
+        shifted = engine._segment_eig(system, SpinLock(replace(free, phase=1.3), 0.2), eigs)
+        assert vectors.dtype == np.float64 and len(eigs) == 1
+        assert shifted[0] is energies and shifted[1] is vectors
 
     def test_rabi_at_a_nonzero_transfer_phase_reads_in_real_arithmetic(self, monkeypatch):
         # rho0, each pair's M and the swept read: every product is real by real
@@ -214,10 +223,10 @@ class TestPropagate:
         eigs0 = np.sort(np.linalg.eigvalsh(rho))
         segments = [
             HardPulse(np.pi / 3, 0.4),
-            Delay(0.05),
+            SpinLock(SpinLockParams(0.0), 0.05),
             SpinLock(SpinLockParams(90.0, 0.2, 3.0), 0.2),
             HardPulse(np.pi, 1.1),
-            Delay(0.31),
+            SpinLock(SpinLockParams(0.0), 0.31),
         ]
         out = evolve(system, rho, segments)
         assert abs(np.trace(out).real - 1.0) < 1e-10
@@ -254,7 +263,7 @@ class TestSweptExpectations:
         lock = SpinLockParams(40.0, 0.4, 5.0)
         before = [HardPulse(np.pi / 2, 0.3), SpinLock(lock, 0.02)]
         after = [HardPulse(np.pi, 1.1), SpinLock(lock, 0.01)]
-        swept = [Delay(0.0, 5.0), SpinLock(lock, 0.0)][:n_swept]
+        swept = [SpinLock(SpinLockParams(0.0, 0.0, 5.0), 0.0), SpinLock(lock, 0.0)][:n_swept]
         taus = np.array([0.0, 0.013, 0.2, 1.7])
         rho0 = thermal_state(system, 0.8)
         observables = [singlet_projector(system, 0), embed_spin_operator(system, 2, "x")]
@@ -266,10 +275,29 @@ class TestSweptExpectations:
             expected = [expectation(state, obs).real for obs in observables]
             assert np.max(np.abs(values[:, k] - expected)) < 1e-12
 
+    def test_ramsey_forms_its_pi_half_propagator_once(self, monkeypatch):
+        # the same pi/2 lock plays before and after the free precession
+        glu = glutamate()
+        protocol = sequences.Protocol(
+            kind="ramsey", sweep=np.linspace(0.05, 1.0, 6),
+            transfer=SpinLockParams(599.31, 0.7, pair_center_offset(glu, 0)), pi_half_duration_s=0.1,
+            free_lock=SpinLockParams(47.0, 0.7, pair_center_offset(glu, 1)),
+        )
+        durations, unitary = [], engine._unitary
+
+        def counting_unitary(eig, duration_s):
+            durations.append(duration_s)
+            return unitary(eig, duration_s)
+
+        monkeypatch.setattr(engine, "_unitary", counting_unitary)
+        sequences.run_ramsey(glu, protocol)
+        assert durations == [0.1]
+
     def test_invalid_state_rejected(self):
         system = coupled_pair()
         with pytest.raises(ValueError):
-            swept_expectations(system, 2 * np.eye(4), [], [Delay(0.0)], [0.1], [], [np.eye(4)])
+            swept_expectations(system, 2 * np.eye(4), [], [SpinLock(SpinLockParams(0.0), 0.0)], [0.1], [],
+                               [np.eye(4)])
 
 
 class TestRelaxationEnvelope:

@@ -17,7 +17,6 @@ from singletsim.analysis import fit_rabi
 from singletsim.hamiltonian import SpinLockParams, pair_center_offset
 from singletsim.presets import glutamate, phe_gly_gly
 from singletsim.propagator import (
-    Delay,
     HardPulse,
     RelaxationEnvelope,
     SpinLock,
@@ -158,6 +157,13 @@ class TestProtocolValidation:
         with pytest.raises(ValueError, match="sweep values must be >= 0"):
             Protocol(kind=kind, sweep=np.array([-1.0, 0.5]), transfer=lock,
                      pi_half_duration_s=0.1, free_lock=lock)
+
+    @pytest.mark.parametrize("kind", ["pumping", "resonance_scan"])
+    def test_signal_proxy_readout_rejected_where_unread(self, kind):
+        # these runners read the readout pair's singlet population only
+        with pytest.raises(ValueError, match=f"readout must be 'projector' for a {kind} protocol"):
+            Protocol(kind=kind, sweep=np.array([1.0]), transfer=SpinLockParams(1.0), readout="signal_proxy",
+                     pump_transfer_duration_s=0.1, pump_reset_delay_s=0.1, scan_tau_grid_s=np.array([0.1]))
 
     def test_negative_scan_duration_rejected(self):
         with pytest.raises(ValueError, match="scan_tau_grid_s must be finite and >= 0"):
@@ -665,13 +671,13 @@ class TestReadoutSequence:
     def test_three_pulse_readout_reverses_the_delays_and_pulses(self, pair):
         glu = glutamate()
         prep = PrepSpec(kind="three_pulse", tau1_s=0.007, tau2_s=0.0205, tau3_s=0.00925)
-        tx = pair_center_offset(glu, pair)
+        free = SpinLockParams(0.0, 0.0, pair_center_offset(glu, pair))
         assert self.readout(glu, prep, pair) == [
-            Delay(0.00925, tx),
+            SpinLock(free, 0.00925),
             HardPulse(-np.pi / 2, np.pi / 2),
-            Delay(0.0205, tx),
+            SpinLock(free, 0.0205),
             HardPulse(-np.pi, np.pi / 2),
-            Delay(0.007, tx),
+            SpinLock(free, 0.007),
         ]
 
     @pytest.mark.parametrize("pair", [0, 1])
