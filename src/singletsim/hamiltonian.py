@@ -12,6 +12,7 @@ term-by-term accumulation would use, so the result is the same to the bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,9 @@ class SpinLockParams:
     transmitter_offset_hz: float = 0.0
 
     def __post_init__(self):
+        for name in ("nutation_hz", "phase", "transmitter_offset_hz"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.nutation_hz < 0:
             raise ValueError("nutation_hz must be >= 0; carry sign conventions in the phase")
 

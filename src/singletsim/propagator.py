@@ -7,11 +7,12 @@ phase phi has the generator Z H(0) Z^dagger with Z = exp(-i phi Fz), and
 H(0) is real symmetric: each distinct phase-0 generator (a segment at phase
 0 without its duration) is diagonalised once per call, in real arithmetic,
 and its eigenvectors are rotated to each nonzero phase, so locks that differ
-only in phase share one `eigh`; this is the one place RF phase enters the
-evolution.  A free delay is a lock at zero nutation: its generator is the
-free Hamiltonian at the transmitter offset, and it carries no RF phase.
-`sequences` runs each transfer in its lock's frame, where that lock is at
-phase 0 and its eigenvectors stay real.  A hard pulse is an ideal
+only in phase share one `eigh`.  This is the one place RF phase enters the
+evolution, and the engine picks the frame: `swept_expectations` runs in the
+frame of its first lock, where that lock is at phase 0 and its eigenvectors
+stay real, and `sequence_propagator` in the lab frame.  A free delay is a
+lock at zero nutation: its generator is the free Hamiltonian at the
+transmitter offset, and it carries no RF phase.  A hard pulse is an ideal
 zero-duration rotation, the same 2 x 2 rotation on every spin, written in
 closed form by bit index with no `eigh`.  `swept_expectations` reads every
 population: a sweep of a duration tau shared by k consecutive segments (a
@@ -28,6 +29,7 @@ observable traces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -44,8 +46,9 @@ class HardPulse:
     phase: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(self.flip_angle):
-            raise ValueError("flip angle must be finite")
+        for name in ("flip_angle", "phase"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -63,20 +66,21 @@ class SpinLock:
 Segment = HardPulse | SpinLock
 
 
-def _phase_free(segment: SpinLock) -> tuple[SpinLock, float]:
-    """(the lock at RF phase 0 without its duration, its RF phase; 0 at zero nutation)."""
-    phase = segment.params.phase if segment.params.nutation_hz != 0.0 else 0.0
+def _phase_free(segment: SpinLock, frame: float) -> tuple[SpinLock, float]:
+    """(the lock at RF phase 0 without its duration, its RF phase in the frame; 0 at zero nutation)."""
+    phase = segment.params.phase - frame if segment.params.nutation_hz != 0.0 else 0.0
     return SpinLock(replace(segment.params, phase=0.0), 0.0), phase
 
 
-def _segment_eig(system: SpinSystem, segment: SpinLock, eigs: dict) -> tuple[np.ndarray, np.ndarray]:
+def _segment_eig(system: SpinSystem, segment: SpinLock, eigs: dict, frame: float) -> tuple[np.ndarray, np.ndarray]:
     """(E, V) of the segment's generator H(phase) = Z H(0) Z^dagger, Z = exp(-i phase Fz).
 
-    H(0) is real symmetric, so it is diagonalised in real arithmetic, once
-    per table whatever the phase; V(phase) = Z V(0) scales its rows, and at
-    phase 0 the real V(0) is returned as it is.
+    The phase is the lock's less the frame's.  H(0) is real symmetric, so it
+    is diagonalised in real arithmetic, once per table whatever the phase;
+    V(phase) = Z V(0) scales its rows, and at phase 0 the real V(0) is
+    returned as it is.
     """
-    key, phase = _phase_free(segment)
+    key, phase = _phase_free(segment, frame)
     if key not in eigs:
         h0 = check_hermitian(spinlock_hamiltonian(system, key.params), tol=1e-9)
         if np.any(h0.imag != 0.0):
@@ -112,33 +116,34 @@ def _unitary(eig: tuple[np.ndarray, np.ndarray], duration_s: float) -> np.ndarra
     return _mul(vectors, phases[:, None] * np.conjugate(vectors.T, order="C"))
 
 
-def _pulse(system: SpinSystem, pulse: HardPulse) -> np.ndarray:
+def _pulse(system: SpinSystem, pulse: HardPulse, frame: float) -> np.ndarray:
     """exp(-i theta sum_i (cos(phase) I_ix + sin(phase) I_iy)), entry by bit index.
 
     Each spin contributes cos(theta / 2) where basis states k and l agree
-    and -i sin(theta / 2) where they differ; the phase enters as Z R(0) Z^dagger.
+    and -i sin(theta / 2) where they differ; the phase, the pulse's own less
+    the frame's, enters as Z R(0) Z^dagger.
     """
     index = np.arange(system.dim)
     flips = index[:, None] ^ index
     n_flips = sum((flips >> spin) & 1 for spin in range(system.n_spins))
     c, s = np.cos(pulse.flip_angle / 2), -1j * np.sin(pulse.flip_angle / 2)
     factors = np.array([c ** (system.n_spins - h) * s**h for h in range(system.n_spins + 1)])
-    z = np.exp(-1j * pulse.phase * _fz(system))
+    z = np.exp(-1j * (pulse.phase - frame) * _fz(system))
     return z[:, None] * factors[n_flips] * z.conj()
 
 
-def _propagator(system: SpinSystem, segments: list[Segment], eigs: dict) -> np.ndarray | None:
-    """The propagator of a segment list, or None when it plays for no time."""
+def _propagator(system: SpinSystem, segments: list[Segment], eigs: dict, frame: float) -> np.ndarray | None:
+    """The propagator in the frame of a lock at RF phase `frame`; None when it plays for no time."""
     u = None
     for segment in segments:
         if isinstance(segment, HardPulse):
             if segment.flip_angle == 0.0:
                 continue
-            step = _pulse(system, segment)
+            step = _pulse(system, segment, frame)
         else:
             if segment.duration_s == 0.0:
                 continue
-            step = _unitary(_segment_eig(system, segment, eigs), segment.duration_s)
+            step = _unitary(_segment_eig(system, segment, eigs, frame), segment.duration_s)
         u = step if u is None else step @ u
     return u
 
@@ -148,7 +153,7 @@ def sequence_propagator(system: SpinSystem, segments: list[Segment]) -> np.ndarr
 
     Each distinct phase-0 generator is diagonalised once per call.
     """
-    u = _propagator(system, segments, {})
+    u = _propagator(system, segments, {}, 0.0)
     return np.eye(system.dim, dtype=complex) if u is None else u
 
 
@@ -164,8 +169,15 @@ def swept_expectations(
     """Singlet population of each assigned pair, then Re tr(U rho0 U^dagger O) of each observable.
 
     Rows are the pairs in order, then the observables; columns are the
-    durations.  U = after . S_k(tau) ... S_1(tau) . before, each swept
-    segment S_j's own duration replaced by each tau.  With V_j the
+    durations.  The run is simulated in the frame of its first lock, the
+    first `SpinLock` of `before + segments`: every phase is taken less that
+    lock's, so it sits at phase 0 with real eigenvectors.  rho0 is given in
+    that frame, the one the ideal transfer state is defined against; each
+    observable is given in the lab frame and read as Z^dagger O Z with
+    Z = exp(-i phase Fz).  Pair singlet populations read the same in both.
+
+    U = after . S_k(tau) ... S_1(tau) . before, each swept segment S_j's
+    own duration replaced by each tau.  With V_j the
     eigenbasis of S_j's generator, rho0 becomes R = Y^dagger rho0 Y with
     Y = U_before^dagger V_1 (V_1 when `before` plays nothing) and each
     observable M = W^dagger O W with W = U_after V_k (V_k likewise).  A
@@ -177,14 +189,15 @@ def swept_expectations(
     of [cos; sin] of the phases against R * M^T, over its real view when it
     is complex.  For more, R is carried from each eigenbasis to the next
     through the overlaps C_j = V_{j+1}^dagger V_j, one tau at a time.  No
-    propagator is formed per tau.  With real eigenvectors, rho0 and
-    observables, every array here is float64.
+    propagator is formed per tau.  With real eigenvectors and rho0, every
+    population is read in float64.
     """
     check_density(rho0)
+    frame = next(s.params.phase for s in [*before, *segments] if isinstance(s, SpinLock))
     eigs: dict[SpinLock, tuple[np.ndarray, np.ndarray]] = {}
-    u_before = _propagator(system, before, eigs)
-    u_after = u_before if after == before else _propagator(system, after, eigs)  # Ramsey's pi/2 locks
-    bases = [_segment_eig(system, segment, eigs) for segment in segments]
+    u_before = _propagator(system, before, eigs, frame)
+    u_after = u_before if after == before else _propagator(system, after, eigs, frame)  # Ramsey's pi/2 locks
+    bases = [_segment_eig(system, segment, eigs, frame) for segment in segments]
     y = bases[0][1] if u_before is None else _mul(u_before.conj().T, bases[0][1])
     w = bases[-1][1] if u_after is None else _mul(u_after, bases[-1][1])
     r = _mul(y.conj().T, _mul(rho0, y))
@@ -194,7 +207,9 @@ def swept_expectations(
         ud = np.flatnonzero(~down[a] & down[b])
         diff = w[ud] - w[ud ^ (masks[a] | masks[b])]  # sqrt(2) B
         m_t.append(0.5 * (diff.T @ diff.conj()))
-    m_t += [_mul(_mul(w.conj().T, obs), w).T for obs in observables]
+    for obs in observables:  # each given in the lab frame, read as Z^dagger O Z
+        fz = _fz(system)
+        m_t.append(_mul(_mul(w.conj().T, np.exp(1j * frame * (fz[:, None] - fz)) * obs), w).T)
 
     def read(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """Re sum_ij a_i x_ij conj(a_j) M_ji for each M, a = exp(i theta), over theta's leading axis.

@@ -20,13 +20,13 @@ back-propagated once per run through the readout sequence with
 `sequence_propagator`; its 0/pi phase cycle is a coherence-parity filter on
 that observable, with no second, phase-shifted readout run.
 
-Each run is simulated in the rotating frame of its transfer lock
-(`_in_frame`): every segment's RF phase is taken relative to that lock's, so
-the ideal state is built at phase 0 and is real, and the transfer lock's
-eigenvectors are real.  Pair singlet projectors and the thermal state
-commute with Fz, so populations read the same as in the lab frame; the
-transfer phase enters only the signal observable O, as Z^dagger O Z with
-Z = exp(-i phase Fz).  A preparation runs in the frame of its own lock.
+RF phase enters only in `propagator`: `swept_expectations` simulates each
+run in the frame of its first lock (the transfer lock; Ramsey's first pi/2
+lock; double-Rabi's lock a; a lock-crossing preparation's own lock), so the
+ideal state is built at phase 0, against that frame, and is real.  The
+signal observable is built in the lab frame.  Pair singlet projectors and
+the thermal state commute with Fz, so populations read the same in either
+frame.
 """
 
 from __future__ import annotations
@@ -104,6 +104,8 @@ class PrepSpec:
             raise ValueError("slic prep needs nutation_hz and duration_s")
         if self.kind == "three_pulse" and None in (self.tau1_s, self.tau2_s, self.tau3_s):
             raise ValueError("three_pulse prep needs tau1_s, tau2_s, tau3_s")
+        if self.kind != "slic" and self.phase != 0.0:
+            raise ValueError(f"phase applies to a slic prep only, got {self.phase} for a {self.kind} prep")
         if not -1.0 <= self.polarization <= 1.0:
             raise ValueError(f"polarization must lie in [-1, 1], got {self.polarization}")
         _check_durations(self, ("duration_s", "tau1_s", "tau2_s", "tau3_s"))
@@ -164,6 +166,8 @@ class Protocol:
             grid = np.asarray(self.scan_tau_grid_s, float)
             if not np.all(np.isfinite(grid)) or np.any(grid < 0):
                 raise ValueError("scan_tau_grid_s must be finite and >= 0")
+            if grid.size == 0 or np.any(np.diff(grid) <= 0):
+                raise ValueError("scan_tau_grid_s must be nonempty and strictly increasing")
             object.__setattr__(self, "scan_tau_grid_s", grid)
 
 
@@ -250,11 +254,10 @@ def prepared_singlet_population(
 ) -> float:
     """Source-pair singlet population achieved by simulating the preparation.
 
-    Simulated in the frame of the preparation's lock; the last segment is
-    read as a one-point sweep of its own duration.
+    The last segment is read as a one-point sweep of its own duration.
     """
     thermal = thermal_state(system, prep.polarization)
-    *before, last = _in_frame(prep_sequence(system, pair_index, prep), prep.phase)
+    *before, last = prep_sequence(system, pair_index, prep)
     values = swept_expectations(system, thermal, before, [last], [last.duration_s], [], [])
     return float(values[pair_index, 0])
 
@@ -278,7 +281,7 @@ def transfer_initial_state(system: SpinSystem, protocol: Protocol) -> np.ndarray
     return ideal * weight + np.eye(system.dim) / system.dim * (1.0 - weight)
 
 
-def _signal_observable(system: SpinSystem, protocol: Protocol, frame: float) -> np.ndarray:
+def _signal_observable(system: SpinSystem, protocol: Protocol) -> np.ndarray:
     """Total transverse magnetization back-propagated through the readout sequence.
 
     tr(U rho U^dagger Mx) = tr(rho U^dagger Mx U) = tr(rho O).  A phase cycle
@@ -286,16 +289,15 @@ def _signal_observable(system: SpinSystem, protocol: Protocol, frame: float) -> 
     by pi.  That run's propagator is Z U Z^dagger with Z = exp(-i pi Fz) (a free
     delay commutes with Fz), and Z^dagger Mx Z = -Mx, so the cycled observable
     is (O + Z O Z^dagger) / 2: O with every entry zeroed whose two basis
-    states' Fz differ by an odd number, a coherence-parity filter.  O is
-    returned in the frame of a lock at RF phase `frame`, as Z^dagger O Z with
-    Z = exp(-i frame Fz): entry k, l scaled by exp(i frame (m_k - m_l)), m = Fz.
+    states' Fz differ by an odd number, a coherence-parity filter.  O is in
+    the lab frame.
     """
     u = sequence_propagator(system, _readout_sequence(system, protocol))
     observable = _mul(u.conj().T, _mul(rf_generator(system, 0.0), u))
-    fz = _fz(system)
     if protocol.phase_cycle:
+        fz = _fz(system)
         observable[(fz[:, None] - fz) % 2 == 1] = 0.0
-    return np.exp(1j * frame * (fz[:, None] - fz)) * observable
+    return observable
 
 
 def _readout_sequence(system: SpinSystem, protocol: Protocol) -> list[Segment]:
@@ -339,35 +341,12 @@ def _base_metadata(system: SpinSystem, protocol: Protocol, sweep_unit: str) -> d
     }
 
 
-def _in_frame(segments: list[Segment], phase: float) -> list[Segment]:
-    """The segments in the rotating frame of a lock at RF phase `phase`.
-
-    Every pulse and lock phase is taken relative to `phase`, which turns each
-    propagator U into Z^dagger U Z with Z = exp(-i phase Fz); a free delay, a
-    lock at zero nutation, carries no RF phase and commutes with Fz.  Pair
-    singlet populations read the same in either frame.
-    """
-    shifted: list[Segment] = []
-    for seg in segments:
-        if isinstance(seg, HardPulse):
-            shifted.append(HardPulse(seg.flip_angle, seg.phase - phase))
-        else:
-            shifted.append(SpinLock(replace(seg.params, phase=seg.params.phase - phase), seg.duration_s))
-    return shifted
-
-
-def _sweep_trace(system: SpinSystem, protocol: Protocol, frame: float, rho0: np.ndarray,
+def _sweep_trace(system: SpinSystem, protocol: Protocol, rho0: np.ndarray,
                  before: list[Segment], swept: list[SpinLock], after: list[Segment],
                  envelope: RelaxationEnvelope | None, **metadata) -> Trace:
-    """Trace of rho0 through before, the swept locks (each lasting every tau) and after.
-
-    The run is simulated in the frame of a lock at RF phase `frame`, in which
-    rho0 is given: `_in_frame` takes every segment's phase relative to it,
-    and the signal observable is moved into that frame.
-    """
+    """Trace of rho0 (in the first lock's frame) through before, the swept locks at each tau, and after."""
     n_pairs = len(system.pairs)
-    signal = [_signal_observable(system, protocol, frame)] if protocol.readout == "signal_proxy" else []
-    before, swept, after = (_in_frame(segments, frame) for segments in (before, swept, after))
+    signal = [_signal_observable(system, protocol)] if protocol.readout == "signal_proxy" else []
     values = swept_expectations(system, rho0, before, swept, protocol.sweep, after, signal)
     readout = n_pairs if protocol.readout == "signal_proxy" else protocol.readout_pair
     metadata = {**_base_metadata(system, protocol, "s"), **metadata}
@@ -385,7 +364,7 @@ def run_rabi(
         raise ValueError(f"run_rabi needs a rabi protocol, got {protocol.kind!r}")
     rho0 = transfer_initial_state(system, protocol)
     lock = SpinLock(protocol.transfer, 0.0)
-    return _sweep_trace(system, protocol, protocol.transfer.phase, rho0, [], [lock], [], envelope)
+    return _sweep_trace(system, protocol, rho0, [], [lock], [], envelope)
 
 
 def run_double_rabi(
@@ -397,7 +376,7 @@ def run_double_rabi(
     lock_a, lock_b = (replace(protocol.transfer, phase=p) for p in protocol.double_rabi_phases)
     rho0 = transfer_initial_state(system, protocol)
     swept = [SpinLock(lock_a, 0.0), SpinLock(lock_b, 0.0)]
-    return _sweep_trace(system, protocol, lock_a.phase, rho0, [], swept, [], envelope,
+    return _sweep_trace(system, protocol, rho0, [], swept, [], envelope,
                         double_rabi_phases_rad=[lock_a.phase, lock_b.phase])
 
 
@@ -410,7 +389,7 @@ def run_ramsey(
     rho0 = transfer_initial_state(system, protocol)
     half = SpinLock(protocol.transfer, protocol.pi_half_duration_s)
     free = SpinLock(protocol.free_lock, 0.0)
-    return _sweep_trace(system, protocol, protocol.transfer.phase, rho0, [half], [free], [half], envelope,
+    return _sweep_trace(system, protocol, rho0, [half], [free], [half], envelope,
                         free_nutation_hz=protocol.free_lock.nutation_hz,
                         pi_half_duration_s=protocol.pi_half_duration_s)
 
@@ -440,18 +419,13 @@ def run_resonance_scan(
     frequencies = np.full(protocol.sweep.size, np.nan)
     delta_nu_n = np.zeros(protocol.sweep.size)
     rho0 = transfer_initial_state(system, protocol)
+    taus = protocol.scan_tau_grid_s
     for k, nutation in enumerate(protocol.sweep):
-        lock = replace(protocol.transfer, nutation_hz=float(nutation))
-        point = Protocol(
-            kind="rabi",
-            sweep=protocol.scan_tau_grid_s,
-            transfer=lock,
-            source_pair=protocol.source_pair,
-            readout_pair=protocol.readout_pair,
-            prep=protocol.prep,
-            triplet_init=protocol.triplet_init,
-        )
-        trace = _sweep_trace(system, point, lock.phase, rho0, [], [SpinLock(lock, 0.0)], [], envelope)
+        lock = SpinLock(replace(protocol.transfer, nutation_hz=float(nutation)), 0.0)
+        row = swept_expectations(system, rho0, [], [lock], taus, [], [])[protocol.readout_pair]
+        trace = Trace(taus, row, metadata={"protocol": "rabi"})
+        if envelope is not None:
+            trace = apply_relaxation_envelope(trace, envelope)
         delta_nu_n[k] = effective_nutation_difference(float(nutation), delta_nu12)
         try:
             fit = fit_rabi(trace, mode=mode, with_decay=envelope is not None)
@@ -483,9 +457,8 @@ def run_pumping(
         raise ValueError("pumping sweep must contain positive integer cycle counts")
     rho0 = transfer_initial_state(system, protocol)
     lock = SpinLock(protocol.transfer, protocol.pump_transfer_duration_s)
-    before, after = swept_expectations(
-        system, rho0, [], _in_frame([lock], protocol.transfer.phase), [0.0, lock.duration_s], [], []
-    )[protocol.readout_pair]
+    values = swept_expectations(system, rho0, [], [lock], [0.0, lock.duration_s], [], [])
+    before, after = values[protocol.readout_pair]
     gain = float(after - before)
 
     cycle_time = protocol.pump_transfer_duration_s + protocol.pump_reset_delay_s

@@ -19,10 +19,10 @@ assembled by basis-state bit index with no Kronecker products: `_basis_split`
 gives each basis state's pattern over some spins and the index of the rest,
 and `_spin_states` each spin's bit, from which `hamiltonian` writes its
 generators and `propagator` reads pair populations; `_fz` is each basis
-state's total Fz, which `propagator` rotates RF phases with and `sequences`
-moves an observable into a transfer lock's frame with.  `check_density`
-accepts a state whose rho + EIGENVALUE_TOL * I has a Cholesky factor, and
-tests only the others by their smallest eigenvalue.
+state's total Fz, with which `propagator` rotates RF phases and moves an
+observable into a run's frame, and `sequences` filters coherence parity.
+`check_density` accepts a state whose rho + EIGENVALUE_TOL * I has a
+Cholesky factor, and tests only the others by their smallest eigenvalue.
 """
 
 from __future__ import annotations

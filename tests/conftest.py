@@ -6,9 +6,9 @@ for the package's generators, populations and fits.  The evolution oracle is
 independent of the engine's tables and its closed-form pulses: one `eigh`
 per segment, of the segment's real phase-0 generator.  A phase-cycled
 readout is checked against its second, phase-shifted run, built segment by
-segment with `_phase_shifted_pulses`.  The package simulates each run in its
-transfer lock's frame; the oracles work in the lab frame, from the initial
-state `ideal_transfer_state` builds at the transfer lock's phase.
+segment with `_phase_shifted_pulses`.  The engine simulates each run in the
+frame of its first lock; the oracles work in the lab frame, from the initial
+state `ideal_transfer_state` builds at that lock's phase.
 """
 
 from __future__ import annotations
@@ -34,11 +34,13 @@ from singletsim.spincore import (
 
 def pytest_configure(config):
     # a complex value written into a real array loses its imaginary part with
-    # only a warning; in tests that is an error.  numpy < 1.25 has no
+    # only a warning, and a NaN or overflow in numpy arithmetic raises only a
+    # RuntimeWarning; in tests both are errors.  numpy < 1.25 has no
     # numpy.exceptions, and the floor is 1.24
     complex_warning = getattr(np, "exceptions", np).ComplexWarning
     name = f"{complex_warning.__module__}.{complex_warning.__qualname__}"
     config.addinivalue_line("filterwarnings", f"error::{name}")
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
 
 
 # single spin-1/2 operators

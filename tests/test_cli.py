@@ -447,6 +447,11 @@ class TestMainEntry:
         [
             ("protocol.sweep", {"values": [-1.0, 0.5]}, "protocol: sweep values must be >= 0"),
             ("protocol.scan_tau", {"values": [-0.1, 0.5]}, "protocol: scan_tau_grid_s must be finite and >= 0"),
+            ("protocol.scan_tau", {"values": [0.5, 0.1]},
+             "protocol: scan_tau_grid_s must be nonempty and strictly increasing"),
+            ("protocol.prep", {"phase_deg": 75.0}, "protocol.prep: phase applies to a slic prep only"),
+            ("protocol.prep", {"kind": "three_pulse", "tau1_s": 0.007, "tau2_s": 0.0205, "tau3_s": 0.00925,
+                               "phase_deg": 75.0}, "protocol.prep: phase applies to a slic prep only"),
             ("protocol.sweep.count", 0, "protocol.sweep.count must be >= 1"),
             ("protocol.sweep.count", -1, "protocol.sweep.count must be >= 1"),
             ("noise.seed", -1, "noise.seed must be >= 0"),
@@ -459,7 +464,8 @@ class TestMainEntry:
             *((f"protocol.prep.{key}", -20.5, f"protocol.prep: {key} must be finite and >= 0, got -20.5")
               for key in ("duration_s", "tau1_s", "tau2_s", "tau3_s")),
         ],
-        ids=["negative_sweep", "negative_scan_tau", "count_zero", "count_negative", "negative_seed",
+        ids=["negative_sweep", "negative_scan_tau", "decreasing_scan_tau", "ideal_prep_phase",
+             "three_pulse_prep_phase", "count_zero", "count_negative", "negative_seed",
              "polarization_high", "polarization_low", "t2s_star_nan", "t2s_star_negative",
              "negative_pi_half", "negative_pump_transfer", "negative_pump_reset", "negative_prep_duration",
              "negative_tau1", "negative_tau2", "negative_tau3"],

@@ -67,6 +67,17 @@ class TestFreeHamiltonian:
         assert np.max(np.abs(h - h.conj().T)) < 1e-12
 
 
+class TestSpinLockParams:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["nutation_hz", "phase", "transmitter_offset_hz"])
+    def test_non_finite_field_rejected(self, field, value):
+        # a NaN phase would run to an all-NaN trace and a NaN nutation would
+        # stop in eigh; the first lock's phase sets the frame of a whole run
+        values = {"nutation_hz": 30.0, "phase": 0.7, "transmitter_offset_hz": 5.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite, got"):
+            SpinLockParams(**values)
+
+
 class TestSpinlockHamiltonian:
     def test_dressed_splitting_single_spin(self):
         sys1 = SpinSystem(np.array([0.0]), np.zeros((1, 1)), ())

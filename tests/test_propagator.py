@@ -2,7 +2,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import embed_spin_operator, expectation, oracle_state, singlet_projector, triplet_projector
+from conftest import (
+    embed_spin_operator,
+    expectation,
+    ideal_transfer_state,
+    oracle_state,
+    singlet_projector,
+    triplet_projector,
+)
 
 from singletsim import propagator as engine
 from singletsim import sequences
@@ -87,6 +94,12 @@ class TestHardPulse:
         u_full = sequence_propagator(system, [HardPulse(np.pi / 2, 1.0)])
         assert np.max(np.abs(u_half @ u_half - u_full)) < 1e-12
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["flip_angle", "phase"])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite, got"):
+            HardPulse(**{"flip_angle": np.pi / 2, "phase": 0.3, field: value})
+
 
 def uncoupled(n_spins):
     return SpinSystem(np.zeros(n_spins), np.zeros((n_spins, n_spins)))
@@ -153,9 +166,9 @@ class TestRealArithmetic:
         assert thermal_state(system, 0.9).dtype == np.float64
         for init in ("uniform", "phi_minus"):
             assert sequences.ideal_transfer_state(system, 0, init).dtype == np.float64
-        energies, vectors = engine._segment_eig(system, SpinLock(lock, 0.0), {})
+        energies, vectors = engine._segment_eig(system, SpinLock(lock, 0.0), {}, 0.0)
         assert vectors.dtype == np.float64
-        _, phased = engine._segment_eig(system, SpinLock(replace(lock, phase=0.7), 0.0), {})
+        _, phased = engine._segment_eig(system, SpinLock(replace(lock, phase=0.7), 0.0), {}, 0.0)
         assert phased.dtype == np.complex128
 
     def test_phased_lock_is_complex(self):
@@ -164,12 +177,14 @@ class TestRealArithmetic:
         assert rf_generator(system, np.pi / 2).dtype == np.complex128
 
     def test_zero_nutation_lock_carries_no_phase(self):
-        # a free delay: a phase shift leaves its generator and its real eigenvectors as they are
+        # a free delay: a phase or a frame shift leaves its generator and its real eigenvectors as they are
         system = glutamate()
         free = SpinLockParams(0.0, 0.0, pair_center_offset(system, 0))
         eigs = {}
-        energies, vectors = engine._segment_eig(system, SpinLock(free, 0.0), eigs)
-        shifted = engine._segment_eig(system, SpinLock(replace(free, phase=1.3), 0.2), eigs)
+        energies, vectors = engine._segment_eig(system, SpinLock(free, 0.0), eigs, 0.0)
+        shifted = engine._segment_eig(system, SpinLock(replace(free, phase=1.3), 0.2), eigs, 0.0)
+        in_frame = engine._segment_eig(system, SpinLock(free, 0.2), eigs, 0.7)
+        assert in_frame[0] is energies and in_frame[1] is vectors
         assert vectors.dtype == np.float64 and len(eigs) == 1
         assert shifted[0] is energies and shifted[1] is vectors
 
@@ -272,6 +287,29 @@ class TestSweptExpectations:
         for k, tau in enumerate(taus):
             played = [replace(segment, duration_s=tau) for segment in swept]
             state = oracle_state(system, rho0, [*before, *played, *after])
+            expected = [expectation(state, obs).real for obs in observables]
+            assert np.max(np.abs(values[:, k] - expected)) < 1e-12
+
+    @pytest.mark.parametrize("first_lock", ["in_before", "swept"])
+    def test_runs_in_the_frame_of_its_first_lock(self, first_lock):
+        # rho0 is given in the frame of the first lock of before + segments and
+        # the observables in the lab frame; a pure composition does not commute
+        # with Fz, so a run in any other frame misses the lab-frame oracle
+        glu = glutamate()
+        swept = SpinLock(SpinLockParams(599.31, 2.0, pair_center_offset(glu, 0)), 0.0)
+        before = [HardPulse(np.pi / 3, 1.1)]
+        if first_lock == "in_before":
+            before.append(SpinLock(SpinLockParams(47.0, 0.7, pair_center_offset(glu, 1)), 0.05))
+        after = [HardPulse(np.pi / 2, -0.4), SpinLock(SpinLockParams(30.0, 1.3, 5.0), 0.02)]
+        frame = 0.7 if first_lock == "in_before" else 2.0
+        rho0 = ideal_transfer_state(glu, 0, "phi_minus")
+        lab_rho0 = ideal_transfer_state(glu, 0, "phi_minus", lock_phase=frame)
+        mx = sum(embed_spin_operator(glu, i, "x") for i in range(glu.n_spins))
+        observables = [singlet_projector(glu, 0), singlet_projector(glu, 1), mx]
+        taus = np.array([0.0, 0.03, 0.4])
+        values = swept_expectations(glu, rho0, before, [swept], taus, after, [mx])
+        for k, tau in enumerate(taus):
+            state = oracle_state(glu, lab_rho0, [*before, replace(swept, duration_s=tau), *after])
             expected = [expectation(state, obs).real for obs in observables]
             assert np.max(np.abs(values[:, k] - expected)) < 1e-12
 

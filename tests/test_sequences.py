@@ -181,6 +181,18 @@ class TestProtocolValidation:
             else:
                 PrepSpec(**{**vars(ENGINE_PREPS["three_pulse"]), field: value})
 
+    @pytest.mark.parametrize("kind", ["ideal", "three_pulse"])
+    def test_prep_phase_rejected_unless_slic(self, kind):
+        # an ideal prep has no sequence and a three-pulse one takes no phase
+        with pytest.raises(ValueError, match=f"phase applies to a slic prep only, got 1.3 for a {kind} prep"):
+            PrepSpec(**{**vars(ENGINE_PREPS[kind]), "phase": 1.3})
+
+    @pytest.mark.parametrize("grid", [[], [0.2, 0.1], [0.1, 0.1]])
+    def test_scan_grid_must_be_nonempty_and_increasing(self, grid):
+        with pytest.raises(ValueError, match="scan_tau_grid_s must be nonempty and strictly increasing"):
+            Protocol(kind="resonance_scan", sweep=np.array([500.0]), transfer=SpinLockParams(1.0),
+                     scan_tau_grid_s=np.array(grid))
+
     @pytest.mark.parametrize("polarization", [1.5, -1.01])
     def test_polarization_outside_unit_interval_rejected(self, polarization):
         with pytest.raises(ValueError, match="polarization must lie in"):
@@ -644,8 +656,8 @@ class TestSignalProxyReadout:
         mx = sum(embed_spin_operator(system, i, "x") for i in range(system.n_spins))
         runs = [oracle_propagator(system, seq) for seq in (readout, _phase_shifted_pulses(readout, np.pi))]
         expected = 0.5 * sum(sign * (u.conj().T @ mx @ u) for sign, u in zip((1, -1), runs))
-        assert np.max(np.abs(_signal_observable(system, protocol, 0.0) - expected)) < 1e-13
-        uncycled = _signal_observable(system, replace(protocol, phase_cycle=False), 0.0)
+        assert np.max(np.abs(_signal_observable(system, protocol) - expected)) < 1e-13
+        uncycled = _signal_observable(system, replace(protocol, phase_cycle=False))
         assert np.max(np.abs(uncycled - expected)) > 1e-3
 
 
@@ -797,7 +809,7 @@ class TestEvolutionEngine:
         "signal_proxy_rabi_uncycled", "ramsey_free_lock_off_transfer_phase", "double_rabi_not_pi_apart",
     ])
     def test_transfer_frame_matches_lab_frame_oracle(self, case):
-        # each run is simulated in its transfer lock's frame; here phases
+        # each run is simulated in its first lock's frame; here phases
         # differ between the locks and the preparation, so the frame shift of
         # every segment and the rotation of the signal observable show.  The
         # cycled signal-proxy case is test_runner_matches_per_segment_oracle's
@@ -907,8 +919,6 @@ ORACLE_PREPS = {
     "slic": ENGINE_PREPS["slic"],
     "three_pulse": ENGINE_PREPS["three_pulse"],
     "three_pulse_tau3_zero": replace(ENGINE_PREPS["three_pulse"], tau3_s=0.0),
-    # the preparation runs in the frame of prep.phase, which moves every pulse
-    "three_pulse_phased": replace(ENGINE_PREPS["three_pulse"], phase=1.3),
     # a frame at pi: exp(-i pi Fz) is real only for an even number of spins
     "slic_at_pi": replace(ENGINE_PREPS["slic"], phase=np.pi),
 }
