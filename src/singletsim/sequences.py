@@ -44,7 +44,6 @@ from .hamiltonian import (
     pair_center_offset,
     resonant_nutation,
     rf_generator,
-    spinlock_hamiltonian,
 )
 from .propagator import (
     HardPulse,
@@ -530,39 +529,47 @@ def transfer_resonance_nutation(
     return resonant_nutation(delta_nu12, delta_e)
 
 
+_LEVEL_NAMES = ("s0", "phi_plus", "phi_0", "phi_minus")
+_LEVEL_KETS = np.array([getattr(PAIR_BASIS, name) for name in _LEVEL_NAMES])
+
+
 def _pair_block_levels(
     system: SpinSystem, pair_index: int, lock: SpinLockParams
 ) -> dict[str, float]:
     """Exact dressed energies of one pair's singlet and triplet states under the lock.
 
-    Diagonalizes the pair's local two-spin block and labels each eigenstate
-    by its dominant overlap with the lock-axis dressed basis.
+    Writes the pair's local two-spin lock block in the order (uu, ud, du, dd),
+    diagonalizes it, and labels the eigenstates greedily by decreasing
+    overlap |<ket|v>|^2 with the lock-axis dressed basis.
     """
     # at lock phase 0: H(phi) = Z H(0) Z^dagger, Z = exp(-i phi Fz), has the
     # same levels, and the overlaps |<Z ref|Z v>| do not change with phi
     a, b = system.pair(pair_index)
     j = system.couplings_hz[a, b]
-    sub = SpinSystem(
-        offsets_hz=system.offsets_hz[[a, b]] - lock.transmitter_offset_hz,
-        couplings_hz=np.array([[0.0, j], [j, 0.0]]),
-        pairs=((0, 1),),
-    )
-    h = spinlock_hamiltonian(sub, SpinLockParams(lock.nutation_hz, 0.0, 0.0))
+    delta_a, delta_b = system.offsets_hz[[a, b]] - lock.transmitter_offset_hz
+    total, diff = 0.5 * (delta_a + delta_b), 0.5 * (delta_a - delta_b)
+    flip = 0.5 * lock.nutation_hz
+    h = np.array([
+        [total + 0.25 * j, flip, flip, 0.0],
+        [flip, diff - 0.25 * j, 0.5 * j, flip],
+        [flip, 0.5 * j, -diff - 0.25 * j, flip],
+        [0.0, flip, flip, -total + 0.25 * j],
+    ])
     energies, vectors = np.linalg.eigh(h)
+    overlaps = (_LEVEL_KETS @ vectors) ** 2  # (label, eigenvector)
     levels: dict[str, float] = {}
-    taken: set[int] = set()
-    # assign labels greedily by decreasing overlap
-    overlaps = []
-    for name in ("s0", "phi_plus", "phi_0", "phi_minus"):
-        ket = getattr(PAIR_BASIS, name)
-        for col in range(4):
-            overlaps.append((abs(ket.conj() @ vectors[:, col]) ** 2, name, col))
-    for _, name, col in sorted(overlaps, reverse=True):
-        if name in levels or col in taken:
-            continue
-        levels[name] = float(energies[col])
-        taken.add(col)
+    for _ in _LEVEL_NAMES:
+        row, col = divmod(int(np.argmax(overlaps)), 4)
+        levels[_LEVEL_NAMES[row]] = float(energies[col])
+        overlaps[row, :] = overlaps[:, col] = -1.0
     return levels
+
+
+def _check_transfer_channel(channel: str, pair_1: int, pair_2: int) -> None:
+    if channel not in PHI_COMPOSITIONS:
+        raise ValueError(f"channel must be one of {', '.join(PHI_COMPOSITIONS)}, got {channel!r}")
+    if pair_1 == pair_2:
+        raise ValueError(f"pair_1 and pair_2 must be different pairs, got {pair_1} for both")
 
 
 def exact_channel_detuning(
@@ -573,6 +580,7 @@ def exact_channel_detuning(
     pair_2: int = 1,
 ) -> float:
     """Exact |T(m) S0> vs |S0 T(m)> energy difference from local pair blocks (Hz)."""
+    _check_transfer_channel(channel, pair_1, pair_2)
     lv1 = _pair_block_levels(system, pair_1, lock)
     lv2 = _pair_block_levels(system, pair_2, lock)
     return (lv1[channel] - lv1["s0"]) - (lv2[channel] - lv2["s0"])
@@ -586,27 +594,55 @@ def exact_resonance_nutation(
 ) -> float:
     """Lock nutation that zeroes the exact detuning of one transfer channel.
 
-    Bisection on the local-block detuning of a phase-0 lock with its
-    transmitter at pair_1's centre, over 30-5000 Hz; raises if that bracket
-    does not straddle a sign change.
+    Brent's method (Brent 1973, ch. 4: inverse-quadratic or secant steps,
+    falling back to bisection) on the local-block detuning of a phase-0 lock
+    with its transmitter at pair_1's centre, over 30-5000 Hz, to a bracket
+    narrower than 1e-9 Hz; raises if that bracket does not straddle a sign
+    change.
     """
+    _check_transfer_channel(channel, pair_1, pair_2)
     transmitter_offset_hz = pair_center_offset(system, pair_1)
 
     def detuning(nu: float) -> float:
         lock = SpinLockParams(nu, 0.0, transmitter_offset_hz)
         return exact_channel_detuning(system, lock, channel, pair_1, pair_2)
 
-    lo, hi = 30.0, 5000.0
-    f_lo, f_hi = detuning(lo), detuning(hi)
-    if f_lo * f_hi > 0:
+    # b is the best estimate, c the other end of the bracket, a the previous b
+    a, b = 30.0, 5000.0
+    fa, fb = detuning(a), detuning(b)
+    if fa * fb > 0:
         raise ValueError("resonance bracket does not straddle a detuning sign change")
+    c, fc = a, fa
+    step = last_step = b - a
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = detuning(mid)
-        if f_lo * f_mid <= 0:
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-        if hi - lo < 1e-9:
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 2.0 * np.finfo(float).eps * abs(b) + 0.5e-9
+        half = 0.5 * (c - b)
+        if abs(half) <= tol or fb == 0.0:
             break
-    return 0.5 * (lo + hi)
+        if abs(last_step) < tol or abs(fa) <= abs(fb):
+            step = last_step = half
+        else:
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * half * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * half * q - abs(tol * q), abs(last_step * q)):
+                last_step, step = step, p / q
+            else:
+                step = last_step = half
+        a, fa = b, fb
+        b += step if abs(step) > tol else np.copysign(tol, half)
+        fb = detuning(b)
+        if (fb > 0) == (fc > 0):
+            c, fc = a, fa
+            step = last_step = b - a
+    return float(b)

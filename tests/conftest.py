@@ -8,7 +8,9 @@ per segment, of the segment's real phase-0 generator.  A phase-cycled
 readout is checked against its second, phase-shifted run, built segment by
 segment with `_phase_shifted_pulses`.  The engine simulates each run in the
 frame of its first lock; the oracles work in the lab frame, from the initial
-state `ideal_transfer_state` builds at that lock's phase.
+state `ideal_transfer_state` builds at that lock's phase.  The resonance
+oracle builds each pair's lock block as a 2-spin `SpinSystem` and bisects
+the detuning of its labelled levels.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 from singletsim.analysis import FitInputError, _trace_xy
-from singletsim.hamiltonian import spinlock_hamiltonian
+from singletsim.hamiltonian import SpinLockParams, pair_center_offset, spinlock_hamiltonian
 from singletsim.propagator import HardPulse, Segment, SpinLock
 from singletsim.spincore import (
     PAIR_BASIS,
@@ -264,3 +266,49 @@ def eigh_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     return calls
+
+
+def oracle_pair_block_levels(system, pair_index, lock):
+    """Dressed pair levels of a 2-spin `SpinSystem` lock Hamiltonian, labelled by sorted overlaps."""
+    a, b = system.pair(pair_index)
+    j = system.couplings_hz[a, b]
+    sub = SpinSystem(
+        offsets_hz=system.offsets_hz[[a, b]] - lock.transmitter_offset_hz,
+        couplings_hz=np.array([[0.0, j], [j, 0.0]]),
+        pairs=((0, 1),),
+    )
+    energies, vectors = np.linalg.eigh(spinlock_hamiltonian(sub, SpinLockParams(lock.nutation_hz, 0.0, 0.0)))
+    overlaps = [
+        (abs(getattr(PAIR_BASIS, name).conj() @ vectors[:, col]) ** 2, name, col)
+        for name in ("s0", "phi_plus", "phi_0", "phi_minus")
+        for col in range(4)
+    ]
+    levels, taken = {}, set()
+    for _, name, col in sorted(overlaps, reverse=True):
+        if name not in levels and col not in taken:
+            levels[name] = float(energies[col])
+            taken.add(col)
+    return levels
+
+
+def oracle_resonance_nutation(system, channel, pair_1=0, pair_2=1):
+    """Bisection of the oracle levels' channel detuning over 30-5000 Hz to a bracket under 1e-9 Hz."""
+    tx = pair_center_offset(system, pair_1)
+
+    def detuning(nu):
+        lock = SpinLockParams(nu, 0.0, tx)
+        lv1 = oracle_pair_block_levels(system, pair_1, lock)
+        lv2 = oracle_pair_block_levels(system, pair_2, lock)
+        return (lv1[channel] - lv1["s0"]) - (lv2[channel] - lv2["s0"])
+
+    lo, hi = 30.0, 5000.0
+    f_lo = detuning(lo)
+    assert f_lo * detuning(hi) <= 0
+    while hi - lo >= 1e-9:
+        mid = 0.5 * (lo + hi)
+        f_mid = detuning(mid)
+        if f_lo * f_mid <= 0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi)

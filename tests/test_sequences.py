@@ -8,14 +8,17 @@ from conftest import (
     embed_spin_operator,
     expectation,
     ideal_transfer_state,
+    oracle_pair_block_levels,
     oracle_propagator,
+    oracle_resonance_nutation,
     oracle_state,
     singlet_projector,
 )
 
+from singletsim import sequences
 from singletsim.analysis import fit_rabi
 from singletsim.hamiltonian import SpinLockParams, pair_center_offset
-from singletsim.presets import glutamate, phe_gly_gly
+from singletsim.presets import glutamate, phe_gly_gly, two_pair_system
 from singletsim.propagator import (
     HardPulse,
     RelaxationEnvelope,
@@ -24,6 +27,7 @@ from singletsim.propagator import (
 from singletsim.sequences import (
     PrepSpec,
     Protocol,
+    _pair_block_levels,
     _readout_sequence,
     _signal_observable,
     effective_receiving_trace,
@@ -700,7 +704,84 @@ class TestReadoutSequence:
         assert self.readout(glu, PrepSpec(), pair) == [SpinLock(lock, 0.15)]
 
 
+def four_pair_system():
+    """Glutamate's two pairs plus two weakly coupled pairs (d = 256), as in the benchmark."""
+    return two_pair_system(
+        200.0,
+        pair_centers_ppm=(2.04, 2.30, 3.10, 3.71),
+        pair_splittings_hz=(4.5, 4.9, 14.0, 2.357),
+        intrapair_hz=(15.5, 17.75, 16.5, 17.5),
+        cis_hz=5.0,
+        trans_hz=2.43,
+        extra_pair_couplings={(1, 2): (0.8, 0.3), (2, 3): (0.5, 0.2)},
+    )
+
+
+RESONANCE_SEARCHES = {
+    "glutamate-phi_minus": (glutamate, "phi_minus"),
+    "phe_gly_gly-phi_plus": (phe_gly_gly, "phi_plus"),
+    "glutamate_equivalent-phi_minus": (lambda: glutamate(pair_splittings_hz=(0.0, 0.0)), "phi_minus"),
+    "four_pair-phi_minus": (four_pair_system, "phi_minus"),
+}
+
+
 class TestResonanceHelpers:
+    @pytest.mark.parametrize("nutation", [30.0, 250.0, 599.0, 5000.0])
+    @pytest.mark.parametrize("pair", [0, 1])
+    @pytest.mark.parametrize("name", ["glutamate", "phe_gly_gly"])
+    def test_pair_block_levels_match_spin_system_oracle(self, name, pair, nutation):
+        system = {"glutamate": glutamate, "phe_gly_gly": phe_gly_gly}[name]()
+        lock = SpinLockParams(nutation, 0.0, pair_center_offset(system, 0))
+        levels = _pair_block_levels(system, pair, lock)
+        oracle = oracle_pair_block_levels(system, pair, lock)
+        assert levels.keys() == oracle.keys()
+        for label, energy in oracle.items():
+            assert abs(levels[label] - energy) < 1e-12
+
+    @pytest.mark.parametrize("case", RESONANCE_SEARCHES)
+    def test_resonance_matches_bisection_oracle(self, case):
+        build, channel = RESONANCE_SEARCHES[case]
+        system = build()
+        nutation = exact_resonance_nutation(system, channel, 0, 1)
+        assert abs(nutation - oracle_resonance_nutation(system, channel, 0, 1)) < 1e-9
+
+    @pytest.mark.parametrize("case", RESONANCE_SEARCHES)
+    def test_resonance_search_evaluation_budget(self, case, monkeypatch):
+        # bisection of the 30-5000 Hz bracket to 1e-9 Hz takes 45 evaluations
+        build, channel = RESONANCE_SEARCHES[case]
+        system = build()
+        calls = []
+        detuning = sequences.exact_channel_detuning
+
+        def counting_detuning(*args):
+            calls.append(args)
+            return detuning(*args)
+
+        monkeypatch.setattr(sequences, "exact_channel_detuning", counting_detuning)
+        exact_resonance_nutation(system, channel, 0, 1)
+        assert 0 < len(calls) <= 16
+
+    @pytest.mark.parametrize("channel", ["phi_plus", "phi_0"])
+    def test_bracket_without_sign_change_raises(self, channel):
+        with pytest.raises(ValueError, match="does not straddle"):
+            exact_resonance_nutation(glutamate(), channel, 0, 1)
+
+    @pytest.mark.parametrize(
+        "channel, pairs, argument",
+        [("phi_minus", (0, 0), "pair_1"), ("phi_minus", (1, 1), "pair_1"),
+         ("s0", (0, 1), "channel"), ("phi_x", (0, 1), "channel")],
+    )
+    def test_bad_channel_or_pair_rejected_before_any_evaluation(self, channel, pairs, argument, monkeypatch):
+        glu = glutamate()
+        lock = SpinLockParams(599.0, 0.0, pair_center_offset(glu, 0))
+        evaluations = []
+        monkeypatch.setattr(sequences, "_pair_block_levels", lambda *args: evaluations.append(args))
+        with pytest.raises(ValueError, match=argument):
+            exact_resonance_nutation(glu, channel, *pairs)
+        with pytest.raises(ValueError, match=argument):
+            exact_channel_detuning(glu, lock, channel, *pairs)
+        assert evaluations == []
+
     def test_exact_matches_formula_for_equivalent_members(self):
         glu = glutamate(pair_splittings_hz=(0.0, 0.0))
         formula = transfer_resonance_nutation(glu, 0, 1)
