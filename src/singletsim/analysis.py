@@ -9,17 +9,20 @@ Model set:
 
 Each model is stated once, as a ``FitModel`` record (``RABI``, ``RAMSEY``,
 ``LORENTZIAN``, ``EXPONENTIAL``) that drives both its fit and
-``evaluate_model``.  Fits use a damped (Levenberg-Marquardt) least-squares
-loop with analytic Jacobians; decay times are handled internally as rates
-so that "no decay" is the well-behaved point r = 0.  The oscillatory fits
+``evaluate_model``.  Every fitter ends in one call to ``_fit``, and its
+``FitResult`` keeps the fitted internal vector that ``evaluate_model``
+draws.  Non-finite data is a ``FitInputError``.  Fits use a damped
+(Levenberg-Marquardt) least-squares loop with analytic Jacobians; decay
+times are handled internally as rates so that "no decay" is the
+well-behaved point r = 0.  The oscillatory fits
 start from up to three local maxima of the zero-padded discrete spectrum
 (`_spectral_peak_candidates`), or from sub-period frequencies when it has
 none.
 
-Ramsey fits are returned in canonical form: A >= 0 and phi in (-pi, pi].
-A fit with A < 0 is the same curve as (-A, phi + pi, -c), and phi is only
-defined modulo 2 pi.  The sign s is fixed by the caller, not fitted, and is
-recorded in ``FitResult.sign``.
+Ramsey fits are returned in canonical form (``RAMSEY.fold``): A >= 0 and
+phi in (-pi, pi].  A fit with A < 0 is the same curve as (-A, phi + pi, -c),
+and phi is only defined modulo 2 pi.  The sign s is fixed by the caller, not
+fitted, and is recorded in ``FitResult.sign``.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ class FitResult:
     reduced_chi_square: float
     converged: bool
     n_iterations: int
+    vector: np.ndarray  # the fitted internal vector (rates, not times) that evaluate_model draws
     covariance: np.ndarray | None = None
     sign: int = 1  # fixed model sign s: Ramsey s, -1 for a cos2 Rabi fit, else 1
 
@@ -64,29 +68,15 @@ class FitModel:
     function(x, p, sign) returns the model values and the Jacobian columns
     for the internal parameter vector p, whose entries ``names`` labels.
     Decay times are fitted as rates; ``times`` maps each rate to the time
-    it is reported as (T = 1/r, infinite for r = 0).
+    it is reported as (T = 1/r, infinite for r = 0).  ``fold``, when given,
+    is the canonical form of a model with a phase: it flips the signs of p
+    that turn A < 0 into the same curve at phase_rad + pi.
     """
 
     function: Callable[..., tuple[np.ndarray, np.ndarray]]
     names: tuple[str, ...]
     times: dict[str, str] = field(default_factory=dict)
-
-    def internal(self, params: dict[str, float]) -> np.ndarray:
-        """Internal vector for reported params (T -> 1/T, inf -> 0).
-
-        A rate whose time is absent from params was not fitted and is left
-        out, as in a Rabi fit without decay.
-        """
-        values = []
-        for name in self.names:
-            reported = self.times.get(name, name)
-            if reported not in params:
-                continue
-            value = params[reported]
-            if name in self.times:
-                value = 1.0 / value if np.isfinite(value) else 0.0
-            values.append(value)
-        return np.array(values)
+    fold: tuple[float, ...] | None = None
 
 
 def _rabi(x, p, sign=1):
@@ -154,6 +144,7 @@ RAMSEY = FitModel(
     _ramsey,
     ("amplitude", "frequency_hz", "phase_rad", "offset", "rate2", "rate_s"),
     {"rate2": "t2s_star_s", "rate_s": "t_s_s"},
+    fold=(-1.0, 1.0, 1.0, -1.0, 1.0, 1.0),  # (A, c) -> (-A, -c)
 )
 LORENTZIAN = FitModel(_lorentzian, ("center", "fwhm", "height", "baseline"))
 EXPONENTIAL = FitModel(_exponential, ("amplitude", "rate", "offset"), {"rate": "t_s"})
@@ -170,9 +161,12 @@ MODELS = {
 
 def _trace_xy(trace) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(trace, Trace):
-        return trace.sweep_values, trace.observable
-    x, y = trace
-    return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        x, y = trace.sweep_values, trace.observable
+    else:
+        x, y = (np.asarray(v, dtype=float) for v in trace)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise FitInputError("fit data must be finite (no nan or inf)")
+    return x, y
 
 
 def _spectral_peak_candidates(t: np.ndarray, y: np.ndarray, k: int = 3) -> list[float]:
@@ -205,8 +199,8 @@ def levenberg_marquardt(
     x: np.ndarray,
     y: np.ndarray,
     p0: np.ndarray,
-    lower_bounds: np.ndarray | None = None,
-    upper_bounds: np.ndarray | None = None,
+    lower_bounds: np.ndarray,
+    upper_bounds: np.ndarray,
 ):
     """Damped least squares on y - model(x; p).
 
@@ -216,11 +210,7 @@ def levenberg_marquardt(
     """
 
     def clip(q):
-        if lower_bounds is not None:
-            q = np.maximum(q, lower_bounds)
-        if upper_bounds is not None:
-            q = np.minimum(q, upper_bounds)
-        return q
+        return np.minimum(np.maximum(q, lower_bounds), upper_bounds)
 
     p = clip(np.array(p0, dtype=float))
     model, jac = model_and_jacobian(x, p)
@@ -263,58 +253,44 @@ def levenberg_marquardt(
     return p, rss, cov, converged, iterations
 
 
-def _finish(
-    model_name: str,
-    model: FitModel,
-    p: np.ndarray,
-    rss: float,
-    cov_unscaled: np.ndarray,
-    converged: bool,
-    iterations: int,
-    n_points: int,
-    sign: int = 1,
-) -> FitResult:
-    """Assemble a FitResult, converting internal rates to reported times."""
-    dof = max(n_points - p.size, 1)
-    reduced = rss / dof
-    cov = cov_unscaled * reduced
+def _fit(name: str, model: FitModel, x, y, starts, lower, upper, sign: int = 1) -> FitResult:
+    """Fit from each start, keep the first with the lowest RSS, and report it.
+
+    The winning vector is folded into the model's canonical form, if it has
+    one, and its rates are reported as times.
+    """
+    function = partial(model.function, sign=sign)
+    best = None
+    for p0 in starts:
+        fit = levenberg_marquardt(function, x, y, np.asarray(p0, float), lower, upper)
+        if best is None or fit[1] < best[1]:
+            best = fit
+    p, rss, cov, converged, iterations = best
+    if model.fold is not None:  # A >= 0 and phase in (-pi, pi]; D cov D keeps the uncertainties
+        k = model.names.index("phase_rad")
+        if p[0] < 0:
+            flip = np.array(model.fold)
+            p, cov = p * flip, cov * np.outer(flip, flip)
+            p[k] += math.pi
+        p[k] = _wrap_phase(p[k])
+    reduced = rss / max(x.size - p.size, 1)
+    cov = cov * reduced
     sigma = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     params: dict[str, float] = {}
     uncertainties: dict[str, float] = {}
-    for name, value, err in zip(model.names, p, sigma):
-        if name in model.times:
-            name = model.times[name]
+    for key, value, err in zip(model.names, p, sigma):
+        if key in model.times:
+            key = model.times[key]
             if value > 0:
-                params[name] = 1.0 / value
-                uncertainties[name] = err / value**2
+                params[key] = 1.0 / value
+                uncertainties[key] = err / value**2
             else:
-                params[name] = math.inf
-                uncertainties[name] = math.inf
+                params[key] = math.inf
+                uncertainties[key] = math.inf
         else:
-            params[name] = float(value)
-            uncertainties[name] = float(err)
-    return FitResult(
-        model=model_name,
-        params=params,
-        uncertainties=uncertainties,
-        rss=rss,
-        reduced_chi_square=reduced,
-        converged=converged,
-        n_iterations=iterations,
-        covariance=cov,
-        sign=sign,
-    )
-
-
-def _multi_start(model_and_jacobian, x, y, starts, lower_bounds=None, upper_bounds=None):
-    best = None
-    for p0 in starts:
-        fit = levenberg_marquardt(
-            model_and_jacobian, x, y, np.asarray(p0, float), lower_bounds, upper_bounds
-        )
-        if best is None or fit[1] < best[1]:
-            best = fit
-    return best
+            params[key] = float(value)
+            uncertainties[key] = float(err)
+    return FitResult(name, params, uncertainties, rss, reduced, converged, iterations, p, cov, sign)
 
 
 def _nyquist(x: np.ndarray) -> float:
@@ -345,11 +321,15 @@ def fit_rabi(trace, mode: str = "sin2", with_decay: bool = True) -> FitResult:
     sign = 1 if mode == "sin2" else -1
 
     if _is_flat(y):
-        params = {"amplitude": 0.0, "frequency_hz": 0.0, "offset": float(y.mean())}
+        # reported as no transfer (A = 0); the vector draws the level as A with f = 0
+        level = float(y.mean())
+        params = {"amplitude": 0.0, "frequency_hz": 0.0, "offset": level}
+        vector = [level, 0.0, 1.0 if sign > 0 else 0.0]
         if with_decay:
             params["t_rabi_s"] = math.inf
+            vector.append(0.0)
         zeros = {k: 0.0 for k in params}
-        return FitResult(mode, params, zeros, 0.0, 0.0, True, 0, None, sign)
+        return FitResult(mode, params, zeros, 0.0, 0.0, True, 0, np.array(vector), None, sign)
 
     amp0 = max(np.ptp(y), 1e-12)
     off0 = max(y.min(), 0.0) / amp0
@@ -363,33 +343,13 @@ def fit_rabi(trace, mode: str = "sin2", with_decay: bool = True) -> FitResult:
             starts.append([amp0, f0, off0])
     lb = np.array([-np.inf, 0.0, -np.inf] + ([0.0] if with_decay else []))
     ub = np.array([np.inf, _nyquist(t), np.inf] + ([np.inf] if with_decay else []))
-    p, rss, cov, converged, iters = _multi_start(partial(_rabi, sign=sign), t, y, starts, lb, ub)
-    return _finish(mode, RABI, p, rss, cov, converged, iters, t.size, sign)
+    return _fit(mode, RABI, t, y, starts, lb, ub, sign)
 
 
 def _wrap_phase(phi: float) -> float:
     """Map an angle into (-pi, pi]."""
     wrapped = math.remainder(phi, 2 * math.pi)
     return math.pi if wrapped == -math.pi else wrapped
-
-
-# flips (A, c) of the Ramsey vector (A, f, phi, c, r2, rs); phi + pi leaves cov alone
-_RAMSEY_FOLD = np.array([-1.0, 1.0, 1.0, -1.0, 1.0, 1.0])
-
-
-def _canonical_ramsey(p: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fold A < 0 into (-A, phi + pi, -c) and wrap phi into (-pi, pi].
-
-    The covariance is transformed as D cov D with D = diag(_RAMSEY_FOLD), so
-    the reported uncertainties are unchanged.
-    """
-    p = p.copy()
-    if p[0] < 0:
-        p *= _RAMSEY_FOLD
-        p[2] += math.pi
-        cov = cov * np.outer(_RAMSEY_FOLD, _RAMSEY_FOLD)
-    p[2] = _wrap_phase(p[2])
-    return p, cov
 
 
 def fit_ramsey(trace, sign: int = 1) -> FitResult:
@@ -415,9 +375,7 @@ def fit_ramsey(trace, sign: int = 1) -> FitResult:
             starts.append([amp0, f0, phi0, off0, r0, r0 / 2.0])
     lb = np.array([-np.inf, 0.0, -np.inf, -np.inf, 0.0, 0.0])
     ub = np.array([np.inf, _nyquist(t), np.inf, np.inf, np.inf, np.inf])
-    p, rss, cov, converged, iters = _multi_start(partial(_ramsey, sign=sign), t, y, starts, lb, ub)
-    p, cov = _canonical_ramsey(p, cov)
-    return _finish("ramsey", RAMSEY, p, rss, cov, converged, iters, t.size, sign)
+    return _fit("ramsey", RAMSEY, t, y, starts, lb, ub, sign)
 
 
 def fit_lorentzian(trace) -> FitResult:
@@ -433,10 +391,8 @@ def fit_lorentzian(trace) -> FitResult:
     width0 = float(above.max() - above.min()) if above.size >= 2 else (x[-1] - x[0]) / 4.0
     width0 = max(width0, (x[1] - x[0]))
     p0 = [center0, width0, height0, base0]
-    p, rss, cov, converged, iters = _multi_start(
-        _lorentzian, x, y, [p0], np.array([-np.inf, 0.0, -np.inf, -np.inf])
-    )
-    return _finish("lorentzian", LORENTZIAN, p, rss, cov, converged, iters, x.size)
+    lb = np.array([-np.inf, 0.0, -np.inf, -np.inf])
+    return _fit("lorentzian", LORENTZIAN, x, y, [p0], lb, np.full(4, np.inf))
 
 
 def fit_exponential(trace) -> FitResult:
@@ -448,7 +404,8 @@ def fit_exponential(trace) -> FitResult:
     if _is_flat(y):
         params = {"amplitude": 0.0, "t_s": math.inf, "offset": float(y.mean())}
         zeros = {k: 0.0 for k in params}
-        return FitResult("exponential", params, zeros, 0.0, 0.0, True, 0, None)
+        vector = np.array([0.0, 0.0, params["offset"]])
+        return FitResult("exponential", params, zeros, 0.0, 0.0, True, 0, vector)
 
     c0 = float(y[-1])
     a0 = float(y[0] - c0)
@@ -461,10 +418,8 @@ def fit_exponential(trace) -> FitResult:
         slope = np.polyfit(t[good], np.log(shifted[good]), 1)[0]
         if slope < 0:
             starts.insert(0, [a0, -slope, c0])
-    p, rss, cov, converged, iters = _multi_start(
-        _exponential, t, y, starts, np.array([-np.inf, 0.0, -np.inf])
-    )
-    return _finish("exponential", EXPONENTIAL, p, rss, cov, converged, iters, t.size)
+    lb = np.array([-np.inf, 0.0, -np.inf])
+    return _fit("exponential", EXPONENTIAL, t, y, starts, lb, np.full(3, np.inf))
 
 
 MODEL_FITTERS = {
@@ -481,4 +436,4 @@ def evaluate_model(result: FitResult, x: np.ndarray) -> np.ndarray:
     if model is None:
         raise ValueError(f"unknown model {result.model!r}")
     x = np.asarray(x, dtype=float)
-    return model.function(x, model.internal(result.params), result.sign)[0]
+    return model.function(x, result.vector, result.sign)[0]

@@ -410,15 +410,28 @@ def _fit_report(result: FitResult) -> dict:
     return report
 
 
-def cmd_fit(trace_path: str, model: str, out_path: str, **options) -> FitResult:
-    """Fit a model to a trace file; write a JSON report and a fitted-curve CSV."""
+# fit flag -> (the one model that takes it, its fitter keyword); the fitters state the defaults
+_FIT_FLAGS = {"mode": ("rabi", "mode"), "no_decay": ("rabi", "with_decay"), "sign": ("ramsey", "sign")}
+
+
+def cmd_fit(trace_path: str, model: str, out_path: str, mode: str | None = None,
+            sign: int | None = None, no_decay: bool | None = None) -> FitResult:
+    """Fit a model to a trace file; write a JSON report and a fitted-curve CSV.
+
+    mode, sign and no_decay are the fit flags, None when not given; a flag
+    the model does not take is a ConfigError.
+    """
     if model not in MODEL_FITTERS:
         raise ConfigError(f"unknown model {model!r}; available: {sorted(MODEL_FITTERS)}")
+    settings = {}
+    for flag, value in {"mode": mode, "no_decay": no_decay, "sign": sign}.items():
+        if value is None:
+            continue
+        takes, keyword = _FIT_FLAGS[flag]
+        if takes != model:
+            raise ConfigError(f"--{flag.replace('_', '-')} applies only to --model {takes}")
+        settings[keyword] = not value if flag == "no_decay" else value
     x, y = read_trace_file(trace_path)
-    settings = {
-        "rabi": {"mode": options.get("mode", "sin2"), "with_decay": not options.get("no_decay", False)},
-        "ramsey": {"sign": options.get("sign", 1)},
-    }.get(model, {})
     result = MODEL_FITTERS[model]((x, y), **settings)
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -498,9 +511,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--trace", required=True)
     p_fit.add_argument("--model", required=True, choices=sorted(MODEL_FITTERS))
     p_fit.add_argument("--out", required=True, help="output report path (JSON)")
-    p_fit.add_argument("--mode", default="sin2", choices=["sin2", "cos2"])
-    p_fit.add_argument("--sign", type=int, default=1, choices=[1, -1])
-    p_fit.add_argument("--no-decay", action="store_true")
+    # model-specific flags default to None, "not given"; the fitters state the defaults
+    p_fit.add_argument("--mode", default=None, choices=["sin2", "cos2"], help="rabi only")
+    p_fit.add_argument("--sign", type=int, default=None, choices=[1, -1], help="ramsey only")
+    p_fit.add_argument("--no-decay", action="store_true", default=None, help="rabi only")
 
     p_scan = sub.add_parser("scan", help="resonance scan with Lorentzian summary")
     p_scan.add_argument("--config", required=True)

@@ -318,19 +318,20 @@ class TestFitProperties:
         t = np.linspace(0.01, 6.0, 300)
         y = ramsey_model(t, 0.9, 2.3, 2.8, 0.1, 1.3, 4.4)
         plain = fit_ramsey((t, y))
-        real_multi_start = analysis._multi_start
-        raw = {}
+        real_lm = analysis.levenberg_marquardt
+        raw = []  # (rss, twin vector) of each start
 
-        def twin_multi_start(*args, **kwargs):
-            p, rss, cov, converged, iters = real_multi_start(*args, **kwargs)
+        def twin_lm(*args, **kwargs):
+            p, rss, cov, converged, iters = real_lm(*args, **kwargs)
             flip = np.array([-1.0, 1.0, 1.0, -1.0, 1.0, 1.0])
             p = p * flip + np.array([0.0, 0.0, np.pi - 6 * np.pi, 0.0, 0.0, 0.0])
-            raw["p"] = p
+            raw.append((rss, p))
             return p, rss, flip[:, None] * cov * flip[None, :], converged, iters
 
-        monkeypatch.setattr(analysis, "_multi_start", twin_multi_start)
+        monkeypatch.setattr(analysis, "levenberg_marquardt", twin_lm)
         fit = fit_ramsey((t, y))
-        assert raw["p"][0] < 0 and raw["p"][2] < -np.pi
+        winner = min(raw, key=lambda start: start[0])[1]  # the first start with the lowest RSS
+        assert winner[0] < 0 and winner[2] < -np.pi
         assert fit.params["amplitude"] > 0
         for key in ("amplitude", "phase_rad", "offset"):
             assert abs(fit.params[key] - plain.params[key]) < 1e-9, key
@@ -338,6 +339,46 @@ class TestFitProperties:
             assert fit.uncertainties[key] == pytest.approx(plain.uncertainties[key], rel=1e-12), key
         assert np.allclose(fit.covariance, plain.covariance, rtol=1e-12, atol=0)
         assert np.max(np.abs(evaluate_model(fit, t) - y)) < 1e-6
+
+    @pytest.mark.parametrize("mode", ["sin2", "cos2"])
+    @pytest.mark.parametrize("with_decay", [True, False], ids=["decay", "no_decay"])
+    def test_flat_rabi_trace_draws_its_level(self, mode, with_decay):
+        # reported as no transfer, but the stored vector draws the level
+        t = np.linspace(0.0, 2.0, 40)
+        fit = fit_rabi((t, np.full(t.size, 0.3)), mode=mode, with_decay=with_decay)
+        assert fit.params["amplitude"] == 0.0 and fit.params["frequency_hz"] == 0.0
+        assert fit.params["offset"] == pytest.approx(0.3, rel=1e-15)
+        assert ("t_rabi_s" in fit.params) == with_decay
+        assert np.allclose(evaluate_model(fit, np.linspace(0.0, 3.0, 17)), 0.3, rtol=1e-15, atol=0)
+
+    def test_flat_exponential_trace_draws_its_level(self):
+        t = np.linspace(0.0, 2.0, 40)
+        fit = fit_exponential((t, np.full(t.size, -0.2)))
+        assert fit.params == {"amplitude": 0.0, "t_s": np.inf, "offset": pytest.approx(-0.2)}
+        assert np.allclose(evaluate_model(fit, t), -0.2, rtol=1e-15, atol=0)
+
+    def test_levenberg_marquardt_return_contract(self, monkeypatch):
+        # perfbench's tracer wraps analysis.levenberg_marquardt by name and
+        # reads items 3 (converged) and 4 (iterations) of its return
+        import singletsim.analysis as analysis
+
+        t = np.linspace(0.01, 3.2, 240)
+        y = rabi_model(t, 1.0, 2.57, 0.1, 1.6)
+        real_lm = analysis.levenberg_marquardt
+        calls = []
+
+        def counted(*args, **kwargs):
+            out = real_lm(*args, **kwargs)
+            calls.append(out)
+            return out
+
+        monkeypatch.setattr(analysis, "levenberg_marquardt", counted)
+        fit = fit_rabi((t, y))
+        assert len(calls) == 2 * len(analysis._frequency_starts(t, y))
+        for out in calls:
+            assert len(out) == 5
+            assert type(out[3]) is bool and type(out[4]) is int
+        assert any(out[3] for out in calls) and fit.converged
 
     def test_phase_wrap_keeps_pi_and_maps_minus_pi_to_pi(self):
         from singletsim.analysis import _wrap_phase

@@ -270,6 +270,37 @@ class TestFit:
         result = cmd_fit(out, "rabi", tmp_path / "glu.json", no_decay=True)
         assert abs(result.params["frequency_hz"] / 2.57 - 1) < 0.02
 
+    @pytest.mark.parametrize("model", ["rabi", "ramsey", "lorentzian", "exponential"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_trace_exits_one(self, tmp_path, capsys, model, bad):
+        trace = self.make_synthetic_trace(tmp_path)
+        rows = trace.read_text().splitlines()
+        rows[40] = rows[40].split(",")[0] + "," + bad
+        trace.write_text("\n".join(rows) + "\n")
+        report = tmp_path / "fit.json"
+        assert main(["fit", "--trace", str(trace), "--model", model, "--out", str(report)]) == 1
+        assert "input error: fit data must be finite" in capsys.readouterr().err
+        assert not report.exists()
+
+    @pytest.mark.parametrize(
+        "model, flags, named",
+        [
+            ("ramsey", ["--no-decay"], "--no-decay"),
+            ("ramsey", ["--mode", "sin2"], "--mode"),
+            ("exponential", ["--mode", "cos2"], "--mode"),
+            ("lorentzian", ["--no-decay"], "--no-decay"),
+            ("rabi", ["--sign", "1"], "--sign"),
+            ("exponential", ["--sign", "-1"], "--sign"),
+        ],
+    )
+    def test_flag_the_model_does_not_take_exits_one(self, tmp_path, capsys, model, flags, named):
+        trace = self.make_synthetic_trace(tmp_path, "ramsey")
+        report = tmp_path / "fit.json"
+        assert main(["fit", "--trace", str(trace), "--model", model, *flags, "--out", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {named} applies only to --model ")
+        assert not report.exists()
+
 
 class TestScan:
     def scan_config(self, targets, tau_stop=1.6, tau_count=80):
