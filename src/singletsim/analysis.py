@@ -11,7 +11,9 @@ Each model is stated once, as a ``FitModel`` record (``RABI``, ``RAMSEY``,
 ``LORENTZIAN``, ``EXPONENTIAL``) that drives both its fit and
 ``evaluate_model``.  Every fitter ends in one call to ``_fit``, and its
 ``FitResult`` keeps the fitted internal vector that ``evaluate_model``
-draws.  Non-finite data is a ``FitInputError``.  Fits use a damped
+draws.  Non-finite data is a ``FitInputError``, and so is a time series
+(rabi, ramsey, exponential) whose times are not strictly increasing; a
+Lorentzian takes its points in any order.  Fits use a damped
 (Levenberg-Marquardt) least-squares loop with analytic Jacobians; decay
 times are handled internally as rates so that "no decay" is the
 well-behaved point r = 0.  The oscillatory fits
@@ -169,10 +171,18 @@ def _trace_xy(trace) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def _time_series(trace) -> tuple[np.ndarray, np.ndarray]:
+    """The (t, y) of a time-series fit; t must be strictly increasing."""
+    t, y = _trace_xy(trace)
+    if np.any(np.diff(t) <= 0):
+        raise FitInputError("sweep times must be strictly increasing")
+    return t, y
+
+
 def _spectral_peak_candidates(t: np.ndarray, y: np.ndarray, k: int = 3) -> list[float]:
     """Up to k local spectral maxima by decreasing power (fit seeds)."""
     steps = np.diff(t)
-    if t.size < 8 or steps.min() <= 0 or (steps.max() - steps.min()) > 1e-9 * steps.max():
+    if t.size < 8 or (steps.max() - steps.min()) > 1e-9 * steps.max():
         return []
     dt = steps.mean()
     n_pad = 8 * t.size
@@ -294,8 +304,7 @@ def _fit(name: str, model: FitModel, x, y, starts, lower, upper, sign: int = 1) 
 
 
 def _nyquist(x: np.ndarray) -> float:
-    gaps = np.diff(x)
-    return 0.5 / max(gaps.min(), 1e-30)
+    return 0.5 / np.diff(x).min()
 
 
 def _frequency_starts(x, y) -> list[float]:
@@ -315,7 +324,7 @@ def fit_rabi(trace, mode: str = "sin2", with_decay: bool = True) -> FitResult:
     """Fit A [sin^2(pi f t) + c] exp(-t/T_Rabi) (or the cos^2 variant, sign -1)."""
     if mode not in ("sin2", "cos2"):
         raise FitInputError(f"mode must be sin2 or cos2, got {mode!r}")
-    t, y = _trace_xy(trace)
+    t, y = _time_series(trace)
     if t.size < 8:
         raise FitInputError("rabi fit needs at least 8 samples")
     sign = 1 if mode == "sin2" else -1
@@ -360,7 +369,7 @@ def fit_ramsey(trace, sign: int = 1) -> FitResult:
     """
     if sign not in (1, -1):
         raise FitInputError("sign must be +1 or -1")
-    t, y = _trace_xy(trace)
+    t, y = _time_series(trace)
     if t.size < 12:
         raise FitInputError("ramsey fit needs at least 12 samples")
 
@@ -388,8 +397,8 @@ def fit_lorentzian(trace) -> FitResult:
     height0 = max(float(np.max(y) - base0), 1e-12)
     center0 = float(x[np.argmax(y)])
     above = x[y > base0 + height0 / 2.0]
-    width0 = float(above.max() - above.min()) if above.size >= 2 else (x[-1] - x[0]) / 4.0
-    width0 = max(width0, (x[1] - x[0]))
+    width0 = float(above.max() - above.min()) if above.size >= 2 else np.ptp(x) / 4.0
+    width0 = max(width0, abs(x[1] - x[0]))  # x may fall, as a scan's detunings do
     p0 = [center0, width0, height0, base0]
     lb = np.array([-np.inf, 0.0, -np.inf, -np.inf])
     return _fit("lorentzian", LORENTZIAN, x, y, [p0], lb, np.full(4, np.inf))
@@ -397,7 +406,7 @@ def fit_lorentzian(trace) -> FitResult:
 
 def fit_exponential(trace) -> FitResult:
     """Fit A exp(-t/T) + c."""
-    t, y = _trace_xy(trace)
+    t, y = _time_series(trace)
     if t.size < 5:
         raise FitInputError("exponential fit needs at least 5 samples")
 

@@ -23,8 +23,9 @@ assigned pair's singlet population from the rows of the pair's |ud> and
 stay float64 while every factor is real, and a product of a real factor
 with a complex one runs as one real product on the complex factor's real
 view (`_mul`).
-Relaxation enters only as phenomenological decay envelopes applied to
-observable traces.
+Relaxation enters only as phenomenological decay envelopes
+(`RelaxationEnvelope.apply`), which each runner applies to the values it
+has read.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import numpy as np
 
 from .hamiltonian import SpinLockParams, spinlock_hamiltonian
 from .spincore import SpinSystem, _fz, _spin_states, check_density, check_hermitian
-from .trace import Trace
 
 @dataclass(frozen=True)
 class HardPulse:
@@ -262,52 +262,20 @@ class RelaxationEnvelope:
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive when present")
 
+    def apply(self, values: np.ndarray, times: np.ndarray, ramsey: bool) -> np.ndarray:
+        """Each row of `values` (sampled at `times`, s) times its decay factors.
 
-def _damp(values: np.ndarray, times: np.ndarray, t_const: float | None) -> np.ndarray:
-    if t_const is None:
-        return values
-    return values * np.exp(-times / t_const)
-
-
-def _damp_oscillation(values: np.ndarray, times: np.ndarray, t_const: float | None) -> np.ndarray:
-    # dephasing acts on the excursion about the trace mean (exact for a
-    # cosine oscillating about a constant offset)
-    if t_const is None:
-        return values
-    baseline = values.mean()
-    return baseline + (values - baseline) * np.exp(-times / t_const)
-
-
-def apply_relaxation_envelope(trace: Trace, envelope: RelaxationEnvelope) -> Trace:
-    """Multiply a time trace by the decay factors of the fitted decay models.
-
-    Rabi-type traces get the overall exp(-t/T_Rabi) factor; Ramsey-type
-    traces get exp(-t/T_2S*) on the oscillation and exp(-t/T_S) on the
-    whole signal.  Traces swept in anything but time are rejected.
-    """
-    if trace.sweep_unit != "s":
-        raise ValueError("relaxation envelopes apply to time traces only")
-    times = trace.sweep_values
-    kind = trace.metadata.get("protocol", "")
-    is_ramsey = kind == "ramsey"
-
-    def transform(values: np.ndarray) -> np.ndarray:
+        A Ramsey row decays by exp(-t/T_2S*) about its own mean (exact for a
+        cosine oscillating about a constant offset), then by exp(-t/T_S);
+        every other row decays by exp(-t/T_Rabi).
+        """
         out = np.array(values, dtype=float)
-        if is_ramsey:
-            out = _damp_oscillation(out, times, envelope.t_2s_star_s)
-            out = _damp(out, times, envelope.t_s_s)
-        else:
-            out = _damp(out, times, envelope.t_rabi_s)
+        if ramsey:
+            if self.t_2s_star_s is not None:
+                baseline = out.mean(axis=-1, keepdims=True)
+                out = baseline + (out - baseline) * np.exp(-times / self.t_2s_star_s)
+            if self.t_s_s is not None:
+                out = out * np.exp(-times / self.t_s_s)
+        elif self.t_rabi_s is not None:
+            out = out * np.exp(-times / self.t_rabi_s)
         return out
-
-    populations = trace.singlet_populations
-    if populations is not None:
-        populations = np.vstack([transform(row) for row in populations])
-    metadata = dict(trace.metadata)
-    metadata["envelope"] = {k: v for k, v in asdict(envelope).items() if v is not None}
-    return Trace(
-        sweep_values=times.copy(),
-        observable=transform(trace.observable),
-        singlet_populations=populations,
-        metadata=metadata,
-    )

@@ -19,6 +19,9 @@ The `signal_proxy` readout is one observable, the transverse magnetization
 back-propagated once per run through the readout sequence with
 `sequence_propagator`; its 0/pi phase cycle is a coherence-parity filter on
 that observable, with no second, phase-shifted readout run.
+Each runner applies its own decay envelope to the values it reads: T_Rabi
+on Rabi-type runs, T_2S* about each row's mean then T_S on Ramsey runs,
+T_S over each pumping cycle.
 
 RF phase enters only in `propagator`: `swept_expectations` simulates each
 run in the frame of its first lock (the transfer lock; Ramsey's first pi/2
@@ -51,7 +54,6 @@ from .propagator import (
     Segment,
     SpinLock,
     _mul,
-    apply_relaxation_envelope,
     sequence_propagator,
     swept_expectations,
 )
@@ -150,6 +152,8 @@ class Protocol:
             )
         if self.readout not in ("projector", "signal_proxy"):
             raise ValueError(f"unknown readout {self.readout!r}")
+        if self.phase_cycle and self.readout != "signal_proxy":
+            raise ValueError(f"phase_cycle applies to the signal_proxy readout only, got readout {self.readout!r}")
         if self.kind in ("pumping", "resonance_scan") and self.readout != "projector":
             raise ValueError(f"readout must be 'projector' for a {self.kind} protocol, got {self.readout!r}")
         if self.kind == "ramsey" and (self.pi_half_duration_s is None or self.free_lock is None):
@@ -324,35 +328,18 @@ def _inverted_sequence(segments: list[Segment]) -> list[Segment]:
     return inverted
 
 
-def _base_metadata(system: SpinSystem, protocol: Protocol, sweep_unit: str) -> dict:
-    return {
-        "protocol": protocol.kind,
-        "sweep_unit": sweep_unit,
-        "source_pair": protocol.source_pair,
-        "readout_pair": protocol.readout_pair,
-        "transfer_nutation_hz": protocol.transfer.nutation_hz,
-        "transfer_phase_rad": protocol.transfer.phase,
-        "transmitter_offset_hz": protocol.transfer.transmitter_offset_hz,
-        "triplet_init": protocol.triplet_init
-        if isinstance(protocol.triplet_init, str)
-        else [protocol.triplet_init.alpha, protocol.triplet_init.beta, protocol.triplet_init.gamma],
-        "n_pairs": len(system.pairs),
-    }
-
-
 def _sweep_trace(system: SpinSystem, protocol: Protocol, rho0: np.ndarray,
                  before: list[Segment], swept: list[SpinLock], after: list[Segment],
-                 envelope: RelaxationEnvelope | None, **metadata) -> Trace:
+                 envelope: RelaxationEnvelope | None) -> Trace:
     """Trace of rho0 (in the first lock's frame) through before, the swept locks at each tau, and after."""
     n_pairs = len(system.pairs)
     signal = [_signal_observable(system, protocol)] if protocol.readout == "signal_proxy" else []
     values = swept_expectations(system, rho0, before, swept, protocol.sweep, after, signal)
-    readout = n_pairs if protocol.readout == "signal_proxy" else protocol.readout_pair
-    metadata = {**_base_metadata(system, protocol, "s"), **metadata}
-    trace = Trace(protocol.sweep, values[readout].copy(), values[:n_pairs], metadata)
     if envelope is not None:
-        trace = apply_relaxation_envelope(trace, envelope)
-    return trace
+        values = envelope.apply(values, protocol.sweep, protocol.kind == "ramsey")
+    readout = n_pairs if protocol.readout == "signal_proxy" else protocol.readout_pair
+    metadata = {"protocol": protocol.kind, "sweep_unit": "s"}
+    return Trace(protocol.sweep, values[readout].copy(), values[:n_pairs], metadata)
 
 
 def run_rabi(
@@ -375,8 +362,7 @@ def run_double_rabi(
     lock_a, lock_b = (replace(protocol.transfer, phase=p) for p in protocol.double_rabi_phases)
     rho0 = transfer_initial_state(system, protocol)
     swept = [SpinLock(lock_a, 0.0), SpinLock(lock_b, 0.0)]
-    return _sweep_trace(system, protocol, rho0, [], swept, [], envelope,
-                        double_rabi_phases_rad=[lock_a.phase, lock_b.phase])
+    return _sweep_trace(system, protocol, rho0, [], swept, [], envelope)
 
 
 def run_ramsey(
@@ -388,9 +374,7 @@ def run_ramsey(
     rho0 = transfer_initial_state(system, protocol)
     half = SpinLock(protocol.transfer, protocol.pi_half_duration_s)
     free = SpinLock(protocol.free_lock, 0.0)
-    return _sweep_trace(system, protocol, rho0, [half], [free], [half], envelope,
-                        free_nutation_hz=protocol.free_lock.nutation_hz,
-                        pi_half_duration_s=protocol.pi_half_duration_s)
+    return _sweep_trace(system, protocol, rho0, [half], [free], [half], envelope)
 
 
 def run_resonance_scan(
@@ -422,20 +406,22 @@ def run_resonance_scan(
     for k, nutation in enumerate(protocol.sweep):
         lock = SpinLock(replace(protocol.transfer, nutation_hz=float(nutation)), 0.0)
         row = swept_expectations(system, rho0, [], [lock], taus, [], [])[protocol.readout_pair]
-        trace = Trace(taus, row, metadata={"protocol": "rabi"})
         if envelope is not None:
-            trace = apply_relaxation_envelope(trace, envelope)
+            row = envelope.apply(row, taus, ramsey=False)
         delta_nu_n[k] = effective_nutation_difference(float(nutation), delta_nu12)
         try:
-            fit = fit_rabi(trace, mode=mode, with_decay=envelope is not None)
+            fit = fit_rabi((taus, row), mode=mode, with_decay=envelope is not None)
             amplitudes[k] = abs(fit.params["amplitude"])
             frequencies[k] = fit.params["frequency_hz"]
         except (FitInputError, np.linalg.LinAlgError):
             continue
-    metadata = _base_metadata(system, protocol, "Hz")
-    metadata["delta_nu_n_hz"] = delta_nu_n.tolist()
-    metadata["fitted_frequency_hz"] = frequencies.tolist()
-    metadata["delta_nu12_hz"] = delta_nu12
+    metadata = {
+        "protocol": protocol.kind,
+        "sweep_unit": "Hz",
+        "delta_nu_n_hz": delta_nu_n.tolist(),
+        "fitted_frequency_hz": frequencies.tolist(),
+        "delta_nu12_hz": delta_nu12,
+    }
     return Trace(protocol.sweep, amplitudes, None, metadata)
 
 
@@ -467,10 +453,7 @@ def run_pumping(
     values = np.array(
         [gain * sum(decay**j for j in range(int(n))) for n in counts], dtype=float
     )
-    metadata = _base_metadata(system, protocol, "cycles")
-    metadata["per_cycle_gain"] = gain
-    metadata["cycle_time_s"] = cycle_time
-    metadata["cycle_decay"] = decay
+    metadata = {"protocol": protocol.kind, "sweep_unit": "cycles", "per_cycle_gain": gain}
     return Trace(counts, values, None, metadata)
 
 

@@ -17,7 +17,9 @@ class Trace:
         whose value could not be determined (a resonance-scan point whose
         fit failed); infinities are rejected.
     singlet_populations: per-pair singlet population, shape (n_pairs, n_points).
-    metadata: protocol name, sweep unit and any run parameters worth echoing.
+    metadata: "protocol" and "sweep_unit" ("s", "Hz" or "cycles") in every
+        runner's trace; a resonance scan adds "delta_nu_n_hz",
+        "fitted_frequency_hz" and "delta_nu12_hz", and pumping "per_cycle_gain".
     """
 
     sweep_values: np.ndarray

@@ -214,6 +214,31 @@ class TestDegenerateData:
         with pytest.raises(FitInputError):
             fit_lorentzian((t[:4], y[:4]))
 
+    TIME_SERIES = {
+        "rabi": (fit_rabi, lambda t: np.sin(np.pi * 2.57 * t) ** 2),
+        "ramsey": (fit_ramsey, lambda t: np.cos(2 * np.pi * 2.33 * t - 0.3) * np.exp(-t / 1.3) + 0.2),
+        "exponential": (fit_exponential, lambda t: np.exp(-t / 0.205) + 0.1),
+    }
+
+    @pytest.mark.parametrize("order", ["reversed", "doubled"])
+    @pytest.mark.parametrize("model", list(TIME_SERIES))
+    def test_time_series_must_be_strictly_increasing(self, model, order):
+        fitter, curve = self.TIME_SERIES[model]
+        t = np.linspace(0.01, 3.0, 150)
+        t = t[::-1] if order == "reversed" else np.repeat(t, 2)
+        with pytest.raises(FitInputError, match="strictly increasing"):
+            fitter((t, curve(t)))
+
+    @pytest.mark.parametrize("order", ["rising", "falling"])
+    def test_lorentzian_takes_any_order(self, order):
+        # a scan's detunings fall; one point above half maximum, so the width seed is the grid step
+        x = np.linspace(-10.0, 10.0, 21)
+        x = x if order == "rising" else x[::-1]
+        fit = fit_lorentzian((x, 0.1 + 0.8 * 0.25 / ((x - 0.2) ** 2 + 0.25)))
+        assert fit.converged
+        assert fit.params["center"] == pytest.approx(0.2, abs=1e-9)
+        assert fit.params["fwhm"] == pytest.approx(1.0, abs=1e-9)
+
 
 class TestAnalyticJacobians:
     # finite differences as the oracle for the analytic Jacobians

@@ -282,6 +282,18 @@ class TestFit:
         assert "input error: fit data must be finite" in capsys.readouterr().err
         assert not report.exists()
 
+    @pytest.mark.parametrize("model", ["rabi", "ramsey", "exponential"])
+    @pytest.mark.parametrize("order", ["reversed", "doubled"])
+    def test_unordered_time_series_exits_one(self, tmp_path, capsys, model, order):
+        trace = self.make_synthetic_trace(tmp_path, "ramsey" if model == "ramsey" else "rabi")
+        head, *rows = trace.read_text().splitlines()
+        rows = rows[::-1] if order == "reversed" else [row for row in rows for _ in range(2)]
+        trace.write_text("\n".join([head, *rows]) + "\n")
+        report = tmp_path / "fit.json"
+        assert main(["fit", "--trace", str(trace), "--model", model, "--out", str(report)]) == 1
+        assert "input error: sweep times must be strictly increasing" in capsys.readouterr().err
+        assert not report.exists()
+
     @pytest.mark.parametrize(
         "model, flags, named",
         [
@@ -587,6 +599,15 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("input error") and "protocol.phase_cycle must be true or false" in err
         assert "Traceback" not in err
+
+    def test_phase_cycle_needs_the_signal_proxy_readout(self, tmp_path, capsys):
+        cfg = rabi_config()
+        cfg["protocol"]["phase_cycle"] = True
+        code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "t")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: protocol: phase_cycle applies to the signal_proxy readout only")
+        assert not (tmp_path / "t").exists()
 
     @pytest.mark.parametrize("values", [["0.1", "0.5"], [0.1, True], "0.1"], ids=["strings", "bool", "string"])
     def test_sweep_values_must_be_numbers(self, tmp_path, capsys, values):

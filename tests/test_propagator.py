@@ -26,7 +26,6 @@ from singletsim.propagator import (
     HardPulse,
     RelaxationEnvelope,
     SpinLock,
-    apply_relaxation_envelope,
     sequence_propagator,
     swept_expectations,
 )
@@ -339,41 +338,29 @@ class TestSweptExpectations:
 
 
 class TestRelaxationEnvelope:
-    def make_trace(self, values, protocol="rabi"):
-        t = np.linspace(0.0, 4.0, values.size)
-        return Trace(t, values, None, {"protocol": protocol, "sweep_unit": "s"})
-
     def test_absent_lifetimes_change_nothing(self):
-        trace = self.make_trace(np.linspace(0.2, 0.9, 50))
-        out = apply_relaxation_envelope(trace, RelaxationEnvelope())
-        assert np.allclose(out.observable, trace.observable)
+        t, values = np.linspace(0.0, 4.0, 50), np.linspace(0.2, 0.9, 50)
+        out = RelaxationEnvelope().apply(values, t, ramsey=False)
+        assert np.allclose(out, values)
 
     def test_definition_point(self):
         t = np.linspace(0.0, 4.0, 5)
-        trace = Trace(t, np.ones(5), None, {"protocol": "ramsey", "sweep_unit": "s"})
-        out = apply_relaxation_envelope(trace, RelaxationEnvelope(t_s_s=2.0))
+        out = RelaxationEnvelope(t_s_s=2.0).apply(np.ones(5), t, ramsey=True)
         k = np.argmin(np.abs(t - 2.0))
-        assert abs(out.observable[k] - np.exp(-1.0)) < 1e-12
+        assert abs(out[k] - np.exp(-1.0)) < 1e-12
 
     def test_rabi_envelope_recovered_by_exponential_fit(self):
         t = np.linspace(0.0, 4.0, 200)
-        flat = Trace(t, np.full(t.size, 0.8), None, {"protocol": "rabi", "sweep_unit": "s"})
-        out = apply_relaxation_envelope(flat, RelaxationEnvelope(t_rabi_s=1.6))
-        fit = fit_exponential((t, out.observable))
+        out = RelaxationEnvelope(t_rabi_s=1.6).apply(np.full(t.size, 0.8), t, ramsey=False)
+        fit = fit_exponential((t, out))
         assert abs(fit.params["t_s"] - 1.6) / 1.6 < 1e-6
 
     def test_ramsey_dephasing_acts_on_oscillation_only(self):
         t = np.linspace(0.0, 6.0, 400)
         base = 0.5 + 0.3 * np.cos(2 * np.pi * 2.0 * t)
-        trace = Trace(t, base, None, {"protocol": "ramsey", "sweep_unit": "s"})
-        out = apply_relaxation_envelope(trace, RelaxationEnvelope(t_2s_star_s=1.0))
+        out = RelaxationEnvelope(t_2s_star_s=1.0).apply(base, t, ramsey=True)
         expected = 0.5 + 0.3 * np.cos(2 * np.pi * 2.0 * t) * np.exp(-t / 1.0)
-        assert np.max(np.abs(out.observable - expected)) < 5e-3
-
-    def test_rejects_frequency_sweeps(self):
-        trace = Trace(np.array([1.0, 2.0]), np.array([0.1, 0.2]), None, {"sweep_unit": "Hz"})
-        with pytest.raises(ValueError, match="time traces"):
-            apply_relaxation_envelope(trace, RelaxationEnvelope(t_s_s=1.0))
+        assert np.max(np.abs(out - expected)) < 5e-3
 
     def test_positive_lifetimes_required(self):
         with pytest.raises(ValueError, match="positive"):

@@ -144,6 +144,12 @@ class TestProtocolValidation:
         with pytest.raises(ValueError, match="unknown protocol kind"):
             Protocol(kind="nope", sweep=np.array([1.0]), transfer=SpinLockParams(1.0))
 
+    def test_phase_cycle_needs_the_signal_proxy_readout(self):
+        with pytest.raises(ValueError, match="phase_cycle"):
+            Protocol(kind="rabi", sweep=np.array([1.0]), transfer=SpinLockParams(1.0), phase_cycle=True)
+        Protocol(kind="rabi", sweep=np.array([1.0]), transfer=SpinLockParams(1.0), readout="signal_proxy",
+                 phase_cycle=True)
+
     def test_non_increasing_sweep(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             Protocol(kind="rabi", sweep=np.array([1.0, 1.0]), transfer=SpinLockParams(1.0))
@@ -608,6 +614,63 @@ class TestRunPumping:
             run_pumping(pgg, proto)
 
 
+class TestRunnerEnvelopes:
+    """Each runner damps the observable and every population row by its own decay factors."""
+
+    ENVELOPE = RelaxationEnvelope(t_s_s=4.4, t_2s_star_s=1.3, t_rabi_s=2.0)
+
+    def make_protocol(self, glu, kind):
+        tx = pair_center_offset(glu, 0)
+        return Protocol(
+            kind=kind, sweep=np.linspace(0.02, 1.5, 30), transfer=glu_lock(glu), triplet_init="phi_minus",
+            readout="signal_proxy" if kind == "ramsey" else "projector", pi_half_duration_s=1.0 / (4 * 2.57),
+            free_lock=SpinLockParams(47.0, 0.0, tx),
+        )
+
+    @pytest.mark.parametrize("kind", ["rabi", "ramsey", "double_rabi"])
+    def test_rows_are_the_undamped_rows_times_their_factors(self, kind):
+        glu = glutamate()
+        protocol = self.make_protocol(glu, kind)
+        bare, damped = RUNNERS[kind](glu, protocol), RUNNERS[kind](glu, protocol, self.ENVELOPE)
+        t = protocol.sweep
+
+        def expected(row):
+            if kind != "ramsey":
+                return row * np.exp(-t / 2.0)
+            mean = row.mean()
+            return (mean + (row - mean) * np.exp(-t / 1.3)) * np.exp(-t / 4.4)
+
+        assert np.max(np.abs(damped.observable - expected(bare.observable))) < 1e-15
+        assert damped.singlet_populations.shape == bare.singlet_populations.shape == (2, t.size)
+        for got, row in zip(damped.singlet_populations, bare.singlet_populations):
+            assert np.max(np.abs(got - expected(row))) < 1e-15
+
+    def test_scan_fits_the_damped_rows_with_decay(self, monkeypatch):
+        from singletsim.analysis import _trace_xy
+
+        glu = glutamate()
+        protocol = Protocol(
+            kind="resonance_scan", sweep=np.linspace(560.0, 640.0, 3), transfer=glu_lock(glu),
+            triplet_init="phi_minus", scan_tau_grid_s=np.linspace(0.02, 1.5, 40),
+        )
+        seen = []
+
+        def recording_fit(trace, mode, with_decay):
+            seen.append((*_trace_xy(trace), with_decay))
+            return fit_rabi(trace, mode=mode, with_decay=with_decay)
+
+        monkeypatch.setattr(sequences, "fit_rabi", recording_fit)
+        run_resonance_scan(glu, protocol)
+        trace = run_resonance_scan(glu, protocol, RelaxationEnvelope(t_rabi_s=2.0))
+        bare, damped = seen[:3], seen[3:]
+        assert [d for *_, d in bare] == [False] * 3 and [d for *_, d in damped] == [True] * 3
+        for (t, row, _), (t_damped, got, _) in zip(bare, damped):
+            assert np.array_equal(t_damped, t)
+            assert np.max(np.abs(got - row * np.exp(-t / 2.0))) < 1e-15
+        assert np.all(np.isfinite(trace.observable))
+        assert np.all(np.isfinite(trace.metadata["fitted_frequency_hz"]))
+
+
 class TestSignalProxyReadout:
     def test_proxy_tracks_singlet_population(self):
         glu = glutamate()
@@ -655,7 +718,8 @@ class TestSignalProxyReadout:
         else:
             system, readout_pair = phe_gly_gly(include_third_pair=True), 2
         protocol = Protocol(kind="rabi", sweep=np.array([0.1]), transfer=glu_lock(glutamate()),
-                            source_pair=0, readout_pair=readout_pair, prep=ENGINE_PREPS[prep], phase_cycle=True)
+                            source_pair=0, readout_pair=readout_pair, prep=ENGINE_PREPS[prep],
+                            readout="signal_proxy", phase_cycle=True)
         readout = _readout_sequence(system, protocol)
         mx = sum(embed_spin_operator(system, i, "x") for i in range(system.n_spins))
         runs = [oracle_propagator(system, seq) for seq in (readout, _phase_shifted_pulses(readout, np.pi))]
