@@ -554,7 +554,7 @@ def main(argv: list[str] | None = None) -> int:
         # LinAlgError is a ValueError, so it is caught before the input errors
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:  # ConfigError, FitInputError and any other rejected input
+    except (ValueError, OSError) as exc:  # ConfigError, FitInputError, a path that cannot be read or written
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -16,13 +16,14 @@ transmitter offset, and it carries no RF phase.  A hard pulse is an ideal
 zero-duration rotation, the same 2 x 2 rotation on every spin, written in
 closed form by bit index with no `eigh`.  `swept_expectations` reads every
 population: a sweep of a duration tau shared by k consecutive segments (a
-fixed sequence is a one-point sweep) is read in their eigenbases, vectorised
-over tau for k = 1, with no propagator formed per tau.  It reads each
-assigned pair's singlet population from the rows of the pair's |ud> and
-|du> states, with no d x d projector, then any dense observables.  Arrays
-stay float64 while every factor is real, and a product of a real factor
-with a complex one runs as one real product on the complex factor's real
-view (`_mul`).
+fixed sequence is a one-point sweep) is read in their eigenbases, with no
+propagator formed per tau, from an initial state factored as
+c * 1 + K diag(w) K^dagger: vectorised over tau for k = 1, and for k >= 2 by
+carrying the kets, a block of taus at a time.  It reads each assigned
+pair's singlet population from the rows of the pair's |ud> and |du> states,
+with no d x d projector, then any dense observables.  Arrays stay float64
+while every factor is real, and a product of a real factor with a complex
+one runs as one real product on the complex factor's real view (`_mul`).
 Relaxation enters only as phenomenological decay envelopes
 (`RelaxationEnvelope.apply`), which each runner applies to the values it
 has read.
@@ -36,7 +37,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .hamiltonian import SpinLockParams, spinlock_hamiltonian
-from .spincore import SpinSystem, _fz, _spin_states, check_density, check_hermitian
+from .spincore import SpinSystem, _fz, _spin_states, check_hermitian, check_state
 
 @dataclass(frozen=True)
 class HardPulse:
@@ -159,7 +160,7 @@ def sequence_propagator(system: SpinSystem, segments: list[Segment]) -> np.ndarr
 
 def swept_expectations(
     system: SpinSystem,
-    rho0: np.ndarray,
+    state: tuple,
     before: list[Segment],
     segments: list[SpinLock],
     durations_s,
@@ -171,28 +172,33 @@ def swept_expectations(
     Rows are the pairs in order, then the observables; columns are the
     durations.  The run is simulated in the frame of its first lock, the
     first `SpinLock` of `before + segments`: every phase is taken less that
-    lock's, so it sits at phase 0 with real eigenvectors.  rho0 is given in
-    that frame, the one the ideal transfer state is defined against; each
-    observable is given in the lab frame and read as Z^dagger O Z with
+    lock's, so it sits at phase 0 with real eigenvectors.  The initial state
+    rho0 = c * 1 + K diag(w) K^dagger is given as (c, K, w) in that frame, the
+    one the ideal transfer state is defined against (`spincore.check_state`);
+    each observable is given in the lab frame and read as Z^dagger O Z with
     Z = exp(-i phase Fz).  Pair singlet populations read the same in both.
 
     U = after . S_k(tau) ... S_1(tau) . before, each swept segment S_j's
-    own duration replaced by each tau.  With V_j the
-    eigenbasis of S_j's generator, rho0 becomes R = Y^dagger rho0 Y with
-    Y = U_before^dagger V_1 (V_1 when `before` plays nothing) and each
-    observable M = W^dagger O W with W = U_after V_k (V_k likewise).  A
-    pair's singlet projector sums |S0, rest><S0, rest| over the other spins,
-    so its M is B^dagger B with B = (W[ud] - W[du]) / sqrt(2), the rows of W
-    at the pair's |ud> and |du> states.  For one swept segment, with
-    a = exp(-2 pi i E tau), the trace is Re sum_ij a_i R_ij conj(a_j) M_ji,
-    read in real arithmetic: one (2 n_tau, d) x (d, d) real product per row
-    of [cos; sin] of the phases against R * M^T, over its real view when it
-    is complex.  For more, R is carried from each eigenbasis to the next
-    through the overlaps C_j = V_{j+1}^dagger V_j, one tau at a time.  No
-    propagator is formed per tau.  With real eigenvectors and rho0, every
-    population is read in float64.
+    own duration replaced by each tau.  With V_j the eigenbasis of S_j's
+    generator, the kets become G = Y^dagger K with Y = U_before^dagger V_1
+    (V_1 when `before` plays nothing), and each observable M = W^dagger O W
+    with W = U_after V_k (V_k likewise).  A pair's singlet projector sums
+    |S0, rest><S0, rest| over the other spins, so its M is B^dagger B with
+    B = (W[ud] - W[du]) / sqrt(2), the rows of W at the pair's |ud> and |du>
+    states, and tr M = d / 4.  For one swept segment, R = c * 1 + G diag(w)
+    G^dagger and, with a = exp(-2 pi i E tau), the trace is
+    Re sum_ij a_i R_ij conj(a_j) M_ji, read in real arithmetic: one
+    (2 n_tau, d) x (d, d) real product per row of [cos; sin] of the phases
+    against R * M^T, over its real view when it is complex.  For more, the
+    kets of a block of n = d // r taus are scaled by each segment's phases
+    and moved to the next eigenbasis through the overlap
+    C_j = V_{j+1}^dagger V_j, one (d, d) x (d, n r) product for r kets; each
+    ket z is read as c tr M + sum w z^dagger M z, ||B z||^2 for a pair.  No
+    propagator and no d x d state is formed per tau.  With real eigenvectors
+    and kets, every population is read in float64.
     """
-    check_density(rho0)
+    check_state(state)
+    c, kets, weights = state
     frame = next(s.params.phase for s in [*before, *segments] if isinstance(s, SpinLock))
     eigs: dict[SpinLock, tuple[np.ndarray, np.ndarray]] = {}
     u_before = _propagator(system, before, eigs, frame)
@@ -200,47 +206,49 @@ def swept_expectations(
     bases = [_segment_eig(system, segment, eigs, frame) for segment in segments]
     y = bases[0][1] if u_before is None else _mul(u_before.conj().T, bases[0][1])
     w = bases[-1][1] if u_after is None else _mul(u_after, bases[-1][1])
-    r = _mul(y.conj().T, _mul(rho0, y))
+    g = y.conj().T if kets is None else _mul(y.conj().T, kets)
     masks, down = _spin_states(system)
-    m_t = []  # the transpose of each M
+    diffs = []  # sqrt(2) B of each pair
     for a, b in system.pairs:
         ud = np.flatnonzero(~down[a] & down[b])
-        diff = w[ud] - w[ud ^ (masks[a] | masks[b])]  # sqrt(2) B
-        m_t.append(0.5 * (diff.T @ diff.conj()))
-    for obs in observables:  # each given in the lab frame, read as Z^dagger O Z
-        fz = _fz(system)
-        m_t.append(_mul(_mul(w.conj().T, np.exp(1j * frame * (fz[:, None] - fz)) * obs), w).T)
-
-    def read(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """Re sum_ij a_i x_ij conj(a_j) M_ji for each M, a = exp(i theta), over theta's leading axis.
-
-        With c = cos(theta), s = sin(theta) and X = x * M^T, the sum is
-        c X c + s X s over Re X, plus c X s - s X c over Im X when X is complex.
-        """
+        diffs.append(w[ud] - w[ud ^ (masks[a] | masks[b])])
+    fz = _fz(system)  # each observable given in the lab frame, read as Z^dagger O Z
+    ms = [_mul(_mul(w.conj().T, np.exp(1j * frame * (fz[:, None] - fz)) * obs), w) for obs in observables]
+    # the angles round as _unitary's do, so each tau's phases match its propagator's
+    taus = np.asarray(durations_s, dtype=float)[:, None]
+    if len(bases) == 1:
+        # Re sum_ij a_i R_ij conj(a_j) M_ji, a = exp(i theta): with co = cos(theta),
+        # si = sin(theta) and X = R * M^T, co X co + si X si over Re X, plus
+        # co X si - si X co over Im X when X is complex
+        r = _mul(g * weights, g.conj().T) + c * np.eye(system.dim)
+        theta = _angles(bases[0][0], taus)
         n = theta.shape[0]
         cs = np.concatenate([np.cos(theta), np.sin(theta)])
         rows = []
-        for mt in m_t:
-            g = _mul(cs, x * mt)  # [c X; s X]
-            value = (g.real * cs).reshape(2, n, -1).sum(axis=(0, 2))
-            if np.iscomplexobj(g):
-                value += (g[:n].imag * cs[n:] - g[n:].imag * cs[:n]).sum(axis=-1)
+        for k, factor in enumerate(diffs + ms):  # each M^T formed only as it is read
+            mt = 0.5 * (factor.T @ factor.conj()) if k < len(diffs) else factor.T
+            x = _mul(cs, r * mt)  # [co X; si X]
+            value = (x.real * cs).reshape(2, n, -1).sum(axis=(0, 2))
+            if np.iscomplexobj(x):
+                value += (x[:n].imag * cs[n:] - x[n:].imag * cs[:n]).sum(axis=-1)
             rows.append(value)
         return np.array(rows)
-
-    # the angles round as _unitary's do, so each tau's phases match its propagator's
-    taus = np.asarray(durations_s, dtype=float)[:, None]
-    angles = [_angles(energies, taus) for energies, _ in bases]
-    if len(bases) == 1:
-        return read(r, angles[0])
-    phases = [np.exp(1j * theta) for theta in angles[:-1]]
     overlaps = [_mul(v_next.conj().T, v) for (_, v), (_, v_next) in zip(bases, bases[1:])]
-    values = np.empty((len(m_t), taus.shape[0]))
-    for n in range(taus.shape[0]):
-        x = r
-        for c, a in zip(overlaps, phases):
-            x = _mul(_mul(c, a[n, :, None] * x * a[n].conj()), c.conj().T)
-        values[:, n] = read(x, angles[-1][n : n + 1])[:, 0]
+    d, n_kets = g.shape
+    per_block = d // n_kets  # a block's kets fill at most one d x d array; orthonormal kets have r <= d
+    traces = np.array([d / 4] * len(diffs) + [np.trace(m).real for m in ms])
+    values = np.empty((len(traces), len(taus)))
+    for start in range(0, len(taus), per_block):
+        block = slice(start, start + per_block)
+        z = g[:, None, :]  # (d, tau, ket)
+        for (energies, _), overlap in zip(bases, [None, *overlaps]):
+            if overlap is not None:
+                z = _mul(overlap, z.reshape(d, -1)).reshape(d, -1, n_kets)
+            z = np.exp(1j * _angles(energies, taus[block])).T[:, :, None] * z
+        flat = z.reshape(d, -1)
+        rows = [0.5 * (np.abs(_mul(diff, flat)) ** 2).sum(axis=0) for diff in diffs]
+        rows += [(flat.conj() * _mul(m, flat)).real.sum(axis=0) for m in ms]
+        values[:, block] = np.reshape(rows, (len(rows), -1, n_kets)) @ weights + c * traces[:, None]
     return values
 
 

@@ -10,11 +10,15 @@ nutation, so every segment is a hard pulse or a lock.
 
 Every population is read through `swept_expectations`: every pair's
 singlet population (with no projector built) and the configured readout,
-with no propagator per sweep point.  Rabi and Ramsey sweep one lock, read
-vectorised over tau in its eigenbasis; double-Rabi sweeps its two locks
-together, read in their two eigenbases.  A preparation is a one-point
-sweep of its last segment, and pumping a two-point sweep (0 and the pump
-time) of its transfer lock.
+with no propagator per sweep point.  The initial state is handed to it
+factored as c * 1 + K diag(w) K^dagger, with no dense density: the ideal
+state's kets are products of pair kets (3^(p-1) for a uniform triplet over
+p pairs, one for a pure one), a simulated preparation adds c, and the
+pseudo-thermal state has its weights on the basis states.  Rabi and Ramsey
+sweep one lock, read vectorised over tau in its eigenbasis; double-Rabi
+sweeps its two locks together, carrying the kets through their two
+eigenbases.  A preparation is a one-point sweep of its last segment, and
+pumping a two-point sweep (0 and the pump time) of its transfer lock.
 The `signal_proxy` readout is one observable, the transverse magnetization
 back-propagated once per run through the readout sequence with
 `sequence_propagator`; its 0/pi phase cycle is a coherence-parity filter on
@@ -62,9 +66,8 @@ from .spincore import (
     PHI_COMPOSITIONS,
     SpinSystem,
     TripletAmplitudes,
+    _basis_split,
     _fz,
-    maximally_mixed_triplet,
-    pair_product_density,
     thermal_state,
 )
 from .trace import Trace
@@ -224,32 +227,32 @@ def prep_sequence(system: SpinSystem, pair_index: int, prep: PrepSpec) -> list[S
     raise ValueError("ideal preparation has no pulse sequence")
 
 
-def _triplet_block(init: str | TripletAmplitudes) -> np.ndarray:
-    """4x4 pair density for the non-singlet pair at the start of a transfer.
-
-    Pure compositions are expressed in the dressed basis of a lock along +x,
-    the transfer lock in its own frame.
-    """
-    if init == "uniform":
-        return maximally_mixed_triplet()
-    amplitudes = PHI_COMPOSITIONS[init] if isinstance(init, str) else init
-    ket = PAIR_BASIS.phi_for(amplitudes)
-    return np.outer(ket, ket.conj())
-
-
 def ideal_transfer_state(
     system: SpinSystem,
     source_pair: int,
     triplet_init: str | TripletAmplitudes = "uniform",
-) -> np.ndarray:
-    """Singlet on the source pair, the configured triplet on every other pair.
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Singlet on the source pair, the configured triplet on every other pair, factored as (0, K, w).
 
-    The state in the transfer lock's frame; it is real.
+    Each ket is a product of pair kets, written by bit index: s0 on the
+    source pair and, on each other pair, phi+, phi0 and phi- at weight 1/3
+    for the uniform triplet, or a pure composition's ket, in the dressed
+    basis of a lock along +x, the transfer lock in its own frame.  It is real.
     """
-    singlet = np.outer(PAIR_BASIS.s0, PAIR_BASIS.s0.conj())
-    triplet = _triplet_block(triplet_init)
-    blocks = [singlet if p == source_pair else triplet for p in range(len(system.pairs))]
-    return pair_product_density(system, blocks)
+    if {i for p in system.pairs for i in p} != set(range(system.n_spins)):
+        raise ValueError("pair assignments do not cover all spins")
+    if triplet_init == "uniform":
+        triplet = np.array([PAIR_BASIS.phi_plus, PAIR_BASIS.phi_0, PAIR_BASIS.phi_minus]), np.full(3, 1 / 3)
+    else:
+        amplitudes = PHI_COMPOSITIONS[triplet_init] if isinstance(triplet_init, str) else triplet_init
+        triplet = PAIR_BASIS.phi_for(amplitudes)[None], np.ones(1)
+    kets, weights = np.ones((system.dim, 1)), np.ones(1)
+    for p, pair in enumerate(system.pairs):
+        pair_kets, pair_weights = (PAIR_BASIS.s0[None], np.ones(1)) if p == source_pair else triplet
+        pattern, _ = _basis_split(system, pair)
+        kets = (kets[:, :, None] * pair_kets.T[pattern][:, None, :]).reshape(system.dim, -1)
+        weights = np.outer(weights, pair_weights).ravel()
+    return 0.0, kets, weights
 
 
 def prepared_singlet_population(
@@ -257,21 +260,23 @@ def prepared_singlet_population(
 ) -> float:
     """Source-pair singlet population achieved by simulating the preparation.
 
-    The last segment is read as a one-point sweep of its own duration.
+    The pseudo-thermal state is diagonal, so its weights sit on the basis
+    states; the last segment is read as a one-point sweep of its own duration.
     """
-    thermal = thermal_state(system, prep.polarization)
+    thermal = (0.0, None, thermal_state(system, prep.polarization).diagonal())
     *before, last = prep_sequence(system, pair_index, prep)
     values = swept_expectations(system, thermal, before, [last], [last.duration_s], [], [])
     return float(values[pair_index, 0])
 
 
-def transfer_initial_state(system: SpinSystem, protocol: Protocol) -> np.ndarray:
-    """Initial density for a transfer run, in the transfer lock's frame.
+def transfer_initial_state(system: SpinSystem, protocol: Protocol) -> tuple[float, np.ndarray, np.ndarray]:
+    """Initial state (c, K, w) for a transfer run, in the transfer lock's frame.
 
-    Ideal preparation yields the pure singlet (x) mixed-triplet product.
-    A simulated preparation is folded in by mixing the ideal order with the
-    fully mixed state so that the source-pair singlet population matches
-    the population the preparation sequence actually achieves.
+    Ideal preparation yields the pure singlet (x) triplet product.  A
+    simulated preparation is folded in by mixing the ideal order with the
+    fully mixed state, c = (1 - weight) / d and w scaled by the weight, so
+    that the source-pair singlet population matches the population the
+    preparation sequence actually achieves.
     """
     system.pair(protocol.source_pair)
     system.pair(protocol.readout_pair)
@@ -281,7 +286,8 @@ def transfer_initial_state(system: SpinSystem, protocol: Protocol) -> np.ndarray
     achieved = prepared_singlet_population(system, protocol.source_pair, protocol.prep)
     # fully mixed state carries singlet population 1/4 on any pair
     weight = float(np.clip((achieved - 0.25) / 0.75, 0.0, 1.0))
-    return ideal * weight + np.eye(system.dim) / system.dim * (1.0 - weight)
+    _, kets, weights = ideal
+    return (1.0 - weight) / system.dim, kets, weights * weight
 
 
 def _signal_observable(system: SpinSystem, protocol: Protocol) -> np.ndarray:
@@ -328,13 +334,13 @@ def _inverted_sequence(segments: list[Segment]) -> list[Segment]:
     return inverted
 
 
-def _sweep_trace(system: SpinSystem, protocol: Protocol, rho0: np.ndarray,
+def _sweep_trace(system: SpinSystem, protocol: Protocol, state: tuple,
                  before: list[Segment], swept: list[SpinLock], after: list[Segment],
                  envelope: RelaxationEnvelope | None) -> Trace:
-    """Trace of rho0 (in the first lock's frame) through before, the swept locks at each tau, and after."""
+    """Trace of the initial state (in the first lock's frame) through before, the swept locks at each tau, and after."""
     n_pairs = len(system.pairs)
     signal = [_signal_observable(system, protocol)] if protocol.readout == "signal_proxy" else []
-    values = swept_expectations(system, rho0, before, swept, protocol.sweep, after, signal)
+    values = swept_expectations(system, state, before, swept, protocol.sweep, after, signal)
     if envelope is not None:
         values = envelope.apply(values, protocol.sweep, protocol.kind == "ramsey")
     readout = n_pairs if protocol.readout == "signal_proxy" else protocol.readout_pair
@@ -348,9 +354,9 @@ def run_rabi(
     """Sweep the CW transfer-lock duration and read singlet populations."""
     if protocol.kind != "rabi":
         raise ValueError(f"run_rabi needs a rabi protocol, got {protocol.kind!r}")
-    rho0 = transfer_initial_state(system, protocol)
+    state = transfer_initial_state(system, protocol)
     lock = SpinLock(protocol.transfer, 0.0)
-    return _sweep_trace(system, protocol, rho0, [], [lock], [], envelope)
+    return _sweep_trace(system, protocol, state, [], [lock], [], envelope)
 
 
 def run_double_rabi(
@@ -360,9 +366,9 @@ def run_double_rabi(
     if protocol.kind != "double_rabi":
         raise ValueError(f"run_double_rabi needs a double_rabi protocol, got {protocol.kind!r}")
     lock_a, lock_b = (replace(protocol.transfer, phase=p) for p in protocol.double_rabi_phases)
-    rho0 = transfer_initial_state(system, protocol)
+    state = transfer_initial_state(system, protocol)
     swept = [SpinLock(lock_a, 0.0), SpinLock(lock_b, 0.0)]
-    return _sweep_trace(system, protocol, rho0, [], swept, [], envelope)
+    return _sweep_trace(system, protocol, state, [], swept, [], envelope)
 
 
 def run_ramsey(
@@ -371,10 +377,10 @@ def run_ramsey(
     """pi/2 transfer, weak-lock free precession for tau_Ramsey, second pi/2, readout."""
     if protocol.kind != "ramsey":
         raise ValueError(f"run_ramsey needs a ramsey protocol, got {protocol.kind!r}")
-    rho0 = transfer_initial_state(system, protocol)
+    state = transfer_initial_state(system, protocol)
     half = SpinLock(protocol.transfer, protocol.pi_half_duration_s)
     free = SpinLock(protocol.free_lock, 0.0)
-    return _sweep_trace(system, protocol, rho0, [half], [free], [half], envelope)
+    return _sweep_trace(system, protocol, state, [half], [free], [half], envelope)
 
 
 def run_resonance_scan(
@@ -401,11 +407,11 @@ def run_resonance_scan(
     amplitudes = np.full(protocol.sweep.size, np.nan)
     frequencies = np.full(protocol.sweep.size, np.nan)
     delta_nu_n = np.zeros(protocol.sweep.size)
-    rho0 = transfer_initial_state(system, protocol)
+    state = transfer_initial_state(system, protocol)
     taus = protocol.scan_tau_grid_s
     for k, nutation in enumerate(protocol.sweep):
         lock = SpinLock(replace(protocol.transfer, nutation_hz=float(nutation)), 0.0)
-        row = swept_expectations(system, rho0, [], [lock], taus, [], [])[protocol.readout_pair]
+        row = swept_expectations(system, state, [], [lock], taus, [], [])[protocol.readout_pair]
         if envelope is not None:
             row = envelope.apply(row, taus, ramsey=False)
         delta_nu_n[k] = effective_nutation_difference(float(nutation), delta_nu12)
@@ -440,9 +446,9 @@ def run_pumping(
     counts = protocol.sweep
     if np.any(counts < 1) or np.any(counts != np.round(counts)):
         raise ValueError("pumping sweep must contain positive integer cycle counts")
-    rho0 = transfer_initial_state(system, protocol)
+    state = transfer_initial_state(system, protocol)
     lock = SpinLock(protocol.transfer, protocol.pump_transfer_duration_s)
-    values = swept_expectations(system, rho0, [], [lock], [0.0, lock.duration_s], [], [])
+    values = swept_expectations(system, state, [], [lock], [0.0, lock.duration_s], [], [])
     before, after = values[protocol.readout_pair]
     gain = float(after - before)
 

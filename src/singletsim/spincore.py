@@ -11,18 +11,20 @@ Conventions (fixed throughout the package):
   reverse of the most common textbook labelling and is intentional.
 
 The module holds spin systems, the singlet/triplet and dressed pair kets
-(`PAIR_BASIS`), the initial densities and density validation.  Densities
-are dense Hermitian, unit-trace, positive-semidefinite arrays, float64 where
-the state is real (the pair kets, the mixed triplet, the pseudo-thermal
-state and every product of real pair blocks) and complex only otherwise,
-assembled by basis-state bit index with no Kronecker products: `_basis_split`
-gives each basis state's pattern over some spins and the index of the rest,
-and `_spin_states` each spin's bit, from which `hamiltonian` writes its
+(`PAIR_BASIS`), the pseudo-thermal state and state validation.  The engine
+takes an initial state factored as (c, K, w), the density
+c * 1 + K diag(w) K^dagger with orthonormal kets as the columns of K, or
+K = None for weights on the basis states; `check_state` checks its trace
+and positivity on the factors, with no d x d matrix.  Arrays are assembled
+by basis-state bit index with no Kronecker products: `_basis_split` gives
+each basis state's pattern over some spins and the index of the rest, from
+which `sequences` builds the kets of a pair-product state, and
+`_spin_states` each spin's bit, from which `hamiltonian` writes its
 generators and `propagator` reads pair populations; `_fz` is each basis
 state's total Fz, with which `propagator` rotates RF phases and moves an
 observable into a run's frame, and `sequences` filters coherence parity.
-`check_density` accepts a state whose rho + EIGENVALUE_TOL * I has a
-Cholesky factor, and tests only the others by their smallest eigenvalue.
+The dense pair-product and mixed-triplet densities and the dense density
+check are test references, in `tests/conftest.py`.
 """
 
 from __future__ import annotations
@@ -180,29 +182,6 @@ def _fz(system: SpinSystem) -> np.ndarray:
     return (0.5 - _spin_states(system)[1]).sum(axis=0)
 
 
-def pair_product_density(system: SpinSystem, pair_densities: list[np.ndarray]) -> np.ndarray:
-    """Full density matrix from one 4x4 density block per pair (pairs must cover all spins)."""
-    if len(pair_densities) != len(system.pairs):
-        raise ValueError("need one density block per pair")
-    covered = {i for p in system.pairs for i in p}
-    if covered != set(range(system.n_spins)):
-        raise ValueError("pair assignments do not cover all spins")
-    rho = 1.0  # takes the blocks' dtype: real blocks give a real density
-    for pair, rho4 in zip(system.pairs, pair_densities):
-        pattern, _ = _basis_split(system, pair)
-        rho = rho * np.asarray(rho4)[np.ix_(pattern, pattern)]
-    return rho
-
-
-def maximally_mixed_triplet() -> np.ndarray:
-    """4x4 density of a pair with equal phi+, phi0, phi- populations and no singlet."""
-    b = PAIR_BASIS
-    rho = np.zeros((4, 4))
-    for ket in (b.phi_plus, b.phi_0, b.phi_minus):
-        rho += np.outer(ket, ket.conj()) / 3.0
-    return rho
-
-
 def thermal_state(system: SpinSystem, polarization: float = 1.0) -> np.ndarray:
     """Pseudo-thermal state (1 + a * sum_i I_iz) / dim.
 
@@ -224,15 +203,22 @@ def check_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndar
     return 0.5 * (matrix + adjoint)
 
 
-def check_density(rho: np.ndarray) -> None:
-    """Validate Hermiticity, unit trace and positivity of a density matrix."""
-    rho_h = check_hermitian(rho, HERMITICITY_TOL)
-    tr = np.trace(rho).real
+def check_state(state: tuple) -> None:
+    """Validate a factored state (c, K, w): orthonormal kets, unit trace, no eigenvalue below -EIGENVALUE_TOL.
+
+    With K^dagger K = 1 within TRACE_TOL, the trace is c d + sum w and the
+    eigenvalues are c + w and, off the kets, c.
+    """
+    c, kets, weights = state
+    dim = len(weights) if kets is None else len(kets)
+    if kets is not None:
+        gram = kets.conj().T @ kets
+        dev = np.max(np.abs(gram - np.eye(len(gram))))
+        if dev > TRACE_TOL:
+            raise ValueError(f"state kets are not orthonormal (max deviation {dev:.3e} from K^dagger K = 1)")
+    tr = c * dim + np.sum(weights)
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"density trace is {tr}, expected 1")
-    try:  # positive definite once shifted: every eigenvalue above -EIGENVALUE_TOL
-        np.linalg.cholesky(rho_h + EIGENVALUE_TOL * np.eye(len(rho_h)))
-    except np.linalg.LinAlgError:
-        eig_min = np.linalg.eigvalsh(rho_h).min()
-        if eig_min < -EIGENVALUE_TOL:
-            raise ValueError(f"density has negative eigenvalue {eig_min:.3e}") from None
+    low = min(c, c + np.min(weights))
+    if low < -EIGENVALUE_TOL:
+        raise ValueError(f"density has negative eigenvalue {low:.3e}")

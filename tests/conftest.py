@@ -2,7 +2,10 @@
 
 Dense spin and pair operators embedded by bit index, projectors, product
 states, `expectation` and a spectral frequency estimate are the references
-for the package's generators, populations and fits.  The evolution oracle is
+for the package's generators, populations and fits.  The dense
+pair-product and mixed-triplet densities, the dense density check and
+`dense`, which expands the engine's factored state (c, K, w), reference the
+factored states the package builds.  The evolution oracle is
 independent of the engine's tables and its closed-form pulses: one `eigh`
 per segment, of the segment's real phase-0 generator.  A phase-cycled
 readout is checked against its second, phase-shifted run, built segment by
@@ -24,13 +27,15 @@ from singletsim.analysis import FitInputError, _trace_xy
 from singletsim.hamiltonian import SpinLockParams, pair_center_offset, spinlock_hamiltonian
 from singletsim.propagator import HardPulse, Segment, SpinLock
 from singletsim.spincore import (
+    EIGENVALUE_TOL,
+    HERMITICITY_TOL,
     PAIR_BASIS,
     PHI_COMPOSITIONS,
+    TRACE_TOL,
     SpinSystem,
     TripletAmplitudes,
     _basis_split,
-    maximally_mixed_triplet,
-    pair_product_density,
+    check_hermitian,
 )
 
 
@@ -135,6 +140,55 @@ def rotate_pair_ket_phase(ket: np.ndarray, phase: float) -> np.ndarray:
     # exp(-i phase (I_az + I_bz)); diagonal in the local basis
     mz = np.array([1.0, 0.0, 0.0, -1.0])
     return np.exp(-1j * phase * mz) * ket
+
+
+def pair_product_density(system: SpinSystem, pair_densities: list[np.ndarray]) -> np.ndarray:
+    """Full density matrix from one 4x4 density block per pair (pairs must cover all spins)."""
+    if len(pair_densities) != len(system.pairs):
+        raise ValueError("need one density block per pair")
+    covered = {i for p in system.pairs for i in p}
+    if covered != set(range(system.n_spins)):
+        raise ValueError("pair assignments do not cover all spins")
+    rho = 1.0  # takes the blocks' dtype: real blocks give a real density
+    for pair, rho4 in zip(system.pairs, pair_densities):
+        pattern, _ = _basis_split(system, pair)
+        rho = rho * np.asarray(rho4)[np.ix_(pattern, pattern)]
+    return rho
+
+
+def maximally_mixed_triplet() -> np.ndarray:
+    """4x4 density of a pair with equal phi+, phi0, phi- populations and no singlet."""
+    b = PAIR_BASIS
+    rho = np.zeros((4, 4))
+    for ket in (b.phi_plus, b.phi_0, b.phi_minus):
+        rho += np.outer(ket, ket.conj()) / 3.0
+    return rho
+
+
+def check_density(rho: np.ndarray) -> None:
+    """Validate Hermiticity, unit trace and positivity of a dense density matrix.
+
+    A state whose rho + EIGENVALUE_TOL * I has a Cholesky factor passes; only
+    the others are tested by their smallest eigenvalue.
+    """
+    rho_h = check_hermitian(rho, HERMITICITY_TOL)
+    tr = np.trace(rho).real
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"density trace is {tr}, expected 1")
+    try:  # positive definite once shifted: every eigenvalue above -EIGENVALUE_TOL
+        np.linalg.cholesky(rho_h + EIGENVALUE_TOL * np.eye(len(rho_h)))
+    except np.linalg.LinAlgError:
+        eig_min = np.linalg.eigvalsh(rho_h).min()
+        if eig_min < -EIGENVALUE_TOL:
+            raise ValueError(f"density has negative eigenvalue {eig_min:.3e}") from None
+
+
+def dense(state: tuple) -> np.ndarray:
+    """The d x d density c * 1 + K diag(w) K^dagger of a factored state (c, K, w); K = None is the identity."""
+    c, kets, weights = state
+    if kets is None:
+        return c * np.eye(len(weights)) + np.diag(weights)
+    return c * np.eye(len(kets)) + (kets * weights) @ kets.conj().T
 
 
 def _triplet_block(init: str | TripletAmplitudes, lock_phase: float) -> np.ndarray:

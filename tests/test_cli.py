@@ -398,6 +398,20 @@ class TestMainEntry:
         code = main(["fit", "--trace", str(path), "--model", "rabi", "--out", str(tmp_path / "r.json")])
         assert code == 1
 
+    def test_trace_path_that_is_a_directory_exits_one(self, tmp_path, capsys):
+        code = main(["fit", "--trace", str(tmp_path), "--model", "rabi", "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "Is a directory" in err
+
+    def test_out_path_that_is_a_file_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["simulate", "--config", str(write_config(tmp_path, rabi_config())), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "File exists" in err
+        assert out.read_text() == ""
+
     def test_rejected_run_input_exits_one(self, tmp_path, capsys):
         cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / "pgg_pumping.json").read_text())
         cfg["protocol"]["sweep"] = {"values": [0.5, 1, 2]}

@@ -164,7 +164,7 @@ class TestRealArithmetic:
         assert spinlock_hamiltonian(system, lock).dtype == np.float64
         assert thermal_state(system, 0.9).dtype == np.float64
         for init in ("uniform", "phi_minus"):
-            assert sequences.ideal_transfer_state(system, 0, init).dtype == np.float64
+            assert sequences.ideal_transfer_state(system, 0, init)[1].dtype == np.float64
         energies, vectors = engine._segment_eig(system, SpinLock(lock, 0.0), {}, 0.0)
         assert vectors.dtype == np.float64
         _, phased = engine._segment_eig(system, SpinLock(replace(lock, phase=0.7), 0.0), {}, 0.0)
@@ -196,9 +196,9 @@ class TestRealArithmetic:
         states, products = [], []
         swept, mul = sequences.swept_expectations, engine._mul
 
-        def recording_swept(system, rho0, *args):
-            states.append(rho0)
-            return swept(system, rho0, *args)
+        def recording_swept(system, state, *args):
+            states.append(state)
+            return swept(system, state, *args)
 
         def recording_mul(a, b):
             out = mul(a, b)
@@ -208,8 +208,8 @@ class TestRealArithmetic:
         monkeypatch.setattr(sequences, "swept_expectations", recording_swept)
         monkeypatch.setattr(engine, "_mul", recording_mul)
         sequences.run_rabi(glu, protocol)
-        assert [rho.dtype for rho in states] == [np.float64]
-        # r = V^T rho0 V, then one read per pair: x * M^T against [cos; sin]
+        assert [kets.dtype for _, kets, _ in states] == [np.float64]
+        # G = V^T K and R = G diag(w) G^T, then one read per pair: R * M^T against [cos; sin]
         assert len(products) == 2 + len(glu.pairs)
         assert all(dtypes == (np.float64,) * 3 for dtypes in products)
 
@@ -281,7 +281,7 @@ class TestSweptExpectations:
         taus = np.array([0.0, 0.013, 0.2, 1.7])
         rho0 = thermal_state(system, 0.8)
         observables = [singlet_projector(system, 0), embed_spin_operator(system, 2, "x")]
-        values = swept_expectations(system, rho0, before, swept, taus, after, observables[1:])
+        values = swept_expectations(system, (0.0, None, rho0.diagonal()), before, swept, taus, after, observables[1:])
         assert values.shape == (2, taus.size)
         for k, tau in enumerate(taus):
             played = [replace(segment, duration_s=tau) for segment in swept]
@@ -301,12 +301,12 @@ class TestSweptExpectations:
             before.append(SpinLock(SpinLockParams(47.0, 0.7, pair_center_offset(glu, 1)), 0.05))
         after = [HardPulse(np.pi / 2, -0.4), SpinLock(SpinLockParams(30.0, 1.3, 5.0), 0.02)]
         frame = 0.7 if first_lock == "in_before" else 2.0
-        rho0 = ideal_transfer_state(glu, 0, "phi_minus")
+        initial = sequences.ideal_transfer_state(glu, 0, "phi_minus")
         lab_rho0 = ideal_transfer_state(glu, 0, "phi_minus", lock_phase=frame)
         mx = sum(embed_spin_operator(glu, i, "x") for i in range(glu.n_spins))
         observables = [singlet_projector(glu, 0), singlet_projector(glu, 1), mx]
         taus = np.array([0.0, 0.03, 0.4])
-        values = swept_expectations(glu, rho0, before, [swept], taus, after, [mx])
+        values = swept_expectations(glu, initial, before, [swept], taus, after, [mx])
         for k, tau in enumerate(taus):
             state = oracle_state(glu, lab_rho0, [*before, replace(swept, duration_s=tau), *after])
             expected = [expectation(state, obs).real for obs in observables]
@@ -333,8 +333,31 @@ class TestSweptExpectations:
     def test_invalid_state_rejected(self):
         system = coupled_pair()
         with pytest.raises(ValueError):
-            swept_expectations(system, 2 * np.eye(4), [], [SpinLock(SpinLockParams(0.0), 0.0)], [0.1], [],
-                               [np.eye(4)])
+            swept_expectations(system, (0.0, None, np.full(4, 0.5)), [], [SpinLock(SpinLockParams(0.0), 0.0)], [0.1],
+                               [], [np.eye(4)])
+
+    # (c, K, w) at d = 4; each is the engine-side counterpart of a dense check_density rejection
+    E = np.eye(4)
+    INVALID_STATES = {
+        "trace": ((0.0, E[:, :2], np.array([0.6, 0.5])), "density trace is 1.1"),
+        "negative_c_plus_w": ((0.1, E[:, :2], np.array([0.7 + 2e-10, -0.1 - 2e-10])),
+                              "negative eigenvalue -2.000e-10"),
+        "negative_c": ((-0.01, E[:, :1], np.array([1.04])), "negative eigenvalue -1.000e-02"),
+        "not_orthonormal": ((0.0, np.stack([E[0], (E[0] + E[1]) / np.sqrt(2)], axis=1), np.array([0.5, 0.5])),
+                            "kets are not orthonormal"),
+    }
+
+    @pytest.mark.parametrize("fault", list(INVALID_STATES))
+    def test_factored_state_faults_are_named(self, fault):
+        state, message = self.INVALID_STATES[fault]
+        with pytest.raises(ValueError, match=message):
+            swept_expectations(coupled_pair(), state, [], [SpinLock(SpinLockParams(0.0), 0.0)], [0.1], [], [])
+
+    def test_factored_state_within_the_tolerances_is_accepted(self):
+        kets = np.eye(4)[:, :2] * (1 + 4e-11)
+        state = (0.1, kets, np.array([0.7 + 5e-11, -0.1 - 5e-11]))
+        values = swept_expectations(coupled_pair(), state, [], [SpinLock(SpinLockParams(0.0), 0.0)], [0.1], [], [])
+        assert values.shape == (1, 1)
 
 
 class TestRelaxationEnvelope:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import (
     _phase_shifted_pulses,
+    dense,
     embed_spin_operator,
     expectation,
     ideal_transfer_state,
@@ -46,7 +47,7 @@ from singletsim.sequences import (
     transfer_initial_state,
     transfer_resonance_nutation,
 )
-from singletsim.spincore import SpinSystem, thermal_state
+from singletsim.spincore import SpinSystem, TripletAmplitudes, thermal_state
 
 
 def pair_system(j, dnu):
@@ -1036,6 +1037,28 @@ class TestEvolutionEngine:
         assert pgg.dim == 64 and trace.singlet_populations.shape == (3, 5)
         assert np.max(np.abs(trace.singlet_populations - np.array(expected).T)) < 1e-12
 
+    @pytest.mark.parametrize("case", ["glutamate_uniform", "pgg_uniform", "glutamate_mixed", "glutamate_uniform_slic"])
+    @pytest.mark.parametrize("kind", list(RUNNERS))
+    def test_several_kets_match_oracle(self, kind, case):
+        # r = 3 kets for a uniform triplet on glutamate, 9 on Phe-Gly-Gly's
+        # three pairs, one for a mixed composition; the slic prep adds c > 0.
+        # 12 points span several blocks of d // r taus, the last one partial
+        name, init, prep, readout = {
+            "glutamate_uniform": ("glutamate", "uniform", "ideal", "projector"),
+            "pgg_uniform": ("pgg_third_pair", "uniform", "ideal", "projector"),
+            "glutamate_mixed": ("glutamate", TripletAmplitudes(0.48, 0.6, 0.64), "ideal", "projector"),
+            "glutamate_uniform_slic": ("glutamate", "uniform", "slic", "signal_proxy"),
+        }[case]
+        system = ORACLE_SYSTEMS[name]()
+        protocol = replace(engine_protocol(system, kind, 12, prep, readout), triplet_init=init)
+        c, kets, _ = transfer_initial_state(system, protocol)
+        assert kets.shape[1] == {"glutamate_mixed": 1, "pgg_uniform": 9}.get(case, 3)
+        assert (c > 0) == (prep == "slic")
+        trace = RUNNERS[kind](system, protocol)
+        observable, populations = oracle_trace(system, protocol)
+        assert np.max(np.abs(trace.observable - observable)) < 1e-12
+        assert np.max(np.abs(trace.singlet_populations[:2] - populations)) < 1e-12
+
     @pytest.mark.parametrize("kind", ["rabi", "double_rabi"])
     def test_sweep_memory_does_not_grow_with_d_squared_per_point(self, kind):
         # 2000 points at d = 64: a per-point state list or an (n, d, d)
@@ -1073,6 +1096,19 @@ def oracle_population(system, rho, segments, pair):
     return np.trace(oracle_state(system, rho, segments) @ singlet_projector(system, pair)).real
 
 
+class TestFactoredInitialState:
+    @pytest.mark.parametrize("init", [*sequences.TRIPLET_INITS, TripletAmplitudes(0.48, 0.6, 0.64)])
+    @pytest.mark.parametrize("name", ["glutamate", "pgg_third_pair", "four_pairs"])
+    def test_ideal_state_densifies_to_the_dense_reference(self, name, init):
+        system = {**ORACLE_SYSTEMS, "four_pairs": four_pair_system}[name]()
+        for source in (0, len(system.pairs) - 1):
+            state = sequences.ideal_transfer_state(system, source, init)
+            assert state[1].dtype == np.float64
+            expected = ideal_transfer_state(system, source, init)
+            assert np.max(np.abs(dense(state) - expected)) < 1e-15
+        assert system.dim == {"glutamate": 16, "pgg_third_pair": 64, "four_pairs": 256}[name]
+
+
 class TestPreparedAndPumpedPopulations:
     # preparation and pumping read their populations through the swept reader;
     # here against the per-segment oracle and the d x d projector
@@ -1096,7 +1132,7 @@ class TestPreparedAndPumpedPopulations:
             prep=ORACLE_PREPS[prep], pump_transfer_duration_s=15.5, pump_reset_delay_s=3.1,
         )
         gain = run_pumping(system, protocol).metadata["per_cycle_gain"]
-        rho0 = transfer_initial_state(system, protocol)
+        rho0 = dense(transfer_initial_state(system, protocol))
         after = oracle_population(system, rho0, [SpinLock(lock, 15.5)], readout)
         expected = after - oracle_population(system, rho0, [], readout)
         assert abs(gain - expected) < 1e-12

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 from conftest import (
+    check_density,
     embed_spin_operator,
+    maximally_mixed_triplet,
+    pair_product_density,
     expectation,
     product_state,
     product_state_vector,
@@ -15,10 +18,7 @@ from singletsim.spincore import (
     PAIR_BASIS,
     SpinSystem,
     TripletAmplitudes,
-    check_density,
     check_hermitian,
-    maximally_mixed_triplet,
-    pair_product_density,
     thermal_state,
 )
 
