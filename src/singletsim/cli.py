@@ -3,9 +3,14 @@
 Subcommands: simulate (run a protocol, write a trace CSV), fit (fit a model
 to a trace file), scan (resonance scan plus Lorentzian summary), presets
 (list or dump the molecule presets).  Configs are JSON documents with
-explicit units in the field names.  Every output file embeds, as its
-``# config:`` line, a config serialised from the objects the run was built
-from, so that line loads back as a config and reproduces the run.
+explicit units in the field names.  `_PROTOCOL_KEYS`, `_PREP_KEYS` and
+`_ENVELOPE_KEYS` map each config key to its field, its reader and its
+writer; a protocol, prep or envelope block takes only the keys of the fields
+its kind reads (`sequences.PROTOCOL_FIELDS`, `PREP_FIELDS`, `ENVELOPE_FIELDS`),
+an absent key takes its dataclass default, and any other key, in any block,
+is an input error naming it.  Every output file embeds, as its ``# config:``
+line, the fields its kinds read, serialised from the objects the run was
+built from, so that line loads back as a config and reproduces the run.
 
 Exit codes: 0 success, 1 input error, 2 numerical failure.
 """
@@ -16,7 +21,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +31,7 @@ from .analysis import MODEL_FITTERS, FitResult, evaluate_model, fit_lorentzian
 from .hamiltonian import SpinLockParams, pair_center_offset
 from .presets import PRESETS, ppm_to_hz, preset_params, preset_system
 from .propagator import RelaxationEnvelope
-from .sequences import PrepSpec, Protocol, run_protocol
+from .sequences import ENVELOPE_FIELDS, PREP_FIELDS, PROTOCOL_FIELDS, PrepSpec, Protocol, run_protocol
 from .spincore import SpinSystem
 from .trace import Trace
 
@@ -45,23 +51,27 @@ class RunConfig:
 
 def _require(mapping: dict, key: str, context: str):
     if key not in mapping:
-        raise ConfigError(f"missing required field {context}.{key}")
+        raise ConfigError(f"missing required field {f'{context}.{key}' if context else key}")
     return mapping[key]
 
 
-_REQUIRED = object()
+def _check_keys(block: dict, known, context: str, reads=None, kind: str = "") -> None:
+    """Raise naming the first key of `block` outside `known`, or outside `reads`, the keys a `kind` reads."""
+    for key in block:
+        name = f"{context}.{key}" if context else key
+        if key not in known:
+            raise ConfigError(f"unknown field {name}")
+        if reads is not None and key not in reads:
+            raise ConfigError(f"{name} is not read by kind {kind!r}")
 
 
-def _block(mapping: dict, key: str, context: str, default=_REQUIRED) -> dict:
-    """Block `key` of `mapping`, a JSON object; absent gives `default` (required without one)."""
-    name = f"{context}.{key}" if context else key
-    if key not in mapping:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required field {name}")
-        return default
-    block = mapping[key]
+def _block(mapping: dict, key: str, context: str, known=None) -> dict:
+    """Required block `key` of `mapping`: a JSON object, with no key outside `known` when given."""
+    name, block = f"{context}.{key}" if context else key, _require(mapping, key, context)
     if not isinstance(block, dict):
         raise ConfigError(f"{name} must be a JSON object, got {block!r}")
+    if known is not None:
+        _check_keys(block, known, name)
     return block
 
 
@@ -70,16 +80,9 @@ def _is_number(value, kind: type = float) -> bool:
     return type(value) in ((int,) if kind is int else (int, float)) and math.isfinite(value)
 
 
-def _number(block: dict, key: str, context: str, default=_REQUIRED, kind: type = float):
-    """Numeric field `key` of a config block as `kind`; only a finite JSON number passes.
-
-    An absent or null field gives `default` (required without one); other values are ConfigErrors.
-    """
-    value = block.get(key)
-    if value is None:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required field {context}.{key}")
-        return default
+def _number(block: dict, key: str, context: str, at=None, kind: type = float):
+    """Required field `key` of config block `context`, a finite JSON number, as `kind`; the reader of a real field."""
+    value = _require(block, key, context)
     if not _is_number(value, kind):
         what = "an integer" if kind is int else "a finite number"
         raise ConfigError(f"{context}.{key} must be {what}, got {value!r}")
@@ -109,12 +112,13 @@ def _one_key(block: dict, keys: tuple[str, ...], context: str, required: bool = 
 
 
 def _build_system(block: dict) -> tuple[SpinSystem, float]:
-    spectrometer = _number(block, "spectrometer_mhz", "system", 200.0)
+    spectrometer = _number(block, "spectrometer_mhz", "system") if "spectrometer_mhz" in block else 200.0
     spins = _require(block, "spins", "system")
     if not (isinstance(spins, list) and all(isinstance(spin, dict) for spin in spins)):
         raise ConfigError(f"system.spins must be a list of JSON objects, got {spins!r}")
     offsets = []
     for i, spin in enumerate(spins):
+        _check_keys(spin, ("offset_hz", "shift_ppm"), f"system.spins[{i}]")
         key = _one_key(spin, ("offset_hz", "shift_ppm"), f"system.spins[{i}]", required=True)
         value = _number(spin, key, f"system.spins[{i}]")
         offsets.append(value if key == "offset_hz" else ppm_to_hz(value, spectrometer))
@@ -134,139 +138,53 @@ def _build_system(block: dict) -> tuple[SpinSystem, float]:
     return system, spectrometer
 
 
-def _build_lock(spec: dict, key: str, spectrometer: float, system: SpinSystem) -> SpinLockParams:
-    block, context = _block(spec, key, "protocol"), f"protocol.{key}"
-    nutation = _number(block, "nutation_hz", context)
-    phase = np.deg2rad(_number(block, "phase_deg", context, 0.0))
-    key = _one_key(block, ("transmitter_offset_hz", "transmitter_ppm", "transmitter_pair"), context)
-    if key is None:
-        tx = pair_center_offset(system, 0)
-    elif key == "transmitter_offset_hz":
+# A reader takes (block, key, context, (system, spectrometer)) and returns the
+# value of field `key` of config block `context`; a writer returns a built value as JSON.
+
+def _radians(block: dict, key: str, context: str, at=None) -> float:
+    return np.deg2rad(_number(block, key, context))
+
+
+def _positive(block: dict, key: str, context: str, at=None) -> float:
+    if (value := _number(block, key, context)) <= 0:
+        raise ConfigError(f"{context}.{key} must be positive, got {value}")
+    return value
+
+
+def _flag(block: dict, key: str, context: str, at) -> bool:
+    if type(block[key]) is not bool:
+        raise ConfigError(f"{context}.{key} must be true or false, got {block[key]!r}")
+    return block[key]
+
+
+def _build_lock(spec: dict, key: str, context: str, at: tuple[SpinSystem, float]) -> SpinLockParams:
+    (system, spectrometer), positions = at, ("transmitter_offset_hz", "transmitter_ppm", "transmitter_pair")
+    block, context = _block(spec, key, context, ("nutation_hz", "phase_deg", *positions)), f"{context}.{key}"
+    phase = {"phase": _radians(block, "phase_deg", context)} if "phase_deg" in block else {}
+    key = _one_key(block, positions, context)
+    if key == "transmitter_offset_hz":
         tx = _number(block, key, context)
     elif key == "transmitter_ppm":
         tx = ppm_to_hz(_number(block, key, context), spectrometer)
-    else:
-        tx = pair_center_offset(system, _number(block, key, context, kind=int))
+    else:  # a pair's centre, pair 0's when no position is given
+        tx = pair_center_offset(system, _number(block, key, context, kind=int) if key else 0)
     try:
-        return SpinLockParams(nutation, phase, tx)
+        return SpinLockParams(_number(block, "nutation_hz", context), transmitter_offset_hz=tx, **phase)
     except ValueError as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
 
-def _build_sweep(spec: dict, key: str) -> np.ndarray:
-    block, context = _block(spec, key, "protocol"), f"protocol.{key}"
+def _build_sweep(spec: dict, key: str, context: str, at) -> np.ndarray:
+    block, context = _block(spec, key, context, ("values", "start", "stop", "count")), f"{context}.{key}"
     if "values" in block:
+        if len(block) > 1:
+            raise ConfigError(f"{context} gives values, so it takes no start, stop or count, got {sorted(block)}")
         return np.array(_number_list(block["values"], f"{context}.values"), dtype=float)
     start, stop = _number(block, "start", context), _number(block, "stop", context)
     count = _number(block, "count", context, kind=int)
     if count < 1:
         raise ConfigError(f"{context}.count must be >= 1, got {count}")
     return np.linspace(start, stop, count)
-
-
-def _build_prep(spec: dict) -> PrepSpec:
-    block = _block(spec, "prep", "protocol", {})
-    timings = {k: _number(block, k, "protocol.prep", None)
-               for k in ("nutation_hz", "duration_s", "tau1_s", "tau2_s", "tau3_s")}
-    try:
-        return PrepSpec(
-            kind=block.get("kind", "ideal"),
-            **timings,
-            phase=np.deg2rad(_number(block, "phase_deg", "protocol.prep", 0.0)),
-            polarization=_number(block, "polarization", "protocol.prep", 1.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"protocol.prep: {exc}") from exc
-
-
-def load_config(path: str | Path) -> RunConfig:
-    """Parse and validate a run configuration, resolving all defaults."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config must be a JSON object, got {raw!r}")
-
-    has_preset = "preset" in raw
-    has_system = "system" in raw
-    if has_preset == has_system:
-        raise ConfigError("exactly one of 'preset' or 'system' must be given")
-    if has_preset:
-        name = raw["preset"]
-        if name not in PRESETS:
-            raise ConfigError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
-        system = preset_system(name)
-        spectrometer = preset_params(name)["spectrometer_mhz"]
-    else:
-        system, spectrometer = _build_system(_block(raw, "system", ""))
-
-    proto_spec = _block(raw, "protocol", "")
-    kind = _require(proto_spec, "kind", "protocol")
-    transfer = _build_lock(proto_spec, "transfer", spectrometer, system)
-    sweep = _build_sweep(proto_spec, "sweep")
-    free_lock = _build_lock(proto_spec, "free_lock", spectrometer, system) if "free_lock" in proto_spec else None
-    scan_tau = _build_sweep(proto_spec, "scan_tau") if "scan_tau" in proto_spec else None
-    phases = proto_spec.get("double_rabi_phases_deg", [90.0, -90.0])
-    _number_list(phases, "protocol.double_rabi_phases_deg", length=2)
-    phase_cycle = proto_spec.get("phase_cycle", False)
-    if type(phase_cycle) is not bool:
-        raise ConfigError(f"protocol.phase_cycle must be true or false, got {phase_cycle!r}")
-    try:
-        protocol = Protocol(
-            kind=kind,
-            sweep=sweep,
-            transfer=transfer,
-            source_pair=_number(proto_spec, "source_pair", "protocol", 0, int),
-            readout_pair=_number(proto_spec, "readout_pair", "protocol", 1, int),
-            prep=_build_prep(proto_spec),
-            triplet_init=proto_spec.get("triplet_init", "uniform"),
-            readout=proto_spec.get("readout", "projector"),
-            phase_cycle=phase_cycle,
-            pi_half_duration_s=_number(proto_spec, "pi_half_duration_s", "protocol", None),
-            free_lock=free_lock,
-            double_rabi_phases=(np.deg2rad(float(phases[0])), np.deg2rad(float(phases[1]))),
-            pump_transfer_duration_s=_number(proto_spec, "pump_transfer_duration_s", "protocol", None),
-            pump_reset_delay_s=_number(proto_spec, "pump_reset_delay_s", "protocol", None),
-            scan_tau_grid_s=scan_tau,
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"protocol: {exc}") from exc
-
-    envelope = None
-    if "envelope" in raw:
-        env_spec = _block(raw, "envelope", "")
-        names = {f.name for f in fields(RelaxationEnvelope)}
-        times = {}
-        for key in sorted(env_spec):  # errors name the key as written
-            name = "t_2s_star_s" if key == "t2s_star_s" else key
-            if name not in names:
-                raise ConfigError(f"envelope: unknown field {key!r}")
-            times[name] = _number(env_spec, key, "envelope", None)
-            if times[name] is not None and times[name] <= 0:
-                raise ConfigError(f"envelope.{key} must be positive, got {times[name]}")
-        envelope = RelaxationEnvelope(**times)
-
-    noise_sigma = None
-    noise_seed = None
-    if "noise" in raw:
-        noise = _block(raw, "noise", "")
-        noise_sigma = _number(noise, "sigma", "noise")
-        if noise_sigma < 0:
-            raise ConfigError("noise.sigma must be >= 0")
-        if noise_sigma > 0:
-            if "seed" not in noise:
-                raise ConfigError("noise.seed is required when noise is enabled")
-            noise_seed = _number(noise, "seed", "noise", kind=int)
-            if noise_seed < 0:
-                raise ConfigError(f"noise.seed must be >= 0, got {noise_seed}")
-
-    return RunConfig(system, protocol, envelope, noise_sigma, noise_seed)
 
 
 def _degrees(phase: float) -> float:
@@ -282,49 +200,128 @@ def _degrees(phase: float) -> float:
 
 
 def _lock_block(lock: SpinLockParams) -> dict:
-    return {
-        "nutation_hz": lock.nutation_hz,
-        "phase_deg": _degrees(lock.phase),
-        "transmitter_offset_hz": lock.transmitter_offset_hz,
-    }
+    return {"nutation_hz": lock.nutation_hz, "phase_deg": _degrees(lock.phase),
+            "transmitter_offset_hz": lock.transmitter_offset_hz}
+
+
+def _fields(block: dict, table: dict, reads: tuple[str, ...], context: str, kind: str, at=None) -> dict:
+    """The fields `block` gives, by the readers of `table`; a key outside it, or not in `reads`, is a ConfigError."""
+    _check_keys(block, table, context, [key for key, (name, *_) in table.items() if name in reads], kind)
+    return {table[key][0]: table[key][1](block, key, context, at) for key in block}
+
+
+def _build(cls, rows: dict, table: dict, block: dict, context: str, at=None):
+    """The `cls` (Protocol or PrepSpec) of the kind `block` names, from its row's `_fields`, or a ConfigError."""
+    block = dict(block)
+    kind = block.pop("kind", getattr(cls, "kind", None))  # PrepSpec's default kind
+    if not isinstance(kind, str) or kind not in rows:
+        raise ConfigError(f"{context}.kind must be one of {', '.join(rows)}, got {kind!r}")
+    values = _fields(block, table, rows[kind], context, kind, at)
+    try:
+        return cls(kind, **values)
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
+
+
+def _written(built, rows: dict, table: dict) -> dict:
+    """The config block of a built Protocol or PrepSpec: its kind and each field its kind reads, under its key."""
+    return {"kind": built.kind, **{key: getattr(built, name) if write is None else write(getattr(built, name))
+                                   for key, (name, _, write) in table.items() if name in rows[built.kind]}}
+
+
+def _build_prep(spec: dict, key: str, context: str, at) -> PrepSpec:
+    return _build(PrepSpec, PREP_FIELDS, _PREP_KEYS, _block(spec, key, context), f"{context}.{key}")
+
+
+# config key -> (field, reader, writer); no writer writes the value as it is
+_PREP_KEYS = {
+    **{name: (name, _number, None) for name in ("nutation_hz", "duration_s", "tau1_s", "tau2_s", "tau3_s")},
+    "phase_deg": ("phase", _radians, _degrees),
+    "polarization": ("polarization", _number, None),
+}
+_PROTOCOL_KEYS = {
+    "sweep": ("sweep", _build_sweep, lambda grid: {"values": grid.tolist()}),
+    "transfer": ("transfer", _build_lock, _lock_block),
+    **{name: (name, partial(_number, kind=int), None) for name in ("source_pair", "readout_pair")},
+    "prep": ("prep", _build_prep, lambda prep: _written(prep, PREP_FIELDS, _PREP_KEYS)),
+    **{name: (name, lambda block, key, *_: block[key], None) for name in ("triplet_init", "readout")},
+    "phase_cycle": ("phase_cycle", _flag, None),
+    "pi_half_duration_s": ("pi_half_duration_s", _number, None),
+    "free_lock": ("free_lock", _build_lock, _lock_block),
+    "double_rabi_phases_deg": (
+        "double_rabi_phases",
+        lambda block, key, context, at: tuple(np.deg2rad(_number_list(block[key], f"{context}.{key}", length=2))),
+        lambda phases: [_degrees(phase) for phase in phases],
+    ),
+    **{name: (name, _number, None) for name in ("pump_transfer_duration_s", "pump_reset_delay_s")},
+    "scan_tau": ("scan_tau_grid_s", _build_sweep, lambda grid: {"values": grid.tolist()}),
+}
+_ENVELOPE_KEYS = {key: (name, _positive, None) for key, name in (
+    ("t_s_s", "t_s_s"), ("t2s_star_s", "t_2s_star_s"), ("t_2s_star_s", "t_2s_star_s"), ("t_rabi_s", "t_rabi_s"))}
+
+
+def load_config(path: str | Path) -> RunConfig:
+    """Parse and validate a run configuration; an absent field takes its dataclass default."""
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"config file not found: {path}")
+    try:
+        raw = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, got {raw!r}")
+    _check_keys(raw, ("preset", "system", "protocol", "envelope", "noise"), "")
+
+    if ("preset" in raw) == ("system" in raw):
+        raise ConfigError("exactly one of 'preset' or 'system' must be given")
+    if "preset" in raw:
+        name = raw["preset"]
+        if name not in PRESETS:
+            raise ConfigError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
+        system = preset_system(name)
+        spectrometer = preset_params(name)["spectrometer_mhz"]
+    else:
+        system, spectrometer = _build_system(
+            _block(raw, "system", "", ("spectrometer_mhz", "spins", "couplings_hz", "pairs")))
+    protocol = _build(Protocol, PROTOCOL_FIELDS, _PROTOCOL_KEYS, _block(raw, "protocol", ""), "protocol",
+                      (system, spectrometer))
+
+    envelope = None
+    if "envelope" in raw:
+        block, kind = _block(raw, "envelope", ""), protocol.kind
+        _one_key(block, ("t2s_star_s", "t_2s_star_s"), "envelope")
+        envelope = RelaxationEnvelope(**_fields(block, _ENVELOPE_KEYS, ENVELOPE_FIELDS[kind], "envelope", kind))
+
+    noise_sigma = noise_seed = None
+    if "noise" in raw:
+        noise = _block(raw, "noise", "", ("sigma", "seed"))
+        noise_sigma = _number(noise, "sigma", "noise")
+        if noise_sigma < 0:
+            raise ConfigError("noise.sigma must be >= 0")
+        if noise_sigma > 0:
+            noise_seed = _number(noise, "seed", "noise", kind=int)
+            if noise_seed < 0:
+                raise ConfigError(f"noise.seed must be >= 0, got {noise_seed}")
+
+    return RunConfig(system, protocol, envelope, noise_sigma, noise_seed)
 
 
 def _config_line(config: RunConfig) -> str:
     """The '# config:' header line: the run config as built, in the schema load_config reads.
 
-    Every value is taken from the built objects (offsets and transmitters in
-    Hz, phases in degrees that convert back exactly, sweeps as explicit
-    values), so loading the JSON rebuilds the same objects.
+    Every value is taken from the built objects (offsets and transmitters in Hz, phases in degrees that
+    convert back exactly, sweeps as explicit values), and each protocol and prep block holds the fields its
+    kind reads, so loading the JSON rebuilds the same objects.
     """
-    system, protocol = config.system, config.protocol
-    prep = {k: v for k, v in asdict(protocol.prep).items() if v is not None and k != "phase"}
-    prep["phase_deg"] = _degrees(protocol.prep.phase)
-    spec = {
-        "kind": protocol.kind,
-        "sweep": {"values": protocol.sweep.tolist()},
-        "transfer": _lock_block(protocol.transfer),
-        "source_pair": protocol.source_pair,
-        "readout_pair": protocol.readout_pair,
-        "prep": prep,
-        "triplet_init": protocol.triplet_init,
-        "readout": protocol.readout,
-        "phase_cycle": protocol.phase_cycle,
-        "double_rabi_phases_deg": [_degrees(phase) for phase in protocol.double_rabi_phases],
-        "pi_half_duration_s": protocol.pi_half_duration_s,
-        "pump_transfer_duration_s": protocol.pump_transfer_duration_s,
-        "pump_reset_delay_s": protocol.pump_reset_delay_s,
-    }
-    if protocol.free_lock is not None:
-        spec["free_lock"] = _lock_block(protocol.free_lock)
-    if protocol.scan_tau_grid_s is not None:
-        spec["scan_tau"] = {"values": protocol.scan_tau_grid_s.tolist()}
+    system = config.system
     out = {
         "system": {
             "spins": [{"offset_hz": offset} for offset in system.offsets_hz.tolist()],
             "couplings_hz": system.couplings_hz.tolist(),
             "pairs": [list(pair) for pair in system.pairs],
         },
-        "protocol": {k: v for k, v in spec.items() if v is not None},
+        "protocol": _written(config.protocol, PROTOCOL_FIELDS, _PROTOCOL_KEYS),
     }
     if config.envelope is not None:
         out["envelope"] = {k: v for k, v in asdict(config.envelope).items() if v is not None}
@@ -383,13 +380,13 @@ def read_trace_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
 def cmd_simulate(config_path: str, out_dir: str) -> Path:
     """Run the configured protocol and write the trace file."""
     config = load_config(config_path)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)  # a bad --out fails before the run
     trace = run_protocol(config.system, config.protocol, config.envelope)
     if config.noise_sigma:
         rng = np.random.default_rng(config.noise_seed)
         noisy = trace.observable + rng.normal(0.0, config.noise_sigma, trace.observable.shape)
         trace = trace.copy_with(observable=noisy)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     out_path = out / "trace.csv"
     _write_trace(trace, config, out_path)
     return out_path
@@ -450,12 +447,12 @@ def cmd_scan(config_path: str, out_dir: str) -> Path:
     config = load_config(config_path)
     if config.protocol.kind != "resonance_scan":
         raise ConfigError("scan requires protocol.kind = resonance_scan")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)  # a bad --out fails before the run
     trace = run_protocol(config.system, config.protocol, config.envelope)
     delta_nu = np.asarray(trace.metadata["delta_nu_n_hz"])
     freqs = np.asarray(trace.metadata["fitted_frequency_hz"])
     valid = np.isfinite(trace.observable)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     out_path = out / "scan.csv"
     lines = [
         "# singletsim resonance scan",
@@ -465,12 +462,7 @@ def cmd_scan(config_path: str, out_dir: str) -> Path:
     for k in range(trace.sweep_values.size):
         if not valid[k]:
             continue  # per-point fit failure: row omitted
-        lines.append(
-            ",".join(
-                _format(v)
-                for v in (trace.sweep_values[k], delta_nu[k], trace.observable[k], freqs[k])
-            )
-        )
+        lines.append(",".join(_format(v) for v in (trace.sweep_values[k], delta_nu[k], trace.observable[k], freqs[k])))
     if np.count_nonzero(valid) >= 5:
         fit = fit_lorentzian((delta_nu[valid], trace.observable[valid]))
         lines.append(f"# lorentzian: {json.dumps(_fit_report(fit), sort_keys=True)}")

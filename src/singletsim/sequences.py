@@ -38,7 +38,7 @@ frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -72,8 +72,34 @@ from .spincore import (
 )
 from .trace import Trace
 
-PROTOCOL_KINDS = ("rabi", "ramsey", "double_rabi", "pumping", "resonance_scan")
 TRIPLET_INITS = ("uniform", *PHI_COMPOSITIONS)
+
+# the fields each protocol and prep kind reads (see `_check_fields`), and the envelope times each runner applies
+_EVERY_KIND = ("sweep", "transfer", "source_pair", "readout_pair", "prep", "triplet_init")
+PROTOCOL_FIELDS = {
+    "rabi": (*_EVERY_KIND, "readout", "phase_cycle"),
+    "ramsey": (*_EVERY_KIND, "readout", "phase_cycle", "pi_half_duration_s", "free_lock"),
+    "double_rabi": (*_EVERY_KIND, "readout", "phase_cycle", "double_rabi_phases"),
+    "pumping": (*_EVERY_KIND, "pump_transfer_duration_s", "pump_reset_delay_s"),
+    "resonance_scan": (*_EVERY_KIND, "scan_tau_grid_s"),
+}
+PREP_FIELDS = {"ideal": (), "slic": ("nutation_hz", "duration_s", "phase", "polarization"),
+               "three_pulse": ("tau1_s", "tau2_s", "tau3_s", "polarization")}
+ENVELOPE_FIELDS = {"rabi": ("t_rabi_s",), "ramsey": ("t_s_s", "t_2s_star_s"), "double_rabi": ("t_rabi_s",),
+                   "pumping": ("t_s_s",), "resonance_scan": ("t_rabi_s",)}
+
+
+def _check_fields(spec, rows: dict[str, tuple[str, ...]], what: str) -> None:
+    """Raise unless `spec` has a kind of `rows`, sets each field it reads and leaves every other at its default."""
+    if spec.kind not in rows:
+        raise ValueError(f"unknown {what} kind {spec.kind!r}")
+    for f in fields(spec)[1:]:  # after kind
+        value = getattr(spec, f.name)
+        if f.name in rows[spec.kind]:
+            if value is None:
+                raise ValueError(f"{spec.kind} {what} needs {f.name}")
+        elif value is not f.default and (f.default is None or not np.array_equal(value, f.default)):
+            raise ValueError(f"{spec.kind} {what} does not read {f.name}")
 
 
 def _check_durations(spec, names: tuple[str, ...]) -> None:
@@ -86,10 +112,10 @@ def _check_durations(spec, names: tuple[str, ...]) -> None:
 
 @dataclass(frozen=True)
 class PrepSpec:
-    """Singlet preparation: ideal projection, lock-crossing, or three-pulse.
+    """Singlet preparation: ideal projection, lock-crossing (slic), or three-pulse.
 
-    polarization sets the pseudo-thermal starting order for the simulated
-    preparations.
+    Each kind reads its `PREP_FIELDS` row: an ideal prep none, a slic prep its lock, a three-pulse prep
+    its delays, and either simulated one the polarization of its pseudo-thermal starting order.
     """
 
     kind: str = "ideal"
@@ -102,14 +128,7 @@ class PrepSpec:
     polarization: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("ideal", "slic", "three_pulse"):
-            raise ValueError(f"unknown prep kind {self.kind!r}")
-        if self.kind == "slic" and (self.nutation_hz is None or self.duration_s is None):
-            raise ValueError("slic prep needs nutation_hz and duration_s")
-        if self.kind == "three_pulse" and None in (self.tau1_s, self.tau2_s, self.tau3_s):
-            raise ValueError("three_pulse prep needs tau1_s, tau2_s, tau3_s")
-        if self.kind != "slic" and self.phase != 0.0:
-            raise ValueError(f"phase applies to a slic prep only, got {self.phase} for a {self.kind} prep")
+        _check_fields(self, PREP_FIELDS, "prep")
         if not -1.0 <= self.polarization <= 1.0:
             raise ValueError(f"polarization must lie in [-1, 1], got {self.polarization}")
         _check_durations(self, ("duration_s", "tau1_s", "tau2_s", "tau3_s"))
@@ -117,31 +136,30 @@ class PrepSpec:
 
 @dataclass(frozen=True)
 class Protocol:
-    """A transfer experiment: preparation, transfer lock, readout, sweep."""
+    """A transfer experiment: preparation, transfer lock, readout, sweep.
+
+    Each kind reads the fields of its `PROTOCOL_FIELDS` row.  A field the kind reads that is None, or one
+    it does not read that differs from its default, is a ValueError naming the field and the kind.
+    """
 
     kind: str
-    sweep: np.ndarray
-    transfer: SpinLockParams
+    sweep: np.ndarray = None
+    transfer: SpinLockParams = None
     source_pair: int = 0
     readout_pair: int = 1
     prep: PrepSpec = field(default_factory=PrepSpec)
     triplet_init: str | TripletAmplitudes = "uniform"
     readout: str = "projector"
     phase_cycle: bool = False
-    # ramsey
     pi_half_duration_s: float | None = None
     free_lock: SpinLockParams | None = None
-    # double rabi
     double_rabi_phases: tuple[float, float] = (np.pi / 2, -np.pi / 2)
-    # pumping
     pump_transfer_duration_s: float | None = None
     pump_reset_delay_s: float | None = None
-    # resonance scan
     scan_tau_grid_s: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in PROTOCOL_KINDS:
-            raise ValueError(f"unknown protocol kind {self.kind!r}")
+        _check_fields(self, PROTOCOL_FIELDS, "protocol")
         sweep = np.asarray(self.sweep, dtype=float)
         object.__setattr__(self, "sweep", sweep)
         if sweep.size == 0 or not np.all(np.isfinite(sweep)) or np.any(np.diff(sweep) <= 0):
@@ -150,24 +168,12 @@ class Protocol:
             raise ValueError(f"sweep values must be >= 0, got {sweep[0]}")
         init = self.triplet_init
         if not isinstance(init, TripletAmplitudes) and init not in TRIPLET_INITS:
-            raise ValueError(
-                f"triplet_init must be one of {TRIPLET_INITS} or TripletAmplitudes, got {init!r}"
-            )
+            raise ValueError(f"triplet_init must be one of {TRIPLET_INITS} or TripletAmplitudes, got {init!r}")
         if self.readout not in ("projector", "signal_proxy"):
             raise ValueError(f"unknown readout {self.readout!r}")
         if self.phase_cycle and self.readout != "signal_proxy":
             raise ValueError(f"phase_cycle applies to the signal_proxy readout only, got readout {self.readout!r}")
-        if self.kind in ("pumping", "resonance_scan") and self.readout != "projector":
-            raise ValueError(f"readout must be 'projector' for a {self.kind} protocol, got {self.readout!r}")
-        if self.kind == "ramsey" and (self.pi_half_duration_s is None or self.free_lock is None):
-            raise ValueError("ramsey protocol needs pi_half_duration_s and free_lock")
-        if self.kind == "pumping" and (
-            self.pump_transfer_duration_s is None or self.pump_reset_delay_s is None
-        ):
-            raise ValueError("pumping protocol needs pump_transfer_duration_s and pump_reset_delay_s")
         _check_durations(self, ("pi_half_duration_s", "pump_transfer_duration_s", "pump_reset_delay_s"))
-        if self.kind == "resonance_scan" and self.scan_tau_grid_s is None:
-            raise ValueError("resonance_scan protocol needs scan_tau_grid_s")
         if self.scan_tau_grid_s is not None:
             grid = np.asarray(self.scan_tau_grid_s, float)
             if not np.all(np.isfinite(grid)) or np.any(grid < 0):

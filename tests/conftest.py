@@ -13,7 +13,8 @@ segment with `_phase_shifted_pulses`.  The engine simulates each run in the
 frame of its first lock; the oracles work in the lab frame, from the initial
 state `ideal_transfer_state` builds at that lock's phase.  The resonance
 oracle builds each pair's lock block as a 2-spin `SpinSystem` and bisects
-the detuning of its labelled levels.
+the detuning of its labelled levels.  `protocol_of` builds a protocol from
+the fields its kind reads, out of a set shared by several kinds.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import pytest
 from singletsim.analysis import FitInputError, _trace_xy
 from singletsim.hamiltonian import SpinLockParams, pair_center_offset, spinlock_hamiltonian
 from singletsim.propagator import HardPulse, Segment, SpinLock
+from singletsim.sequences import PROTOCOL_FIELDS, Protocol
 from singletsim.spincore import (
     EIGENVALUE_TOL,
     HERMITICITY_TOL,
@@ -189,6 +191,11 @@ def dense(state: tuple) -> np.ndarray:
     if kets is None:
         return c * np.eye(len(weights)) + np.diag(weights)
     return c * np.eye(len(kets)) + (kets * weights) @ kets.conj().T
+
+
+def protocol_of(kind: str, **fields) -> Protocol:
+    """A `kind` protocol from those of `fields` its kind reads (its `PROTOCOL_FIELDS` row)."""
+    return Protocol(kind=kind, **{name: value for name, value in fields.items() if name in PROTOCOL_FIELDS[kind]})
 
 
 def _triplet_block(init: str | TripletAmplitudes, lock_phase: float) -> np.ndarray:

@@ -25,14 +25,13 @@ from functools import cache
 import mpmath
 import numpy as np
 import pytest
-from conftest import _phase_shifted_pulses, ideal_transfer_state
+from conftest import _phase_shifted_pulses, ideal_transfer_state, protocol_of
 
 from singletsim.hamiltonian import SpinLockParams, pair_center_offset
 from singletsim.presets import glutamate
 from singletsim.propagator import HardPulse, SpinLock
 from singletsim.sequences import (
     PrepSpec,
-    Protocol,
     _readout_sequence,
     prep_sequence,
     run_double_rabi,
@@ -58,8 +57,8 @@ PREPS = {
 
 def accuracy_protocol(kind, prep, readout):
     lock = SpinLockParams(599.31, 0.7, pair_center_offset(GLU, 0))
-    return Protocol(
-        kind=kind, sweep=np.array(TAUS_S), transfer=lock, prep=PREPS[prep],
+    return protocol_of(
+        kind, sweep=np.array(TAUS_S), transfer=lock, prep=PREPS[prep],
         triplet_init="phi_minus", readout=readout, phase_cycle=readout == "signal_proxy",
         pi_half_duration_s=0.1, free_lock=SpinLockParams(47.0, 0.7, pair_center_offset(GLU, 1)),
         double_rabi_phases=(0.7, 0.7 + np.pi),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from singletsim.cli import (
+    _PROTOCOL_KEYS,
     ConfigError,
     cmd_fit,
     cmd_scan,
@@ -14,32 +15,87 @@ from singletsim.cli import (
     read_trace_file,
 )
 from singletsim.hamiltonian import pair_center_offset, resonant_nutation
+from singletsim.sequences import PROTOCOL_FIELDS
 
-CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
 
-# sets every protocol field, with non-default values where a field has one
-ALL_FIELDS_CONFIG = {
-    "preset": "glutamate",
-    "protocol": {
-        "kind": "ramsey",
-        "source_pair": 0,
-        "readout_pair": 1,
-        "triplet_init": "phi_plus",
-        "prep": {"kind": "slic", "nutation_hz": 15.5, "duration_s": 0.157, "phase_deg": 30.0,
-                 "polarization": 0.8},
-        "readout": "signal_proxy",
-        "phase_cycle": True,
-        "transfer": {"nutation_hz": 599.31, "transmitter_ppm": 2.04, "phase_deg": 20.0},
-        "pi_half_duration_s": 0.1,
-        "free_lock": {"nutation_hz": 47.0, "transmitter_pair": 1, "phase_deg": 10.0},
-        "double_rabi_phases_deg": [80.0, -100.0],
-        "pump_transfer_duration_s": 15.5,
-        "pump_reset_delay_s": 3.1,
-        "sweep": {"start": 0.01, "stop": 1.0, "count": 8},
+SLIC_PREP = {"kind": "slic", "nutation_hz": 15.5, "duration_s": 0.157, "phase_deg": 30.0, "polarization": 0.8}
+THREE_PULSE_PREP = {"kind": "three_pulse", "tau1_s": 0.007, "tau2_s": 0.0205, "tau3_s": 0.00925, "polarization": 0.9}
+# one config per protocol kind; each sets every key its kind reads, with a non-default value where a key has one
+ALL_FIELDS_CONFIGS = {
+    "rabi": {
+        "preset": "glutamate",
+        "protocol": {
+            "kind": "rabi", "source_pair": 1, "readout_pair": 0, "triplet_init": "phi_plus", "prep": SLIC_PREP,
+            "readout": "signal_proxy", "phase_cycle": True,
+            "transfer": {"nutation_hz": 599.31, "transmitter_ppm": 2.30, "phase_deg": 20.0},
+            "sweep": {"start": 0.02, "stop": 1.5, "count": 8},
+        },
+        "envelope": {"t_rabi_s": 2.0},
+        "noise": {"sigma": 0.01, "seed": 7},
     },
-    "envelope": {"t_s_s": 4.4, "t2s_star_s": 1.3, "t_rabi_s": 2.0},
-    "noise": {"sigma": 0.01, "seed": 7},
+    "ramsey": {
+        "preset": "glutamate",
+        "protocol": {
+            "kind": "ramsey", "source_pair": 1, "readout_pair": 0, "triplet_init": "phi_plus", "prep": SLIC_PREP,
+            "readout": "signal_proxy", "phase_cycle": True,
+            "transfer": {"nutation_hz": 599.31, "transmitter_ppm": 2.04, "phase_deg": 20.0},
+            "pi_half_duration_s": 0.1,
+            "free_lock": {"nutation_hz": 47.0, "transmitter_pair": 1, "phase_deg": 10.0},
+            "sweep": {"start": 0.01, "stop": 1.0, "count": 8},
+        },
+        "envelope": {"t_s_s": 4.4, "t2s_star_s": 1.3},
+        "noise": {"sigma": 0.01, "seed": 7},
+    },
+    "double_rabi": {
+        "preset": "glutamate",
+        "protocol": {
+            "kind": "double_rabi", "source_pair": 1, "readout_pair": 0, "triplet_init": "phi_minus",
+            "prep": THREE_PULSE_PREP, "readout": "signal_proxy", "phase_cycle": True,
+            "transfer": {"nutation_hz": 500.0, "transmitter_offset_hz": 434.0, "phase_deg": 20.0},
+            "double_rabi_phases_deg": [80.0, -100.0],
+            "sweep": {"start": 0.005, "stop": 0.45, "count": 8},
+        },
+        "envelope": {"t_rabi_s": 2.0},
+        "noise": {"sigma": 0.01, "seed": 7},
+    },
+    "pumping": {
+        "preset": "phe-gly-gly",
+        "protocol": {
+            "kind": "pumping", "source_pair": 1, "readout_pair": 0, "triplet_init": "phi_plus",
+            "prep": THREE_PULSE_PREP, "transfer": {"nutation_hz": 250.3, "transmitter_pair": 1, "phase_deg": 20.0},
+            "pump_transfer_duration_s": 15.5, "pump_reset_delay_s": 3.1,
+            "sweep": {"values": [1, 2, 3, 4]},
+        },
+        "envelope": {"t_s_s": 25.0},
+        "noise": {"sigma": 0.01, "seed": 7},
+    },
+    "resonance_scan": {
+        "preset": "glutamate",
+        "protocol": {
+            "kind": "resonance_scan", "source_pair": 1, "readout_pair": 0, "triplet_init": "phi_minus",
+            "prep": SLIC_PREP, "transfer": {"nutation_hz": 500.0, "transmitter_ppm": 2.30, "phase_deg": 20.0},
+            "sweep": {"values": [560.0, 600.0, 640.0]},
+            "scan_tau": {"start": 0.02, "stop": 1.5, "count": 40},
+        },
+        "envelope": {"t_rabi_s": 2.0},
+        "noise": {"sigma": 0.01, "seed": 7},
+    },
 }
+
+
+def config_reading(field):
+    """A copy of the first all-fields config that gives `field`, a dotted path, so that its kind reads it."""
+    for config in ALL_FIELDS_CONFIGS.values():
+        target = config
+        for part in field.split("."):
+            if not isinstance(target, dict) or part not in target:
+                break
+            target = target[part]
+        else:
+            return json.loads(json.dumps(config))
+    raise KeyError(field)
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -149,7 +205,8 @@ class TestLoadConfig:
 
 class TestConfigHeader:
     @pytest.mark.parametrize(
-        "config", [*CONFIGS, ALL_FIELDS_CONFIG], ids=[*(c.stem for c in CONFIGS), "all_fields"]
+        "config", [*CONFIGS, *ALL_FIELDS_CONFIGS.values()],
+        ids=[*(c.stem for c in CONFIGS), *(f"all_fields_{kind}" for kind in ALL_FIELDS_CONFIGS)],
     )
     def test_header_reruns_byte_identical(self, tmp_path, config):
         if isinstance(config, dict):
@@ -162,20 +219,23 @@ class TestConfigHeader:
         second = cmd_simulate(reloaded, tmp_path / "second")
         assert second.read_bytes() == first.read_bytes()
 
-    def test_header_records_every_protocol_field(self, tmp_path):
-        out = cmd_simulate(write_config(tmp_path, ALL_FIELDS_CONFIG), tmp_path / "run")
+    @pytest.mark.parametrize("kind", list(ALL_FIELDS_CONFIGS))
+    def test_header_records_every_protocol_field(self, tmp_path, kind):
+        config = ALL_FIELDS_CONFIGS[kind]
+        out = cmd_simulate(write_config(tmp_path, config), tmp_path / "run")
         line = next(l for l in out.read_text().splitlines() if l.startswith("# config: "))
         header = json.loads(line[len("# config: "):])
         protocol = header["protocol"]
-        assert set(ALL_FIELDS_CONFIG["protocol"]) <= set(protocol)
-        assert protocol["prep"]["phase_deg"] == 30.0
-        assert protocol["transfer"]["phase_deg"] == 20.0
-        assert protocol["free_lock"]["phase_deg"] == 10.0
-        assert protocol["double_rabi_phases_deg"] == [80.0, -100.0]
-        assert protocol["pump_transfer_duration_s"] == 15.5
-        assert protocol["phase_cycle"] is True
+        row = {key for key, (name, *_) in _PROTOCOL_KEYS.items() if name in PROTOCOL_FIELDS[kind]}
+        assert set(protocol) == set(config["protocol"]) == {"kind", *row}
+        for key, value in config["protocol"].items():
+            if key not in ("transfer", "free_lock", "sweep", "scan_tau"):  # written in Hz and as values
+                assert protocol[key] == value
+        for lock in {"transfer", "free_lock"} & row:
+            assert protocol[lock]["phase_deg"] == config["protocol"][lock]["phase_deg"]
         assert header["noise"] == {"sigma": 0.01, "seed": 7}
-        assert header["envelope"] == {"t_s_s": 4.4, "t_2s_star_s": 1.3, "t_rabi_s": 2.0}
+        envelope = {("t_2s_star_s" if k == "t2s_star_s" else k): v for k, v in config["envelope"].items()}
+        assert header["envelope"] == envelope
 
 
 class TestSimulate:
@@ -404,10 +464,16 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and "Is a directory" in err
 
-    def test_out_path_that_is_a_file_exits_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, config", [("simulate", "glutamate_rabi"), ("scan", "glutamate_scan")])
+    def test_out_path_that_is_a_file_exits_one(self, tmp_path, capsys, monkeypatch, command, config):
+        # the path is checked before the run
+        def no_run(*args):
+            pytest.fail("run_protocol called before the --out path was checked")
+
+        monkeypatch.setattr("singletsim.cli.run_protocol", no_run)
         out = tmp_path / "taken"
         out.write_text("")
-        assert main(["simulate", "--config", str(write_config(tmp_path, rabi_config())), "--out", str(out)]) == 1
+        assert main([command, "--config", str(CONFIG_DIR / f"{config}.json"), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and "File exists" in err
         assert out.read_text() == ""
@@ -426,7 +492,7 @@ class TestMainEntry:
         code = main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "t")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("input error: protocol: readout must be 'projector'")
+        assert err.startswith(f"input error: protocol.readout is not read by kind {cfg['protocol']['kind']!r}")
         assert not (tmp_path / "t").exists()
 
     def test_unconverged_fit_exits_two(self, tmp_path, capsys, monkeypatch):
@@ -484,9 +550,7 @@ class TestMainEntry:
              "envelope_nan", "envelope_bool", "envelope_string", "noise_sigma_nan"],
     )
     def test_non_numeric_field_exits_one(self, tmp_path, capsys, field, value):
-        cfg = rabi_config(envelope={"t_rabi_s": 1.6}, noise={"sigma": 0.01, "seed": 1})
-        cfg["protocol"]["prep"] = {"kind": "slic", "nutation_hz": 15.0, "duration_s": 0.157}
-        cfg["protocol"].update(pi_half_duration_s=0.1, free_lock={"nutation_hz": 47.0})
+        cfg = config_reading(field)
         block, _, key = field.rpartition(".")
         target = cfg
         for part in block.split("."):
@@ -506,9 +570,9 @@ class TestMainEntry:
             ("protocol.scan_tau", {"values": [-0.1, 0.5]}, "protocol: scan_tau_grid_s must be finite and >= 0"),
             ("protocol.scan_tau", {"values": [0.5, 0.1]},
              "protocol: scan_tau_grid_s must be nonempty and strictly increasing"),
-            ("protocol.prep", {"phase_deg": 75.0}, "protocol.prep: phase applies to a slic prep only"),
+            ("protocol.prep", {"phase_deg": 75.0}, "protocol.prep.phase_deg is not read by kind 'ideal'"),
             ("protocol.prep", {"kind": "three_pulse", "tau1_s": 0.007, "tau2_s": 0.0205, "tau3_s": 0.00925,
-                               "phase_deg": 75.0}, "protocol.prep: phase applies to a slic prep only"),
+                               "phase_deg": 75.0}, "protocol.prep.phase_deg is not read by kind 'three_pulse'"),
             ("protocol.sweep.count", 0, "protocol.sweep.count must be >= 1"),
             ("protocol.sweep.count", -1, "protocol.sweep.count must be >= 1"),
             ("noise.seed", -1, "noise.seed must be >= 0"),
@@ -528,8 +592,7 @@ class TestMainEntry:
              "negative_tau1", "negative_tau2", "negative_tau3"],
     )
     def test_out_of_range_field_exits_one_naming_it(self, tmp_path, capsys, field, value, message):
-        cfg = rabi_config(envelope={"t_rabi_s": 1.6}, noise={"sigma": 0.01, "seed": 1})
-        cfg["protocol"]["prep"] = {"kind": "slic", "nutation_hz": 15.5, "duration_s": 0.157}
+        cfg = config_reading(field)
         block, _, key = field.rpartition(".")
         target = cfg
         for part in block.split("."):
@@ -556,7 +619,7 @@ class TestMainEntry:
     )
     def test_position_needs_at_most_one_key(self, tmp_path, capsys, block, keys):
         # a lock may give none (pair 0's centre), a spin exactly one
-        cfg = json.loads(json.dumps(ALL_FIELDS_CONFIG))
+        cfg = json.loads(json.dumps(ALL_FIELDS_CONFIGS["ramsey"]))
         if block == "system.spins[0]":
             del cfg["preset"]
             cfg["system"] = {"spins": [keys, {"offset_hz": 190.0}], "couplings_hz": [[0.0, 7.0], [7.0, 0.0]]}
@@ -583,7 +646,7 @@ class TestMainEntry:
         ids=["prep", "transfer", "sweep", "free_lock", "noise", "envelope", "protocol"],
     )
     def test_non_object_block_exits_one(self, tmp_path, capsys, block, value):
-        cfg = rabi_config()
+        cfg = config_reading(block)
         *path, key = block.split(".")
         target = cfg
         for part in path:
@@ -594,6 +657,73 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("input error") and f"{block} must be a JSON object, got {value!r}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "block, key",
+        [("", "bogus"), ("protocol", "sweeep"), ("protocol.transfer", "nutaton_hz"), ("system.spins[0]", "offset"),
+         ("protocol.prep", "polarisation"), ("protocol.sweep", "stepp"), ("envelope", "t_rabi"), ("noise", "sede")],
+        ids=["top_level", "protocol", "transfer", "spin", "prep", "sweep", "envelope", "noise"],
+    )
+    def test_misspelt_key_exits_one_naming_it(self, tmp_path, capsys, block, key):
+        cfg = json.loads(json.dumps(ALL_FIELDS_CONFIGS["rabi"]))
+        if block == "system.spins[0]":
+            del cfg["preset"]
+            cfg["system"] = {"spins": [{"offset_hz": 200.0}, {"offset_hz": 190.0}],
+                             "couplings_hz": [[0.0, 7.0], [7.0, 0.0]]}
+        target = cfg
+        for part in filter(None, block.replace("[0]", ".0").split(".")):
+            target = target[int(part) if part.isdigit() else part]
+        target[key] = 1.0
+        code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "t")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: unknown field {block + '.' if block else ''}{key}")
+        assert not (tmp_path / "t").exists()
+
+    def test_sweep_with_values_and_count_exits_one(self, tmp_path, capsys):
+        cfg = rabi_config()
+        cfg["protocol"]["sweep"] = {"values": [0.1, 0.2], "count": 5}
+        code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "t")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: protocol.sweep gives values") and "count" in err
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize(
+        "config, field, value, kind",
+        [
+            ("glutamate_rabi", "protocol.pi_half_duration_s", 0.1, "rabi"),
+            ("pgg_pumping", "protocol.readout", "projector", "pumping"),
+            ("glutamate_scan", "protocol.phase_cycle", False, "resonance_scan"),
+            ("glutamate_rabi", "protocol.prep.polarization", 0.3, "ideal"),
+            ("glutamate_rabi", "envelope.t_s_s", 4.4, "rabi"),
+        ],
+        ids=["rabi_pi_half", "pumping_readout", "scan_phase_cycle", "ideal_prep_polarization", "rabi_t_s"],
+    )
+    def test_field_another_kind_reads_exits_one_naming_it(self, tmp_path, capsys, config, field, value, kind):
+        # a key outside its kind's row is rejected even at its default value
+        cfg = json.loads((CONFIG_DIR / f"{config}.json").read_text())
+        block, _, key = field.rpartition(".")
+        target = cfg
+        for part in block.split("."):
+            target = target.setdefault(part, {"kind": "ideal"} if part == "prep" else {})
+        target[key] = value
+        code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "t")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"input error: {field} is not read by kind {kind!r}")
+        assert not (tmp_path / "t").exists()
+
+    def test_misspelt_and_unread_fields_of_a_rabi_config_exit_one(self, tmp_path, capsys):
+        cfg = json.loads((CONFIG_DIR / "glutamate_rabi.json").read_text())
+        cfg["bogus"] = 1
+        cfg["protocol"].update(sweeep={"values": [0.1]}, pi_half_duration_s=0.1, pump_reset_delay_s=3.1,
+                               double_rabi_phases_deg=[10, 20], prep={"kind": "ideal", "polarization": 0.3})
+        cfg["protocol"]["transfer"]["nutaton_hz"] = 3
+        cfg["envelope"]["t_s_s"] = 4.4
+        code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "t")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("input error: unknown field bogus")
+        assert not (tmp_path / "t").exists()
 
     def test_unassigned_readout_pair_exits_one(self, tmp_path, capsys):
         cfg = rabi_config()

@@ -13,6 +13,7 @@ from conftest import (
     oracle_propagator,
     oracle_resonance_nutation,
     oracle_state,
+    protocol_of,
     singlet_projector,
 )
 
@@ -166,13 +167,13 @@ class TestProtocolValidation:
         # a negative tau would evolve backwards and grow the decay envelope
         lock = SpinLockParams(1.0)
         with pytest.raises(ValueError, match="sweep values must be >= 0"):
-            Protocol(kind=kind, sweep=np.array([-1.0, 0.5]), transfer=lock,
-                     pi_half_duration_s=0.1, free_lock=lock)
+            protocol_of(kind, sweep=np.array([-1.0, 0.5]), transfer=lock,
+                        pi_half_duration_s=0.1, free_lock=lock)
 
     @pytest.mark.parametrize("kind", ["pumping", "resonance_scan"])
     def test_signal_proxy_readout_rejected_where_unread(self, kind):
         # these runners read the readout pair's singlet population only
-        with pytest.raises(ValueError, match=f"readout must be 'projector' for a {kind} protocol"):
+        with pytest.raises(ValueError, match=f"{kind} protocol does not read readout"):
             Protocol(kind=kind, sweep=np.array([1.0]), transfer=SpinLockParams(1.0), readout="signal_proxy",
                      pump_transfer_duration_s=0.1, pump_reset_delay_s=0.1, scan_tau_grid_s=np.array([0.1]))
 
@@ -188,14 +189,17 @@ class TestProtocolValidation:
         # the Python API has no config loader to stop a NaN, which would run to an all-NaN trace
         with pytest.raises(ValueError, match=f"{field} must be finite and >= 0"):
             if field.startswith("p"):
-                Protocol(kind="rabi", sweep=np.array([0.1]), transfer=SpinLockParams(1.0), **{field: value})
+                lock = SpinLockParams(1.0)
+                shared = dict(sweep=np.array([0.1]), transfer=lock, pi_half_duration_s=0.1, free_lock=lock,
+                              pump_transfer_duration_s=0.1, pump_reset_delay_s=0.1)
+                protocol_of("ramsey" if field == "pi_half_duration_s" else "pumping", **{**shared, field: value})
             else:
-                PrepSpec(**{**vars(ENGINE_PREPS["three_pulse"]), field: value})
+                PrepSpec(**{**vars(ENGINE_PREPS["slic" if field == "duration_s" else "three_pulse"]), field: value})
 
     @pytest.mark.parametrize("kind", ["ideal", "three_pulse"])
     def test_prep_phase_rejected_unless_slic(self, kind):
         # an ideal prep has no sequence and a three-pulse one takes no phase
-        with pytest.raises(ValueError, match=f"phase applies to a slic prep only, got 1.3 for a {kind} prep"):
+        with pytest.raises(ValueError, match=f"{kind} prep does not read phase"):
             PrepSpec(**{**vars(ENGINE_PREPS[kind]), "phase": 1.3})
 
     @pytest.mark.parametrize("grid", [[], [0.2, 0.1], [0.1, 0.1]])
@@ -622,8 +626,8 @@ class TestRunnerEnvelopes:
 
     def make_protocol(self, glu, kind):
         tx = pair_center_offset(glu, 0)
-        return Protocol(
-            kind=kind, sweep=np.linspace(0.02, 1.5, 30), transfer=glu_lock(glu), triplet_init="phi_minus",
+        return protocol_of(
+            kind, sweep=np.linspace(0.02, 1.5, 30), transfer=glu_lock(glu), triplet_init="phi_minus",
             readout="signal_proxy" if kind == "ramsey" else "projector", pi_half_duration_s=1.0 / (4 * 2.57),
             free_lock=SpinLockParams(47.0, 0.0, tx),
         )
@@ -925,15 +929,16 @@ ENGINE_PREPS = {
 }
 
 
-def engine_protocol(system, kind, n_points, prep="three_pulse", readout="signal_proxy"):
+def engine_protocol(system, kind, n_points, prep="three_pulse", readout="signal_proxy", **fields):
     sweep = np.linspace(0.03, 0.6, n_points)
     lock = glu_lock(system, nutation=599.31, phase=0.7)
-    return Protocol(
-        kind=kind, sweep=sweep, transfer=lock, prep=ENGINE_PREPS[prep], triplet_init="phi_minus",
+    shared = dict(
+        sweep=sweep, transfer=lock, prep=ENGINE_PREPS[prep], triplet_init="phi_minus",
         readout=readout, phase_cycle=readout == "signal_proxy", pi_half_duration_s=0.1,
         free_lock=SpinLockParams(47.0, 0.7, pair_center_offset(system, 1)),
         double_rabi_phases=(0.7, 0.7 + np.pi),
     )
+    return protocol_of(kind, **{**shared, **fields})
 
 
 RUNNERS = {"rabi": run_rabi, "ramsey": run_ramsey, "double_rabi": run_double_rabi}
@@ -965,11 +970,10 @@ class TestEvolutionEngine:
             "ramsey_free_lock_off_transfer_phase": ("ramsey", "slic", "signal_proxy"),
             "double_rabi_not_pi_apart": ("double_rabi", "three_pulse", "projector"),
         }[case]
-        protocol = replace(
-            engine_protocol(glu, kind, 4, prep, readout), phase_cycle=False,
-            free_lock=SpinLockParams(47.0, 2.0, pair_center_offset(glu, 1)), double_rabi_phases=(0.3, 2.1),
-        )
-        assert protocol.prep.phase != protocol.transfer.phase != protocol.free_lock.phase
+        free = SpinLockParams(47.0, 2.0, pair_center_offset(glu, 1))
+        protocol = engine_protocol(glu, kind, 4, prep, readout, phase_cycle=False, free_lock=free,
+                                   double_rabi_phases=(0.3, 2.1))
+        assert protocol.prep.phase != protocol.transfer.phase != free.phase
         trace = RUNNERS[kind](glu, protocol)
         observable, populations = oracle_trace(glu, protocol)
         assert np.max(np.abs(trace.observable - observable)) < 1e-12
@@ -1018,8 +1022,8 @@ class TestEvolutionEngine:
         pgg = phe_gly_gly(include_third_pair=True)
         lock = SpinLockParams(280.0, 0.7, pair_center_offset(pgg, 0))
         free = SpinLockParams(47.0, 0.7, pair_center_offset(pgg, 1))
-        protocol = Protocol(
-            kind=kind, sweep=np.linspace(0.05, 2.0, 5), transfer=lock, triplet_init="phi_minus",
+        protocol = protocol_of(
+            kind, sweep=np.linspace(0.05, 2.0, 5), transfer=lock, triplet_init="phi_minus",
             pi_half_duration_s=0.1, free_lock=free, double_rabi_phases=(0.7, 0.7 + np.pi),
         )
         trace = RUNNERS[kind](pgg, protocol)
