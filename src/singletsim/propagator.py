@@ -1,36 +1,40 @@
 """Exact piecewise-constant evolution of density matrices through pulse sequences.
 
-Two entry points share one engine.  `sequence_propagator` turns a segment
-list into its propagator U = prod_k V_k exp(-i 2 pi E_k t_k) V_k^dagger, which
-is exact for the piecewise-constant Hamiltonians used here.  A lock at RF
-phase phi has the generator Z H(0) Z^dagger with Z = exp(-i phi Fz), and
-H(0) is real symmetric: each distinct phase-0 generator (a segment at phase
-0 without its duration) is diagonalised once per call, in real arithmetic,
-and its eigenvectors are rotated to each nonzero phase, so locks that differ
-only in phase share one `eigh`.  This is the one place RF phase enters the
+One engine, `_apply`, applies a segment list's propagator
+U = prod_k V_k exp(-i 2 pi E_k t_k) V_k^dagger, exact for the
+piecewise-constant Hamiltonians used here, to a block of kets one segment at
+a time; `sequence_propagator` applies it to the identity and
+`swept_expectations` to the initial state's kets.  A lock at RF phase phi
+has the generator Z H(0) Z^dagger with Z = exp(-i phi Fz), and H(0) is real
+symmetric: each distinct phase-0 generator (a segment at phase 0 without its
+duration) is diagonalised once per call, in real arithmetic, and its
+eigenvectors are rotated to each nonzero phase, so locks that differ only in
+phase share one `eigh`.  This is the one place RF phase enters the
 evolution, and the engine picks the frame: `swept_expectations` runs in the
 frame of its first lock, where that lock is at phase 0 and its eigenvectors
 stay real, and `sequence_propagator` in the lab frame.  A free delay is a
 lock at zero nutation: its generator is the free Hamiltonian at the
 transmitter offset, and it carries no RF phase.  A hard pulse is an ideal
-zero-duration rotation, the same 2 x 2 rotation on every spin, written in
-closed form by bit index with no `eigh`.  `swept_expectations` reads every
-population: a sweep of a duration tau shared by k consecutive segments (a
-fixed sequence is a one-point sweep) is read in their eigenbases, with no
-propagator formed per tau, from an initial state factored as
-c * 1 + K diag(w) K^dagger: vectorised over tau for k = 1, and for k >= 2 by
-carrying the kets, a block of taus at a time.  It reads each assigned
-pair's singlet population from the rows of the pair's |ud> and |du> states,
-with no d x d projector, then any dense observables.  Arrays stay float64
-while every factor is real, and a product of a real factor with a complex
-one runs as one real product on the complex factor's real view (`_mul`).
-Relaxation enters only as phenomenological decay envelopes
-(`RelaxationEnvelope.apply`), which each runner applies to the values it
-has read.
+zero-duration rotation, the same 2 x 2 rotation on each spin's bit, with no
+`eigh`.  `swept_expectations` reads every population: a sweep of a duration
+tau shared by k consecutive segments (a fixed sequence is a one-point
+sweep) is read in their eigenbases, with no propagator formed per tau, from
+an initial state factored as c * 1 + K diag(w) K^dagger.  The read is
+chosen by the size n r of the n taus' r kets against d: one swept segment
+with n r > d is read vectorised over tau; otherwise the kets are carried, a
+block of taus at a time, and brought out through the segments after the
+sweep.  It reads each assigned pair's singlet population from the rows of
+the pair's |ud> and |du> states, with no d x d projector, then any dense
+observables.  Arrays stay float64 while every factor is real, and a product
+of a real factor with a complex one runs as one real product on the complex
+factor's real view (`_mul`).  Relaxation enters only as phenomenological
+decay envelopes (`RelaxationEnvelope.apply`), which each runner applies to
+the values it has read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, replace
 
@@ -111,42 +115,34 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _mul(b.T, a.T).T
 
 
-def _unitary(eig: tuple[np.ndarray, np.ndarray], duration_s: float) -> np.ndarray:
-    energies, vectors = eig
-    phases = np.exp(1j * _angles(energies, duration_s))
-    return _mul(vectors, phases[:, None] * np.conjugate(vectors.T, order="C"))
+def _apply(system: SpinSystem, segments: list[Segment], x: np.ndarray | None, eigs: dict,
+           frame: float) -> np.ndarray | None:
+    """U x for the segments' propagator U in the frame of a lock at RF phase `frame`, one segment at a time.
 
-
-def _pulse(system: SpinSystem, pulse: HardPulse, frame: float) -> np.ndarray:
-    """exp(-i theta sum_i (cos(phase) I_ix + sin(phase) I_iy)), entry by bit index.
-
-    Each spin contributes cos(theta / 2) where basis states k and l agree
-    and -i sin(theta / 2) where they differ; the phase, the pulse's own less
-    the frame's, enters as Z R(0) Z^dagger.
+    x = None is the identity: the first segment that plays writes its own
+    matrix, and None comes back when nothing plays.  A lock is
+    V (a * (V^dagger x)) with a = exp(-2 pi i E t).  A hard pulse is the same
+    2 x 2 rotation exp(-i theta (cos(phase) I_x + sin(phase) I_y)) on each
+    spin's bit, its phase the pulse's less the frame's: n_spins passes over
+    x, or on the identity the rotations' Kronecker product; no `eigh`.
     """
-    index = np.arange(system.dim)
-    flips = index[:, None] ^ index
-    n_flips = sum((flips >> spin) & 1 for spin in range(system.n_spins))
-    c, s = np.cos(pulse.flip_angle / 2), -1j * np.sin(pulse.flip_angle / 2)
-    factors = np.array([c ** (system.n_spins - h) * s**h for h in range(system.n_spins + 1)])
-    z = np.exp(-1j * (pulse.phase - frame) * _fz(system))
-    return z[:, None] * factors[n_flips] * z.conj()
-
-
-def _propagator(system: SpinSystem, segments: list[Segment], eigs: dict, frame: float) -> np.ndarray | None:
-    """The propagator in the frame of a lock at RF phase `frame`; None when it plays for no time."""
-    u = None
     for segment in segments:
         if isinstance(segment, HardPulse):
             if segment.flip_angle == 0.0:
                 continue
-            step = _pulse(system, segment, frame)
-        else:
-            if segment.duration_s == 0.0:
+            c, s = np.cos(segment.flip_angle / 2), -1j * np.sin(segment.flip_angle / 2)
+            e = np.exp(1j * (segment.phase - frame))
+            rotation = np.array([[c, s * e.conjugate()], [s * e, c]])
+            if x is None:
+                x = functools.reduce(np.kron, [rotation] * system.n_spins)
                 continue
-            step = _unitary(_segment_eig(system, segment, eigs, frame), segment.duration_s)
-        u = step if u is None else step @ u
-    return u
+            for spin in range(system.n_spins):  # spin 0 is the most significant bit
+                x = (rotation @ x.reshape(2**spin, 2, -1)).reshape(len(x), -1)
+        elif segment.duration_s != 0.0:
+            energies, vectors = _segment_eig(system, segment, eigs, frame)
+            back = np.conjugate(vectors.T, order="C") if x is None else _mul(vectors.conj().T, x)  # V^dagger x
+            x = _mul(vectors, np.exp(1j * _angles(energies, segment.duration_s))[:, None] * back)
+    return x
 
 
 def sequence_propagator(system: SpinSystem, segments: list[Segment]) -> np.ndarray:
@@ -154,7 +150,7 @@ def sequence_propagator(system: SpinSystem, segments: list[Segment]) -> np.ndarr
 
     Each distinct phase-0 generator is diagonalised once per call.
     """
-    u = _propagator(system, segments, {}, 0.0)
+    u = _apply(system, segments, None, {}, 0.0)
     return np.eye(system.dim, dtype=complex) if u is None else u
 
 
@@ -175,56 +171,61 @@ def swept_expectations(
     lock's, so it sits at phase 0 with real eigenvectors.  The initial state
     rho0 = c * 1 + K diag(w) K^dagger is given as (c, K, w) in that frame, the
     one the ideal transfer state is defined against (`spincore.check_state`);
-    each observable is given in the lab frame and read as Z^dagger O Z with
-    Z = exp(-i phase Fz).  Pair singlet populations read the same in both.
+    each observable is given in the lab frame and read as
+    O' = Z^dagger O Z = (zeta zeta^dagger) * O, zeta = exp(i phase Fz).  Pair
+    singlet populations read the same in both.
 
     U = after . S_k(tau) ... S_1(tau) . before, each swept segment S_j's
     own duration replaced by each tau.  With V_j the eigenbasis of S_j's
-    generator, the kets become G = Y^dagger K with Y = U_before^dagger V_1
-    (V_1 when `before` plays nothing), and each observable M = W^dagger O W
-    with W = U_after V_k (V_k likewise).  A pair's singlet projector sums
-    |S0, rest><S0, rest| over the other spins, so its M is B^dagger B with
-    B = (W[ud] - W[du]) / sqrt(2), the rows of W at the pair's |ud> and |du>
-    states, and tr M = d / 4.  For one swept segment, R = c * 1 + G diag(w)
-    G^dagger and, with a = exp(-2 pi i E tau), the trace is
+    generator, the r kets enter as G = V_1^dagger `_apply`(before, K), d^2 r
+    per lock (V_1^dagger itself for K = None and nothing before).  A pair's
+    singlet projector sums |S0, rest><S0, rest| over the other spins, so it
+    reads ||x[ud] - x[du]||^2 / 2 off the rows of x at the pair's |ud> and
+    |du> states, and its trace is d / 4.  The read is chosen by the size
+    n r of the n taus' kets against d.  One swept segment with n r > d is
+    read in its eigenbasis: with W = `_apply`(after, V_1), each observable's
+    M = W^dagger O' W (B^dagger B for a pair, B = (W[ud] - W[du]) / sqrt(2)),
+    R = c * 1 + G diag(w) G^dagger and a = exp(-2 pi i E tau), the trace is
     Re sum_ij a_i R_ij conj(a_j) M_ji, read in real arithmetic: one
-    (2 n_tau, d) x (d, d) real product per row of [cos; sin] of the phases
-    against R * M^T, over its real view when it is complex.  For more, the
-    kets of a block of n = d // r taus are scaled by each segment's phases
-    and moved to the next eigenbasis through the overlap
-    C_j = V_{j+1}^dagger V_j, one (d, d) x (d, n r) product for r kets; each
-    ket z is read as c tr M + sum w z^dagger M z, ||B z||^2 for a pair.  No
-    propagator and no d x d state is formed per tau.  With real eigenvectors
-    and kets, every population is read in float64.
+    (2 n, d) x (d, d) real product per row of [cos; sin] of the phases
+    against R * M^T, over its real view when it is complex.  Otherwise, and
+    for every k >= 2, the kets of a block of d // r taus are carried: scaled
+    by each segment's phases and moved to the next eigenbasis through the
+    overlap C_j = V_{j+1}^dagger V_j, one (d, d) x (d, n r) product, then
+    brought out as q = `_apply`(after, V_k z).  Each ket q is read as
+    c tr O + sum w Re q^dagger O' q.  No propagator, R, transformed
+    observable or d x d state is formed on that path.  With real
+    eigenvectors and kets, every population is read in float64.
     """
     check_state(state)
     c, kets, weights = state
     frame = next(s.params.phase for s in [*before, *segments] if isinstance(s, SpinLock))
     eigs: dict[SpinLock, tuple[np.ndarray, np.ndarray]] = {}
-    u_before = _propagator(system, before, eigs, frame)
-    u_after = u_before if after == before else _propagator(system, after, eigs, frame)  # Ramsey's pi/2 locks
     bases = [_segment_eig(system, segment, eigs, frame) for segment in segments]
-    y = bases[0][1] if u_before is None else _mul(u_before.conj().T, bases[0][1])
-    w = bases[-1][1] if u_after is None else _mul(u_after, bases[-1][1])
-    g = y.conj().T if kets is None else _mul(y.conj().T, kets)
+    entered = _apply(system, before, kets, eigs, frame)  # U_before K
+    g = bases[0][1].conj().T if entered is None else _mul(bases[0][1].conj().T, entered)
     masks, down = _spin_states(system)
-    diffs = []  # sqrt(2) B of each pair
+    uds = []  # the rows of each pair's |ud> and |du> states
     for a, b in system.pairs:
         ud = np.flatnonzero(~down[a] & down[b])
-        diffs.append(w[ud] - w[ud ^ (masks[a] | masks[b])])
-    fz = _fz(system)  # each observable given in the lab frame, read as Z^dagger O Z
-    ms = [_mul(_mul(w.conj().T, np.exp(1j * frame * (fz[:, None] - fz)) * obs), w) for obs in observables]
-    # the angles round as _unitary's do, so each tau's phases match its propagator's
+        uds.append((ud, ud ^ (masks[a] | masks[b])))
+    zeta = np.exp(1j * frame * _fz(system))  # each observable given in the lab frame, read as Z^dagger O Z
+    observables = [zeta[:, None] * obs * zeta.conj() for obs in observables]
+    # the angles round as `_apply`'s do, so each tau's phases match a lock played for it
     taus = np.asarray(durations_s, dtype=float)[:, None]
-    if len(bases) == 1:
+    d, n_kets = g.shape
+    if len(bases) == 1 and len(taus) * n_kets > d:
         # Re sum_ij a_i R_ij conj(a_j) M_ji, a = exp(i theta): with co = cos(theta),
         # si = sin(theta) and X = R * M^T, co X co + si X si over Re X, plus
         # co X si - si X co over Im X when X is complex
-        r = _mul(g * weights, g.conj().T) + c * np.eye(system.dim)
+        w = _apply(system, after, bases[0][1], eigs, frame)
+        r = _mul(g * weights, g.conj().T) + c * np.eye(d)
         theta = _angles(bases[0][0], taus)
         n = theta.shape[0]
         cs = np.concatenate([np.cos(theta), np.sin(theta)])
         rows = []
+        diffs = [w[ud] - w[du] for ud, du in uds]  # sqrt(2) B of each pair
+        ms = [_mul(_mul(w.conj().T, obs), w) for obs in observables]
         for k, factor in enumerate(diffs + ms):  # each M^T formed only as it is read
             mt = 0.5 * (factor.T @ factor.conj()) if k < len(diffs) else factor.T
             x = _mul(cs, r * mt)  # [co X; si X]
@@ -234,9 +235,8 @@ def swept_expectations(
             rows.append(value)
         return np.array(rows)
     overlaps = [_mul(v_next.conj().T, v) for (_, v), (_, v_next) in zip(bases, bases[1:])]
-    d, n_kets = g.shape
     per_block = d // n_kets  # a block's kets fill at most one d x d array; orthonormal kets have r <= d
-    traces = np.array([d / 4] * len(diffs) + [np.trace(m).real for m in ms])
+    traces = np.array([d / 4] * len(uds) + [np.trace(obs).real for obs in observables])
     values = np.empty((len(traces), len(taus)))
     for start in range(0, len(taus), per_block):
         block = slice(start, start + per_block)
@@ -245,9 +245,9 @@ def swept_expectations(
             if overlap is not None:
                 z = _mul(overlap, z.reshape(d, -1)).reshape(d, -1, n_kets)
             z = np.exp(1j * _angles(energies, taus[block])).T[:, :, None] * z
-        flat = z.reshape(d, -1)
-        rows = [0.5 * (np.abs(_mul(diff, flat)) ** 2).sum(axis=0) for diff in diffs]
-        rows += [(flat.conj() * _mul(m, flat)).real.sum(axis=0) for m in ms]
+        q = _apply(system, after, _mul(bases[-1][1], z.reshape(d, -1)), eigs, frame)
+        rows = [0.5 * (np.abs(q[ud] - q[du]) ** 2).sum(axis=0) for ud, du in uds]
+        rows += [(q.conj() * _mul(obs, q)).real.sum(axis=0) for obs in observables]
         values[:, block] = np.reshape(rows, (len(rows), -1, n_kets)) @ weights + c * traces[:, None]
     return values
 

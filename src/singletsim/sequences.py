@@ -15,14 +15,16 @@ factored as c * 1 + K diag(w) K^dagger, with no dense density: the ideal
 state's kets are products of pair kets (3^(p-1) for a uniform triplet over
 p pairs, one for a pure one), a simulated preparation adds c, and the
 pseudo-thermal state has its weights on the basis states.  Rabi and Ramsey
-sweep one lock, read vectorised over tau in its eigenbasis; double-Rabi
-sweeps its two locks together, carrying the kets through their two
-eigenbases.  A preparation is a one-point sweep of its last segment, and
-pumping a two-point sweep (0 and the pump time) of its transfer lock.
-The `signal_proxy` readout is one observable, the transverse magnetization
-back-propagated once per run through the readout sequence with
-`sequence_propagator`; its 0/pi phase cycle is a coherence-parity filter on
-that observable, with no second, phase-shifted readout run.
+sweep one lock, double-Rabi its two locks together; a short sweep's kets
+are carried through the eigenbases and a long one-lock sweep is read
+vectorised over tau (`swept_expectations` picks the read).  A preparation
+is a one-point sweep of its last segment, and pumping a two-point sweep (0
+and the pump time) of its transfer lock.  The `signal_proxy` readout is one
+observable, the transverse magnetization Mx back-propagated once per run
+through the readout sequence as U^dagger (Mx U), with U from
+`sequence_propagator` and Mx U gathered from U's rows with one spin
+flipped; its 0/pi phase cycle is a coherence-parity filter on that
+observable, with no second, phase-shifted readout run.
 Each runner applies its own decay envelope to the values it reads: T_Rabi
 on Rabi-type runs, T_2S* about each row's mean then T_S on Ramsey runs,
 T_S over each pumping cycle.
@@ -38,7 +40,7 @@ frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -50,14 +52,12 @@ from .hamiltonian import (
     intrapair_coupling,
     pair_center_offset,
     resonant_nutation,
-    rf_generator,
 )
 from .propagator import (
     HardPulse,
     RelaxationEnvelope,
     Segment,
     SpinLock,
-    _mul,
     sequence_propagator,
     swept_expectations,
 )
@@ -68,6 +68,7 @@ from .spincore import (
     TripletAmplitudes,
     _basis_split,
     _fz,
+    _spin_states,
     thermal_state,
 )
 from .trace import Trace
@@ -139,7 +140,8 @@ class Protocol:
     """A transfer experiment: preparation, transfer lock, readout, sweep.
 
     Each kind reads the fields of its `PROTOCOL_FIELDS` row.  A field the kind reads that is None, or one
-    it does not read that differs from its default, is a ValueError naming the field and the kind.
+    it does not read that differs from its default, is a ValueError naming the field and the kind.  A
+    pumping sweep holds positive integer cycle counts.
     """
 
     kind: str
@@ -174,6 +176,8 @@ class Protocol:
         if self.phase_cycle and self.readout != "signal_proxy":
             raise ValueError(f"phase_cycle applies to the signal_proxy readout only, got readout {self.readout!r}")
         _check_durations(self, ("pi_half_duration_s", "pump_transfer_duration_s", "pump_reset_delay_s"))
+        if self.kind == "pumping" and (np.any(sweep < 1) or np.any(sweep != np.round(sweep))):
+            raise ValueError("pumping sweep must contain positive integer cycle counts")
         if self.scan_tau_grid_s is not None:
             grid = np.asarray(self.scan_tau_grid_s, float)
             if not np.all(np.isfinite(grid)) or np.any(grid < 0):
@@ -299,7 +303,8 @@ def transfer_initial_state(system: SpinSystem, protocol: Protocol) -> tuple[floa
 def _signal_observable(system: SpinSystem, protocol: Protocol) -> np.ndarray:
     """Total transverse magnetization back-propagated through the readout sequence.
 
-    tr(U rho U^dagger Mx) = tr(rho U^dagger Mx U) = tr(rho O).  A phase cycle
+    tr(U rho U^dagger Mx) = tr(rho U^dagger Mx U) = tr(rho O), with Mx U the
+    half-sum of U's rows with each spin's bit flipped in turn.  A phase cycle
     halves the difference from the run with every pulse and lock phase shifted
     by pi.  That run's propagator is Z U Z^dagger with Z = exp(-i pi Fz) (a free
     delay commutes with Fz), and Z^dagger Mx Z = -Mx, so the cycled observable
@@ -308,7 +313,9 @@ def _signal_observable(system: SpinSystem, protocol: Protocol) -> np.ndarray:
     the lab frame.
     """
     u = sequence_propagator(system, _readout_sequence(system, protocol))
-    observable = _mul(u.conj().T, _mul(rf_generator(system, 0.0), u))
+    masks, _ = _spin_states(system)
+    index = np.arange(system.dim)
+    observable = u.conj().T @ (0.5 * sum(u[index ^ mask] for mask in masks))
     if protocol.phase_cycle:
         fz = _fz(system)
         observable[(fz[:, None] - fz) % 2 == 1] = 0.0
@@ -450,8 +457,6 @@ def run_pumping(
     if protocol.kind != "pumping":
         raise ValueError(f"run_pumping needs a pumping protocol, got {protocol.kind!r}")
     counts = protocol.sweep
-    if np.any(counts < 1) or np.any(counts != np.round(counts)):
-        raise ValueError("pumping sweep must contain positive integer cycle counts")
     state = transfer_initial_state(system, protocol)
     lock = SpinLock(protocol.transfer, protocol.pump_transfer_duration_s)
     values = swept_expectations(system, state, [], [lock], [0.0, lock.duration_s], [], [])
@@ -472,6 +477,10 @@ def run_pumping(
 def run_protocol(
     system: SpinSystem, protocol: Protocol, envelope: RelaxationEnvelope | None = None
 ) -> Trace:
+    """The protocol's runner on the system; an envelope time its kind does not apply is a ValueError."""
+    for name, value in asdict(envelope or RelaxationEnvelope()).items():
+        if value is not None and name not in ENVELOPE_FIELDS[protocol.kind]:
+            raise ValueError(f"envelope.{name} is not applied by kind {protocol.kind!r}")
     runner = {
         "rabi": run_rabi,
         "ramsey": run_ramsey,

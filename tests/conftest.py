@@ -6,7 +6,7 @@ for the package's generators, populations and fits.  The dense
 pair-product and mixed-triplet densities, the dense density check and
 `dense`, which expands the engine's factored state (c, K, w), reference the
 factored states the package builds.  The evolution oracle is
-independent of the engine's tables and its closed-form pulses: one `eigh`
+independent of the engine's tables and its pulse rotations: one `eigh`
 per segment, of the segment's real phase-0 generator.  A phase-cycled
 readout is checked against its second, phase-shifted run, built segment by
 segment with `_phase_shifted_pulses`.  The engine simulates each run in the

@@ -483,7 +483,8 @@ class TestMainEntry:
         cfg["protocol"]["sweep"] = {"values": [0.5, 1, 2]}
         code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "p")])
         assert code == 1
-        assert "input error: pumping sweep must contain positive integer cycle counts" in capsys.readouterr().err
+        assert "input error: protocol: pumping sweep must contain positive integer cycle counts" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
 
     @pytest.mark.parametrize("command, config", [("simulate", "pgg_pumping"), ("scan", "glutamate_scan")])
     def test_signal_proxy_where_unread_exits_one(self, tmp_path, capsys, command, config):

@@ -6,6 +6,7 @@ from conftest import (
     embed_spin_operator,
     expectation,
     ideal_transfer_state,
+    oracle_propagator,
     oracle_state,
     singlet_projector,
     triplet_projector,
@@ -126,6 +127,22 @@ class TestClosedFormPulse:
         assert eigh_calls == []
 
 
+class TestAppliedPulse:
+    # a pulse is applied as the same 2 x 2 rotation on each spin's bit; in a frame
+    # at phase f it is the lab-frame pulse at its phase less f
+    @pytest.mark.parametrize("n_spins", [2, 4, 6], ids=["d4", "d16", "d64"])
+    def test_matches_dense_oracle_in_a_frame(self, n_spins):
+        system, frame = uncoupled(n_spins), 0.9
+        x = np.random.default_rng(n_spins).normal(size=(system.dim, 3, 2)) @ np.array([1.0, 1j])
+        for theta in (np.pi / 3, np.pi / 2, np.pi):
+            for phase in (0.0, 0.3, -2.0):
+                pulse = HardPulse(theta, phase)
+                expected = oracle_propagator(system, [HardPulse(theta, phase - frame)])
+                assert np.max(np.abs(engine._apply(system, [pulse], x, {}, frame) - expected @ x)) < 1e-13
+                assert np.max(np.abs(engine._apply(system, [pulse], None, {}, frame) - expected)) < 1e-13
+                lab = oracle_propagator(system, [pulse])
+                assert np.max(np.abs(sequence_propagator(system, [pulse]) - lab)) < 1e-13
+
 class TestPhaseRotation:
     # an RF phase is a rotation about z: H(phase) = Z H(0) Z^dagger, Z = exp(-i phase Fz)
     @pytest.mark.parametrize("phase", [0.3, np.pi / 2, np.pi, -2.2])
@@ -188,7 +205,7 @@ class TestRealArithmetic:
         assert shifted[0] is energies and shifted[1] is vectors
 
     def test_rabi_at_a_nonzero_transfer_phase_reads_in_real_arithmetic(self, monkeypatch):
-        # rho0, each pair's M and the swept read: every product is real by real
+        # the kets, the eigenvectors and every d x d factor stay float64
         glu = glutamate()
         lock = SpinLockParams(599.31, 0.7, pair_center_offset(glu, 0))
         protocol = sequences.Protocol(kind="rabi", sweep=np.linspace(0.05, 1.0, 6), transfer=lock,
@@ -201,17 +218,16 @@ class TestRealArithmetic:
             return swept(system, state, *args)
 
         def recording_mul(a, b):
-            out = mul(a, b)
-            products.append((a.dtype, b.dtype, out.dtype))
-            return out
+            products.append((a.shape, a.dtype))
+            return mul(a, b)
 
         monkeypatch.setattr(sequences, "swept_expectations", recording_swept)
         monkeypatch.setattr(engine, "_mul", recording_mul)
         sequences.run_rabi(glu, protocol)
         assert [kets.dtype for _, kets, _ in states] == [np.float64]
-        # G = V^T K and R = G diag(w) G^T, then one read per pair: R * M^T against [cos; sin]
-        assert len(products) == 2 + len(glu.pairs)
-        assert all(dtypes == (np.float64,) * 3 for dtypes in products)
+        # G = V^T K, then the kets of the six taus come out as V z: each product's
+        # d x d factor is the real V, applied to the complex kets through their real view
+        assert products == [((glu.dim, glu.dim), np.float64)] * 2
 
 
 class TestPropagate:
@@ -312,23 +328,35 @@ class TestSweptExpectations:
             expected = [expectation(state, obs).real for obs in observables]
             assert np.max(np.abs(values[:, k] - expected)) < 1e-12
 
-    def test_ramsey_forms_its_pi_half_propagator_once(self, monkeypatch):
-        # the same pi/2 lock plays before and after the free precession
+    def test_ramsey_diagonalises_its_pi_half_lock_once_and_forms_no_propagator(self, monkeypatch, eigh_calls):
+        # the same pi/2 lock plays before and after the free precession; five taus of three
+        # kets fit one 16 x 16 array, so they are carried, and a sixth takes the R read
         glu = glutamate()
-        protocol = sequences.Protocol(
-            kind="ramsey", sweep=np.linspace(0.05, 1.0, 6),
-            transfer=SpinLockParams(599.31, 0.7, pair_center_offset(glu, 0)), pi_half_duration_s=0.1,
-            free_lock=SpinLockParams(47.0, 0.7, pair_center_offset(glu, 1)),
-        )
-        durations, unitary = [], engine._unitary
+        transfer = SpinLockParams(599.31, 0.7, pair_center_offset(glu, 0))
+        free = SpinLockParams(47.0, 0.7, pair_center_offset(glu, 1))
+        shapes, mul, apply = [], engine._mul, engine._apply
 
-        def counting_unitary(eig, duration_s):
-            durations.append(duration_s)
-            return unitary(eig, duration_s)
+        def recording_mul(a, b):
+            out = mul(a, b)
+            shapes.append(out.shape)
+            return out
 
-        monkeypatch.setattr(engine, "_unitary", counting_unitary)
-        sequences.run_ramsey(glu, protocol)
-        assert durations == [0.1]
+        def recording_apply(system, segments, x, eigs, frame):
+            out = apply(system, segments, x, eigs, frame)
+            shapes.append(None if out is None else out.shape)
+            return out
+
+        monkeypatch.setattr(engine, "_mul", recording_mul)
+        monkeypatch.setattr(engine, "_apply", recording_apply)
+        for n_taus, carried in ((5, True), (6, False)):
+            protocol = sequences.Protocol(kind="ramsey", sweep=np.linspace(0.05, 1.0, n_taus), transfer=transfer,
+                                          pi_half_duration_s=0.1, free_lock=free)
+            eigh_calls.clear()
+            shapes.clear()
+            sequences.run_ramsey(glu, protocol)
+            assert len(eigh_calls) == 2
+            assert ((glu.dim, glu.dim) not in shapes) == carried
+
 
     def test_invalid_state_rejected(self):
         system = coupled_pair()

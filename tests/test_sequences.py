@@ -613,10 +613,9 @@ class TestRunPumping:
         assert abs(trace.observable[0] - endpoint_gain) < 1e-8
 
     def test_fractional_cycle_counts_rejected(self):
-        pgg = phe_gly_gly()
-        proto = self.make_protocol(pgg, [1.5, 2.5])
+        # checked as the protocol is built, before any run
         with pytest.raises(ValueError, match="integer cycle counts"):
-            run_pumping(pgg, proto)
+            self.make_protocol(phe_gly_gly(), [1.5, 2.5])
 
 
 class TestRunnerEnvelopes:
@@ -675,6 +674,34 @@ class TestRunnerEnvelopes:
         assert np.all(np.isfinite(trace.observable))
         assert np.all(np.isfinite(trace.metadata["fitted_frequency_hz"]))
 
+
+
+class TestRunProtocolEnvelope:
+    # a runner applies only the times its kind reads; run_protocol rejects the rest
+    def test_time_the_kind_does_not_apply_is_rejected(self):
+        glu = glutamate()
+        protocol = Protocol(kind="rabi", sweep=np.linspace(0.05, 0.5, 10), transfer=glu_lock(glu))
+        with pytest.raises(ValueError, match="envelope.t_s_s is not applied by kind 'rabi'"):
+            run_protocol(glu, protocol, RelaxationEnvelope(t_s_s=4.4))
+        applied = RelaxationEnvelope(t_rabi_s=2.0)
+        assert np.array_equal(run_protocol(glu, protocol, applied).observable,
+                              run_rabi(glu, protocol, applied).observable)
+
+    @pytest.mark.parametrize("kind", list(sequences.ENVELOPE_FIELDS))
+    def test_dispatch_names_each_time_before_running(self, kind, monkeypatch):
+        glu = glutamate()
+        for runner in ("run_rabi", "run_ramsey", "run_double_rabi", "run_pumping", "run_resonance_scan"):
+            monkeypatch.setattr(sequences, runner, lambda *args: pytest.fail("the runner was called"))
+        protocol = protocol_of(
+            kind, sweep=np.array([1.0, 2.0]), transfer=glu_lock(glu, nutation=280.0), pi_half_duration_s=0.1,
+            free_lock=SpinLockParams(47.0, 0.0, 0.0), pump_transfer_duration_s=1.0, pump_reset_delay_s=1.0,
+            scan_tau_grid_s=np.linspace(0.05, 1.0, 8),
+        )
+        unapplied = [name for name in ("t_s_s", "t_2s_star_s", "t_rabi_s") if name not in sequences.ENVELOPE_FIELDS[kind]]
+        assert unapplied
+        for name in unapplied:
+            with pytest.raises(ValueError, match=f"envelope.{name} is not applied by kind '{kind}'"):
+                sequences.run_protocol(glu, protocol, RelaxationEnvelope(**{name: 4.4}))
 
 class TestSignalProxyReadout:
     def test_proxy_tracks_singlet_population(self):
@@ -1080,6 +1107,26 @@ class TestEvolutionEngine:
         assert peak < 16 * 2**20
 
 
+    @pytest.mark.parametrize("name", ["glutamate", "pgg_third_pair"])
+    @pytest.mark.parametrize("prep", ["slic", "three_pulse"])
+    @pytest.mark.parametrize("kind, readout", [("rabi", "projector"), ("ramsey", "projector"),
+                                               ("rabi", "signal_proxy")])
+    def test_both_reads_agree_at_the_read_rule(self, kind, readout, prep, name):
+        # one swept lock: n r <= d taus carry the kets, one more tau takes the R read
+        system = ORACLE_SYSTEMS[name]()
+        protocol = replace(engine_protocol(system, kind, 2, prep, readout), triplet_init="uniform")
+        c, kets, _ = transfer_initial_state(system, protocol)
+        n = system.dim // kets.shape[1]
+        assert kets.shape[1] == {"glutamate": 3, "pgg_third_pair": 9}[name] and c > 0
+        taus = np.linspace(0.03, 0.6, n + 1)
+        carried, read = (RUNNERS[kind](system, replace(protocol, sweep=taus[:m])) for m in (n, n + 1))
+        assert np.max(np.abs(carried.observable - read.observable[:n])) < 1e-13
+        assert np.max(np.abs(carried.singlet_populations - read.singlet_populations[:, :n])) < 1e-13
+        observable, populations = oracle_trace(system, replace(protocol, sweep=taus))
+        assert np.max(np.abs(read.observable - observable)) < 1e-12
+        assert np.max(np.abs(read.singlet_populations[:2] - populations)) < 1e-12
+        assert np.max(np.abs(carried.observable - observable[:n])) < 1e-12
+
 ORACLE_SYSTEMS = {
     "glutamate": glutamate,
     "pgg_third_pair": lambda: phe_gly_gly(include_third_pair=True),
@@ -1157,8 +1204,8 @@ class TestPreparedAndPumpedPopulations:
         assert abs(gain - expected) < 1e-12
 
     def test_three_pulse_prep_diagonalises_each_generator_once(self, eigh_calls):
-        # the free delays share one generator; the three pulses are written
-        # in closed form, with no eigh
+        # the free delays share one generator; the three pulses are 2 x 2
+        # rotations on each spin's bit, with no eigh
         prepared_singlet_population(glutamate(), 0, ENGINE_PREPS["three_pulse"])
         assert len(eigh_calls) == 1
 
