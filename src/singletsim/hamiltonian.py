@@ -106,28 +106,35 @@ def rf_generator(system: SpinSystem, phase: float) -> np.ndarray:
 
     Written in place on each spin's single-flip entries; real when sin(phase) is 0.
     """
+    return _add_lock(np.zeros((system.dim, system.dim), dtype=float if np.sin(phase) == 0.0 else complex),
+                     system, 1.0, phase)
+
+
+def _add_lock(h: np.ndarray, system: SpinSystem, nutation_hz: float, phase: float) -> np.ndarray:
+    """h plus nu_n * rf_generator(phase), added in place on each spin's single-flip entries."""
     cx, sy = np.cos(phase), np.sin(phase)
     masks, down = _spin_states(system)
     spin, up = np.nonzero(~down)
     flipped = up | masks[spin]
-    g = np.zeros((system.dim, system.dim), dtype=float if sy == 0.0 else complex)
-    g[up, flipped] = g[flipped, up] = cx * 0.5
+    h[up, flipped] += nutation_hz * (cx * 0.5)
+    h[flipped, up] += nutation_hz * (cx * 0.5)
     if sy != 0.0:
-        g[up, flipped] -= 0.5j * sy
-        g[flipped, up] += 0.5j * sy
-    return g
+        h[up, flipped] -= nutation_hz * (0.5j * sy)
+        h[flipped, up] += nutation_hz * (0.5j * sy)
+    return h
 
 
 def spinlock_hamiltonian(system: SpinSystem, params: SpinLockParams) -> np.ndarray:
     """Free Hamiltonian at the transmitter offset plus the CW lock term.
 
-    Adds nu_n * rf_generator(phase); a 180 degree phase shift is equivalent
-    to flipping the sign of nu_n.
+    Adds nu_n * rf_generator(phase) into the free Hamiltonian's array, complex
+    only when sin(phase) is not 0; a 180 degree phase shift is equivalent to
+    flipping the sign of nu_n.
     """
     h = free_hamiltonian(system, params.transmitter_offset_hz)
-    if params.nutation_hz != 0.0:
-        h = h + params.nutation_hz * rf_generator(system, params.phase)
-    return h
+    if params.nutation_hz == 0.0:
+        return h
+    return _add_lock(h if np.sin(params.phase) == 0.0 else h.astype(complex), system, params.nutation_hz, params.phase)
 
 
 def interaction_strength(

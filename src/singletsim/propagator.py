@@ -3,33 +3,34 @@
 One engine, `_apply`, applies a segment list's propagator
 U = prod_k V_k exp(-i 2 pi E_k t_k) V_k^dagger, exact for the
 piecewise-constant Hamiltonians used here, to a block of kets one segment at
-a time; `sequence_propagator` applies it to the identity and
-`swept_expectations` to the initial state's kets.  A lock at RF phase phi
-has the generator Z H(0) Z^dagger with Z = exp(-i phi Fz), and H(0) is real
-symmetric: each distinct phase-0 generator (a segment at phase 0 without its
-duration) is diagonalised once per call, in real arithmetic, and its
-eigenvectors are rotated to each nonzero phase, so locks that differ only in
-phase share one `eigh`.  This is the one place RF phase enters the
-evolution, and the engine picks the frame: `swept_expectations` runs in the
-frame of its first lock, where that lock is at phase 0 and its eigenvectors
-stay real, and `sequence_propagator` in the lab frame.  A free delay is a
-lock at zero nutation: its generator is the free Hamiltonian at the
+a time; `swept_expectations` applies it to the initial state's kets.  A lock
+at RF phase phi has the generator Z H(0) Z^dagger with Z = exp(-i phi Fz),
+and H(0) is real symmetric: each distinct phase-0 generator (a segment at
+phase 0 without its duration) is diagonalised once per call, in real
+arithmetic, and the kets are scaled by the diagonal Z on their way into and
+out of its real eigenvectors V0, so locks that differ only in phase share
+one `eigh` and Z V0 is never formed.  This is the one place RF phase enters
+the evolution, and the engine picks the frame: `swept_expectations` runs in
+the frame of its first lock, where that lock is at phase 0.  A free delay
+is a lock at zero nutation: its generator is the free Hamiltonian at the
 transmitter offset, and it carries no RF phase.  A hard pulse is an ideal
 zero-duration rotation, the same 2 x 2 rotation on each spin's bit, with no
-`eigh`.  `swept_expectations` reads every population: a sweep of a duration
-tau shared by k consecutive segments (a fixed sequence is a one-point
-sweep) is read in their eigenbases, with no propagator formed per tau, from
-an initial state factored as c * 1 + K diag(w) K^dagger.  The read is
-chosen by the size n r of the n taus' r kets against d: one swept segment
-with n r > d is read vectorised over tau; otherwise the kets are carried, a
-block of taus at a time, and brought out through the segments after the
-sweep.  It reads each assigned pair's singlet population from the rows of
-the pair's |ud> and |du> states, with no d x d projector, then any dense
-observables.  Arrays stay float64 while every factor is real, and a product
-of a real factor with a complex one runs as one real product on the complex
-factor's real view (`_mul`).  Relaxation enters only as phenomenological
-decay envelopes (`RelaxationEnvelope.apply`), which each runner applies to
-the values it has read.
+`eigh`.  `swept_expectations` reads every population: a sweep of a
+duration tau shared by k consecutive segments (a fixed sequence is a
+one-point sweep) is read in their eigenbases, with no propagator formed per
+tau, from an initial state factored as c * 1 + K diag(w) K^dagger.  The
+read is chosen by the size n r of the n taus' r kets against d: one swept
+segment with n r > d is read vectorised over tau; otherwise the kets are
+carried, a block of taus at a time, and brought out through the segments
+after the sweep.  It reads each assigned pair's singlet population from the
+rows of the pair's |ud> and |du> states, with no d x d projector, then the
+transverse magnetization Mx off the kets carried on through a readout
+sequence, with no readout propagator or dense observable.  Arrays stay
+float64 while every factor is real, and a product of a real factor with a
+complex one runs as one real product on the complex factor's real view
+(`_mul`).  Relaxation enters only as phenomenological decay envelopes
+(`RelaxationEnvelope.apply`), which each runner applies to the values it
+has read.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .hamiltonian import SpinLockParams, spinlock_hamiltonian
-from .spincore import SpinSystem, _fz, _spin_states, check_hermitian, check_state
+from .spincore import SpinSystem, _fz, _spin_states, check_state
 
 @dataclass(frozen=True)
 class HardPulse:
@@ -64,8 +65,8 @@ class SpinLock:
     duration_s: float
 
     def __post_init__(self):
-        if self.duration_s < 0:
-            raise ValueError("spin-lock duration must be >= 0")
+        if not 0.0 <= self.duration_s < math.inf:
+            raise ValueError(f"spin-lock duration must be finite and >= 0, got {self.duration_s}")
 
 
 Segment = HardPulse | SpinLock
@@ -77,24 +78,37 @@ def _phase_free(segment: SpinLock, frame: float) -> tuple[SpinLock, float]:
     return SpinLock(replace(segment.params, phase=0.0), 0.0), phase
 
 
-def _segment_eig(system: SpinSystem, segment: SpinLock, eigs: dict, frame: float) -> tuple[np.ndarray, np.ndarray]:
-    """(E, V) of the segment's generator H(phase) = Z H(0) Z^dagger, Z = exp(-i phase Fz).
+def _segment_eig(system: SpinSystem, segment: SpinLock, eigs: dict, frame: float) -> tuple:
+    """(E, V0, z): the segment's generator H(phase) = Z H(0) Z^dagger has eigenvectors Z V0, Z = diag(z).
 
-    The phase is the lock's less the frame's.  H(0) is real symmetric, so it
-    is diagonalised in real arithmetic, once per table whatever the phase;
-    V(phase) = Z V(0) scales its rows, and at phase 0 the real V(0) is
-    returned as it is.
+    The phase is the lock's less the frame's, and z = exp(-i phase Fz), None
+    at phase 0.  H(0) must be real and exactly symmetric; it is diagonalised
+    in real arithmetic, once per table whatever the phase.
     """
     key, phase = _phase_free(segment, frame)
     if key not in eigs:
-        h0 = check_hermitian(spinlock_hamiltonian(system, key.params), tol=1e-9)
-        if np.any(h0.imag != 0.0):
-            raise ValueError("the phase-0 generator of a segment must be real")
-        eigs[key] = np.linalg.eigh(h0.real)
+        h0 = spinlock_hamiltonian(system, key.params)
+        if np.iscomplexobj(h0) or not np.array_equal(h0, h0.T):
+            raise ValueError("the phase-0 generator of a segment must be real and exactly symmetric")
+        eigs[key] = np.linalg.eigh(h0)
     energies, vectors = eigs[key]
-    if phase == 0.0:
-        return energies, vectors
-    return energies, np.exp(-1j * phase * _fz(system))[:, None] * vectors
+    return energies, vectors, None if phase == 0.0 else np.exp(-1j * phase * _fz(system))
+
+
+def _into(basis: tuple, x: np.ndarray | None) -> np.ndarray:
+    """V^dagger x = V0^T (conj(z) * x) for a basis (E, V0, z); x = None is the identity."""
+    _, vectors, z = basis
+    if x is None:
+        back = np.ascontiguousarray(vectors.T)
+        return back if z is None else back * z.conj()
+    return _mul(vectors.T, x if z is None else z.conj()[:, None] * x)
+
+
+def _out(basis: tuple, x: np.ndarray) -> np.ndarray:
+    """V x = z * (V0 x) for a basis (E, V0, z)."""
+    _, vectors, z = basis
+    x = _mul(vectors, x)
+    return x if z is None else z[:, None] * x
 
 
 def _angles(energies: np.ndarray, durations_s) -> np.ndarray:
@@ -121,10 +135,11 @@ def _apply(system: SpinSystem, segments: list[Segment], x: np.ndarray | None, ei
 
     x = None is the identity: the first segment that plays writes its own
     matrix, and None comes back when nothing plays.  A lock is
-    V (a * (V^dagger x)) with a = exp(-2 pi i E t).  A hard pulse is the same
-    2 x 2 rotation exp(-i theta (cos(phase) I_x + sin(phase) I_y)) on each
-    spin's bit, its phase the pulse's less the frame's: n_spins passes over
-    x, or on the identity the rotations' Kronecker product; no `eigh`.
+    V (a * (V^dagger x)) with a = exp(-2 pi i E t), V = Z V0 applied as
+    `_out` and `_into` do.  A hard pulse is the same 2 x 2 rotation
+    exp(-i theta (cos(phase) I_x + sin(phase) I_y)) on each spin's bit, its
+    phase the pulse's less the frame's: n_spins passes over x, or on the
+    identity the rotations' Kronecker product; no `eigh`.
     """
     for segment in segments:
         if isinstance(segment, HardPulse):
@@ -139,19 +154,26 @@ def _apply(system: SpinSystem, segments: list[Segment], x: np.ndarray | None, ei
             for spin in range(system.n_spins):  # spin 0 is the most significant bit
                 x = (rotation @ x.reshape(2**spin, 2, -1)).reshape(len(x), -1)
         elif segment.duration_s != 0.0:
-            energies, vectors = _segment_eig(system, segment, eigs, frame)
-            back = np.conjugate(vectors.T, order="C") if x is None else _mul(vectors.conj().T, x)  # V^dagger x
-            x = _mul(vectors, np.exp(1j * _angles(energies, segment.duration_s))[:, None] * back)
+            basis = _segment_eig(system, segment, eigs, frame)
+            x = _out(basis, np.exp(1j * _angles(basis[0], segment.duration_s))[:, None] * _into(basis, x))
     return x
 
 
-def sequence_propagator(system: SpinSystem, segments: list[Segment]) -> np.ndarray:
-    """The propagator of a segment list, the identity when it plays for no time.
+def _signal_halves(system: SpinSystem, signal: tuple, x: np.ndarray, eigs: dict, frame: float) -> list[tuple]:
+    """(y, Mx y) for y = Z_frame `_apply`(readout, x_h) of each Fz-parity half x_h of x; x itself uncycled.
 
-    Each distinct phase-0 generator is diagonalised once per call.
+    `signal` is (readout segments, phase_cycle).  Z_frame = exp(-i frame Fz)
+    takes the kets from the run's frame to the lab frame, where Mx y is the
+    half-sum of y's rows with each spin's bit flipped in turn.
     """
-    u = _apply(system, segments, None, {}, 0.0)
-    return np.eye(system.dim, dtype=complex) if u is None else u
+    readout, phase_cycle = signal
+    masks, down = _spin_states(system)
+    if phase_cycle:
+        odd = (down.sum(axis=0) % 2 == 1)[:, None]
+        x = np.concatenate([np.where(odd, 0.0, x), np.where(odd, x, 0.0)], axis=1)
+    y = np.exp(-1j * frame * _fz(system))[:, None] * _apply(system, readout, x, eigs, frame)
+    mx = 0.5 * sum(y[np.arange(len(y)) ^ mask] for mask in masks)
+    return list(zip(np.hsplit(y, 1 + phase_cycle), np.hsplit(mx, 1 + phase_cycle)))
 
 
 def swept_expectations(
@@ -161,94 +183,102 @@ def swept_expectations(
     segments: list[SpinLock],
     durations_s,
     after: list[Segment],
-    observables: list[np.ndarray],
+    signal: tuple[list[Segment], bool] | None = None,
 ) -> np.ndarray:
-    """Singlet population of each assigned pair, then Re tr(U rho0 U^dagger O) of each observable.
+    """Singlet population of each assigned pair, then the signal Mx after a readout, at each duration.
 
-    Rows are the pairs in order, then the observables; columns are the
-    durations.  The run is simulated in the frame of its first lock, the
-    first `SpinLock` of `before + segments`: every phase is taken less that
-    lock's, so it sits at phase 0 with real eigenvectors.  The initial state
+    Rows are the pairs in order, then the signal when `signal` =
+    (readout segments, phase_cycle) is given; columns are the durations,
+    each finite and >= 0.  The run is simulated in the frame of its first
+    lock, the first `SpinLock` of `before + segments`: every phase is taken
+    less that lock's, so it sits at phase 0.  The initial state
     rho0 = c * 1 + K diag(w) K^dagger is given as (c, K, w) in that frame, the
-    one the ideal transfer state is defined against (`spincore.check_state`);
-    each observable is given in the lab frame and read as
-    O' = Z^dagger O Z = (zeta zeta^dagger) * O, zeta = exp(i phase Fz).  Pair
-    singlet populations read the same in both.
+    one the ideal transfer state is defined against (`spincore.check_state`).
+    Pair singlet populations read the same in every frame; the signal is
+    tr(rho Mx) in the lab frame, after the readout, read off each ket y =
+    `_signal_halves`: the ket through the readout, then by Z_frame =
+    exp(-i frame Fz).  The 0/pi phase cycle halves the difference from the
+    run with every readout phase shifted by pi; that keeps the terms of rho
+    between basis states whose Fz differ by an even number, so it is the sum
+    over each ket's two Fz-parity halves.  tr Mx = 0, so c adds no signal.
 
     U = after . S_k(tau) ... S_1(tau) . before, each swept segment S_j's
-    own duration replaced by each tau.  With V_j the eigenbasis of S_j's
-    generator, the r kets enter as G = V_1^dagger `_apply`(before, K), d^2 r
-    per lock (V_1^dagger itself for K = None and nothing before).  A pair's
-    singlet projector sums |S0, rest><S0, rest| over the other spins, so it
-    reads ||x[ud] - x[du]||^2 / 2 off the rows of x at the pair's |ud> and
-    |du> states, and its trace is d / 4.  The read is chosen by the size
-    n r of the n taus' kets against d.  One swept segment with n r > d is
-    read in its eigenbasis: with W = `_apply`(after, V_1), each observable's
-    M = W^dagger O' W (B^dagger B for a pair, B = (W[ud] - W[du]) / sqrt(2)),
-    R = c * 1 + G diag(w) G^dagger and a = exp(-2 pi i E tau), the trace is
-    Re sum_ij a_i R_ij conj(a_j) M_ji, read in real arithmetic: one
-    (2 n, d) x (d, d) real product per row of [cos; sin] of the phases
-    against R * M^T, over its real view when it is complex.  Otherwise, and
-    for every k >= 2, the kets of a block of d // r taus are carried: scaled
-    by each segment's phases and moved to the next eigenbasis through the
-    overlap C_j = V_{j+1}^dagger V_j, one (d, d) x (d, n r) product, then
-    brought out as q = `_apply`(after, V_k z).  Each ket q is read as
-    c tr O + sum w Re q^dagger O' q.  No propagator, R, transformed
-    observable or d x d state is formed on that path.  With real
+    own duration replaced by each tau.  With V_j = Z_j V0_j the eigenbasis
+    of S_j's generator, the r kets enter as G = V_1^dagger `_apply`(before, K),
+    d^2 r per lock (V_1^dagger itself for K = None and nothing before).  A
+    pair's singlet projector sums |S0, rest><S0, rest| over the other spins,
+    so it reads ||x[ud] - x[du]||^2 / 2 off the rows of x at the pair's |ud>
+    and |du> states, and its trace is d / 4.  One swept segment with n r > d
+    is read in its eigenbasis: with W = `_apply`(after, V_1) (V0_1 itself at
+    phase 0), each row's M (B^dagger B for a pair, B = (W[ud] - W[du]) /
+    sqrt(2), and sum_h Y_h^dagger (Mx Y_h) over the halves Y_h of
+    `_signal_halves`(W) for the signal), R = c * 1 + G diag(w) G^dagger and
+    a = exp(-2 pi i E tau), the trace is Re sum_ij a_i R_ij conj(a_j) M_ji,
+    read in real arithmetic: one (2 n, d) x (d, d) real product per row of
+    [cos; sin] of the phases against R * M^T, over its real view when it is
+    complex.  Otherwise, and for every k >= 2, the kets of a block of d // r
+    taus are carried: scaled by each segment's phases, out through V_j and
+    into V_{j+1}^dagger, each a real (d, d) product on the kets' real view,
+    then brought out as q = `_apply`(after, V_k x).  No propagator, R,
+    overlap, observable or d x d state is formed on that path.  With real
     eigenvectors and kets, every population is read in float64.
     """
     check_state(state)
     c, kets, weights = state
+    taus = np.asarray(durations_s, dtype=float)
+    bad = taus[~((taus >= 0.0) & (taus < np.inf))]  # NaN fails both
+    if bad.size:
+        raise ValueError(f"swept duration {bad[0]} must be finite and >= 0")
     frame = next(s.params.phase for s in [*before, *segments] if isinstance(s, SpinLock))
     eigs: dict[SpinLock, tuple[np.ndarray, np.ndarray]] = {}
     bases = [_segment_eig(system, segment, eigs, frame) for segment in segments]
-    entered = _apply(system, before, kets, eigs, frame)  # U_before K
-    g = bases[0][1].conj().T if entered is None else _mul(bases[0][1].conj().T, entered)
+    g = _into(bases[0], _apply(system, before, kets, eigs, frame))  # V_1^dagger U_before K
     masks, down = _spin_states(system)
     uds = []  # the rows of each pair's |ud> and |du> states
     for a, b in system.pairs:
         ud = np.flatnonzero(~down[a] & down[b])
         uds.append((ud, ud ^ (masks[a] | masks[b])))
-    zeta = np.exp(1j * frame * _fz(system))  # each observable given in the lab frame, read as Z^dagger O Z
-    observables = [zeta[:, None] * obs * zeta.conj() for obs in observables]
     # the angles round as `_apply`'s do, so each tau's phases match a lock played for it
-    taus = np.asarray(durations_s, dtype=float)[:, None]
+    taus = taus[:, None]
     d, n_kets = g.shape
     if len(bases) == 1 and len(taus) * n_kets > d:
         # Re sum_ij a_i R_ij conj(a_j) M_ji, a = exp(i theta): with co = cos(theta),
         # si = sin(theta) and X = R * M^T, co X co + si X si over Re X, plus
         # co X si - si X co over Im X when X is complex
-        w = _apply(system, after, bases[0][1], eigs, frame)
+        _, vectors, z = bases[0]
+        w = _apply(system, after, vectors if z is None else z[:, None] * vectors, eigs, frame)
         r = _mul(g * weights, g.conj().T) + c * np.eye(d)
         theta = _angles(bases[0][0], taus)
         n = theta.shape[0]
         cs = np.concatenate([np.cos(theta), np.sin(theta)])
         rows = []
-        diffs = [w[ud] - w[du] for ud, du in uds]  # sqrt(2) B of each pair
-        ms = [_mul(_mul(w.conj().T, obs), w) for obs in observables]
-        for k, factor in enumerate(diffs + ms):  # each M^T formed only as it is read
-            mt = 0.5 * (factor.T @ factor.conj()) if k < len(diffs) else factor.T
+        factors = [w[ud] - w[du] for ud, du in uds]  # sqrt(2) B of each pair
+        if signal is not None:  # M itself
+            factors.append(sum(y.conj().T @ mx for y, mx in _signal_halves(system, signal, w, eigs, frame)))
+        for k, factor in enumerate(factors):  # each M^T formed only as it is read
+            mt = 0.5 * (factor.T @ factor.conj()) if k < len(uds) else factor.T
             x = _mul(cs, r * mt)  # [co X; si X]
             value = (x.real * cs).reshape(2, n, -1).sum(axis=(0, 2))
             if np.iscomplexobj(x):
                 value += (x[:n].imag * cs[n:] - x[n:].imag * cs[:n]).sum(axis=-1)
             rows.append(value)
         return np.array(rows)
-    overlaps = [_mul(v_next.conj().T, v) for (_, v), (_, v_next) in zip(bases, bases[1:])]
     per_block = d // n_kets  # a block's kets fill at most one d x d array; orthonormal kets have r <= d
-    traces = np.array([d / 4] * len(uds) + [np.trace(obs).real for obs in observables])
+    traces = np.array([d / 4] * len(uds) + [0.0] * (signal is not None))[:, None]
     values = np.empty((len(traces), len(taus)))
     for start in range(0, len(taus), per_block):
         block = slice(start, start + per_block)
-        z = g[:, None, :]  # (d, tau, ket)
-        for (energies, _), overlap in zip(bases, [None, *overlaps]):
-            if overlap is not None:
-                z = _mul(overlap, z.reshape(d, -1)).reshape(d, -1, n_kets)
-            z = np.exp(1j * _angles(energies, taus[block])).T[:, :, None] * z
-        q = _apply(system, after, _mul(bases[-1][1], z.reshape(d, -1)), eigs, frame)
+        x = g[:, None, :]  # (d, tau, ket)
+        for j, basis in enumerate(bases):
+            if j:  # out of the last eigenbasis, into this one
+                x = _into(basis, _out(bases[j - 1], x.reshape(d, -1))).reshape(d, -1, n_kets)
+            x = np.exp(1j * _angles(basis[0], taus[block])).T[:, :, None] * x
+        q = _apply(system, after, _out(bases[-1], x.reshape(d, -1)), eigs, frame)
         rows = [0.5 * (np.abs(q[ud] - q[du]) ** 2).sum(axis=0) for ud, du in uds]
-        rows += [(q.conj() * _mul(obs, q)).real.sum(axis=0) for obs in observables]
-        values[:, block] = np.reshape(rows, (len(rows), -1, n_kets)) @ weights + c * traces[:, None]
+        if signal is not None:
+            halves = _signal_halves(system, signal, q, eigs, frame)
+            rows.append(sum((y.conj() * mx).real.sum(axis=0) for y, mx in halves))
+        values[:, block] = np.reshape(rows, (len(rows), -1, n_kets)) @ weights + c * traces
     return values
 
 
@@ -267,8 +297,8 @@ class RelaxationEnvelope:
 
     def __post_init__(self):
         for name, value in asdict(self).items():
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive when present")
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive when present, got {value}")
 
     def apply(self, values: np.ndarray, times: np.ndarray, ramsey: bool) -> np.ndarray:
         """Each row of `values` (sampled at `times`, s) times its decay factors.

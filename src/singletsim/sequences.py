@@ -19,23 +19,20 @@ sweep one lock, double-Rabi its two locks together; a short sweep's kets
 are carried through the eigenbases and a long one-lock sweep is read
 vectorised over tau (`swept_expectations` picks the read).  A preparation
 is a one-point sweep of its last segment, and pumping a two-point sweep (0
-and the pump time) of its transfer lock.  The `signal_proxy` readout is one
-observable, the transverse magnetization Mx back-propagated once per run
-through the readout sequence as U^dagger (Mx U), with U from
-`sequence_propagator` and Mx U gathered from U's rows with one spin
-flipped; its 0/pi phase cycle is a coherence-parity filter on that
-observable, with no second, phase-shifted readout run.
-Each runner applies its own decay envelope to the values it reads: T_Rabi
-on Rabi-type runs, T_2S* about each row's mean then T_S on Ramsey runs,
-T_S over each pumping cycle.
+and the pump time) of its transfer lock.  The `signal_proxy` readout is the
+transverse magnetization Mx after the readout sequence, which
+`swept_expectations` reads off the kets carried through it; its 0/pi phase
+cycle sums over each ket's two Fz-parity halves, with no second,
+phase-shifted readout run.  Each runner applies its own decay envelope to
+the values it reads: T_Rabi on Rabi-type runs, T_2S* about each row's mean
+then T_S on Ramsey runs, T_S over each pumping cycle.
 
 RF phase enters only in `propagator`: `swept_expectations` simulates each
 run in the frame of its first lock (the transfer lock; Ramsey's first pi/2
 lock; double-Rabi's lock a; a lock-crossing preparation's own lock), so the
-ideal state is built at phase 0, against that frame, and is real.  The
-signal observable is built in the lab frame.  Pair singlet projectors and
-the thermal state commute with Fz, so populations read the same in either
-frame.
+ideal state is built at phase 0, against that frame, and is real; Mx is
+read in the lab frame.  Pair singlet projectors and the thermal state
+commute with Fz, so populations read the same in either frame.
 """
 
 from __future__ import annotations
@@ -58,7 +55,6 @@ from .propagator import (
     RelaxationEnvelope,
     Segment,
     SpinLock,
-    sequence_propagator,
     swept_expectations,
 )
 from .spincore import (
@@ -67,8 +63,6 @@ from .spincore import (
     SpinSystem,
     TripletAmplitudes,
     _basis_split,
-    _fz,
-    _spin_states,
     thermal_state,
 )
 from .trace import Trace
@@ -275,7 +269,7 @@ def prepared_singlet_population(
     """
     thermal = (0.0, None, thermal_state(system, prep.polarization).diagonal())
     *before, last = prep_sequence(system, pair_index, prep)
-    values = swept_expectations(system, thermal, before, [last], [last.duration_s], [], [])
+    values = swept_expectations(system, thermal, before, [last], [last.duration_s], [])
     return float(values[pair_index, 0])
 
 
@@ -298,28 +292,6 @@ def transfer_initial_state(system: SpinSystem, protocol: Protocol) -> tuple[floa
     weight = float(np.clip((achieved - 0.25) / 0.75, 0.0, 1.0))
     _, kets, weights = ideal
     return (1.0 - weight) / system.dim, kets, weights * weight
-
-
-def _signal_observable(system: SpinSystem, protocol: Protocol) -> np.ndarray:
-    """Total transverse magnetization back-propagated through the readout sequence.
-
-    tr(U rho U^dagger Mx) = tr(rho U^dagger Mx U) = tr(rho O), with Mx U the
-    half-sum of U's rows with each spin's bit flipped in turn.  A phase cycle
-    halves the difference from the run with every pulse and lock phase shifted
-    by pi.  That run's propagator is Z U Z^dagger with Z = exp(-i pi Fz) (a free
-    delay commutes with Fz), and Z^dagger Mx Z = -Mx, so the cycled observable
-    is (O + Z O Z^dagger) / 2: O with every entry zeroed whose two basis
-    states' Fz differ by an odd number, a coherence-parity filter.  O is in
-    the lab frame.
-    """
-    u = sequence_propagator(system, _readout_sequence(system, protocol))
-    masks, _ = _spin_states(system)
-    index = np.arange(system.dim)
-    observable = u.conj().T @ (0.5 * sum(u[index ^ mask] for mask in masks))
-    if protocol.phase_cycle:
-        fz = _fz(system)
-        observable[(fz[:, None] - fz) % 2 == 1] = 0.0
-    return observable
 
 
 def _readout_sequence(system: SpinSystem, protocol: Protocol) -> list[Segment]:
@@ -352,7 +324,7 @@ def _sweep_trace(system: SpinSystem, protocol: Protocol, state: tuple,
                  envelope: RelaxationEnvelope | None) -> Trace:
     """Trace of the initial state (in the first lock's frame) through before, the swept locks at each tau, and after."""
     n_pairs = len(system.pairs)
-    signal = [_signal_observable(system, protocol)] if protocol.readout == "signal_proxy" else []
+    signal = (_readout_sequence(system, protocol), protocol.phase_cycle) if protocol.readout == "signal_proxy" else None
     values = swept_expectations(system, state, before, swept, protocol.sweep, after, signal)
     if envelope is not None:
         values = envelope.apply(values, protocol.sweep, protocol.kind == "ramsey")
@@ -424,7 +396,7 @@ def run_resonance_scan(
     taus = protocol.scan_tau_grid_s
     for k, nutation in enumerate(protocol.sweep):
         lock = SpinLock(replace(protocol.transfer, nutation_hz=float(nutation)), 0.0)
-        row = swept_expectations(system, state, [], [lock], taus, [], [])[protocol.readout_pair]
+        row = swept_expectations(system, state, [], [lock], taus, [])[protocol.readout_pair]
         if envelope is not None:
             row = envelope.apply(row, taus, ramsey=False)
         delta_nu_n[k] = effective_nutation_difference(float(nutation), delta_nu12)
@@ -459,7 +431,7 @@ def run_pumping(
     counts = protocol.sweep
     state = transfer_initial_state(system, protocol)
     lock = SpinLock(protocol.transfer, protocol.pump_transfer_duration_s)
-    values = swept_expectations(system, state, [], [lock], [0.0, lock.duration_s], [], [])
+    values = swept_expectations(system, state, [], [lock], [0.0, lock.duration_s], [])
     before, after = values[protocol.readout_pair]
     gain = float(after - before)
 

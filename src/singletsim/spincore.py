@@ -21,10 +21,11 @@ each basis state's pattern over some spins and the index of the rest, from
 which `sequences` builds the kets of a pair-product state, and
 `_spin_states` each spin's bit, from which `hamiltonian` writes its
 generators and `propagator` reads pair populations; `_fz` is each basis
-state's total Fz, with which `propagator` rotates RF phases and moves an
-observable into a run's frame, and `sequences` filters coherence parity.
+state's total Fz, with which `propagator` rotates RF phases, takes the
+signal from a run's frame to the lab frame and splits kets by coherence
+parity.
 The dense pair-product and mixed-triplet densities and the dense density
-check are test references, in `tests/conftest.py`.
+and Hermiticity checks are test references, in `tests/conftest.py`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import numpy as np
 
 SQRT2 = np.sqrt(2.0)
 
-HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_TOL = 1e-10
 
@@ -192,15 +192,6 @@ def thermal_state(system: SpinSystem, polarization: float = 1.0) -> np.ndarray:
         raise ValueError("polarization must lie in [-1, 1] to keep the state positive")
     scale = 2.0 * polarization / system.n_spins
     return np.diag((1.0 + scale * _fz(system)) / system.dim)
-
-
-def check_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """The Hermitian part (M + M^dagger) / 2, after checking that M is Hermitian within tol."""
-    adjoint = matrix.conj().T
-    dev = np.max(np.abs(matrix - adjoint))
-    if dev > tol:
-        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e} > {tol:.0e})")
-    return 0.5 * (matrix + adjoint)
 
 
 def check_state(state: tuple) -> None:

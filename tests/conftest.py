@@ -3,9 +3,12 @@
 Dense spin and pair operators embedded by bit index, projectors, product
 states, `expectation` and a spectral frequency estimate are the references
 for the package's generators, populations and fits.  The dense
-pair-product and mixed-triplet densities, the dense density check and
-`dense`, which expands the engine's factored state (c, K, w), reference the
-factored states the package builds.  The evolution oracle is
+pair-product and mixed-triplet densities, the dense density check with its
+`check_hermitian` and `dense`, which expands the engine's factored state
+(c, K, w), reference the factored states the package builds.
+`sequence_propagator` is the engine's `_apply` on the identity, the d x d
+propagator no runtime path forms, which the engine's tests hold against the
+evolution oracle and unitarity.  The evolution oracle is
 independent of the engine's tables and its pulse rotations: one `eigh`
 per segment, of the segment's real phase-0 generator.  A phase-cycled
 readout is checked against its second, phase-shifted run, built segment by
@@ -26,19 +29,19 @@ import pytest
 
 from singletsim.analysis import FitInputError, _trace_xy
 from singletsim.hamiltonian import SpinLockParams, pair_center_offset, spinlock_hamiltonian
-from singletsim.propagator import HardPulse, Segment, SpinLock
+from singletsim.propagator import HardPulse, Segment, SpinLock, _apply
 from singletsim.sequences import PROTOCOL_FIELDS, Protocol
 from singletsim.spincore import (
     EIGENVALUE_TOL,
-    HERMITICITY_TOL,
     PAIR_BASIS,
     PHI_COMPOSITIONS,
     TRACE_TOL,
     SpinSystem,
     TripletAmplitudes,
     _basis_split,
-    check_hermitian,
 )
+
+HERMITICITY_TOL = 1e-10
 
 
 def pytest_configure(config):
@@ -167,6 +170,15 @@ def maximally_mixed_triplet() -> np.ndarray:
     return rho
 
 
+def check_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+    """The Hermitian part (M + M^dagger) / 2, after checking that M is Hermitian within tol."""
+    adjoint = matrix.conj().T
+    dev = np.max(np.abs(matrix - adjoint))
+    if dev > tol:
+        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e} > {tol:.0e})")
+    return 0.5 * (matrix + adjoint)
+
+
 def check_density(rho: np.ndarray) -> None:
     """Validate Hermiticity, unit trace and positivity of a dense density matrix.
 
@@ -272,6 +284,12 @@ def estimate_frequency(trace) -> float:
 def spectral_bin_width(trace) -> float:
     t, _ = _trace_xy(trace)
     return 1.0 / (t[-1] - t[0])
+
+
+def sequence_propagator(system: SpinSystem, segments: list[Segment]) -> np.ndarray:
+    """The engine's propagator of a segment list in the lab frame, the identity when nothing plays."""
+    u = _apply(system, segments, None, {}, 0.0)
+    return np.eye(system.dim, dtype=complex) if u is None else u
 
 
 def oracle_propagator(system, segments):

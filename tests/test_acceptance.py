@@ -10,6 +10,7 @@ configured inputs and anchors.
 import time
 
 import numpy as np
+from conftest import sequence_propagator
 
 from singletsim.analysis import (
     fit_exponential,
@@ -28,7 +29,6 @@ from singletsim.propagator import (
     HardPulse,
     RelaxationEnvelope,
     SpinLock,
-    sequence_propagator,
 )
 from singletsim.sequences import (
     PrepSpec,

@@ -3,11 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import (
+    _phase_shifted_pulses,
     embed_spin_operator,
     expectation,
     ideal_transfer_state,
     oracle_propagator,
     oracle_state,
+    sequence_propagator,
     singlet_projector,
     triplet_projector,
 )
@@ -27,7 +29,6 @@ from singletsim.propagator import (
     HardPulse,
     RelaxationEnvelope,
     SpinLock,
-    sequence_propagator,
     swept_expectations,
 )
 from singletsim.spincore import SpinSystem, _fz, thermal_state
@@ -79,6 +80,11 @@ class TestSegmentPropagator:
         lock = SpinLockParams(rng.uniform(10.0, 100.0), rng.uniform(0, 2 * np.pi), 3.0)
         u = sequence_propagator(system, [SpinLock(lock, 0.0137)])
         assert np.max(np.abs(u @ u.conj().T - np.eye(16))) < 1e-10
+
+    @pytest.mark.parametrize("duration", [np.nan, np.inf, -1.0])
+    def test_spin_lock_duration_must_be_finite_and_non_negative(self, duration):
+        with pytest.raises(ValueError, match="spin-lock duration must be finite and >= 0"):
+            SpinLock(SpinLockParams(10.0), duration)
 
 
 class TestHardPulse:
@@ -159,6 +165,21 @@ class TestPhaseRotation:
         g0 = rf_generator(system, 0.0)
         assert np.max(np.abs(z[:, None] * g0 * z.conj() - rf_generator(system, phase))) < 1e-15
 
+    def test_phase_0_generator_must_be_exactly_symmetric_and_real(self, monkeypatch):
+        # one ulp off the symmetric lock entry, and a complex array with no imaginary part
+        build = engine.spinlock_hamiltonian
+        lock = [SpinLock(SpinLockParams(30.0), 0.0)]
+
+        def one_ulp_off(system, params):
+            h = build(system, params)
+            h[0, 1] = np.nextafter(h[0, 1], np.inf)
+            return h
+
+        for generator in (one_ulp_off, lambda *args: build(*args).astype(complex)):
+            monkeypatch.setattr(engine, "spinlock_hamiltonian", generator)
+            with pytest.raises(ValueError, match="must be real and exactly symmetric"):
+                swept_expectations(coupled_pair(), (0.0, None, np.full(4, 0.25)), [], lock, [0.1], [])
+
     def test_phase_0_generator_must_be_real(self, monkeypatch):
         def complex_free_hamiltonian(system, transmitter_offset_hz):
             h = np.zeros((system.dim, system.dim), dtype=complex)
@@ -182,10 +203,11 @@ class TestRealArithmetic:
         assert thermal_state(system, 0.9).dtype == np.float64
         for init in ("uniform", "phi_minus"):
             assert sequences.ideal_transfer_state(system, 0, init)[1].dtype == np.float64
-        energies, vectors = engine._segment_eig(system, SpinLock(lock, 0.0), {}, 0.0)
-        assert vectors.dtype == np.float64
-        _, phased = engine._segment_eig(system, SpinLock(replace(lock, phase=0.7), 0.0), {}, 0.0)
-        assert phased.dtype == np.complex128
+        _, vectors, z = engine._segment_eig(system, SpinLock(lock, 0.0), {}, 0.0)
+        assert vectors.dtype == np.float64 and z is None
+        # at a nonzero phase the eigenvectors stay the real V0, and the phase comes back as a diagonal
+        _, phased, z = engine._segment_eig(system, SpinLock(replace(lock, phase=0.7), 0.0), {}, 0.0)
+        assert phased.dtype == np.float64 and np.array_equal(z, np.exp(-0.7j * _fz(system)))
 
     def test_phased_lock_is_complex(self):
         system = coupled_pair()
@@ -197,12 +219,11 @@ class TestRealArithmetic:
         system = glutamate()
         free = SpinLockParams(0.0, 0.0, pair_center_offset(system, 0))
         eigs = {}
-        energies, vectors = engine._segment_eig(system, SpinLock(free, 0.0), eigs, 0.0)
+        basis = engine._segment_eig(system, SpinLock(free, 0.0), eigs, 0.0)
         shifted = engine._segment_eig(system, SpinLock(replace(free, phase=1.3), 0.2), eigs, 0.0)
         in_frame = engine._segment_eig(system, SpinLock(free, 0.2), eigs, 0.7)
-        assert in_frame[0] is energies and in_frame[1] is vectors
-        assert vectors.dtype == np.float64 and len(eigs) == 1
-        assert shifted[0] is energies and shifted[1] is vectors
+        assert basis[2] is None and basis[1].dtype == np.float64 and len(eigs) == 1
+        assert all(a is b for a, b in zip(shifted, basis)) and all(a is b for a, b in zip(in_frame, basis))
 
     def test_rabi_at_a_nonzero_transfer_phase_reads_in_real_arithmetic(self, monkeypatch):
         # the kets, the eigenvectors and every d x d factor stay float64
@@ -294,22 +315,25 @@ class TestSweptExpectations:
         before = [HardPulse(np.pi / 2, 0.3), SpinLock(lock, 0.02)]
         after = [HardPulse(np.pi, 1.1), SpinLock(lock, 0.01)]
         swept = [SpinLock(SpinLockParams(0.0, 0.0, 5.0), 0.0), SpinLock(lock, 0.0)][:n_swept]
+        readout = [HardPulse(np.pi / 2, 0.9), SpinLock(SpinLockParams(25.0, 2.3, 1.0), 0.03)]
         taus = np.array([0.0, 0.013, 0.2, 1.7])
         rho0 = thermal_state(system, 0.8)
-        observables = [singlet_projector(system, 0), embed_spin_operator(system, 2, "x")]
-        values = swept_expectations(system, (0.0, None, rho0.diagonal()), before, swept, taus, after, observables[1:])
+        mx = sum(embed_spin_operator(system, i, "x") for i in range(system.n_spins))
+        values = swept_expectations(system, (0.0, None, rho0.diagonal()), before, swept, taus, after,
+                                    (readout, False))
         assert values.shape == (2, taus.size)
         for k, tau in enumerate(taus):
             played = [replace(segment, duration_s=tau) for segment in swept]
             state = oracle_state(system, rho0, [*before, *played, *after])
-            expected = [expectation(state, obs).real for obs in observables]
+            signal = oracle_state(system, state, readout)
+            expected = [expectation(state, singlet_projector(system, 0)).real, expectation(signal, mx).real]
             assert np.max(np.abs(values[:, k] - expected)) < 1e-12
 
     @pytest.mark.parametrize("first_lock", ["in_before", "swept"])
     def test_runs_in_the_frame_of_its_first_lock(self, first_lock):
         # rho0 is given in the frame of the first lock of before + segments and
-        # the observables in the lab frame; a pure composition does not commute
-        # with Fz, so a run in any other frame misses the lab-frame oracle
+        # Mx is read in the lab frame; a pure composition does not commute with
+        # Fz, so a run in any other frame misses the lab-frame oracle
         glu = glutamate()
         swept = SpinLock(SpinLockParams(599.31, 2.0, pair_center_offset(glu, 0)), 0.0)
         before = [HardPulse(np.pi / 3, 1.1)]
@@ -320,12 +344,13 @@ class TestSweptExpectations:
         initial = sequences.ideal_transfer_state(glu, 0, "phi_minus")
         lab_rho0 = ideal_transfer_state(glu, 0, "phi_minus", lock_phase=frame)
         mx = sum(embed_spin_operator(glu, i, "x") for i in range(glu.n_spins))
-        observables = [singlet_projector(glu, 0), singlet_projector(glu, 1), mx]
+        readout = [SpinLock(SpinLockParams(17.0, 0.0, pair_center_offset(glu, 1)), 0.1), HardPulse(np.pi / 2, 0.5)]
         taus = np.array([0.0, 0.03, 0.4])
-        values = swept_expectations(glu, initial, before, [swept], taus, after, [mx])
+        values = swept_expectations(glu, initial, before, [swept], taus, after, (readout, False))
         for k, tau in enumerate(taus):
             state = oracle_state(glu, lab_rho0, [*before, replace(swept, duration_s=tau), *after])
-            expected = [expectation(state, obs).real for obs in observables]
+            expected = [expectation(state, singlet_projector(glu, p)).real for p in (0, 1)]
+            expected.append(expectation(oracle_state(glu, state, readout), mx).real)
             assert np.max(np.abs(values[:, k] - expected)) < 1e-12
 
     def test_ramsey_diagonalises_its_pi_half_lock_once_and_forms_no_propagator(self, monkeypatch, eigh_calls):
@@ -358,11 +383,65 @@ class TestSweptExpectations:
             assert ((glu.dim, glu.dim) not in shapes) == carried
 
 
+    @pytest.mark.parametrize("phase_cycle", [False, True])
+    def test_swept_lock_at_a_phase_in_the_run_frame_on_both_reads(self, phase_cycle):
+        # Ramsey runs in the frame of its pi/2 lock at 0.7, so its free lock sits at
+        # 2.1 - 0.7 and the readout lock at -0.7 there; one pure-composition ket, so
+        # 16 taus are carried (n r = d) and 17 take the R read
+        glu = glutamate()
+        transfer = SpinLockParams(599.31, 0.7, pair_center_offset(glu, 0))
+        free = SpinLockParams(47.0, 2.1, pair_center_offset(glu, 1))
+        mx = sum(embed_spin_operator(glu, i, "x") for i in range(glu.n_spins))
+        rho0 = ideal_transfer_state(glu, 0, "phi_minus", lock_phase=0.7)
+        half = SpinLock(transfer, 0.1)
+        for n_taus in (glu.dim, glu.dim + 1):
+            protocol = sequences.Protocol(kind="ramsey", sweep=np.linspace(0.0, 1.0, n_taus), transfer=transfer,
+                                          pi_half_duration_s=0.1, free_lock=free, triplet_init="phi_minus",
+                                          readout="signal_proxy", phase_cycle=phase_cycle)
+            trace = sequences.run_ramsey(glu, protocol)
+            readout = sequences._readout_sequence(glu, protocol)
+            runs = [readout, _phase_shifted_pulses(readout, np.pi)][:1 + phase_cycle]
+            us = [oracle_propagator(glu, segments) for segments in runs]
+            signal = sum(sign * u.conj().T @ mx @ u for sign, u in zip((1, -1), us)) / len(us)
+            for k, tau in enumerate(protocol.sweep):
+                state = oracle_state(glu, rho0, [half, SpinLock(free, tau), half])
+                expected = [expectation(state, singlet_projector(glu, p)).real for p in (0, 1)]
+                assert np.max(np.abs(trace.singlet_populations[:, k] - expected)) < 1e-12
+                assert abs(trace.observable[k] - expectation(state, signal).real) < 1e-12
+
+    def test_double_rabi_at_phases_not_pi_apart_with_a_mixed_prep(self):
+        # lock a at 0.3 is the run's frame, so lock b sits at 1.8 there; the kets leave
+        # lock a's eigenbasis and enter lock b's with no overlap formed.  A lock-crossing
+        # prep gives c > 0, and 11 taus of the uniform triplet's 3 kets are carried in
+        # three blocks of at most 5
+        glu = glutamate()
+        lock = SpinLockParams(599.31, 0.0, pair_center_offset(glu, 0))
+        prep = sequences.PrepSpec(kind="slic", nutation_hz=17.0, duration_s=0.145, phase=0.4)
+        protocol = sequences.Protocol(kind="double_rabi", sweep=np.linspace(0.0, 0.5, 11), transfer=lock, prep=prep,
+                                      double_rabi_phases=(0.3, 2.1), readout="signal_proxy")
+        trace = sequences.run_double_rabi(glu, protocol)
+        c = sequences.transfer_initial_state(glu, protocol)[0]
+        assert c > 0
+        rho0 = c * np.eye(glu.dim) + (1 - c * glu.dim) * ideal_transfer_state(glu, 0, "uniform", lock_phase=0.3)
+        u = oracle_propagator(glu, sequences._readout_sequence(glu, protocol))
+        signal = u.conj().T @ sum(embed_spin_operator(glu, i, "x") for i in range(glu.n_spins)) @ u
+        for k, tau in enumerate(protocol.sweep):
+            state = oracle_state(glu, rho0, [SpinLock(replace(lock, phase=p), tau) for p in (0.3, 2.1)])
+            expected = [expectation(state, singlet_projector(glu, p)).real for p in (0, 1)]
+            assert np.max(np.abs(trace.singlet_populations[:, k] - expected)) < 1e-12
+            assert abs(trace.observable[k] - expectation(state, signal).real) < 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
+    def test_swept_duration_must_be_finite_and_non_negative(self, bad):
+        with pytest.raises(ValueError, match=f"swept duration {bad} must be finite and >= 0"):
+            swept_expectations(coupled_pair(), (0.0, None, np.full(4, 0.25)), [], [SpinLock(SpinLockParams(0.0), 0.0)],
+                               [0.1, bad, -1.0], [])
+
     def test_invalid_state_rejected(self):
         system = coupled_pair()
         with pytest.raises(ValueError):
             swept_expectations(system, (0.0, None, np.full(4, 0.5)), [], [SpinLock(SpinLockParams(0.0), 0.0)], [0.1],
-                               [], [np.eye(4)])
+                               [], ([HardPulse(np.pi / 2)], False))
 
     # (c, K, w) at d = 4; each is the engine-side counterpart of a dense check_density rejection
     E = np.eye(4)
@@ -379,12 +458,12 @@ class TestSweptExpectations:
     def test_factored_state_faults_are_named(self, fault):
         state, message = self.INVALID_STATES[fault]
         with pytest.raises(ValueError, match=message):
-            swept_expectations(coupled_pair(), state, [], [SpinLock(SpinLockParams(0.0), 0.0)], [0.1], [], [])
+            swept_expectations(coupled_pair(), state, [], [SpinLock(SpinLockParams(0.0), 0.0)], [0.1], [])
 
     def test_factored_state_within_the_tolerances_is_accepted(self):
         kets = np.eye(4)[:, :2] * (1 + 4e-11)
         state = (0.1, kets, np.array([0.7 + 5e-11, -0.1 - 5e-11]))
-        values = swept_expectations(coupled_pair(), state, [], [SpinLock(SpinLockParams(0.0), 0.0)], [0.1], [], [])
+        values = swept_expectations(coupled_pair(), state, [], [SpinLock(SpinLockParams(0.0), 0.0)], [0.1], [])
         assert values.shape == (1, 1)
 
 
@@ -412,6 +491,12 @@ class TestRelaxationEnvelope:
         out = RelaxationEnvelope(t_2s_star_s=1.0).apply(base, t, ramsey=True)
         expected = 0.5 + 0.3 * np.cos(2 * np.pi * 2.0 * t) * np.exp(-t / 1.0)
         assert np.max(np.abs(out - expected)) < 5e-3
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["t_s_s", "t_2s_star_s", "t_rabi_s"])
+    def test_lifetimes_must_be_finite_and_positive(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            RelaxationEnvelope(**{name: bad})
 
     def test_positive_lifetimes_required(self):
         with pytest.raises(ValueError, match="positive"):

@@ -25,13 +25,13 @@ from singletsim.propagator import (
     HardPulse,
     RelaxationEnvelope,
     SpinLock,
+    swept_expectations,
 )
 from singletsim.sequences import (
     PrepSpec,
     Protocol,
     _pair_block_levels,
     _readout_sequence,
-    _signal_observable,
     effective_receiving_trace,
     exact_channel_detuning,
     exact_resonance_nutation,
@@ -740,9 +740,10 @@ class TestSignalProxyReadout:
     @pytest.mark.parametrize("prep", ["ideal", "slic", "three_pulse"])
     @pytest.mark.parametrize("name", ["three_spins", "pgg_third_pair"])
     def test_phase_cycle_is_the_two_run_difference(self, name, prep):
-        # the cycled observable, a parity filter on one back-propagated Mx,
-        # against half the difference of the 0 and pi readout runs built
-        # segment by segment; three spins have half-integer Fz
+        # the cycled signal, read off each ket's two Fz-parity halves, against half
+        # the difference of the 0 and pi readout runs built segment by segment, on
+        # both reads: 3 taus of 2 kets are carried, d / 2 + 1 taus take the R read;
+        # three spins have half-integer Fz, and c adds no signal (tr Mx = 0)
         if name == "three_spins":
             system = SpinSystem(np.array([400.0, 415.0, 470.0]),
                                 np.array([[0.0, 15.0, 6.5], [15.0, 0.0, 2.0], [6.5, 2.0, 0.0]]), ((0, 1),))
@@ -755,10 +756,19 @@ class TestSignalProxyReadout:
         readout = _readout_sequence(system, protocol)
         mx = sum(embed_spin_operator(system, i, "x") for i in range(system.n_spins))
         runs = [oracle_propagator(system, seq) for seq in (readout, _phase_shifted_pulses(readout, np.pi))]
-        expected = 0.5 * sum(sign * (u.conj().T @ mx @ u) for sign, u in zip((1, -1), runs))
-        assert np.max(np.abs(_signal_observable(system, protocol) - expected)) < 1e-13
-        uncycled = _signal_observable(system, replace(protocol, phase_cycle=False))
-        assert np.max(np.abs(uncycled - expected)) > 1e-3
+        cycled = 0.5 * sum(sign * (u.conj().T @ mx @ u) for sign, u in zip((1, -1), runs))
+        rng = np.random.default_rng(system.dim)
+        kets, _ = np.linalg.qr(rng.normal(size=(system.dim, 2)) + 1j * rng.normal(size=(system.dim, 2)))
+        state = (0.2 / system.dim, kets, np.array([0.5, 0.3]))
+        lock = SpinLock(protocol.transfer, 0.0)
+        for n_taus in (3, system.dim // 2 + 1):
+            taus = np.linspace(0.0, 0.4, n_taus)
+            states = [oracle_state(system, dense(state), [replace(lock, duration_s=tau)]) for tau in taus]
+            expected = [expectation(rho, cycled).real for rho in states]
+            values = swept_expectations(system, state, [], [lock], taus, [], (readout, True))
+            assert np.max(np.abs(values[-1] - expected)) < 1e-12
+            uncycled = swept_expectations(system, state, [], [lock], taus, [], (readout, False))
+            assert np.max(np.abs(uncycled[-1] - expected)) > 1e-3
 
 
 class TestReadoutSequence:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import (
     check_density,
+    check_hermitian,
     embed_spin_operator,
     maximally_mixed_triplet,
     pair_product_density,
@@ -18,7 +19,6 @@ from singletsim.spincore import (
     PAIR_BASIS,
     SpinSystem,
     TripletAmplitudes,
-    check_hermitian,
     thermal_state,
 )
 
