@@ -44,7 +44,6 @@ import numpy as np
 from .analysis import FitInputError, fit_rabi
 from .hamiltonian import (
     SpinLockParams,
-    effective_channels,
     effective_nutation_difference,
     intrapair_coupling,
     pair_center_offset,
@@ -267,7 +266,7 @@ def prepared_singlet_population(
     The pseudo-thermal state is diagonal, so its weights sit on the basis
     states; the last segment is read as a one-point sweep of its own duration.
     """
-    thermal = (0.0, None, thermal_state(system, prep.polarization).diagonal())
+    thermal = (0.0, None, thermal_state(system, prep.polarization))
     *before, last = prep_sequence(system, pair_index, prep)
     values = swept_expectations(system, thermal, before, [last], [last.duration_s], [])
     return float(values[pair_index, 0])
@@ -461,29 +460,6 @@ def run_protocol(
         "resonance_scan": run_resonance_scan,
     }[protocol.kind]
     return runner(system, protocol, envelope)
-
-
-def effective_receiving_trace(
-    system: SpinSystem,
-    lock: SpinLockParams,
-    times_s: np.ndarray,
-    weights: dict[str, float] | None = None,
-    source_pair: int = 0,
-    readout_pair: int = 1,
-) -> np.ndarray:
-    """Receiving-pair singlet population predicted by the effective two-level model.
-
-    Averages the like-composition channels with the given weights (default:
-    the maximally mixed triplet, one third each).
-    """
-    channels = effective_channels(system, lock, pair_1=source_pair, pair_2=readout_pair)
-    if weights is None:
-        weights = {name: 1.0 / 3.0 for name in channels}
-    times = np.asarray(times_s, dtype=float)
-    out = np.zeros_like(times)
-    for name, share in weights.items():
-        out += share * channels[name].population_trace(times)
-    return out
 
 
 def transfer_resonance_nutation(

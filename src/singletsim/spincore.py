@@ -11,8 +11,8 @@ Conventions (fixed throughout the package):
   reverse of the most common textbook labelling and is intentional.
 
 The module holds spin systems, the singlet/triplet and dressed pair kets
-(`PAIR_BASIS`), the pseudo-thermal state and state validation.  The engine
-takes an initial state factored as (c, K, w), the density
+(`PAIR_BASIS`), the pseudo-thermal state's weights and state validation.
+The engine takes an initial state factored as (c, K, w), the density
 c * 1 + K diag(w) K^dagger with orthonormal kets as the columns of K, or
 K = None for weights on the basis states; `check_state` checks its trace
 and positivity on the factors, with no d x d matrix.  Arrays are assembled
@@ -24,8 +24,9 @@ generators and `propagator` reads pair populations; `_fz` is each basis
 state's total Fz, with which `propagator` rotates RF phases, takes the
 signal from a run's frame to the lab frame and splits kets by coherence
 parity.
-The dense pair-product and mixed-triplet densities and the dense density
-and Hermiticity checks are test references, in `tests/conftest.py`.
+The dense pair-product, mixed-triplet and pseudo-thermal densities and the
+dense density and Hermiticity checks are test references, in
+`tests/conftest.py`.
 """
 
 from __future__ import annotations
@@ -65,6 +66,9 @@ class SpinSystem:
             raise ValueError("offsets_hz must be a non-empty 1-d array")
         if couplings.shape != (n, n):
             raise ValueError(f"couplings_hz must be {n}x{n}, got {couplings.shape}")
+        for name, value in (("offsets_hz", offsets), ("couplings_hz", couplings)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
         if np.max(np.abs(couplings - couplings.T)) > 1e-12:
             raise ValueError("couplings_hz must be symmetric")
         if np.max(np.abs(np.diag(couplings))) > 0:
@@ -102,15 +106,12 @@ class TripletAmplitudes:
     gamma: float
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "gamma"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         norm = self.alpha**2 + self.beta**2 + self.gamma**2
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"triplet amplitudes must be normalized, got |a|^2 = {norm}")
-
-    def asarray(self) -> np.ndarray:
-        return np.array([self.alpha, self.beta, self.gamma])
-
-    def dot(self, other: "TripletAmplitudes") -> float:
-        return float(self.asarray() @ other.asarray())
 
 
 # the pure triplet compositions, by name
@@ -183,7 +184,7 @@ def _fz(system: SpinSystem) -> np.ndarray:
 
 
 def thermal_state(system: SpinSystem, polarization: float = 1.0) -> np.ndarray:
-    """Pseudo-thermal state (1 + a * sum_i I_iz) / dim.
+    """Basis-state weights of the pseudo-thermal state (1 + a * sum_i I_iz) / dim, which is diagonal.
 
     polarization = 1 puts the deviation at the positivity limit a = 2/n,
     where the all-up state carries the largest population.
@@ -191,25 +192,29 @@ def thermal_state(system: SpinSystem, polarization: float = 1.0) -> np.ndarray:
     if not -1.0 <= polarization <= 1.0:
         raise ValueError("polarization must lie in [-1, 1] to keep the state positive")
     scale = 2.0 * polarization / system.n_spins
-    return np.diag((1.0 + scale * _fz(system)) / system.dim)
+    return (1.0 + scale * _fz(system)) / system.dim
 
 
 def check_state(state: tuple) -> None:
     """Validate a factored state (c, K, w): orthonormal kets, unit trace, no eigenvalue below -EIGENVALUE_TOL.
 
     With K^dagger K = 1 within TRACE_TOL, the trace is c d + sum w and the
-    eigenvalues are c + w and, off the kets, c.
+    eigenvalues are c + w and, off the kets, c.  A non-finite c, ket or weight
+    is rejected by name, and each test is written so that a NaN fails it.
     """
     c, kets, weights = state
+    for name, value in (("c", c), ("kets", kets), ("weights", weights)):
+        if value is not None and not np.isfinite(value).all():
+            raise ValueError(f"state {name} must be finite")
     dim = len(weights) if kets is None else len(kets)
     if kets is not None:
         gram = kets.conj().T @ kets
         dev = np.max(np.abs(gram - np.eye(len(gram))))
-        if dev > TRACE_TOL:
+        if not dev <= TRACE_TOL:
             raise ValueError(f"state kets are not orthonormal (max deviation {dev:.3e} from K^dagger K = 1)")
     tr = c * dim + np.sum(weights)
-    if abs(tr - 1.0) > TRACE_TOL:
+    if not abs(tr - 1.0) <= TRACE_TOL:
         raise ValueError(f"density trace is {tr}, expected 1")
     low = min(c, c + np.min(weights))
-    if low < -EIGENVALUE_TOL:
+    if not low >= -EIGENVALUE_TOL:
         raise ValueError(f"density has negative eigenvalue {low:.3e}")

@@ -2,10 +2,17 @@
 
 Dense spin and pair operators embedded by bit index, projectors, product
 states, `expectation` and a spectral frequency estimate are the references
-for the package's generators, populations and fits.  The dense
-pair-product and mixed-triplet densities, the dense density check with its
+for the package's generators, populations and fits; `rf_generator` is the
+engine's lock term on its own.  The dense pair-product, mixed-triplet and
+pseudo-thermal densities, the dense density check with its
 `check_hermitian` and `dense`, which expands the engine's factored state
-(c, K, w), reference the factored states the package builds.
+(c, K, w), reference the factored states the package builds.  The paper's
+effective two-level theory is a test oracle here: `effective_channels`
+gives each like-composition channel's `EffectiveTwoLevel` from the state
+energies and the interaction strength
+C = (J_cis - J_trans) / 4 * (a1 a2 + b1 b2 + g1 g2), and
+`effective_receiving_trace` averages the channels' transferred populations,
+against which the dense engine's traces are checked.
 `sequence_propagator` is the engine's `_apply` on the identity, the d x d
 propagator no runtime path forms, which the engine's tests hold against the
 evolution oracle and unitarity.  The evolution oracle is
@@ -22,13 +29,20 @@ the fields its kind reads, out of a set shared by several kinds.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from singletsim.analysis import FitInputError, _trace_xy
-from singletsim.hamiltonian import SpinLockParams, pair_center_offset, spinlock_hamiltonian
+from singletsim.hamiltonian import (
+    SpinLockParams,
+    _add_lock,
+    dressed_splitting,
+    intrapair_coupling,
+    pair_center_offset,
+    spinlock_hamiltonian,
+)
 from singletsim.propagator import HardPulse, Segment, SpinLock, _apply
 from singletsim.sequences import PROTOCOL_FIELDS, Protocol
 from singletsim.spincore import (
@@ -39,6 +53,7 @@ from singletsim.spincore import (
     SpinSystem,
     TripletAmplitudes,
     _basis_split,
+    thermal_state,
 )
 
 HERMITICITY_TOL = 1e-10
@@ -170,6 +185,11 @@ def maximally_mixed_triplet() -> np.ndarray:
     return rho
 
 
+def thermal_density(system: SpinSystem, polarization: float = 1.0) -> np.ndarray:
+    """The d x d pseudo-thermal state, diagonal with `thermal_state`'s weights."""
+    return np.diag(thermal_state(system, polarization))
+
+
 def check_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """The Hermitian part (M + M^dagger) / 2, after checking that M is Hermitian within tol."""
     adjoint = matrix.conj().T
@@ -203,6 +223,157 @@ def dense(state: tuple) -> np.ndarray:
     if kets is None:
         return c * np.eye(len(weights)) + np.diag(weights)
     return c * np.eye(len(kets)) + (kets * weights) @ kets.conj().T
+
+
+def rf_generator(system: SpinSystem, phase: float) -> np.ndarray:
+    """Transverse operator sum_i (cos(phase) I_ix + sin(phase) I_iy) driven by RF at a phase.
+
+    The engine's `_add_lock` at unit nutation on a zero array; real when sin(phase) is 0.
+    """
+    return _add_lock(np.zeros((system.dim, system.dim), dtype=float if np.sin(phase) == 0.0 else complex),
+                     system, 1.0, phase)
+
+
+@dataclass(frozen=True)
+class EffectiveTwoLevel:
+    """Two-level Hamiltonian h[[E1, C], [C, E2]] over |T S0> and |S0 T> (Hz)."""
+
+    e1_hz: float
+    e2_hz: float
+    c_hz: float
+
+    def __post_init__(self):
+        for v in (self.e1_hz, self.e2_hz, self.c_hz):
+            if not np.isfinite(v):
+                raise ValueError("effective two-level parameters must be finite")
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return np.array([[self.e1_hz, self.c_hz], [self.c_hz, self.e2_hz]])
+
+    @property
+    def detuning_hz(self) -> float:
+        return self.e1_hz - self.e2_hz
+
+    @property
+    def oscillation_frequency_hz(self) -> float:
+        """Population-oscillation frequency sqrt((E1-E2)^2 + 4 C^2)."""
+        return float(np.hypot(self.detuning_hz, 2.0 * self.c_hz))
+
+    @property
+    def transfer_contrast(self) -> float:
+        """Maximum transferred population 4 C^2 / ((E1-E2)^2 + 4 C^2)."""
+        denom = self.detuning_hz**2 + 4.0 * self.c_hz**2
+        if denom == 0.0:
+            return 0.0
+        return float(4.0 * self.c_hz**2 / denom)
+
+    def population_trace(self, times_s: np.ndarray) -> np.ndarray:
+        """Transferred population vs time for a state starting on one level."""
+        t = np.asarray(times_s, dtype=float)
+        return self.transfer_contrast * np.sin(np.pi * self.oscillation_frequency_hz * t) ** 2
+
+
+def triplet_overlap(amp1: TripletAmplitudes, amp2: TripletAmplitudes) -> float:
+    """a1 a2 + b1 b2 + g1 g2 of two triplet compositions."""
+    return float(np.array([amp1.alpha, amp1.beta, amp1.gamma]) @ np.array([amp2.alpha, amp2.beta, amp2.gamma]))
+
+
+def interaction_strength(
+    j_1a2a_hz: float,
+    j_1b2b_hz: float,
+    j_1a2b_hz: float,
+    j_1b2a_hz: float,
+    amp1: TripletAmplitudes,
+    amp2: TripletAmplitudes,
+) -> float:
+    """Singlet-singlet interaction C (Hz) for given triplet compositions.
+
+    C = (J_1a2a + J_1b2b - J_1a2b - J_1b2a) / 4 * (a1 a2 + b1 b2 + g1 g2);
+    only the cis/trans difference of the interpair couplings contributes.
+    """
+    combination = j_1a2a_hz + j_1b2b_hz - j_1a2b_hz - j_1b2a_hz
+    return 0.25 * combination * triplet_overlap(amp1, amp2)
+
+
+def state_energies(
+    j_1a1b_hz: float,
+    j_2a2b_hz: float,
+    nutation1_hz: float,
+    nutation2_hz: float,
+    amp1: TripletAmplitudes,
+    amp2: TripletAmplitudes,
+) -> tuple[float, float]:
+    """Energies (Hz) of |T S0> and |S0 T> under per-pair effective nutations.
+
+    E1 = J1/4 - 3 J2/4 + (a1^2 - g1^2) nu_n1
+    E2 = J2/4 - 3 J1/4 + (a2^2 - g2^2) nu_n2
+    """
+    e1 = j_1a1b_hz / 4.0 - 3.0 * j_2a2b_hz / 4.0 + (amp1.alpha**2 - amp1.gamma**2) * nutation1_hz
+    e2 = j_2a2b_hz / 4.0 - 3.0 * j_1a1b_hz / 4.0 + (amp2.alpha**2 - amp2.gamma**2) * nutation2_hz
+    return e1, e2
+
+
+def interpair_couplings(
+    system: SpinSystem, pair_i: int, pair_j: int
+) -> tuple[float, float, float, float]:
+    """(J_aa, J_bb, J_ab, J_ba) between the members of two assigned pairs."""
+    a1, b1 = system.pair(pair_i)
+    a2, b2 = system.pair(pair_j)
+    j = system.couplings_hz
+    return (j[a1, a2], j[b1, b2], j[a1, b2], j[b1, a2])
+
+
+def effective_channels(
+    system: SpinSystem,
+    lock: SpinLockParams,
+    pair_1: int = 0,
+    pair_2: int = 1,
+) -> dict[str, EffectiveTwoLevel]:
+    """Effective two-level parameters for each like-composition transfer channel.
+
+    Each pair's effective nutation is its exact dressed splitting under the
+    lock; channel m couples |T(m) S0> to |S0 T(m)> with the interaction
+    strength of the matching compositions.
+    """
+    nut1 = dressed_splitting(
+        lock.nutation_hz, pair_center_offset(system, pair_1) - lock.transmitter_offset_hz
+    )
+    nut2 = dressed_splitting(
+        lock.nutation_hz, pair_center_offset(system, pair_2) - lock.transmitter_offset_hz
+    )
+    j1 = intrapair_coupling(system, pair_1)
+    j2 = intrapair_coupling(system, pair_2)
+    j_aa, j_bb, j_ab, j_ba = interpair_couplings(system, pair_1, pair_2)
+    channels = {}
+    for name, amp in PHI_COMPOSITIONS.items():
+        e1, e2 = state_energies(j1, j2, nut1, nut2, amp, amp)
+        c = interaction_strength(j_aa, j_bb, j_ab, j_ba, amp, amp)
+        channels[name] = EffectiveTwoLevel(e1, e2, c)
+    return channels
+
+
+def effective_receiving_trace(
+    system: SpinSystem,
+    lock: SpinLockParams,
+    times_s: np.ndarray,
+    weights: dict[str, float] | None = None,
+    source_pair: int = 0,
+    readout_pair: int = 1,
+) -> np.ndarray:
+    """Receiving-pair singlet population predicted by the effective two-level model.
+
+    Averages the like-composition channels with the given weights (default:
+    the maximally mixed triplet, one third each).
+    """
+    channels = effective_channels(system, lock, pair_1=source_pair, pair_2=readout_pair)
+    if weights is None:
+        weights = {name: 1.0 / 3.0 for name in channels}
+    times = np.asarray(times_s, dtype=float)
+    out = np.zeros_like(times)
+    for name, share in weights.items():
+        out += share * channels[name].population_trace(times)
+    return out
 
 
 def protocol_of(kind: str, **fields) -> Protocol:

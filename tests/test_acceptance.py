@@ -10,7 +10,7 @@ configured inputs and anchors.
 import time
 
 import numpy as np
-from conftest import sequence_propagator
+from conftest import effective_receiving_trace, sequence_propagator, thermal_density
 
 from singletsim.analysis import (
     fit_exponential,
@@ -33,14 +33,12 @@ from singletsim.propagator import (
 from singletsim.sequences import (
     PrepSpec,
     Protocol,
-    effective_receiving_trace,
     exact_resonance_nutation,
     run_double_rabi,
     run_pumping,
     run_rabi,
     run_resonance_scan,
 )
-from singletsim.spincore import thermal_state
 
 
 class Budget:
@@ -138,7 +136,7 @@ def test_criterion_04_numerical_hygiene():
             u = sequence_propagator(glu, [seg])
             worst = max(worst, np.max(np.abs(u @ u.conj().T - np.eye(16))))
         assert worst < 1e-10
-        rho = thermal_state(glu, 1.0)
+        rho = thermal_density(glu, 1.0)
         u = sequence_propagator(glu, segments)
         drift = abs(np.trace(u @ rho @ u.conj().T).real - 1.0)
         assert drift < 1e-10

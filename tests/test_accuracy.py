@@ -25,7 +25,7 @@ from functools import cache
 import mpmath
 import numpy as np
 import pytest
-from conftest import _phase_shifted_pulses, ideal_transfer_state, protocol_of
+from conftest import _phase_shifted_pulses, ideal_transfer_state, protocol_of, thermal_density
 
 from singletsim.hamiltonian import SpinLockParams, pair_center_offset
 from singletsim.presets import glutamate
@@ -38,7 +38,6 @@ from singletsim.sequences import (
     run_rabi,
     run_ramsey,
 )
-from singletsim.spincore import thermal_state
 
 mp = mpmath.mp
 DIGITS = 40
@@ -159,7 +158,7 @@ def _initial_state(source_pair, triplet_init, lock_phase, prep):
     if prep.kind == "ideal":
         return rho0, 0.0
     u, budget = reference_propagator(prep_sequence(GLU, source_pair, prep))
-    prepared = u * _to_mp(thermal_state(GLU, prep.polarization)) * u.H
+    prepared = u * _to_mp(thermal_density(GLU, prep.polarization)) * u.H
     weight = min(max((_singlet_population(prepared, source_pair) - mp.mpf(0.25)) / mp.mpf(0.75), 0), 1)
     return rho0 * weight + mp.eye(DIM) * ((1 - weight) / DIM), budget
 

@@ -133,7 +133,7 @@ class TestNoiselessRoundTrips:
 
     def test_two_level_contrast_curve_is_lorentzian(self):
         # transfer contrast vs detuning is exactly Lorentzian with FWHM 4C
-        from singletsim.hamiltonian import EffectiveTwoLevel
+        from conftest import EffectiveTwoLevel
 
         c = 1.285
         detunings = np.linspace(-12.0, 12.0, 97)

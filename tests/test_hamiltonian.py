@@ -1,19 +1,23 @@
 import numpy as np
 import pytest
-from conftest import embed_pair_operator, embed_spin_operator, product_state_vector
+from conftest import (
+    EffectiveTwoLevel,
+    effective_channels,
+    embed_pair_operator,
+    embed_spin_operator,
+    interaction_strength,
+    product_state_vector,
+    rf_generator,
+    state_energies,
+)
 
 from singletsim.hamiltonian import (
-    EffectiveTwoLevel,
     SpinLockParams,
     dressed_splitting,
-    effective_channels,
     effective_nutation_difference,
     free_hamiltonian,
-    interaction_strength,
     resonant_nutation,
-    rf_generator,
     spinlock_hamiltonian,
-    state_energies,
 )
 from singletsim.presets import glutamate, phe_gly_gly
 from singletsim.spincore import PAIR_BASIS, SpinSystem, TripletAmplitudes

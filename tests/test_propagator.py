@@ -9,8 +9,10 @@ from conftest import (
     ideal_transfer_state,
     oracle_propagator,
     oracle_state,
+    rf_generator,
     sequence_propagator,
     singlet_projector,
+    thermal_density,
     triplet_projector,
 )
 
@@ -21,7 +23,6 @@ from singletsim.hamiltonian import (
     SpinLockParams,
     free_hamiltonian,
     pair_center_offset,
-    rf_generator,
     spinlock_hamiltonian,
 )
 from singletsim.presets import glutamate, phe_gly_gly
@@ -254,13 +255,13 @@ class TestRealArithmetic:
 class TestPropagate:
     def test_empty_sequence_returns_input(self):
         system = coupled_pair()
-        rho = thermal_state(system)
+        rho = thermal_density(system)
         out = evolve(system, rho, [])
         assert np.max(np.abs(out - rho)) < 1e-14
 
     def test_90_pulse_converts_longitudinal_to_transverse(self):
         system = coupled_pair()
-        rho = thermal_state(system, 1.0)
+        rho = thermal_density(system, 1.0)
         iz = sum(embed_spin_operator(system, i, "z") for i in range(2))
         ix = sum(embed_spin_operator(system, i, "x") for i in range(2))
         mz0 = expectation(rho, iz).real
@@ -270,7 +271,7 @@ class TestPropagate:
 
     def test_unitary_invariants_preserved(self):
         system = coupled_pair()
-        rho = thermal_state(system, 0.8)
+        rho = thermal_density(system, 0.8)
         eigs0 = np.sort(np.linalg.eigvalsh(rho))
         segments = [
             HardPulse(np.pi / 3, 0.4),
@@ -285,7 +286,7 @@ class TestPropagate:
 
     def test_segment_composition(self):
         system = coupled_pair()
-        rho = thermal_state(system, 0.5)
+        rho = thermal_density(system, 0.5)
         lock = SpinLockParams(33.0, 0.0, 1.0)
         one = evolve(system, rho, [SpinLock(lock, 0.7)])
         two = evolve(system, rho, [SpinLock(lock, 0.3), SpinLock(lock, 0.4)])
@@ -293,7 +294,7 @@ class TestPropagate:
 
     def test_pair_population_closure(self):
         system = coupled_pair()
-        rho = thermal_state(system, 1.0)
+        rho = thermal_density(system, 1.0)
         lock = SpinLockParams(25.0, 0.0, 0.0)
         ps = singlet_projector(system, 0)
         pt = triplet_projector(system, 0)
@@ -317,7 +318,7 @@ class TestSweptExpectations:
         swept = [SpinLock(SpinLockParams(0.0, 0.0, 5.0), 0.0), SpinLock(lock, 0.0)][:n_swept]
         readout = [HardPulse(np.pi / 2, 0.9), SpinLock(SpinLockParams(25.0, 2.3, 1.0), 0.03)]
         taus = np.array([0.0, 0.013, 0.2, 1.7])
-        rho0 = thermal_state(system, 0.8)
+        rho0 = thermal_density(system, 0.8)
         mx = sum(embed_spin_operator(system, i, "x") for i in range(system.n_spins))
         values = swept_expectations(system, (0.0, None, rho0.diagonal()), before, swept, taus, after,
                                     (readout, False))
@@ -458,6 +459,20 @@ class TestSweptExpectations:
     def test_factored_state_faults_are_named(self, fault):
         state, message = self.INVALID_STATES[fault]
         with pytest.raises(ValueError, match=message):
+            swept_expectations(coupled_pair(), state, [], [SpinLock(SpinLockParams(0.0), 0.0)], [0.1], [])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("factor", ["c", "kets", "weights", "basis_weights"])
+    def test_non_finite_state_is_rejected_naming_its_factor(self, factor, value):
+        # (c, K, w) at d = 4 with one non-finite entry in one factor
+        kets, weights = np.eye(4)[:, :2].copy(), np.array([0.5, 0.5])
+        if factor == "kets":
+            kets[0, 0] = value
+        elif factor == "weights":
+            weights[0] = value
+        state = {"c": (value, kets[:, :1], np.array([1.0])),
+                 "basis_weights": (0.0, None, np.array([value, 0.25, 0.25, 0.25]))}.get(factor, (0.0, kets, weights))
+        with pytest.raises(ValueError, match=f"state {factor.removeprefix('basis_')} must be finite"):
             swept_expectations(coupled_pair(), state, [], [SpinLock(SpinLockParams(0.0), 0.0)], [0.1], [])
 
     def test_factored_state_within_the_tolerances_is_accepted(self):

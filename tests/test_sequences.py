@@ -8,6 +8,7 @@ from conftest import (
     dense,
     embed_spin_operator,
     expectation,
+    effective_receiving_trace,
     ideal_transfer_state,
     oracle_pair_block_levels,
     oracle_propagator,
@@ -15,6 +16,7 @@ from conftest import (
     oracle_state,
     protocol_of,
     singlet_projector,
+    thermal_density,
 )
 
 from singletsim import sequences
@@ -32,7 +34,6 @@ from singletsim.sequences import (
     Protocol,
     _pair_block_levels,
     _readout_sequence,
-    effective_receiving_trace,
     exact_channel_detuning,
     exact_resonance_nutation,
     prep_sequence,
@@ -48,7 +49,7 @@ from singletsim.sequences import (
     transfer_initial_state,
     transfer_resonance_nutation,
 )
-from singletsim.spincore import SpinSystem, TripletAmplitudes, thermal_state
+from singletsim.spincore import SpinSystem, TripletAmplitudes
 
 
 def pair_system(j, dnu):
@@ -75,7 +76,7 @@ class TestSlicSequence:
     )
     def test_calibrated_points_create_singlet(self, j, dnu, nutation, duration):
         system = pair_system(j, dnu)
-        rho = thermal_state(system, 1.0)
+        rho = thermal_density(system, 1.0)
         before = expectation(rho, singlet_projector(system, 0)).real
         out = oracle_state(system, rho, slic_sequence(system, 0, nutation, duration))
         after = expectation(out, singlet_projector(system, 0)).real
@@ -86,7 +87,7 @@ class TestSlicSequence:
         # transfer time 1 / (sqrt(2) delta_nu): half or double the duration
         # gives visibly less singlet
         system = pair_system(15.5, 4.5)
-        rho = thermal_state(system, 1.0)
+        rho = thermal_density(system, 1.0)
 
         def gain(duration):
             out = oracle_state(system, rho, slic_sequence(system, 0, 15.5, duration))
@@ -100,7 +101,7 @@ class TestSlicSequence:
         # a 180 degree phase shift flips the lock sign, moving the crossing
         # to the opposite dressed level; the prep still works
         system = pair_system(15.5, 4.5)
-        rho = thermal_state(system, 1.0)
+        rho = thermal_density(system, 1.0)
         out = oracle_state(system, rho, slic_sequence(system, 0, 15.5, 0.157, phase=np.pi))
         assert expectation(out, singlet_projector(system, 0)).real > 0.45
 
@@ -115,7 +116,7 @@ class TestThreePulseSequence:
 
     def test_zero_delays_are_a_plain_rotation(self):
         system = pair_system(19.8, 27.0)
-        rho = thermal_state(system, 1.0)
+        rho = thermal_density(system, 1.0)
         out = oracle_state(system, rho, three_pulse_sequence(0.0, 0.0, 0.0))
         before = expectation(rho, singlet_projector(system, 0)).real
         after = expectation(out, singlet_projector(system, 0)).real
@@ -917,7 +918,7 @@ def oracle_initial_state(system, protocol, lock_phase):
     if protocol.prep.kind == "ideal":
         return rho0
     prep = oracle_propagator(system, prep_sequence(system, protocol.source_pair, protocol.prep))
-    thermal = thermal_state(system, protocol.prep.polarization)
+    thermal = thermal_density(system, protocol.prep.polarization)
     source = singlet_projector(system, protocol.source_pair)
     achieved = np.trace(prep @ thermal @ prep.conj().T @ source).real
     weight = np.clip((achieved - 0.25) / 0.75, 0.0, 1.0)
@@ -1178,7 +1179,7 @@ class TestPreparedAndPumpedPopulations:
     def test_prepared_population_matches_oracle(self, name, prep):
         system = ORACLE_SYSTEMS[name]()
         spec = ORACLE_PREPS[prep]
-        thermal = thermal_state(system, spec.polarization)
+        thermal = thermal_density(system, spec.polarization)
         for pair in range(len(system.pairs)):
             expected = oracle_population(system, thermal, prep_sequence(system, pair, spec), pair)
             assert abs(prepared_singlet_population(system, pair, spec) - expected) < 1e-12

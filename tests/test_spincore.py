@@ -12,6 +12,8 @@ from conftest import (
     pure_state_density,
     rotate_pair_ket_phase,
     singlet_projector,
+    thermal_density,
+    triplet_overlap,
     triplet_projector,
 )
 
@@ -72,6 +74,17 @@ class TestSpinSystem:
     def test_pair_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             SpinSystem(np.zeros(2), np.zeros((2, 2)), ((0, 5),))
+
+    # a NaN fails no > test, so finiteness is tested first, naming the field
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_offset_rejected(self, value):
+        with pytest.raises(ValueError, match="offsets_hz must be finite"):
+            SpinSystem(np.array([0.0, value]), np.zeros((2, 2)), ((0, 1),))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_coupling_rejected(self, value):
+        with pytest.raises(ValueError, match="couplings_hz must be finite"):
+            SpinSystem(np.zeros(2), np.array([[0.0, value], [value, 0.0]]), ((0, 1),))
 
 
 class TestEmbeddedOperators:
@@ -209,7 +222,7 @@ class TestExpectation:
 
     def test_identity_observable_gives_unit_trace(self):
         sys2 = two_spin()
-        rho = thermal_state(sys2)
+        rho = thermal_density(sys2)
         assert abs(expectation(rho, np.eye(4, dtype=complex)) - 1.0) < 1e-12
 
     def test_singlet_has_zero_total_z(self):
@@ -271,8 +284,8 @@ class TestStatesAndValidation:
     def test_thermal_state_is_valid_density(self):
         for n in (1, 2, 4):
             system = SpinSystem(np.zeros(n), np.zeros((n, n)), ())
-            check_density(thermal_state(system, 1.0))
-            check_density(thermal_state(system, -1.0))
+            check_density(thermal_density(system, 1.0))
+            check_density(thermal_density(system, -1.0))
 
     def test_thermal_polarization_range(self):
         with pytest.raises(ValueError, match="polarization"):
@@ -319,4 +332,11 @@ class TestStatesAndValidation:
         with pytest.raises(ValueError, match="normalized"):
             TripletAmplitudes(1.0, 1.0, 0.0)
         amp = TripletAmplitudes(0.6, 0.8, 0.0)
-        assert abs(amp.dot(amp) - 1.0) < 1e-12
+        assert abs(triplet_overlap(amp, amp) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["alpha", "beta", "gamma"])
+    def test_non_finite_triplet_amplitude_rejected(self, name, value):
+        amplitudes = {"alpha": 1.0, "beta": 0.0, "gamma": 0.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            TripletAmplitudes(**amplitudes)
