@@ -16,10 +16,10 @@ draws.  Non-finite data is a ``FitInputError``, and so is a time series
 Lorentzian takes its points in any order.  Fits use a damped
 (Levenberg-Marquardt) least-squares loop with analytic Jacobians; decay
 times are handled internally as rates so that "no decay" is the
-well-behaved point r = 0.  The oscillatory fits
-start from up to three local maxima of the zero-padded discrete spectrum
-(`_spectral_peak_candidates`), or from sub-period frequencies when it has
-none.
+well-behaved point r = 0.  The Rabi, Ramsey and exponential fits each
+start once, from the best point of a profiled grid (`_grid_start`): the
+models are linear in their amplitudes, so at each grid frequency and rate
+those come from a small least-squares solve, on any sweep, uniform or not.
 
 Ramsey fits are returned in canonical form (``RAMSEY.fold``): A >= 0 and
 phi in (-pi, pi].  A fit with A < 0 is the same curve as (-A, phi + pi, -c),
@@ -41,6 +41,7 @@ from .trace import Trace
 MAX_ITERATIONS = 200
 RSS_REL_TOL = 1e-12
 STEP_NORM_TOL = 1e-12
+_GRID_BLOCK = 2**13  # frequency x sample entries of the profiled grid evaluated at once (128 KiB)
 
 
 class FitInputError(ValueError):
@@ -179,31 +180,6 @@ def _time_series(trace) -> tuple[np.ndarray, np.ndarray]:
     return t, y
 
 
-def _spectral_peak_candidates(t: np.ndarray, y: np.ndarray, k: int = 3) -> list[float]:
-    """Up to k local spectral maxima by decreasing power (fit seeds)."""
-    steps = np.diff(t)
-    if t.size < 8 or (steps.max() - steps.min()) > 1e-9 * steps.max():
-        return []
-    dt = steps.mean()
-    n_pad = 8 * t.size
-    power = np.abs(np.fft.rfft(y - y.mean(), n_pad)) ** 2
-    freqs = np.fft.rfftfreq(n_pad, dt)
-    lo = np.searchsorted(freqs, 0.5 / (t[-1] - t[0]))
-    peaks = [
-        (power[i], freqs[i])
-        for i in range(max(lo, 1), power.size - 1)
-        if power[i] >= power[i - 1] and power[i] > power[i + 1]
-    ]
-    peaks.sort(reverse=True)
-    out: list[float] = []
-    for _, f in peaks:
-        if all(abs(f - g) > 0.5 / (t[-1] - t[0]) for g in out):
-            out.append(float(f))
-        if len(out) == k:
-            break
-    return out
-
-
 def levenberg_marquardt(
     model_and_jacobian,
     x: np.ndarray,
@@ -263,19 +239,14 @@ def levenberg_marquardt(
     return p, rss, cov, converged, iterations
 
 
-def _fit(name: str, model: FitModel, x, y, starts, lower, upper, sign: int = 1) -> FitResult:
-    """Fit from each start, keep the first with the lowest RSS, and report it.
+def _fit(name: str, model: FitModel, x, y, p0, lower, upper, sign: int = 1) -> FitResult:
+    """Fit from the start p0 and report the result.
 
-    The winning vector is folded into the model's canonical form, if it has
+    The fitted vector is folded into the model's canonical form, if it has
     one, and its rates are reported as times.
     """
     function = partial(model.function, sign=sign)
-    best = None
-    for p0 in starts:
-        fit = levenberg_marquardt(function, x, y, np.asarray(p0, float), lower, upper)
-        if best is None or fit[1] < best[1]:
-            best = fit
-    p, rss, cov, converged, iterations = best
+    p, rss, cov, converged, iterations = levenberg_marquardt(function, x, y, np.asarray(p0, float), lower, upper)
     if model.fold is not None:  # A >= 0 and phase in (-pi, pi]; D cov D keeps the uncertainties
         k = model.names.index("phase_rad")
         if p[0] < 0:
@@ -307,13 +278,47 @@ def _nyquist(x: np.ndarray) -> float:
     return 0.5 / np.diff(x).min()
 
 
-def _frequency_starts(x, y) -> list[float]:
-    span = x[-1] - x[0]
-    candidates = _spectral_peak_candidates(x, y)
-    if not candidates:
-        # slow or truncated oscillation: scan sub-period seeds
-        return [0.125 / span, 0.25 / span, 0.5 / span, 1.0 / span]
-    return candidates
+def _frequency_grid(t: np.ndarray) -> np.ndarray:
+    """(1/4 + k/2) / span below (n - 1) / (2 span), the Nyquist frequency of a uniform sweep."""
+    return np.arange(0.25, 0.5 * (t.size - 1), 0.5) / (t[-1] - t[0])
+
+
+def _grid_start(t, y, freqs, r2, rs, sine: bool = False):
+    """The least-RSS point (coefficients, f, r2, rs) of a profiled grid.
+
+    Rabi, Ramsey and the exponential are linear in the columns cos(2 pi f t) d,
+    [sin(2 pi f t) d,] s, with d = exp(-(r2 + rs) t) and s = exp(-rs t).  Each
+    frequency of the uniform grid ``freqs`` and rate pair (r2[j], rs[j]) gets
+    its coefficients from the 2 x 2 (3 x 3 with ``sine``) normal equations; a
+    point whose equations are singular is skipped.  The phasors z = exp(2 pi i
+    f t) step from one frequency to the next by a product, and cos^2, cos sin
+    and sin^2 are read off z^2, so one frequency's phasors serve every rate.
+    """
+    d, s = np.exp(-np.outer(t, r2 + rs)), np.exp(-np.outer(t, rs))
+    dd, ds, yd = d * d, d * s, y[:, None] * d
+    sums = np.empty((3, freqs.size, r2.size), complex)  # z^2 d^2, z d s and z y d, summed over t
+    rows = min(freqs.size, max(1, _GRID_BLOCK // t.size))
+    turn = np.exp(2j * np.pi * (freqs[1] - freqs[0] if freqs.size > 1 else 0.0) * t)
+    turns = np.ones((rows + 1, t.size), complex)  # row k: exp(2 pi i k step t)
+    for k in range(rows):
+        turns[k + 1] = turns[k] * turn
+    z = np.exp(2j * np.pi * freqs[0] * t)  # the phasors of a block's first frequency
+    for first in range(0, freqs.size, rows):
+        block = turns[:min(rows, freqs.size - first)] * z
+        sums[:, first:first + rows] = [(block * block) @ dd, block @ ds, block @ yd]
+        z = z * turns[rows]
+    zzdd, zds, zyd = sums
+    cc, ss, cs = (dd.sum(axis=0) + zzdd.real) / 2, (dd.sum(axis=0) - zzdd.real) / 2, zzdd.imag / 2
+    s2, ys = np.broadcast_to((s * s).sum(axis=0), cc.shape), np.broadcast_to(y @ s, cc.shape)
+    g = np.stack([cc, cs, zds.real, cs, ss, zds.imag, zds.real, zds.imag, s2], -1).reshape(cc.shape + (3, 3))
+    keep = [0, 1, 2] if sine else [0, 2]
+    g, h = g[..., keep, :][..., keep], np.stack([zyd.real, zyd.imag, ys], -1)[..., keep]
+    with np.errstate(divide="ignore", invalid="ignore"):  # an underflowed decay column makes g singular
+        ok = np.linalg.det(g) > 1e-12 * np.prod(np.diagonal(g, axis1=-2, axis2=-1), axis=-1)
+    coef = np.linalg.solve(np.where(ok[..., None, None], g, np.eye(len(keep))), h[..., None])[..., 0]
+    rss = np.where(ok, y @ y - np.sum(h * coef, axis=-1), np.inf)
+    i, j = np.unravel_index(np.argmin(rss), rss.shape)
+    return coef[i, j], freqs[i], r2[j], rs[j]
 
 
 def _is_flat(y: np.ndarray) -> bool:
@@ -340,19 +345,13 @@ def fit_rabi(trace, mode: str = "sin2", with_decay: bool = True) -> FitResult:
         zeros = {k: 0.0 for k in params}
         return FitResult(mode, params, zeros, 0.0, 0.0, True, 0, np.array(vector), None, sign)
 
-    amp0 = max(np.ptp(y), 1e-12)
-    off0 = max(y.min(), 0.0) / amp0
-    span = t[-1] - t[0]
-    starts = []
-    for f0 in _frequency_starts(t, y):
-        if with_decay:
-            for r0 in (0.0, 1.0 / span):
-                starts.append([amp0, f0, off0, r0])
-        else:
-            starts.append([amp0, f0, off0])
+    rates = np.array([0.0, 0.5, 1.0, 2.0] if with_decay else [0.0]) / (t[-1] - t[0])
+    (a_cos, a_decay), f0, _, r0 = _grid_start(t, y, _frequency_grid(t), np.zeros_like(rates), rates)
+    amp0 = -2.0 * sign * a_cos  # sin^2 = (1 - cos 2 theta) / 2, cos^2 = (1 + cos 2 theta) / 2
+    p0 = [amp0, f0, a_decay / amp0 - 0.5] + ([r0] if with_decay else [])
     lb = np.array([-np.inf, 0.0, -np.inf] + ([0.0] if with_decay else []))
     ub = np.array([np.inf, _nyquist(t), np.inf] + ([np.inf] if with_decay else []))
-    return _fit(mode, RABI, t, y, starts, lb, ub, sign)
+    return _fit(mode, RABI, t, y, p0, lb, ub, sign)
 
 
 def _wrap_phase(phi: float) -> float:
@@ -373,18 +372,14 @@ def fit_ramsey(trace, sign: int = 1) -> FitResult:
     if t.size < 12:
         raise FitInputError("ramsey fit needs at least 12 samples")
 
-    amp0 = max(np.ptp(y) / 2.0, 1e-12)
-    off0 = y.mean() / amp0
     span = t[-1] - t[0]
-    starts = []
-    for f0 in _frequency_starts(t, y):
-        z = np.sum((y - y.mean()) * np.exp(-2j * np.pi * f0 * t))
-        phi0 = float(-np.angle(sign * z))
-        for r0 in (0.0, 1.0 / span):
-            starts.append([amp0, f0, phi0, off0, r0, r0 / 2.0])
+    r2, rs = np.array([0.0, 1.0, 2.0, 4.0]) / span, np.array([0.0, 0.5, 0.5, 0.5]) / span
+    (b_cos, b_sin, b_s), f0, r20, rs0 = _grid_start(t, y, _frequency_grid(t), r2, rs, sine=True)
+    amp0 = max(math.hypot(b_cos, b_sin), 1e-12)  # s A cos(theta - phi) = b_cos cos theta + b_sin sin theta
+    p0 = [amp0, f0, math.atan2(sign * b_sin, sign * b_cos), b_s / amp0, r20, rs0]
     lb = np.array([-np.inf, 0.0, -np.inf, -np.inf, 0.0, 0.0])
     ub = np.array([np.inf, _nyquist(t), np.inf, np.inf, np.inf, np.inf])
-    return _fit("ramsey", RAMSEY, t, y, starts, lb, ub, sign)
+    return _fit("ramsey", RAMSEY, t, y, p0, lb, ub, sign)
 
 
 def fit_lorentzian(trace) -> FitResult:
@@ -401,7 +396,7 @@ def fit_lorentzian(trace) -> FitResult:
     width0 = max(width0, abs(x[1] - x[0]))  # x may fall, as a scan's detunings do
     p0 = [center0, width0, height0, base0]
     lb = np.array([-np.inf, 0.0, -np.inf, -np.inf])
-    return _fit("lorentzian", LORENTZIAN, x, y, [p0], lb, np.full(4, np.inf))
+    return _fit("lorentzian", LORENTZIAN, x, y, p0, lb, np.full(4, np.inf))
 
 
 def fit_exponential(trace) -> FitResult:
@@ -416,19 +411,10 @@ def fit_exponential(trace) -> FitResult:
         vector = np.array([0.0, 0.0, params["offset"]])
         return FitResult("exponential", params, zeros, 0.0, 0.0, True, 0, vector)
 
-    c0 = float(y[-1])
-    a0 = float(y[0] - c0)
-    span = t[-1] - t[0]
-    starts = [[a0, r0, c0] for r0 in (0.5 / span, 2.0 / span, 8.0 / span)]
-    # log-linear seed when the signal is one-signed above its tail
-    shifted = (y - c0) * np.sign(a0 if a0 != 0 else 1.0)
-    good = shifted > 1e-12 * max(abs(a0), 1.0)
-    if np.count_nonzero(good) >= 3:
-        slope = np.polyfit(t[good], np.log(shifted[good]), 1)[0]
-        if slope < 0:
-            starts.insert(0, [a0, -slope, c0])
+    rates = np.geomspace(0.05, 50.0, 64) / (t[-1] - t[0])
+    (amp0, off0), _, r0, _ = _grid_start(t, y, np.zeros(1), rates, np.zeros_like(rates))
     lb = np.array([-np.inf, 0.0, -np.inf])
-    return _fit("exponential", EXPONENTIAL, t, y, starts, lb, np.full(3, np.inf))
+    return _fit("exponential", EXPONENTIAL, t, y, [amp0, r0, off0], lb, np.full(3, np.inf))
 
 
 MODEL_FITTERS = {

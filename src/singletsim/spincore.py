@@ -31,6 +31,7 @@ dense density and Hermiticity checks are test references, in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,7 +110,9 @@ class TripletAmplitudes:
         for name in ("alpha", "beta", "gamma"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        norm = self.alpha**2 + self.beta**2 + self.gamma**2
+        norm = math.inf  # the squares of a large float raise OverflowError; it is not normalized anyway
+        if math.hypot(self.alpha, self.beta, self.gamma) < 2.0:
+            norm = self.alpha**2 + self.beta**2 + self.gamma**2
         if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"triplet amplitudes must be normalized, got |a|^2 = {norm}")
 

@@ -330,6 +330,18 @@ class TestFit:
         result = cmd_fit(out, "rabi", tmp_path / "glu.json", no_decay=True)
         assert abs(result.params["frequency_hz"] / 2.57 - 1) < 0.02
 
+    def test_shipped_rabi_config_on_random_sweep_times(self, tmp_path, capsys):
+        # the shipped Rabi config, its 125 times drawn at random: the fit finds the uniform sweep's 2.566 Hz
+        cfg = json.loads((CONFIG_DIR / "glutamate_rabi.json").read_text())
+        times = np.sort(np.random.default_rng(125).uniform(0.02, 2.5, 125))
+        cfg["protocol"]["sweep"] = {"values": times.tolist()}
+        out = tmp_path / "random"
+        assert main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+        assert main(["fit", "--trace", str(out / "trace.csv"), "--model", "rabi", "--out", str(out / "fit.json")]) == 0
+        report = json.loads((out / "fit.json").read_text())
+        assert report["converged"] is True
+        assert abs(report["params"]["frequency_hz"] / 2.566 - 1) < 0.01
+
     @pytest.mark.parametrize("model", ["rabi", "ramsey", "lorentzian", "exponential"])
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_trace_exits_one(self, tmp_path, capsys, model, bad):

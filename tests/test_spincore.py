@@ -331,6 +331,9 @@ class TestStatesAndValidation:
     def test_triplet_amplitudes_normalization(self):
         with pytest.raises(ValueError, match="normalized"):
             TripletAmplitudes(1.0, 1.0, 0.0)
+        for large in (1e200, -1e200, 1.7e308):  # finite, but their squares overflow
+            with pytest.raises(ValueError, match="normalized"):
+                TripletAmplitudes(0.0, large, 0.0)
         amp = TripletAmplitudes(0.6, 0.8, 0.0)
         assert abs(triplet_overlap(amp, amp) - 1.0) < 1e-12
 
