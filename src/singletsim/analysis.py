@@ -7,31 +7,37 @@ Model set:
 * lorentzian:  I(x) = b + h (w/2)^2 / ((x - x0)^2 + (w/2)^2)
 * exponential: I(t) = A exp(-t / T) + c
 
+Rabi, Ramsey and the exponential are one model, fitted in the coordinates of
+its profiled grid (`_grid_start`), whose best point is the fit's one start:
+y = (a cos 2 pi f t + b sin 2 pi f t) exp(-(r2 + rs) t) + k exp(-rs t), with
+q = (a, b, k, f, r2, rs).  Each fit frees some entries of q, holds the rest
+at 0 and reports its parameters from q (T = 1/r for each decay rate r):
+
+* rabi frees (a, k, f[, rs]): A = -2 s a, c = k / A - 1/2, since sin^2 and
+  cos^2 are (1 -/+ cos 2 pi f t) / 2, s = 1 and -1;
+* ramsey frees all six: A = |(a, b)|, phi = atan2(s b, s a), c = k / A, so
+  every fit is canonical, A >= 0 and phi in (-pi, pi];
+* exponential frees (a, k, r2), with f = 0: A = a, c = k.
+
+The uncertainties follow through each report map's Jacobian (the delta
+method), which at the same point gives the covariance of a fit in the
+reported parameters.  The sign s is fixed by the caller, not fitted, and is
+recorded in ``FitResult.sign``.  A constant trace reports amplitude 0, its
+level as the offset and every time infinite.
+
 Each model is stated once, as a ``FitModel`` record (``RABI``, ``RAMSEY``,
 ``LORENTZIAN``, ``EXPONENTIAL``) that drives both its fit and
-``evaluate_model``.  Every fitter ends in one call to ``_fit``, and its
-``FitResult`` keeps the fitted internal vector that ``evaluate_model``
-draws.  Non-finite data is a ``FitInputError``, and so is a time series
-(rabi, ramsey, exponential) whose times are not strictly increasing; a
-Lorentzian takes its points in any order.  Fits use a damped
-(Levenberg-Marquardt) least-squares loop with analytic Jacobians; decay
-times are handled internally as rates so that "no decay" is the
-well-behaved point r = 0.  The Rabi, Ramsey and exponential fits each
-start once, from the best point of a profiled grid (`_grid_start`): the
-models are linear in their amplitudes, so at each grid frequency and rate
-those come from a small least-squares solve, on any sweep, uniform or not.
-
-Ramsey fits are returned in canonical form (``RAMSEY.fold``): A >= 0 and
-phi in (-pi, pi].  A fit with A < 0 is the same curve as (-A, phi + pi, -c),
-and phi is only defined modulo 2 pi.  The sign s is fixed by the caller, not
-fitted, and is recorded in ``FitResult.sign``.
+``evaluate_model``.  Non-finite data is a ``FitInputError``, and so is a time
+series whose times are not strictly increasing; a Lorentzian takes its
+points in any order.  Fits use a damped (Levenberg-Marquardt) least-squares
+loop with analytic Jacobians; decay times are fitted as rates, so that "no
+decay" is the well-behaved point r = 0 on a bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -59,8 +65,7 @@ class FitResult:
     reduced_chi_square: float
     converged: bool
     n_iterations: int
-    vector: np.ndarray  # the fitted internal vector (rates, not times) that evaluate_model draws
-    covariance: np.ndarray | None = None
+    vector: np.ndarray  # the fitted q of a time series (the Lorentzian's own vector) that evaluate_model draws
     sign: int = 1  # fixed model sign s: Ramsey s, -1 for a cos2 Rabi fit, else 1
 
 
@@ -68,56 +73,35 @@ class FitResult:
 class FitModel:
     """A fit model, stated once.
 
-    function(x, p, sign) returns the model values and the Jacobian columns
-    for the internal parameter vector p, whose entries ``names`` labels.
-    Decay times are fitted as rates; ``times`` maps each rate to the time
-    it is reported as (T = 1/r, infinite for r = 0).  ``fold``, when given,
-    is the canonical form of a model with a phase: it flips the signs of p
-    that turn A < 0 into the same curve at phase_rad + pi.
+    function(x, q) returns the model values and their Jacobian in the
+    vector q.  The entries ``free`` of q are fitted (every entry when None),
+    and the others are held at their start.  report(q, sign) returns the
+    reported parameters and their Jacobian in q, whose leading rows
+    ``names`` labels; with no report, q itself is reported.  Decay times
+    are fitted as rates; ``times`` maps each rate to the time it is
+    reported as (T = 1/r, infinite for r = 0).
     """
 
-    function: Callable[..., tuple[np.ndarray, np.ndarray]]
+    function: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     names: tuple[str, ...]
     times: dict[str, str] = field(default_factory=dict)
-    fold: tuple[float, ...] | None = None
+    report: Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]] | None = None
+    free: tuple[int, ...] | None = None
 
 
-def _rabi(x, p, sign=1):
-    """A [sin^2(pi f x) + c] exp(-r x), cos^2 for sign -1; r = 0 when p has no rate."""
-    amp, freq, off = p[:3]
-    rate = p[3] if len(p) == 4 else 0.0
-    phase = np.pi * freq * x
-    osc = np.sin(phase) ** 2 if sign > 0 else np.cos(phase) ** 2
-    decay = np.exp(-rate * x)
-    model = amp * (osc + off) * decay
-    d_osc_df = sign * np.pi * x * np.sin(2 * phase)
-    cols = [(osc + off) * decay, amp * d_osc_df * decay, amp * decay]
-    if len(p) == 4:
-        cols.append(-x * model)
-    return model, np.column_stack(cols)
+def _oscillation(x, q):
+    """(a cos 2 pi f x + b sin 2 pi f x) exp(-(r2 + rs) x) + k exp(-rs x), q = (a, b, k, f, r2, rs)."""
+    a, b, k, f, r2, rs = q
+    theta = 2 * np.pi * f * x
+    s, d = np.exp(-rs * x), np.exp(-(r2 + rs) * x)
+    cos_d, sin_d = np.cos(theta) * d, np.sin(theta) * d
+    osc = a * cos_d + b * sin_d
+    model = osc + k * s
+    return model, np.column_stack([cos_d, sin_d, s, 2 * np.pi * x * (b * cos_d - a * sin_d), -x * osc, -x * model])
 
 
-def _ramsey(x, p, sign=1):
-    """A [s cos(2 pi f x - phi) exp(-r2 x) + c] exp(-rs x)."""
-    amp, freq, phi, off, r2, rs = p
-    theta = 2 * np.pi * freq * x - phi
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    d2, ds = np.exp(-r2 * x), np.exp(-rs * x)
-    osc = sign * cos_t * d2
-    model = amp * (osc + off) * ds
-    cols = [
-        (osc + off) * ds,
-        amp * (-sign * sin_t * 2 * np.pi * x) * d2 * ds,
-        amp * (sign * sin_t) * d2 * ds,
-        amp * ds,
-        amp * (-x) * sign * cos_t * d2 * ds,
-        -x * model,
-    ]
-    return model, np.column_stack(cols)
-
-
-def _lorentzian(x, p, sign=1):
-    """b + h (w/2)^2 / ((x - x0)^2 + (w/2)^2); the sign is unused."""
+def _lorentzian(x, p):
+    """b + h (w/2)^2 / ((x - x0)^2 + (w/2)^2)."""
     center, fwhm, height, baseline = p
     half = fwhm / 2.0
     g = half**2
@@ -134,32 +118,43 @@ def _lorentzian(x, p, sign=1):
     return model, np.column_stack(cols)
 
 
-def _exponential(x, p, sign=1):
-    """A exp(-r x) + c; the sign is unused."""
-    amp, rate, off = p
-    decay = np.exp(-rate * x)
-    model = amp * decay + off
-    return model, np.column_stack([decay, -amp * x * decay, np.ones_like(x)])
+def _rabi_report(q, sign):
+    """(A, f, c, rate) = (-2 s a, f, k / A - 1/2, rs)."""
+    a, _, k, f, _, rs = q
+    amp = -2.0 * sign * a
+    jac = np.zeros((4, 6))
+    jac[0, 0], jac[1, 3], jac[3, 5] = -2.0 * sign, 1.0, 1.0
+    jac[2, 0], jac[2, 2] = 2.0 * sign * k / amp**2, 1.0 / amp
+    return np.array([amp, f, k / amp - 0.5, rs]), jac
 
 
-RABI = FitModel(_rabi, ("amplitude", "frequency_hz", "offset", "rate"), {"rate": "t_rabi_s"})
-RAMSEY = FitModel(
-    _ramsey,
-    ("amplitude", "frequency_hz", "phase_rad", "offset", "rate2", "rate_s"),
-    {"rate2": "t2s_star_s", "rate_s": "t_s_s"},
-    fold=(-1.0, 1.0, 1.0, -1.0, 1.0, 1.0),  # (A, c) -> (-A, -c)
-)
+def _ramsey_report(q, sign):
+    """(A, f, phi, c, rate2, rate_s) = (|(a, b)|, f, atan2(s b, s a), k / A, r2, rs)."""
+    a, b, k, f, r2, rs = q
+    amp = math.hypot(a, b)
+    jac = np.zeros((6, 6))
+    jac[0, :2] = a / amp, b / amp
+    jac[2, :2] = -b / amp**2, a / amp**2
+    jac[3, :3] = -k * a / amp**3, -k * b / amp**3, 1.0 / amp
+    jac[1, 3] = jac[4, 4] = jac[5, 5] = 1.0
+    phase = _wrap_phase(math.atan2(sign * b, sign * a))
+    return np.array([amp, f, phase, k / amp, r2, rs]), jac
+
+
+def _exponential_report(q, sign):
+    """(A, rate, c) = (a, r2, k)."""
+    return q[[0, 4, 2]], np.eye(6)[[0, 4, 2]]
+
+
+RABI = FitModel(_oscillation, ("amplitude", "frequency_hz", "offset", "rate"), {"rate": "t_rabi_s"},
+                _rabi_report, (0, 2, 3, 5))
+RAMSEY = FitModel(_oscillation, ("amplitude", "frequency_hz", "phase_rad", "offset", "rate2", "rate_s"),
+                  {"rate2": "t2s_star_s", "rate_s": "t_s_s"}, _ramsey_report)
 LORENTZIAN = FitModel(_lorentzian, ("center", "fwhm", "height", "baseline"))
-EXPONENTIAL = FitModel(_exponential, ("amplitude", "rate", "offset"), {"rate": "t_s"})
+EXPONENTIAL = FitModel(_oscillation, ("amplitude", "rate", "offset"), {"rate": "t_s"}, _exponential_report, (0, 2, 4))
 
 # FitResult.model -> record
-MODELS = {
-    "sin2": RABI,
-    "cos2": RABI,
-    "ramsey": RAMSEY,
-    "lorentzian": LORENTZIAN,
-    "exponential": EXPONENTIAL,
-}
+MODELS = {"sin2": RABI, "cos2": RABI, "ramsey": RAMSEY, "lorentzian": LORENTZIAN, "exponential": EXPONENTIAL}
 
 
 def _trace_xy(trace) -> tuple[np.ndarray, np.ndarray]:
@@ -192,7 +187,9 @@ def levenberg_marquardt(
 
     Returns (params, rss, unscaled_covariance, converged, iterations).
     Terminates on relative RSS change < 1e-12, step norm < 1e-12, or the
-    iteration cap.  Bounds are enforced by projection.
+    iteration cap.  Bounds are enforced by projection, and a parameter that
+    sits on a bound while its descent direction (its entry of J^T r) points
+    out of the box is left out of the damped solve, with a zero step.
     """
 
     def clip(q):
@@ -207,10 +204,11 @@ def levenberg_marquardt(
     iterations = 0
     while iterations < MAX_ITERATIONS:
         iterations += 1
-        jtj = jac.T @ jac
+        jtj, jtr = jac.T @ jac, jac.T @ residual
+        held = ((p <= lower_bounds) & (jtr < 0)) | ((p >= upper_bounds) & (jtr > 0))
+        jtj[held] = jtj[:, held] = jtr[held] = 0.0  # decoupled from the rest, with a zero step
         diag = np.diag(jtj).copy()
         diag[diag <= 0] = 1e-30
-        jtr = jac.T @ residual
         try:
             step = np.linalg.solve(jtj + lam * np.diag(diag), jtr)
         except np.linalg.LinAlgError:
@@ -239,27 +237,33 @@ def levenberg_marquardt(
     return p, rss, cov, converged, iterations
 
 
-def _fit(name: str, model: FitModel, x, y, p0, lower, upper, sign: int = 1) -> FitResult:
-    """Fit from the start p0 and report the result.
+def _fit(name: str, model: FitModel, x, y, q0, lower, upper, sign: int = 1) -> FitResult:
+    """Fit the free entries of q from the start q0, holding the others, and report the result.
 
-    The fitted vector is folded into the model's canonical form, if it has
-    one, and its rates are reported as times.
+    The reported parameters come from the fitted q through the model's report
+    map, and their covariance through its Jacobian (the delta method); rates
+    are reported as times.
     """
-    function = partial(model.function, sign=sign)
-    p, rss, cov, converged, iterations = levenberg_marquardt(function, x, y, np.asarray(p0, float), lower, upper)
-    if model.fold is not None:  # A >= 0 and phase in (-pi, pi]; D cov D keeps the uncertainties
-        k = model.names.index("phase_rad")
-        if p[0] < 0:
-            flip = np.array(model.fold)
-            p, cov = p * flip, cov * np.outer(flip, flip)
-            p[k] += math.pi
-        p[k] = _wrap_phase(p[k])
+    q = np.array(q0, dtype=float)
+    free = slice(None) if model.free is None else np.array(model.free)
+
+    def function(x, p):
+        q[free] = p
+        values, jac = model.function(x, q)
+        return values, jac[:, free]
+
+    p, rss, cov, converged, iterations = levenberg_marquardt(function, x, y, q[free], lower[free], upper[free])
+    q[free] = p
     reduced = rss / max(x.size - p.size, 1)
-    cov = cov * reduced
-    sigma = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    if model.report is None:
+        values, variance = q, np.diag(cov)
+    else:
+        values, jac = model.report(q, sign)
+        variance = np.einsum("ij,jk,ik->i", jac[:, free], cov, jac[:, free])
+    sigma = np.sqrt(np.clip(variance * reduced, 0.0, None))
     params: dict[str, float] = {}
     uncertainties: dict[str, float] = {}
-    for key, value, err in zip(model.names, p, sigma):
+    for key, value, err in zip(model.names, values, sigma):
         if key in model.times:
             key = model.times[key]
             if value > 0:
@@ -271,11 +275,21 @@ def _fit(name: str, model: FitModel, x, y, p0, lower, upper, sign: int = 1) -> F
         else:
             params[key] = float(value)
             uncertainties[key] = float(err)
-    return FitResult(name, params, uncertainties, rss, reduced, converged, iterations, p, cov, sign)
+    return FitResult(name, params, uncertainties, rss, reduced, converged, iterations, q, sign)
 
 
-def _nyquist(x: np.ndarray) -> float:
-    return 0.5 / np.diff(x).min()
+def _flat(name: str, model: FitModel, y: np.ndarray, sign: int = 1) -> FitResult:
+    """A constant trace: amplitude 0, its level as the offset, every time infinite, all exact."""
+    level = float(y.mean())
+    params = {model.times.get(key, key): math.inf if key in model.times else 0.0 for key in model.names}
+    params["offset"] = level
+    vector = np.array([0.0, 0.0, level, 0.0, 0.0, 0.0])
+    return FitResult(name, params, dict.fromkeys(params, 0.0), 0.0, 0.0, True, 0, vector, sign)
+
+
+def _bounds(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bounds on q: f from 0 to the Nyquist frequency of the finest step, rates >= 0."""
+    return np.array([-np.inf] * 3 + [0.0] * 3), np.array([np.inf] * 3 + [0.5 / np.diff(t).min(), np.inf, np.inf])
 
 
 def _frequency_grid(t: np.ndarray) -> np.ndarray:
@@ -333,25 +347,13 @@ def fit_rabi(trace, mode: str = "sin2", with_decay: bool = True) -> FitResult:
     if t.size < 8:
         raise FitInputError("rabi fit needs at least 8 samples")
     sign = 1 if mode == "sin2" else -1
-
+    model = RABI if with_decay else replace(RABI, names=RABI.names[:3], free=RABI.free[:3])
     if _is_flat(y):
-        # reported as no transfer (A = 0); the vector draws the level as A with f = 0
-        level = float(y.mean())
-        params = {"amplitude": 0.0, "frequency_hz": 0.0, "offset": level}
-        vector = [level, 0.0, 1.0 if sign > 0 else 0.0]
-        if with_decay:
-            params["t_rabi_s"] = math.inf
-            vector.append(0.0)
-        zeros = {k: 0.0 for k in params}
-        return FitResult(mode, params, zeros, 0.0, 0.0, True, 0, np.array(vector), None, sign)
+        return _flat(mode, model, y, sign)
 
     rates = np.array([0.0, 0.5, 1.0, 2.0] if with_decay else [0.0]) / (t[-1] - t[0])
-    (a_cos, a_decay), f0, _, r0 = _grid_start(t, y, _frequency_grid(t), np.zeros_like(rates), rates)
-    amp0 = -2.0 * sign * a_cos  # sin^2 = (1 - cos 2 theta) / 2, cos^2 = (1 + cos 2 theta) / 2
-    p0 = [amp0, f0, a_decay / amp0 - 0.5] + ([r0] if with_decay else [])
-    lb = np.array([-np.inf, 0.0, -np.inf] + ([0.0] if with_decay else []))
-    ub = np.array([np.inf, _nyquist(t), np.inf] + ([np.inf] if with_decay else []))
-    return _fit(mode, RABI, t, y, p0, lb, ub, sign)
+    (a, k), f, _, rs = _grid_start(t, y, _frequency_grid(t), np.zeros_like(rates), rates)
+    return _fit(mode, model, t, y, [a, 0.0, k, f, 0.0, rs], *_bounds(t), sign)
 
 
 def _wrap_phase(phi: float) -> float:
@@ -371,15 +373,13 @@ def fit_ramsey(trace, sign: int = 1) -> FitResult:
     t, y = _time_series(trace)
     if t.size < 12:
         raise FitInputError("ramsey fit needs at least 12 samples")
+    if _is_flat(y):
+        return _flat("ramsey", RAMSEY, y, sign)
 
     span = t[-1] - t[0]
     r2, rs = np.array([0.0, 1.0, 2.0, 4.0]) / span, np.array([0.0, 0.5, 0.5, 0.5]) / span
-    (b_cos, b_sin, b_s), f0, r20, rs0 = _grid_start(t, y, _frequency_grid(t), r2, rs, sine=True)
-    amp0 = max(math.hypot(b_cos, b_sin), 1e-12)  # s A cos(theta - phi) = b_cos cos theta + b_sin sin theta
-    p0 = [amp0, f0, math.atan2(sign * b_sin, sign * b_cos), b_s / amp0, r20, rs0]
-    lb = np.array([-np.inf, 0.0, -np.inf, -np.inf, 0.0, 0.0])
-    ub = np.array([np.inf, _nyquist(t), np.inf, np.inf, np.inf, np.inf])
-    return _fit("ramsey", RAMSEY, t, y, p0, lb, ub, sign)
+    (a, b, k), f, r2, rs = _grid_start(t, y, _frequency_grid(t), r2, rs, sine=True)
+    return _fit("ramsey", RAMSEY, t, y, [a, b, k, f, r2, rs], *_bounds(t), sign)
 
 
 def fit_lorentzian(trace) -> FitResult:
@@ -404,17 +404,12 @@ def fit_exponential(trace) -> FitResult:
     t, y = _time_series(trace)
     if t.size < 5:
         raise FitInputError("exponential fit needs at least 5 samples")
-
     if _is_flat(y):
-        params = {"amplitude": 0.0, "t_s": math.inf, "offset": float(y.mean())}
-        zeros = {k: 0.0 for k in params}
-        vector = np.array([0.0, 0.0, params["offset"]])
-        return FitResult("exponential", params, zeros, 0.0, 0.0, True, 0, vector)
+        return _flat("exponential", EXPONENTIAL, y)
 
     rates = np.geomspace(0.05, 50.0, 64) / (t[-1] - t[0])
-    (amp0, off0), _, r0, _ = _grid_start(t, y, np.zeros(1), rates, np.zeros_like(rates))
-    lb = np.array([-np.inf, 0.0, -np.inf])
-    return _fit("exponential", EXPONENTIAL, t, y, [amp0, r0, off0], lb, np.full(3, np.inf))
+    (a, k), _, r2, _ = _grid_start(t, y, np.zeros(1), rates, np.zeros_like(rates))
+    return _fit("exponential", EXPONENTIAL, t, y, [a, 0.0, k, 0.0, r2, 0.0], *_bounds(t))
 
 
 MODEL_FITTERS = {
@@ -430,5 +425,4 @@ def evaluate_model(result: FitResult, x: np.ndarray) -> np.ndarray:
     model = MODELS.get(result.model)
     if model is None:
         raise ValueError(f"unknown model {result.model!r}")
-    x = np.asarray(x, dtype=float)
-    return model.function(x, result.vector, result.sign)[0]
+    return model.function(np.asarray(x, dtype=float), result.vector)[0]

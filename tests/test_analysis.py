@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,17 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singletsim.analysis import (
-    EXPONENTIAL,
-    LORENTZIAN,
-    RABI,
-    RAMSEY,
     FitInputError,
+    _exponential_report,
+    _lorentzian,
+    _oscillation,
+    _rabi_report,
+    _ramsey_report,
     evaluate_model,
     fit_exponential,
     fit_lorentzian,
     fit_rabi,
     fit_ramsey,
+    levenberg_marquardt,
 )
+from singletsim.cli import load_config
+from singletsim.sequences import run_protocol
+
+RABI_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "glutamate_rabi.json"
 
 
 def rabi_model(t, amp, freq, off, t_decay, mode="sin2"):
@@ -252,31 +259,81 @@ class TestDegenerateData:
         assert fit.params["fwhm"] == pytest.approx(1.0, abs=1e-9)
 
 
+# q = (a, b, k, f, r2, rs) of Rabi (A = 0.9, c = 0.15), Ramsey (A = 0.8, phi = 0.4, c = 0.1) and the exponential
+RABI_Q = [-0.45, 0.0, 0.585, 2.4, 0.0, 0.6]  # sin2: a = -A/2, k = A (1/2 + c)
+RAMSEY_Q = [0.8 * np.cos(0.4), 0.8 * np.sin(0.4), 0.08, 2.3, 0.7, 0.25]  # s = 1: (a, b) = s A (cos phi, sin phi)
+EXPONENTIAL_Q = [0.9, 0.0, 0.1, 0.0, 3.0, 0.0]
+
+
+def flip(q, *entries):
+    q = np.array(q)
+    q[list(entries)] *= -1
+    return q
+
+
 class TestAnalyticJacobians:
     # finite differences as the oracle for the analytic Jacobians
     @pytest.mark.parametrize(
-        "model, p, sign, x",
+        "function, p, x",
         [
-            (RABI, [0.9, 2.4, 0.15, 0.6], 1, np.linspace(0.01, 3.0, 60)),
-            (RABI, [0.9, 2.4, 0.15], 1, np.linspace(0.01, 3.0, 60)),
-            (RABI, [0.9, 2.4, 0.15, 0.6], -1, np.linspace(0.01, 3.0, 60)),
-            (RABI, [0.9, 2.4, 0.15], -1, np.linspace(0.01, 3.0, 60)),
-            (RAMSEY, [0.8, 2.3, 0.4, 0.1, 0.7, 0.25], 1, np.linspace(0.01, 4.0, 80)),
-            (RAMSEY, [0.8, 2.3, 0.4, 0.1, 0.7, 0.25], -1, np.linspace(0.01, 4.0, 80)),
-            (LORENTZIAN, [1.5, 2.2, 0.9, 0.05], 1, np.linspace(-6.0, 9.0, 61)),
-            (EXPONENTIAL, [0.9, 3.0, 0.1], 1, np.linspace(0.0, 1.5, 50)),
+            (_oscillation, RABI_Q, np.linspace(0.01, 3.0, 60)),
+            (_oscillation, RABI_Q[:5] + [0.0], np.linspace(0.01, 3.0, 60)),
+            (_oscillation, flip(RABI_Q, 0), np.linspace(0.01, 3.0, 60)),
+            (_oscillation, flip(RABI_Q[:5] + [0.0], 0), np.linspace(0.01, 3.0, 60)),
+            (_oscillation, RAMSEY_Q, np.linspace(0.01, 4.0, 80)),
+            (_oscillation, flip(RAMSEY_Q, 0, 1), np.linspace(0.01, 4.0, 80)),
+            (_lorentzian, [1.5, 2.2, 0.9, 0.05], np.linspace(-6.0, 9.0, 61)),
+            (_oscillation, EXPONENTIAL_Q, np.linspace(0.0, 1.5, 50)),
         ],
         ids=[
             "rabi_sin2_decay", "rabi_sin2", "rabi_cos2_decay", "rabi_cos2",
             "ramsey_plus", "ramsey_minus", "lorentzian", "exponential",
         ],
     )
-    def test_model_jacobian(self, model, p, sign, x):
+    def test_model_jacobian(self, function, p, x):
         p = np.array(p)
-        values, analytic = model.function(x, p, sign)
-        numeric = finite_difference_jacobian(lambda xv, q: model.function(xv, q, sign)[0], x, p)
+        values, analytic = function(x, p)
+        numeric = finite_difference_jacobian(lambda xv, q: function(xv, q)[0], x, p)
         assert analytic.shape == (x.size, p.size)
         assert np.max(np.abs(analytic - numeric)) < 1e-6 * max(1.0, np.max(np.abs(values)))
+
+    @pytest.mark.parametrize(
+        "report, q, sign, curve",
+        [
+            (_rabi_report, RABI_Q, 1, lambda t, p: rabi_model(t, *p[:3], 1 / p[3], "sin2")),
+            (_rabi_report, flip(RABI_Q, 0), -1, lambda t, p: rabi_model(t, *p[:3], 1 / p[3], "cos2")),
+            (_ramsey_report, RAMSEY_Q, 1, lambda t, p: ramsey_model(t, *p[:4], 1 / p[4], 1 / p[5], 1)),
+            (_ramsey_report, flip(RAMSEY_Q, 0, 1), -1, lambda t, p: ramsey_model(t, *p[:4], 1 / p[4], 1 / p[5], -1)),
+            (_exponential_report, EXPONENTIAL_Q, 1, lambda t, p: p[0] * np.exp(-p[1] * t) + p[2]),
+        ],
+        ids=["rabi_sin2", "rabi_cos2", "ramsey_plus", "ramsey_minus", "exponential"],
+    )
+    def test_report_map(self, report, q, sign, curve):
+        # the reported parameters draw the curve q draws, and the map's Jacobian is its derivative
+        q, t = np.array(q), np.linspace(0.01, 4.0, 80)
+        values, analytic = report(q, sign)
+        assert np.allclose(curve(t, values), _oscillation(t, q)[0], rtol=0, atol=1e-14)
+        numeric = finite_difference_jacobian(lambda _, p: report(p, sign)[0], None, q)
+        assert analytic.shape == (values.size, q.size)
+        assert np.max(np.abs(analytic - numeric)) < 1e-6 * max(1.0, np.max(np.abs(values)))
+
+    def test_reported_uncertainties_are_those_of_the_reported_parameters(self):
+        # the delta method through a report map gives sqrt(diag((J^T J)^-1) chi2_red), J the
+        # Jacobian of the model in its reported parameters, taken at the reported point
+        rng = np.random.default_rng(29)
+        t_rabi, t_ramsey = np.linspace(0.01, 3.2, 240), np.linspace(0.01, 8.0, 700)
+        y_rabi = rabi_model(t_rabi, 1.0, 2.57, 0.1, 1.6) + rng.normal(0, 0.05, t_rabi.size)
+        y_ramsey = ramsey_model(t_ramsey, 1.0, 2.33, 0.4, 0.2, 1.3, 4.4, sign=-1) + rng.normal(0, 0.05, t_ramsey.size)
+        cases = [
+            (t_rabi, fit_rabi((t_rabi, y_rabi)), lambda x, p: rabi_model(x, *p),
+             ["amplitude", "frequency_hz", "offset", "t_rabi_s"]),
+            (t_ramsey, fit_ramsey((t_ramsey, y_ramsey), sign=-1), lambda x, p: ramsey_model(x, *p, sign=-1),
+             ["amplitude", "frequency_hz", "phase_rad", "offset", "t2s_star_s", "t_s_s"]),
+        ]
+        for t, fit, model, names in cases:
+            jac = finite_difference_jacobian(model, t, [fit.params[k] for k in names])
+            expected = np.sqrt(np.diag(np.linalg.inv(jac.T @ jac)) * fit.reduced_chi_square)
+            assert [fit.uncertainties[k] for k in names] == pytest.approx(expected, rel=1e-6), fit.model
 
     def test_fitted_jacobians_match_finite_differences(self):
         # drive each fitter once and compare its internal model against a
@@ -347,36 +404,6 @@ class TestFitProperties:
             miss = np.angle(np.exp(1j * (fit.params["phase_rad"] - phi)))
             assert abs(miss) < 6 * fit.uncertainties["phase_rad"]
 
-    def test_negative_amplitude_answer_is_folded(self, monkeypatch):
-        # hand fit_ramsey the A < 0 twin of the least-squares answer, several
-        # turns away in phase, and check that it comes back canonical
-        import singletsim.analysis as analysis
-
-        t = np.linspace(0.01, 6.0, 300)
-        y = ramsey_model(t, 0.9, 2.3, 2.8, 0.1, 1.3, 4.4)
-        plain = fit_ramsey((t, y))
-        real_lm = analysis.levenberg_marquardt
-        raw = []  # (rss, twin vector) of each start
-
-        def twin_lm(*args, **kwargs):
-            p, rss, cov, converged, iters = real_lm(*args, **kwargs)
-            flip = np.array([-1.0, 1.0, 1.0, -1.0, 1.0, 1.0])
-            p = p * flip + np.array([0.0, 0.0, np.pi - 6 * np.pi, 0.0, 0.0, 0.0])
-            raw.append((rss, p))
-            return p, rss, flip[:, None] * cov * flip[None, :], converged, iters
-
-        monkeypatch.setattr(analysis, "levenberg_marquardt", twin_lm)
-        fit = fit_ramsey((t, y))
-        winner = min(raw, key=lambda start: start[0])[1]  # the first start with the lowest RSS
-        assert winner[0] < 0 and winner[2] < -np.pi
-        assert fit.params["amplitude"] > 0
-        for key in ("amplitude", "phase_rad", "offset"):
-            assert abs(fit.params[key] - plain.params[key]) < 1e-9, key
-        for key in plain.params:
-            assert fit.uncertainties[key] == pytest.approx(plain.uncertainties[key], rel=1e-12), key
-        assert np.allclose(fit.covariance, plain.covariance, rtol=1e-12, atol=0)
-        assert np.max(np.abs(evaluate_model(fit, t) - y)) < 1e-6
-
     @pytest.mark.parametrize("mode", ["sin2", "cos2"])
     @pytest.mark.parametrize("with_decay", [True, False], ids=["decay", "no_decay"])
     def test_flat_rabi_trace_draws_its_level(self, mode, with_decay):
@@ -393,6 +420,17 @@ class TestFitProperties:
         fit = fit_exponential((t, np.full(t.size, -0.2)))
         assert fit.params == {"amplitude": 0.0, "t_s": np.inf, "offset": pytest.approx(-0.2)}
         assert np.allclose(evaluate_model(fit, t), -0.2, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_flat_ramsey_trace_draws_its_level(self, sign):
+        # no amplitude, so no phase and no times: the level is the offset, with exact zero uncertainties
+        t = np.linspace(0.0, 2.0, 60)
+        fit = fit_ramsey((t, np.full(t.size, 0.3)), sign=sign)
+        assert fit.converged and fit.sign == sign
+        assert fit.params == {"amplitude": 0.0, "frequency_hz": 0.0, "phase_rad": 0.0,
+                              "offset": pytest.approx(0.3, rel=1e-15), "t2s_star_s": np.inf, "t_s_s": np.inf}
+        assert fit.uncertainties == dict.fromkeys(fit.params, 0.0)
+        assert np.allclose(evaluate_model(fit, np.linspace(0.0, 3.0, 17)), 0.3, rtol=1e-15, atol=0)
 
     def test_levenberg_marquardt_return_contract(self, monkeypatch):
         # perfbench's tracer wraps analysis.levenberg_marquardt by name and
@@ -521,3 +559,36 @@ class TestNonUniformSweeps:
             if not (fit.converged and abs(fit.params["frequency_hz"] / freq - 1) < 0.02):
                 misses.append((seed, freq, fit.params["frequency_hz"]))
         assert misses == []
+
+
+class TestBounds:
+    """A parameter on a bound whose descent points out of the box is held there, with a zero step."""
+
+    def test_levenberg_marquardt_holds_a_rate_at_zero(self):
+        # a rising trace asks for a negative decay rate; the fit stops at r = 0 and converges
+        x = np.linspace(0.0, 1.0, 30)
+
+        def decay(x, p):
+            e = np.exp(-p[1] * x)
+            return p[0] * e, np.column_stack([e, -p[0] * x * e])
+
+        p, rss, _, converged, iterations = levenberg_marquardt(
+            decay, x, 1.0 + 0.3 * x, np.array([1.0, 0.5]), np.array([-np.inf, 0.0]), np.full(2, np.inf))
+        assert converged and iterations < 20
+        assert p[1] == 0.0
+        assert p[0] == pytest.approx(1.15, rel=1e-9)  # the mean of the trace
+
+    def test_rabi_decay_fit_of_an_undamped_trace(self, tmp_path):
+        # the shipped Rabi config without its envelope: the fitted decay rate ends on its bound r = 0,
+        # and the other parameters are those of the fit without decay
+        cfg = json.loads(RABI_CONFIG.read_text())
+        del cfg["envelope"]
+        (tmp_path / "rabi.json").write_text(json.dumps(cfg))
+        config = load_config(tmp_path / "rabi.json")
+        trace = run_protocol(config.system, config.protocol, config.envelope)
+        fit, plain = fit_rabi(trace), fit_rabi(trace, with_decay=False)
+        assert fit.converged
+        assert fit.params["t_rabi_s"] == np.inf
+        for key, value in plain.params.items():
+            assert fit.params[key] == pytest.approx(value, rel=1e-9), key
+        assert fit.rss == pytest.approx(plain.rss, rel=1e-12)

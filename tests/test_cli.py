@@ -342,6 +342,18 @@ class TestFit:
         assert report["converged"] is True
         assert abs(report["params"]["frequency_hz"] / 2.566 - 1) < 0.01
 
+    def test_shipped_rabi_config_without_envelope_fits_with_decay(self, tmp_path, capsys):
+        # an undamped trace puts the fitted decay rate on its bound r = 0: the fit converges, T infinite
+        cfg = json.loads((CONFIG_DIR / "glutamate_rabi.json").read_text())
+        del cfg["envelope"]
+        out = tmp_path / "undamped"
+        assert main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+        assert main(["fit", "--trace", str(out / "trace.csv"), "--model", "rabi", "--out", str(out / "fit.json")]) == 0
+        report = json.loads((out / "fit.json").read_text())
+        assert report["converged"] is True
+        assert report["params"]["t_rabi_s"] == np.inf
+        assert abs(report["params"]["frequency_hz"] / 2.57 - 1) < 0.02
+
     @pytest.mark.parametrize("model", ["rabi", "ramsey", "lorentzian", "exponential"])
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_trace_exits_one(self, tmp_path, capsys, model, bad):
