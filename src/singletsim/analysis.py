@@ -8,7 +8,7 @@ Model set:
 * exponential: I(t) = A exp(-t / T) + c
 
 Rabi, Ramsey and the exponential are one model, fitted in the coordinates of
-its profiled grid (`_grid_start`), whose best point is the fit's one start:
+its profiled grid (`_grid_start`), whose best point q is the fit's one start:
 y = (a cos 2 pi f t + b sin 2 pi f t) exp(-(r2 + rs) t) + k exp(-rs t), with
 q = (a, b, k, f, r2, rs).  Each fit frees some entries of q, holds the rest
 at 0 and reports its parameters from q (T = 1/r for each decay rate r):
@@ -26,9 +26,14 @@ recorded in ``FitResult.sign``.  A constant trace reports amplitude 0, its
 level as the offset and every time infinite.
 
 Each model is stated once, as a ``FitModel`` record (``RABI``, ``RAMSEY``,
-``LORENTZIAN``, ``EXPONENTIAL``) that drives both its fit and
-``evaluate_model``.  Non-finite data is a ``FitInputError``, and so is a time
-series whose times are not strictly increasing; a Lorentzian takes its
+``LORENTZIAN``, ``EXPONENTIAL``) of its free entries and its report map (the
+Lorentzian frees all four and reports them as they are), which drives both
+its fit and ``evaluate_model``.  Every fit runs one path: the three
+time-series fitters check their own arguments, then share one body
+(`_fit_series`: the sample floor, the flat trace, the grid start) that ends,
+as the Lorentzian does, in ``_fit``.  The Lorentzian starts from the peak or
+the dip of its data.  Non-finite data is a ``FitInputError``, and so is a
+time series whose times are not strictly increasing; a Lorentzian takes its
 points in any order.  Fits use a damped (Levenberg-Marquardt) least-squares
 loop with analytic Jacobians; decay times are fitted as rates, so that "no
 decay" is the well-behaved point r = 0 on a bound.
@@ -37,7 +42,7 @@ decay" is the well-behaved point r = 0 on a bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -74,19 +79,18 @@ class FitModel:
     """A fit model, stated once.
 
     function(x, q) returns the model values and their Jacobian in the
-    vector q.  The entries ``free`` of q are fitted (every entry when None),
+    vector q.  The entries ``free`` of q (``np.s_[:]`` for all) are fitted,
     and the others are held at their start.  report(q, sign) returns the
     reported parameters and their Jacobian in q, whose leading rows
-    ``names`` labels; with no report, q itself is reported.  Decay times
-    are fitted as rates; ``times`` maps each rate to the time it is
-    reported as (T = 1/r, infinite for r = 0).
+    ``names`` labels.  Decay times are fitted as rates; ``times`` maps each
+    rate to the time it is reported as (T = 1/r, infinite for r = 0).
     """
 
     function: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     names: tuple[str, ...]
-    times: dict[str, str] = field(default_factory=dict)
-    report: Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]] | None = None
-    free: tuple[int, ...] | None = None
+    times: dict[str, str]
+    report: Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]]
+    free: slice | np.ndarray
 
 
 def _oscillation(x, q):
@@ -147,11 +151,13 @@ def _exponential_report(q, sign):
 
 
 RABI = FitModel(_oscillation, ("amplitude", "frequency_hz", "offset", "rate"), {"rate": "t_rabi_s"},
-                _rabi_report, (0, 2, 3, 5))
+                _rabi_report, np.array([0, 2, 3, 5]))
 RAMSEY = FitModel(_oscillation, ("amplitude", "frequency_hz", "phase_rad", "offset", "rate2", "rate_s"),
-                  {"rate2": "t2s_star_s", "rate_s": "t_s_s"}, _ramsey_report)
-LORENTZIAN = FitModel(_lorentzian, ("center", "fwhm", "height", "baseline"))
-EXPONENTIAL = FitModel(_oscillation, ("amplitude", "rate", "offset"), {"rate": "t_s"}, _exponential_report, (0, 2, 4))
+                  {"rate2": "t2s_star_s", "rate_s": "t_s_s"}, _ramsey_report, np.s_[:])
+LORENTZIAN = FitModel(_lorentzian, ("center", "fwhm", "height", "baseline"), {}, lambda q, sign: (q, np.eye(4)),
+                      np.s_[:])
+EXPONENTIAL = FitModel(_oscillation, ("amplitude", "rate", "offset"), {"rate": "t_s"}, _exponential_report,
+                       np.array([0, 2, 4]))
 
 # FitResult.model -> record
 MODELS = {"sin2": RABI, "cos2": RABI, "ramsey": RAMSEY, "lorentzian": LORENTZIAN, "exponential": EXPONENTIAL}
@@ -244,8 +250,7 @@ def _fit(name: str, model: FitModel, x, y, q0, lower, upper, sign: int = 1) -> F
     map, and their covariance through its Jacobian (the delta method); rates
     are reported as times.
     """
-    q = np.array(q0, dtype=float)
-    free = slice(None) if model.free is None else np.array(model.free)
+    q, free = np.array(q0, dtype=float), model.free
 
     def function(x, p):
         q[free] = p
@@ -255,11 +260,8 @@ def _fit(name: str, model: FitModel, x, y, q0, lower, upper, sign: int = 1) -> F
     p, rss, cov, converged, iterations = levenberg_marquardt(function, x, y, q[free], lower[free], upper[free])
     q[free] = p
     reduced = rss / max(x.size - p.size, 1)
-    if model.report is None:
-        values, variance = q, np.diag(cov)
-    else:
-        values, jac = model.report(q, sign)
-        variance = np.einsum("ij,jk,ik->i", jac[:, free], cov, jac[:, free])
+    values, jac = model.report(q, sign)
+    variance = np.einsum("ij,jk,ik->i", jac[:, free], cov, jac[:, free])
     sigma = np.sqrt(np.clip(variance * reduced, 0.0, None))
     params: dict[str, float] = {}
     uncertainties: dict[str, float] = {}
@@ -297,8 +299,8 @@ def _frequency_grid(t: np.ndarray) -> np.ndarray:
     return np.arange(0.25, 0.5 * (t.size - 1), 0.5) / (t[-1] - t[0])
 
 
-def _grid_start(t, y, freqs, r2, rs, sine: bool = False):
-    """The least-RSS point (coefficients, f, r2, rs) of a profiled grid.
+def _grid_start(t, y, freqs, r2, rs, sine: bool = False) -> np.ndarray:
+    """The least-RSS point q of a profiled grid, b = 0 without ``sine``.
 
     Rabi, Ramsey and the exponential are linear in the columns cos(2 pi f t) d,
     [sin(2 pi f t) d,] s, with d = exp(-(r2 + rs) t) and s = exp(-rs t).  Each
@@ -332,28 +334,36 @@ def _grid_start(t, y, freqs, r2, rs, sine: bool = False):
     coef = np.linalg.solve(np.where(ok[..., None, None], g, np.eye(len(keep))), h[..., None])[..., 0]
     rss = np.where(ok, y @ y - np.sum(h * coef, axis=-1), np.inf)
     i, j = np.unravel_index(np.argmin(rss), rss.shape)
-    return coef[i, j], freqs[i], r2[j], rs[j]
+    q = np.zeros(6)
+    q[keep], q[3:] = coef[i, j], (freqs[i], r2[j], rs[j])
+    return q
 
 
-def _is_flat(y: np.ndarray) -> bool:
-    return np.ptp(y) <= 1e-12 * max(1.0, np.max(np.abs(y)))
+def _fit_series(kind: str, least: int, trace, name: str, model: FitModel, r2, rs, sign: int = 1) -> FitResult:
+    """Fit a time series of at least ``least`` samples once, from the best point of its profiled grid.
+
+    The grid's decay rates r2 and rs are in units of 1 / span; it profiles
+    the frequency and the sine column only where the model frees them (q[3]
+    and q[1]).  A flat trace is reported exactly.
+    """
+    t, y = _time_series(trace)
+    if t.size < least:
+        raise FitInputError(f"{kind} fit needs at least {least} samples")
+    if np.ptp(y) <= 1e-12 * max(1.0, np.max(np.abs(y))):
+        return _flat(name, model, y, sign)
+    free, span = np.arange(6)[model.free], t[-1] - t[0]
+    freqs = _frequency_grid(t) if 3 in free else np.zeros(1)
+    q0 = _grid_start(t, y, freqs, r2 / span, rs / span, sine=1 in free)
+    return _fit(name, model, t, y, q0, *_bounds(t), sign)
 
 
 def fit_rabi(trace, mode: str = "sin2", with_decay: bool = True) -> FitResult:
     """Fit A [sin^2(pi f t) + c] exp(-t/T_Rabi) (or the cos^2 variant, sign -1)."""
     if mode not in ("sin2", "cos2"):
         raise FitInputError(f"mode must be sin2 or cos2, got {mode!r}")
-    t, y = _time_series(trace)
-    if t.size < 8:
-        raise FitInputError("rabi fit needs at least 8 samples")
-    sign = 1 if mode == "sin2" else -1
     model = RABI if with_decay else replace(RABI, names=RABI.names[:3], free=RABI.free[:3])
-    if _is_flat(y):
-        return _flat(mode, model, y, sign)
-
-    rates = np.array([0.0, 0.5, 1.0, 2.0] if with_decay else [0.0]) / (t[-1] - t[0])
-    (a, k), f, _, rs = _grid_start(t, y, _frequency_grid(t), np.zeros_like(rates), rates)
-    return _fit(mode, model, t, y, [a, 0.0, k, f, 0.0, rs], *_bounds(t), sign)
+    rates = np.array([0.0, 0.5, 1.0, 2.0] if with_decay else [0.0])
+    return _fit_series("rabi", 8, trace, mode, model, np.zeros_like(rates), rates, 1 if mode == "sin2" else -1)
 
 
 def _wrap_phase(phi: float) -> float:
@@ -370,46 +380,45 @@ def fit_ramsey(trace, sign: int = 1) -> FitResult:
     """
     if sign not in (1, -1):
         raise FitInputError("sign must be +1 or -1")
-    t, y = _time_series(trace)
-    if t.size < 12:
-        raise FitInputError("ramsey fit needs at least 12 samples")
-    if _is_flat(y):
-        return _flat("ramsey", RAMSEY, y, sign)
+    r2, rs = np.array([0.0, 1.0, 2.0, 4.0]), np.array([0.0, 0.5, 0.5, 0.5])
+    return _fit_series("ramsey", 12, trace, "ramsey", RAMSEY, r2, rs, sign)
 
-    span = t[-1] - t[0]
-    r2, rs = np.array([0.0, 1.0, 2.0, 4.0]) / span, np.array([0.0, 0.5, 0.5, 0.5]) / span
-    (a, b, k), f, r2, rs = _grid_start(t, y, _frequency_grid(t), r2, rs, sine=True)
-    return _fit("ramsey", RAMSEY, t, y, [a, b, k, f, r2, rs], *_bounds(t), sign)
+
+def _peak_start(x, y) -> list[float]:
+    """(center, fwhm, height, baseline) of y's peak: its top, its width at half height above min(y)."""
+    base0 = float(np.min(y))
+    height0 = max(float(np.max(y) - base0), 1e-12)
+    above = x[y > base0 + height0 / 2.0]
+    width0 = float(above.max() - above.min()) if above.size >= 2 else np.ptp(x) / 4.0
+    width0 = max(width0, abs(x[1] - x[0]))  # x may fall, as a scan's detunings do
+    return [float(x[np.argmax(y)]), width0, height0, base0]
 
 
 def fit_lorentzian(trace) -> FitResult:
-    """Fit baseline + height (w/2)^2 / ((x - center)^2 + (w/2)^2)."""
+    """Fit baseline + height (w/2)^2 / ((x - center)^2 + (w/2)^2), a peak or a dip.
+
+    It starts from the peak of y or the dip (the peak of -y), whichever
+    leaves the lower RSS with its height and baseline fitted linearly.
+    """
     x, y = _trace_xy(trace)
     if x.size < 5:
         raise FitInputError("lorentzian fit needs at least 5 points")
 
-    base0 = float(np.min(y))
-    height0 = max(float(np.max(y) - base0), 1e-12)
-    center0 = float(x[np.argmax(y)])
-    above = x[y > base0 + height0 / 2.0]
-    width0 = float(above.max() - above.min()) if above.size >= 2 else np.ptp(x) / 4.0
-    width0 = max(width0, abs(x[1] - x[0]))  # x may fall, as a scan's detunings do
-    p0 = [center0, width0, height0, base0]
+    def profiled_rss(p):
+        columns = np.column_stack([_lorentzian(x, [p[0], p[1], 1.0, 0.0])[0], np.ones_like(x)])
+        residual = y - columns @ np.linalg.lstsq(columns, y, rcond=None)[0]
+        return residual @ residual
+
+    center, width, height, base = _peak_start(x, -y)
+    p0 = min(_peak_start(x, y), [center, width, -height, -base], key=profiled_rss)
     lb = np.array([-np.inf, 0.0, -np.inf, -np.inf])
     return _fit("lorentzian", LORENTZIAN, x, y, p0, lb, np.full(4, np.inf))
 
 
 def fit_exponential(trace) -> FitResult:
     """Fit A exp(-t/T) + c."""
-    t, y = _time_series(trace)
-    if t.size < 5:
-        raise FitInputError("exponential fit needs at least 5 samples")
-    if _is_flat(y):
-        return _flat("exponential", EXPONENTIAL, y)
-
-    rates = np.geomspace(0.05, 50.0, 64) / (t[-1] - t[0])
-    (a, k), _, r2, _ = _grid_start(t, y, np.zeros(1), rates, np.zeros_like(rates))
-    return _fit("exponential", EXPONENTIAL, t, y, [a, 0.0, k, 0.0, r2, 0.0], *_bounds(t))
+    rates = np.geomspace(0.05, 50.0, 64)
+    return _fit_series("exponential", 5, trace, "exponential", EXPONENTIAL, rates, np.zeros_like(rates))
 
 
 MODEL_FITTERS = {

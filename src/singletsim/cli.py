@@ -447,6 +447,8 @@ def cmd_scan(config_path: str, out_dir: str) -> Path:
     config = load_config(config_path)
     if config.protocol.kind != "resonance_scan":
         raise ConfigError("scan requires protocol.kind = resonance_scan")
+    if config.noise_sigma is not None:
+        raise ConfigError("noise is not read by scan")  # scan.csv holds fitted amplitudes, not a noisy observable
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)  # a bad --out fails before the run
     trace = run_protocol(config.system, config.protocol, config.envelope)

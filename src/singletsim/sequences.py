@@ -384,7 +384,6 @@ def run_resonance_scan(
             f"run_resonance_scan needs a resonance_scan protocol, got {protocol.kind!r}"
         )
     source, other = protocol.source_pair, protocol.readout_pair
-    mode = "cos2" if other == source else "sin2"
     if other == source:
         other = 1 if source == 0 else 0
     delta_nu12 = abs(pair_center_offset(system, other) - pair_center_offset(system, source))
@@ -400,7 +399,7 @@ def run_resonance_scan(
             row = envelope.apply(row, taus, ramsey=False)
         delta_nu_n[k] = effective_nutation_difference(float(nutation), delta_nu12)
         try:
-            fit = fit_rabi((taus, row), mode=mode, with_decay=envelope is not None)
+            fit = fit_rabi((taus, row), with_decay=envelope is not None)
             amplitudes[k] = abs(fit.params["amplitude"])
             frequencies[k] = fit.params["frequency_hz"]
         except (FitInputError, np.linalg.LinAlgError):

@@ -125,6 +125,16 @@ class TestNoiselessRoundTrips:
         assert abs(fit.params["fwhm"] / 4.3 - 1) < 1e-6
         assert abs(fit.params["height"] / 0.9 - 1) < 1e-6
 
+    def test_lorentzian_dip(self):
+        # a dip starts from its bottom, not as a peak at the sweep's edge
+        x = np.linspace(-8.0, 12.0, 81)
+        g = (4.3 / 2) ** 2
+        y = 1.0 - 0.9 * g / ((x - 2.25) ** 2 + g) + np.random.default_rng(0).normal(0.0, 0.05, x.size)
+        fit = fit_lorentzian((x, y))
+        assert fit.converged and fit.params["height"] < 0
+        assert abs(fit.params["center"] - 2.25) < 0.3
+        assert abs(fit.params["fwhm"] / 4.3 - 1) < 0.2
+
     def test_lorentzian_symmetric_data_centers_midpoint(self):
         x = np.linspace(-5.0, 5.0, 41)
         y = 1.0 / (x**2 + 1.0)
@@ -220,7 +230,8 @@ class TestDegenerateData:
         rates = np.geomspace(0.05, 50.0, 64) / 5.0
         assert np.exp(-rates[-1] * t[0]) == 0.0
         y = 0.5 * np.exp(-(t - t[0]) / 0.7) + 0.1
-        (amp, off), _, rate, _ = _grid_start(t, y, np.zeros(1), rates, np.zeros_like(rates))
+        q = _grid_start(t, y, np.zeros(1), rates, np.zeros_like(rates))
+        amp, off, rate = q[0], q[2], q[4]
         assert np.isfinite(amp) and np.isfinite(off) and rate in rates[:-1]
 
     def test_sample_count_preconditions(self):

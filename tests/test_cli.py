@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from singletsim.analysis import fit_lorentzian
 from singletsim.cli import (
     _PROTOCOL_KEYS,
     ConfigError,
@@ -422,6 +423,25 @@ class TestScan:
         assert footer
         fit = json.loads(footer[0].split("# lorentzian:")[1])
         assert abs(fit["params"]["center"] / 2.25 - 1) < 0.15
+
+    def test_mirrored_scan_fits_as_a_dip(self, tmp_path):
+        # the shipped scan's amplitudes A and their mirror 1 - A share the centre and width
+        out = cmd_scan(CONFIG_DIR / "glutamate_scan.json", tmp_path / "scan")
+        rows = np.array([[float(v) for v in l.split(",")] for l in out.read_text().splitlines() if l[0] != "#"])
+        peak = fit_lorentzian((rows[:, 1], rows[:, 2]))
+        dip = fit_lorentzian((rows[:, 1], 1.0 - rows[:, 2]))
+        assert dip.converged and dip.params["height"] < 0
+        assert abs(dip.params["center"] - peak.params["center"]) < 1e-6
+        assert abs(dip.params["fwhm"] / peak.params["fwhm"] - 1) < 1e-6
+
+    def test_noise_block_is_rejected(self, tmp_path, capsys):
+        # scan applies no noise, so a noise block is a field it does not read
+        cfg = json.loads((CONFIG_DIR / "glutamate_scan.json").read_text())
+        cfg["noise"] = {"sigma": 0.05, "seed": 3}
+        code = main(["scan", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "s")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("input error: noise is not read by scan")
+        assert not (tmp_path / "s").exists()
 
     def test_two_point_grid_skips_lorentzian(self, tmp_path, capsys):
         cfg = self.scan_config([1.5, 3.0], tau_count=40)

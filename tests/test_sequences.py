@@ -660,9 +660,9 @@ class TestRunnerEnvelopes:
         )
         seen = []
 
-        def recording_fit(trace, mode, with_decay):
+        def recording_fit(trace, with_decay):
             seen.append((*_trace_xy(trace), with_decay))
-            return fit_rabi(trace, mode=mode, with_decay=with_decay)
+            return fit_rabi(trace, with_decay=with_decay)
 
         monkeypatch.setattr(sequences, "fit_rabi", recording_fit)
         run_resonance_scan(glu, protocol)
