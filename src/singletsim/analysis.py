@@ -5,7 +5,7 @@ Model set:
 * rabi:        I(t) = A [sin^2(pi f t) + c] exp(-t / T)        (or cos^2)
 * ramsey:      I(t) = A [s cos(2 pi f t - phi) exp(-t / T2s) + c] exp(-t / Ts)
 * lorentzian:  I(x) = b + h (w/2)^2 / ((x - x0)^2 + (w/2)^2)
-* exponential: I(t) = A exp(-t / T) + c
+* exponential: I(t) = A exp(-(t - t0) / T) + c, t0 the first sample's time
 
 Rabi, Ramsey and the exponential are one model, fitted in the coordinates of
 its profiled grid (`_grid_start`), whose best point q is the fit's one start:
@@ -22,8 +22,10 @@ at 0 and reports its parameters from q (T = 1/r for each decay rate r):
 The uncertainties follow through each report map's Jacobian (the delta
 method), which at the same point gives the covariance of a fit in the
 reported parameters.  The sign s is fixed by the caller, not fitted, and is
-recorded in ``FitResult.sign``.  A constant trace reports amplitude 0, its
-level as the offset and every time infinite.
+recorded in ``FitResult.sign``.  The exponential is fitted in t - t0 and
+reports A at t0; ``FitResult.origin`` holds t0.  A constant trace reports
+amplitude 0, its level as the offset and every time infinite; a constant
+Lorentzian has no centre or width and is a ``FitInputError``.
 
 Each model is stated once, as a ``FitModel`` record (``RABI``, ``RAMSEY``,
 ``LORENTZIAN``, ``EXPONENTIAL``) of its free entries and its report map (the
@@ -72,6 +74,7 @@ class FitResult:
     n_iterations: int
     vector: np.ndarray  # the fitted q of a time series (the Lorentzian's own vector) that evaluate_model draws
     sign: int = 1  # fixed model sign s: Ramsey s, -1 for a cos2 Rabi fit, else 1
+    origin: float = 0.0  # the x at which q's model starts: evaluate_model draws it at x - origin
 
 
 @dataclass(frozen=True)
@@ -289,6 +292,11 @@ def _flat(name: str, model: FitModel, y: np.ndarray, sign: int = 1) -> FitResult
     return FitResult(name, params, dict.fromkeys(params, 0.0), 0.0, 0.0, True, 0, vector, sign)
 
 
+def _constant(y: np.ndarray) -> bool:
+    """Whether y spans no more than its rounding: 1e-12 of its largest magnitude, or of 1."""
+    return np.ptp(y) <= 1e-12 * max(1.0, np.max(np.abs(y)))
+
+
 def _bounds(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The bounds on q: f from 0 to the Nyquist frequency of the finest step, rates >= 0."""
     return np.array([-np.inf] * 3 + [0.0] * 3), np.array([np.inf] * 3 + [0.5 / np.diff(t).min(), np.inf, np.inf])
@@ -339,17 +347,16 @@ def _grid_start(t, y, freqs, r2, rs, sine: bool = False) -> np.ndarray:
     return q
 
 
-def _fit_series(kind: str, least: int, trace, name: str, model: FitModel, r2, rs, sign: int = 1) -> FitResult:
-    """Fit a time series of at least ``least`` samples once, from the best point of its profiled grid.
+def _fit_series(kind: str, least: int, t, y, name: str, model: FitModel, r2, rs, sign: int = 1) -> FitResult:
+    """Fit a time series (t, y) of at least ``least`` samples once, from the best point of its profiled grid.
 
     The grid's decay rates r2 and rs are in units of 1 / span; it profiles
     the frequency and the sine column only where the model frees them (q[3]
     and q[1]).  A flat trace is reported exactly.
     """
-    t, y = _time_series(trace)
     if t.size < least:
         raise FitInputError(f"{kind} fit needs at least {least} samples")
-    if np.ptp(y) <= 1e-12 * max(1.0, np.max(np.abs(y))):
+    if _constant(y):
         return _flat(name, model, y, sign)
     free, span = np.arange(6)[model.free], t[-1] - t[0]
     freqs = _frequency_grid(t) if 3 in free else np.zeros(1)
@@ -363,7 +370,8 @@ def fit_rabi(trace, mode: str = "sin2", with_decay: bool = True) -> FitResult:
         raise FitInputError(f"mode must be sin2 or cos2, got {mode!r}")
     model = RABI if with_decay else replace(RABI, names=RABI.names[:3], free=RABI.free[:3])
     rates = np.array([0.0, 0.5, 1.0, 2.0] if with_decay else [0.0])
-    return _fit_series("rabi", 8, trace, mode, model, np.zeros_like(rates), rates, 1 if mode == "sin2" else -1)
+    return _fit_series("rabi", 8, *_time_series(trace), mode, model, np.zeros_like(rates), rates,
+                       1 if mode == "sin2" else -1)
 
 
 def _wrap_phase(phi: float) -> float:
@@ -381,7 +389,7 @@ def fit_ramsey(trace, sign: int = 1) -> FitResult:
     if sign not in (1, -1):
         raise FitInputError("sign must be +1 or -1")
     r2, rs = np.array([0.0, 1.0, 2.0, 4.0]), np.array([0.0, 0.5, 0.5, 0.5])
-    return _fit_series("ramsey", 12, trace, "ramsey", RAMSEY, r2, rs, sign)
+    return _fit_series("ramsey", 12, *_time_series(trace), "ramsey", RAMSEY, r2, rs, sign)
 
 
 def _peak_start(x, y) -> list[float]:
@@ -403,6 +411,8 @@ def fit_lorentzian(trace) -> FitResult:
     x, y = _trace_xy(trace)
     if x.size < 5:
         raise FitInputError("lorentzian fit needs at least 5 points")
+    if _constant(y):
+        raise FitInputError("lorentzian fit needs data that is not constant")
 
     def profiled_rss(p):
         columns = np.column_stack([_lorentzian(x, [p[0], p[1], 1.0, 0.0])[0], np.ones_like(x)])
@@ -416,9 +426,16 @@ def fit_lorentzian(trace) -> FitResult:
 
 
 def fit_exponential(trace) -> FitResult:
-    """Fit A exp(-t/T) + c."""
+    """Fit A exp(-(t - t0)/T) + c in the time since the first sample t0; A is the amplitude at t0.
+
+    ``FitResult.origin`` is t0.  Carried back to t = 0, A would grow as
+    exp(t0 / T) and overflow for a trace that starts many times T late.
+    """
+    t, y = _time_series(trace)
+    origin = float(t[0]) if t.size else 0.0
     rates = np.geomspace(0.05, 50.0, 64)
-    return _fit_series("exponential", 5, trace, "exponential", EXPONENTIAL, rates, np.zeros_like(rates))
+    fit = _fit_series("exponential", 5, t - origin, y, "exponential", EXPONENTIAL, rates, np.zeros_like(rates))
+    return replace(fit, origin=origin)
 
 
 MODEL_FITTERS = {
@@ -434,4 +451,4 @@ def evaluate_model(result: FitResult, x: np.ndarray) -> np.ndarray:
     model = MODELS.get(result.model)
     if model is None:
         raise ValueError(f"unknown model {result.model!r}")
-    return model.function(np.asarray(x, dtype=float), result.vector)[0]
+    return model.function(np.asarray(x, dtype=float) - result.origin, result.vector)[0]

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import MODEL_FITTERS, FitResult, evaluate_model, fit_lorentzian
+from .analysis import MODEL_FITTERS, FitInputError, FitResult, evaluate_model, fit_lorentzian
 from .hamiltonian import SpinLockParams, pair_center_offset
 from .presets import PRESETS, ppm_to_hz, preset_params, preset_system
 from .propagator import RelaxationEnvelope
@@ -461,15 +461,16 @@ def cmd_scan(config_path: str, out_dir: str) -> Path:
         _config_line(config),
         "# columns: nutation_hz,delta_nu_n_hz,amplitude,fitted_frequency_hz",
     ]
-    for k in range(trace.sweep_values.size):
-        if not valid[k]:
-            continue  # per-point fit failure: row omitted
-        lines.append(",".join(_format(v) for v in (trace.sweep_values[k], delta_nu[k], trace.observable[k], freqs[k])))
-    if np.count_nonzero(valid) >= 5:
-        fit = fit_lorentzian((delta_nu[valid], trace.observable[valid]))
+    # a per-point fit failure's row is omitted; the Lorentzian fits the values as written
+    columns = np.column_stack([trace.sweep_values, delta_nu, trace.observable, freqs])[valid]
+    rows = [[_format(v) for v in row] for row in columns]
+    lines += [",".join(row) for row in rows]
+    written = np.array(rows, dtype=float).reshape(-1, 4)
+    try:
+        fit = fit_lorentzian((written[:, 1], written[:, 2]))
         lines.append(f"# lorentzian: {json.dumps(_fit_report(fit), sort_keys=True)}")
-    else:
-        print("warning: fewer than 5 valid scan points, skipping Lorentzian fit", file=sys.stderr)
+    except FitInputError as exc:
+        print(f"warning: {len(rows)} valid scan points, skipping Lorentzian fit: {exc}", file=sys.stderr)
     out_path.write_text("\n".join(lines) + "\n")
     return out_path
 

@@ -8,16 +8,21 @@ isotropic form I_i . I_j, which the singlet physics requires.  Generators
 are written in place into one d x d array, entry by basis-state bit index,
 with no dense operator formed per term; each entry is summed in the order a
 term-by-term accumulation would use, so the result is the same to the bit.
+The terms' index tables and Iz, Iz Iz columns depend only on the spin count
+and are built once per count, read-only (`_coupling_terms`, `_single_flips`
+and `spincore._up_down`); the diagonal is still summed term by term, in
+order, as one cumulative sum.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spincore import SpinSystem, _spin_states
+from .spincore import SpinSystem, _read_only, _spin_states, _up_down
 
 
 @dataclass(frozen=True)
@@ -36,37 +41,47 @@ class SpinLockParams:
             raise ValueError("nutation_hz must be >= 0; carry sign conventions in the phase")
 
 
+@functools.lru_cache(maxsize=None)
+def _coupling_terms(n_spins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i and j of each pair i < j in row order; I_iz of each spin, then I_iz I_jz of each such pair, a row each)."""
+    iz = 0.5 - _spin_states(n_spins)[1]
+    first, second = np.triu_indices(n_spins, 1)
+    return _read_only(first, second, np.concatenate([iz, iz[first] * iz[second]]))
+
+
+@functools.lru_cache(maxsize=None)
+def _single_flips(n_spins: int) -> tuple[np.ndarray, np.ndarray]:
+    """(each basis state with some spin up, repeated per such spin; the state with that spin flipped down)."""
+    masks, down = _spin_states(n_spins)
+    spin, up = np.nonzero(~down)
+    return _read_only(up, up | masks[spin])
+
+
 def free_hamiltonian(system: SpinSystem, transmitter_offset_hz: float = 0.0) -> np.ndarray:
     """Zeeman offsets plus isotropic scalar couplings, in Hz.
 
     H = sum_i (nu_i - nu_tx) I_iz + sum_{i<j} J_ij I_i . I_j
 
     Written in place: the diagonal (Zeeman terms, then J_ij I_iz I_jz, in
-    that order), then J_ij / 2 on each coupled pair's flip-flop entries.
+    that order, an uncoupled pair adding exact zeros), then J_ij / 2 on each
+    coupled pair's flip-flop entries.
     """
-    masks, down = _spin_states(system)
-    iz = 0.5 - down
-    first, second = np.nonzero(np.triu(system.couplings_hz, 1))  # coupled i < j, row by row
+    first, second, terms = _coupling_terms(system.n_spins)
     couplings = system.couplings_hz[first, second]
-    diagonal = np.zeros(system.dim)
-    for i in range(system.n_spins):
-        diagonal += (system.offsets_hz[i] - transmitter_offset_hz) * iz[i]
-    for i, j, j_ij in zip(first, second, couplings):
-        diagonal += j_ij * (iz[i] * iz[j])
-    h = np.diag(diagonal)
+    weights = np.concatenate([system.offsets_hz - transmitter_offset_hz, couplings])
+    # the terms summed one by one, in order; a sum from 0.0 never ends on -0.0, which + 0.0 makes 0.0
+    h = np.diag(np.cumsum(weights[:, None] * terms, axis=0)[-1] + 0.0)
     # |up_i down_j> <-> |down_i up_j> of each coupled pair
-    pair, rows = np.nonzero(~down[first] & down[second])
-    cols = rows ^ (masks[first] | masks[second])[pair]
-    h[rows, cols] = h[cols, rows] = 0.5 * couplings[pair]
+    coupled = np.flatnonzero(couplings)
+    i, j, up_down = first[coupled], second[coupled], _up_down(system.n_spins)
+    h[up_down[i, j], up_down[j, i]] = h[up_down[j, i], up_down[i, j]] = 0.5 * couplings[coupled, None]
     return h
 
 
 def _add_lock(h: np.ndarray, system: SpinSystem, nutation_hz: float, phase: float) -> np.ndarray:
     """h plus nu_n * sum_i (cos(phase) I_ix + sin(phase) I_iy), added in place on each spin's single-flip entries."""
     cx, sy = np.cos(phase), np.sin(phase)
-    masks, down = _spin_states(system)
-    spin, up = np.nonzero(~down)
-    flipped = up | masks[spin]
+    up, flipped = _single_flips(system.n_spins)
     h[up, flipped] += nutation_hz * (cx * 0.5)
     h[flipped, up] += nutation_hz * (cx * 0.5)
     if sy != 0.0:

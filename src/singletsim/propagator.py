@@ -22,7 +22,11 @@ tau, from an initial state factored as c * 1 + K diag(w) K^dagger.  The
 read is chosen by the size n r of the n taus' r kets against d: one swept
 segment with n r > d is read vectorised over tau; otherwise the kets are
 carried, a block of taus at a time, and brought out through the segments
-after the sweep.  It reads each assigned pair's singlet population from the
+after the sweep.  The phases exp(-2 pi i E tau) of a swept segment are one
+(n, d) table (`_phasors`); when the taus rise uniformly to rounding, as
+every start/stop/count sweep's do, it is built by angle addition from about
+2 sqrt(n) d exponentials in place of n d, each phase still that of its own
+angle.  It reads each assigned pair's singlet population from the
 rows of the pair's |ud> and |du> states, with no d x d projector, then the
 transverse magnetization Mx off the kets carried on through a readout
 sequence, with no readout propagator or dense observable.  Arrays stay
@@ -42,7 +46,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .hamiltonian import SpinLockParams, spinlock_hamiltonian
-from .spincore import SpinSystem, _fz, _spin_states, check_state
+from .spincore import SpinSystem, _fz, _spin_states, _up_down, check_state
 
 @dataclass(frozen=True)
 class HardPulse:
@@ -92,7 +96,7 @@ def _segment_eig(system: SpinSystem, segment: SpinLock, eigs: dict, frame: float
             raise ValueError("the phase-0 generator of a segment must be real and exactly symmetric")
         eigs[key] = np.linalg.eigh(h0)
     energies, vectors = eigs[key]
-    return energies, vectors, None if phase == 0.0 else np.exp(-1j * phase * _fz(system))
+    return energies, vectors, None if phase == 0.0 else np.exp(-1j * phase * _fz(system.n_spins))
 
 
 def _into(basis: tuple, x: np.ndarray | None) -> np.ndarray:
@@ -114,6 +118,41 @@ def _out(basis: tuple, x: np.ndarray) -> np.ndarray:
 def _angles(energies: np.ndarray, durations_s) -> np.ndarray:
     """-2 pi E t: the phase each eigenvalue E gathers over each duration t."""
     return (-2 * np.pi * energies) * durations_s
+
+
+def _phasors(energies: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """The (n, d) table exp(i theta) of the angles theta = `_angles`(E, tau) of n taus and d eigenvalues.
+
+    When the taus rise uniformly to rounding, tau_k = tau_0 + k h within a few
+    units in the last place of the largest, the table is built by angle
+    addition: with m = ceil(sqrt(n)) and k = q m + s, row k is the row at
+    tau_{q m} times the row at s h, ceil(n / m) + m rows of exponentials in
+    place of n, and it is built when that is fewer.  The two angles sum to
+    theta_k but for a rounding-sized delta, taken exactly (Fast2Sum of
+    theta_k - theta_{q m}), and the factor 1 + i delta, exp(i delta) to within
+    delta^2, puts it back: each phase is that of theta_k itself, as a lock
+    played for tau_k gathers it.  Any other sweep takes the direct exp(i theta).
+    """
+    n = len(taus)
+    m = math.isqrt(n - 1) + 1 if n > 1 else 1
+    rows = -(-n // m) * m  # whole blocks of m, the last one run on past tau_{n-1}
+    h = (taus[-1] - taus[0]) / (n - 1) if rows // m + m < n else 0.0
+    grid = taus[0] + h * np.arange(rows) if h > 0.0 else None
+    if grid is None or np.any(np.abs(grid[:n] - taus) > 4 * np.finfo(float).eps * taus[-1]):
+        return np.exp(1j * _angles(energies, taus[:, None]))
+    theta = _angles(energies, np.concatenate([taus, grid[n:]])[:, None]).reshape(-1, m, len(energies))
+    coarse, fine = theta[:, :1].copy(), _angles(energies, h * np.arange(m)[:, None])
+    u = theta - coarse
+    theta -= u
+    theta -= coarse  # theta - coarse = u + theta exactly
+    u -= fine
+    u += theta  # delta
+    table = np.exp(1j * coarse) * np.exp(1j * fine)
+    np.multiply(u, table.imag, out=theta)
+    np.multiply(u, table.real, out=u)
+    table.real -= theta
+    table.imag += u  # table * (1 + i delta)
+    return table.reshape(rows, -1)[:n]
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -167,11 +206,11 @@ def _signal_halves(system: SpinSystem, signal: tuple, x: np.ndarray, eigs: dict,
     half-sum of y's rows with each spin's bit flipped in turn.
     """
     readout, phase_cycle = signal
-    masks, down = _spin_states(system)
+    masks, down = _spin_states(system.n_spins)
     if phase_cycle:
         odd = (down.sum(axis=0) % 2 == 1)[:, None]
         x = np.concatenate([np.where(odd, 0.0, x), np.where(odd, x, 0.0)], axis=1)
-    y = np.exp(-1j * frame * _fz(system))[:, None] * _apply(system, readout, x, eigs, frame)
+    y = np.exp(-1j * frame * _fz(system.n_spins))[:, None] * _apply(system, readout, x, eigs, frame)
     mx = 0.5 * sum(y[np.arange(len(y)) ^ mask] for mask in masks)
     return list(zip(np.hsplit(y, 1 + phase_cycle), np.hsplit(mx, 1 + phase_cycle)))
 
@@ -213,11 +252,13 @@ def swept_expectations(
     phase 0), each row's M (B^dagger B for a pair, B = (W[ud] - W[du]) /
     sqrt(2), and sum_h Y_h^dagger (Mx Y_h) over the halves Y_h of
     `_signal_halves`(W) for the signal), R = c * 1 + G diag(w) G^dagger and
-    a = exp(-2 pi i E tau), the trace is Re sum_ij a_i R_ij conj(a_j) M_ji,
+    a = exp(-2 pi i E tau) (`_phasors`: by angle addition when the taus rise
+    uniformly to rounding), the trace is Re sum_ij a_i R_ij conj(a_j) M_ji,
     read in real arithmetic: one (2 n, d) x (d, d) real product per row of
     [cos; sin] of the phases against R * M^T, over its real view when it is
     complex.  Otherwise, and for every k >= 2, the kets of a block of d // r
-    taus are carried: scaled by each segment's phases, out through V_j and
+    taus are carried: scaled by each segment's phases (the block's rows of
+    its `_phasors` table), out through V_j and
     into V_{j+1}^dagger, each a real (d, d) product on the kets' real view,
     then brought out as q = `_apply`(after, V_k x).  No propagator, R,
     overlap, observable or d x d state is formed on that path.  With real
@@ -233,13 +274,8 @@ def swept_expectations(
     eigs: dict[SpinLock, tuple[np.ndarray, np.ndarray]] = {}
     bases = [_segment_eig(system, segment, eigs, frame) for segment in segments]
     g = _into(bases[0], _apply(system, before, kets, eigs, frame))  # V_1^dagger U_before K
-    masks, down = _spin_states(system)
-    uds = []  # the rows of each pair's |ud> and |du> states
-    for a, b in system.pairs:
-        ud = np.flatnonzero(~down[a] & down[b])
-        uds.append((ud, ud ^ (masks[a] | masks[b])))
-    # the angles round as `_apply`'s do, so each tau's phases match a lock played for it
-    taus = taus[:, None]
+    up_down = _up_down(system.n_spins)
+    uds = [(up_down[a, b], up_down[b, a]) for a, b in system.pairs]  # the rows of each pair's |ud> and |du> states
     d, n_kets = g.shape
     if len(bases) == 1 and len(taus) * n_kets > d:
         # Re sum_ij a_i R_ij conj(a_j) M_ji, a = exp(i theta): with co = cos(theta),
@@ -248,9 +284,9 @@ def swept_expectations(
         _, vectors, z = bases[0]
         w = _apply(system, after, vectors if z is None else z[:, None] * vectors, eigs, frame)
         r = _mul(g * weights, g.conj().T) + c * np.eye(d)
-        theta = _angles(bases[0][0], taus)
-        n = theta.shape[0]
-        cs = np.concatenate([np.cos(theta), np.sin(theta)])
+        n = len(taus)
+        cs = _phasors(bases[0][0], taus)
+        cs = np.concatenate([cs.real, cs.imag])
         rows = []
         factors = [w[ud] - w[du] for ud, du in uds]  # sqrt(2) B of each pair
         if signal is not None:  # M itself
@@ -266,13 +302,16 @@ def swept_expectations(
     per_block = d // n_kets  # a block's kets fill at most one d x d array; orthonormal kets have r <= d
     traces = np.array([d / 4] * len(uds) + [0.0] * (signal is not None))[:, None]
     values = np.empty((len(traces), len(taus)))
+    phasors = [_phasors(basis[0], taus).T for basis in bases]
     for start in range(0, len(taus), per_block):
         block = slice(start, start + per_block)
         x = g[:, None, :]  # (d, tau, ket)
         for j, basis in enumerate(bases):
             if j:  # out of the last eigenbasis, into this one
                 x = _into(basis, _out(bases[j - 1], x.reshape(d, -1))).reshape(d, -1, n_kets)
-            x = np.exp(1j * _angles(basis[0], taus[block])).T[:, :, None] * x
+            x = phasors[j][:, block, None] * x
+        if block.stop >= len(taus):
+            del phasors  # every phase is applied: the tables go before the kets come out
         q = _apply(system, after, _out(bases[-1], x.reshape(d, -1)), eigs, frame)
         rows = [0.5 * (np.abs(q[ud] - q[du]) ** 2).sum(axis=0) for ud, du in uds]
         if signal is not None:

@@ -252,7 +252,7 @@ def ideal_transfer_state(
     kets, weights = np.ones((system.dim, 1)), np.ones(1)
     for p, pair in enumerate(system.pairs):
         pair_kets, pair_weights = (PAIR_BASIS.s0[None], np.ones(1)) if p == source_pair else triplet
-        pattern, _ = _basis_split(system, pair)
+        pattern, _ = _basis_split(system.n_spins, pair)
         kets = (kets[:, :, None] * pair_kets.T[pattern][:, None, :]).reshape(system.dim, -1)
         weights = np.outer(weights, pair_weights).ravel()
     return 0.0, kets, weights

@@ -23,7 +23,11 @@ which `sequences` builds the kets of a pair-product state, and
 generators and `propagator` reads pair populations; `_fz` is each basis
 state's total Fz, with which `propagator` rotates RF phases, takes the
 signal from a run's frame to the lab frame and splits kets by coherence
-parity.
+parity, and `_up_down` the basis states of each ordered pair of spins with
+the first up and the second down, the rows of a pair's flip-flop entries
+and of its |ud> and |du> states.  These tables depend only on the spin
+count: each is built once per count (`functools.lru_cache`) and returned
+read-only, so a caller that writes to one raises.
 The dense pair-product, mixed-triplet and pseudo-thermal densities and the
 dense density and Hermiticity checks are test references, in
 `tests/conftest.py`.
@@ -31,6 +35,7 @@ dense density and Hermiticity checks are test references, in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -164,26 +169,46 @@ PAIR_BASIS = PairBasis(
 )
 
 
-def _basis_split(system: SpinSystem, spins: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, each marked read-only: a cached table is shared by every caller."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=None)
+def _basis_split(n_spins: int, spins: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """(local pattern over `spins`, first one most significant; index of the rest) per basis state."""
-    idx = np.arange(system.dim)
+    idx = np.arange(2**n_spins)
     pattern, rest = np.zeros_like(idx), idx
     for spin in spins:
-        shift = system.n_spins - 1 - spin
+        shift = n_spins - 1 - spin
         pattern = 2 * pattern + ((idx >> shift) & 1)
         rest = rest & ~(1 << shift)
-    return pattern, rest
+    return _read_only(pattern, rest)
 
 
-def _spin_states(system: SpinSystem) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=None)
+def _spin_states(n_spins: int) -> tuple[np.ndarray, np.ndarray]:
     """(each spin's bit in the basis index, n_spins x dim flags: spin down in that basis state)."""
-    masks = 1 << np.arange(system.n_spins - 1, -1, -1)
-    return masks, (np.arange(system.dim) & masks[:, None]) != 0
+    masks = 1 << np.arange(n_spins - 1, -1, -1)
+    return _read_only(masks, (np.arange(2**n_spins) & masks[:, None]) != 0)
 
 
-def _fz(system: SpinSystem) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _up_down(n_spins: int) -> np.ndarray:
+    """(n_spins, n_spins, dim / 4): at [a, b], a != b, the basis states with spin a up and spin b down, ascending."""
+    down = _spin_states(n_spins)[1]
+    table = np.zeros((n_spins, n_spins, 2**n_spins // 4), dtype=int)
+    for a, b in zip(*np.nonzero(~np.eye(n_spins, dtype=bool))):
+        table[a, b] = np.flatnonzero(~down[a] & down[b])
+    return _read_only(table)[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _fz(n_spins: int) -> np.ndarray:
     """Each basis state's total Fz, the diagonal of sum_i I_iz."""
-    return (0.5 - _spin_states(system)[1]).sum(axis=0)
+    return _read_only((0.5 - _spin_states(n_spins)[1]).sum(axis=0))[0]
 
 
 def thermal_state(system: SpinSystem, polarization: float = 1.0) -> np.ndarray:
@@ -195,7 +220,7 @@ def thermal_state(system: SpinSystem, polarization: float = 1.0) -> np.ndarray:
     if not -1.0 <= polarization <= 1.0:
         raise ValueError("polarization must lie in [-1, 1] to keep the state positive")
     scale = 2.0 * polarization / system.n_spins
-    return (1.0 + scale * _fz(system)) / system.dim
+    return (1.0 + scale * _fz(system.n_spins)) / system.dim
 
 
 def check_state(state: tuple) -> None:

@@ -61,13 +61,11 @@ HERMITICITY_TOL = 1e-10
 
 def pytest_configure(config):
     # a complex value written into a real array loses its imaginary part with
-    # only a warning, and a NaN or overflow in numpy arithmetic raises only a
-    # RuntimeWarning; in tests both are errors.  numpy < 1.25 has no
-    # numpy.exceptions, and the floor is 1.24
+    # only a warning; in tests it is an error, as a RuntimeWarning is
+    # (pyproject.toml).  numpy < 1.25 has no numpy.exceptions, and the floor is 1.24
     complex_warning = getattr(np, "exceptions", np).ComplexWarning
     name = f"{complex_warning.__module__}.{complex_warning.__qualname__}"
     config.addinivalue_line("filterwarnings", f"error::{name}")
-    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
 
 
 # single spin-1/2 operators
@@ -79,7 +77,7 @@ _SINGLE = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
 def _embed(system: SpinSystem, spins: tuple[int, ...], op: np.ndarray) -> np.ndarray:
     """Operator `op` on the local basis of `spins`, identity on the rest, by bit index."""
-    pattern, rest = _basis_split(system, spins)
+    pattern, rest = _basis_split(system.n_spins, spins)
     rows = np.arange(system.dim)
     placed = np.empty(len(op), dtype=int)  # basis index of each local pattern, other bits 0
     placed[pattern[rest == 0]] = rows[rest == 0]
@@ -135,7 +133,7 @@ def product_state_vector(system: SpinSystem, pair_kets: list[np.ndarray]) -> np.
         raise ValueError("pair assignments do not cover all spins")
     vec = np.ones(system.dim, dtype=complex)
     for pair, ket in zip(system.pairs, pair_kets):
-        pattern, _ = _basis_split(system, pair)
+        pattern, _ = _basis_split(system.n_spins, pair)
         vec = vec * np.asarray(ket, dtype=complex)[pattern]
     return vec
 
@@ -171,7 +169,7 @@ def pair_product_density(system: SpinSystem, pair_densities: list[np.ndarray]) -
         raise ValueError("pair assignments do not cover all spins")
     rho = 1.0  # takes the blocks' dtype: real blocks give a real density
     for pair, rho4 in zip(system.pairs, pair_densities):
-        pattern, _ = _basis_split(system, pair)
+        pattern, _ = _basis_split(system.n_spins, pair)
         rho = rho * np.asarray(rho4)[np.ix_(pattern, pattern)]
     return rho
 

@@ -221,6 +221,23 @@ class TestDegenerateData:
         assert fit.params["amplitude"] == 0.0
         assert abs(fit.params["offset"] - 0.4) < 1e-12
 
+    def test_flat_lorentzian_is_an_input_error(self):
+        # a constant scan has no centre or width to report
+        x = np.linspace(-10.0, 10.0, 21)
+        with pytest.raises(FitInputError, match="not constant"):
+            fit_lorentzian((x, np.full(x.size, 0.3)))
+
+    @pytest.mark.parametrize("t0", [60.0, 120.0, 400.0])
+    def test_exponential_fits_a_late_start(self, t0):
+        # fitted in t - t[0]: a decay that starts many times T after t = 0 converges, with A at t[0]
+        t = t0 + np.linspace(0.0, 5.0, 60)
+        y = 0.8 * np.exp(-(t - t0) / 0.7) + 0.1
+        fit = fit_exponential((t, y))
+        assert fit.converged and fit.origin == t0
+        assert abs(fit.params["t_s"] / 0.7 - 1) < 0.01
+        assert abs(fit.params["amplitude"] / 0.8 - 1) < 0.01
+        assert np.max(np.abs(evaluate_model(fit, t) - y)) < 1e-9  # drawn at the trace's own times
+
     def test_profiled_grid_skips_singular_points(self):
         # at late times the fast decay columns underflow, some to subnormals, and their normal
         # equations are singular: those grid points are skipped, with no warning

@@ -17,6 +17,7 @@ from singletsim.cli import (
 )
 from singletsim.hamiltonian import pair_center_offset, resonant_nutation
 from singletsim.sequences import PROTOCOL_FIELDS
+from singletsim.trace import Trace
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
@@ -433,6 +434,29 @@ class TestScan:
         assert dip.converged and dip.params["height"] < 0
         assert abs(dip.params["center"] - peak.params["center"]) < 1e-6
         assert abs(dip.params["fwhm"] / peak.params["fwhm"] - 1) < 1e-6
+
+    def test_lorentzian_header_refits_from_the_rows(self, tmp_path):
+        # the header is the fit of the amplitudes as scan.csv writes them
+        lines = cmd_scan(CONFIG_DIR / "glutamate_scan.json", tmp_path / "scan").read_text().splitlines()
+        rows = np.array([[float(v) for v in l.split(",")] for l in lines if l[0] != "#"])
+        header = json.loads(next(l for l in lines if l.startswith("# lorentzian:")).split("# lorentzian:")[1])
+        refit = fit_lorentzian((rows[:, 1], rows[:, 2]))
+        assert refit.params == header["params"] and refit.uncertainties == header["uncertainties"]
+        assert (refit.rss, refit.n_iterations) == (header["rss"], header["n_iterations"])
+
+    def test_flat_scan_skips_lorentzian(self, tmp_path, capsys, monkeypatch):
+        # equal amplitudes give no centre or width: the header is left out with a warning
+        def flat_scan(system, protocol, envelope):
+            n = len(protocol.sweep)
+            metadata = {"delta_nu_n_hz": np.linspace(-3.0, 3.0, n), "fitted_frequency_hz": np.full(n, 2.5)}
+            return Trace(protocol.sweep, np.full(n, 0.4), None, metadata)
+
+        monkeypatch.setattr("singletsim.cli.run_protocol", flat_scan)
+        out = cmd_scan(CONFIG_DIR / "glutamate_scan.json", tmp_path / "flat")
+        lines = out.read_text().splitlines()
+        assert len([l for l in lines if l[0] != "#"]) >= 5
+        assert not any(l.startswith("# lorentzian") for l in lines)
+        assert "skipping Lorentzian fit: lorentzian fit needs data that is not constant" in capsys.readouterr().err
 
     def test_noise_block_is_rejected(self, tmp_path, capsys):
         # scan applies no noise, so a noise block is a field it does not read

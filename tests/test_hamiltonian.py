@@ -13,6 +13,8 @@ from conftest import (
 
 from singletsim.hamiltonian import (
     SpinLockParams,
+    _coupling_terms,
+    _single_flips,
     dressed_splitting,
     effective_nutation_difference,
     free_hamiltonian,
@@ -34,6 +36,13 @@ def pair_system(j, dnu=0.0):
 
 
 class TestFreeHamiltonian:
+    @pytest.mark.parametrize("tables", [_coupling_terms, _single_flips])
+    def test_spin_count_tables_are_built_once_and_read_only(self, tables):
+        assert all(a is b for a, b in zip(tables(4), tables(4)))
+        for table in tables(4):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1
+
     def test_equivalent_pair_spectrum(self):
         h = free_hamiltonian(pair_system(12.0))
         w = np.sort(np.linalg.eigvalsh(h))

@@ -158,8 +158,8 @@ class TestPhaseRotation:
         j = np.triu(rng.normal(scale=10.0, size=(4, 4)), 1)
         system = SpinSystem(rng.normal(scale=50.0, size=4), j + j.T)
         fz = sum(embed_spin_operator(system, i, "z") for i in range(system.n_spins)).diagonal()
-        assert np.array_equal(_fz(system), fz.real)
-        z = np.exp(-1j * phase * _fz(system))
+        assert np.array_equal(_fz(system.n_spins), fz.real)
+        z = np.exp(-1j * phase * _fz(system.n_spins))
         lock = SpinLockParams(310.0, phase, 12.0)
         h0 = spinlock_hamiltonian(system, replace(lock, phase=0.0))
         assert np.max(np.abs(z[:, None] * h0 * z.conj() - spinlock_hamiltonian(system, lock))) < 1e-12
@@ -208,7 +208,7 @@ class TestRealArithmetic:
         assert vectors.dtype == np.float64 and z is None
         # at a nonzero phase the eigenvectors stay the real V0, and the phase comes back as a diagonal
         _, phased, z = engine._segment_eig(system, SpinLock(replace(lock, phase=0.7), 0.0), {}, 0.0)
-        assert phased.dtype == np.float64 and np.array_equal(z, np.exp(-0.7j * _fz(system)))
+        assert phased.dtype == np.float64 and np.array_equal(z, np.exp(-0.7j * _fz(system.n_spins)))
 
     def test_phased_lock_is_complex(self):
         system = coupled_pair()
@@ -480,6 +480,56 @@ class TestSweptExpectations:
         state = (0.1, kets, np.array([0.7 + 5e-11, -0.1 - 5e-11]))
         values = swept_expectations(coupled_pair(), state, [], [SpinLock(SpinLockParams(0.0), 0.0)], [0.1], [])
         assert values.shape == (1, 1)
+
+
+class TestPhasorTable:
+    SYSTEMS = {"glutamate_d16": glutamate, "pgg_d64": lambda: phe_gly_gly(include_third_pair=True)}
+
+    @staticmethod
+    def exponentiated(monkeypatch):
+        """The size of each array np.exp takes while the test runs."""
+        sizes, exp = [], np.exp
+
+        def counting_exp(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting_exp)
+        return sizes
+
+    @pytest.mark.parametrize("read", ["r_read", "carried"])
+    @pytest.mark.parametrize("name", list(SYSTEMS))
+    def test_uniform_sweep_matches_direct_exponentials(self, monkeypatch, name, read):
+        # 250 taus to 2.5 s: every phase of the angle-addition table against exp(i theta) of its own angle,
+        # read vectorised over tau (one swept lock, 250 r > d) and carried (a lock, then a free delay)
+        system = self.SYSTEMS[name]()
+        lock = SpinLock(SpinLockParams(599.31, 0.7, pair_center_offset(system, 0)), 0.0)
+        delay = SpinLock(SpinLockParams(0.0, 0.0, pair_center_offset(system, 1)), 0.0)
+        swept = [lock] if read == "r_read" else [lock, delay]
+        readout = ([HardPulse(np.pi / 2, 0.3)], False)
+        args = (system, sequences.ideal_transfer_state(system, 0), [], swept, np.linspace(0.01, 2.5, 250), [], readout)
+        sizes = self.exponentiated(monkeypatch)
+        values = swept_expectations(*args)
+        # one 16 + 16 row table per swept segment in place of 250 rows; the rest are phase vectors
+        assert [size for size in sizes if size > system.dim] == [16 * system.dim] * 2 * len(swept)
+        monkeypatch.setattr(engine, "_phasors", lambda e, taus: np.exp(1j * engine._angles(e, taus[:, None])))
+        assert np.max(np.abs(values - swept_expectations(*args))) < 1e-12
+
+    def test_non_uniform_sweep_takes_the_direct_path(self, monkeypatch):
+        energies = np.linalg.eigvalsh(spinlock_hamiltonian(glutamate(), SpinLockParams(599.31)))
+        taus = np.sort(np.random.default_rng(125).uniform(0.02, 2.5, 125))
+        sizes = self.exponentiated(monkeypatch)
+        table = engine._phasors(energies, taus)
+        assert sizes == [taus.size * energies.size]
+        assert np.array_equal(table, np.exp(1j * engine._angles(energies, taus[:, None])))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6, 7, 250])
+    def test_table_is_exp_of_each_angle(self, n):
+        # within a few roundings of exp(i theta_k) at every size, the short sweeps on the direct path
+        energies = np.random.default_rng(3).normal(0.0, 600.0, 64)
+        taus = np.linspace(0.7, 10.0, n)
+        direct = np.exp(1j * engine._angles(energies, taus[:, None]))
+        assert np.max(np.abs(engine._phasors(energies, taus) - direct)) < 1e-15
 
 
 class TestRelaxationEnvelope:

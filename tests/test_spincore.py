@@ -21,6 +21,10 @@ from singletsim.spincore import (
     PAIR_BASIS,
     SpinSystem,
     TripletAmplitudes,
+    _basis_split,
+    _fz,
+    _spin_states,
+    _up_down,
     thermal_state,
 )
 
@@ -278,6 +282,30 @@ class TestProductStates:
         )
         check_density(rho)
         assert abs(expectation(rho, singlet_projector(sys4, 1)).real) < 1e-12
+
+
+class TestSpinCountTables:
+    TABLES = {
+        "spin_states": _spin_states,
+        "fz": lambda n: (_fz(n),),
+        "basis_split": lambda n: _basis_split(n, (0, 2)),
+        "up_down": lambda n: (_up_down(n),),
+    }
+
+    @pytest.mark.parametrize("name", list(TABLES))
+    def test_tables_are_built_once_and_read_only(self, name):
+        tables = self.TABLES[name](4)
+        assert all(a is b for a, b in zip(tables, self.TABLES[name](4)))
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1
+
+    def test_up_down_rows_of_each_ordered_pair(self):
+        masks, down = _spin_states(3)
+        for a in range(3):
+            for b in set(range(3)) - {a}:
+                assert np.array_equal(_up_down(3)[a, b], np.flatnonzero(~down[a] & down[b]))
+                assert np.array_equal(_up_down(3)[b, a], _up_down(3)[a, b] ^ (masks[a] | masks[b]))
 
 
 class TestStatesAndValidation:
