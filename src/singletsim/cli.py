@@ -346,11 +346,8 @@ def _write_trace(trace: Trace, config: RunConfig, out_path: Path) -> None:
         f"# sweep_unit: {trace.sweep_unit}",
         f"# columns: {','.join(columns)}",
     ]
-    for k in range(trace.sweep_values.size):
-        row = [_format(trace.sweep_values[k]), _format(trace.observable[k])]
-        for i in range(n_pairs):
-            row.append(_format(trace.singlet_populations[i, k]))
-        lines.append(",".join(row))
+    table = np.vstack([trace.sweep_values, trace.observable, *(trace.singlet_populations if n_pairs else ())])
+    lines += [",".join(map(_format, row)) for row in table.T.tolist()]
     out_path.write_text("\n".join(lines) + "\n")
 
 
@@ -392,19 +389,25 @@ def cmd_simulate(config_path: str, out_dir: str) -> Path:
     return out_path
 
 
-def _fit_report(result: FitResult) -> dict:
+def _finite(value):
+    """The value, or None for a non-finite float: strict JSON (RFC 8259) has no Infinity or NaN."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _fit_json(result: FitResult, indent: int | None = None) -> str:
+    """The fit report as strict JSON, keys sorted; a non-finite number (T = 1/r at r = 0) is null."""
     report = {
         "model": result.model,
-        "params": result.params,
-        "uncertainties": result.uncertainties,
-        "rss": result.rss,
-        "reduced_chi_square": result.reduced_chi_square,
+        "params": {name: _finite(value) for name, value in result.params.items()},
+        "uncertainties": {name: _finite(value) for name, value in result.uncertainties.items()},
+        "rss": _finite(result.rss),
+        "reduced_chi_square": _finite(result.reduced_chi_square),
         "converged": result.converged,
         "n_iterations": result.n_iterations,
     }
     if result.model == "ramsey":
         report["sign"] = result.sign
-    return report
+    return json.dumps(report, indent=indent, sort_keys=True, allow_nan=False)
 
 
 # fit flag -> (the one model that takes it, its fitter keyword); the fitters state the defaults
@@ -432,12 +435,12 @@ def cmd_fit(trace_path: str, model: str, out_path: str, mode: str | None = None,
     result = MODEL_FITTERS[model]((x, y), **settings)
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(_fit_report(result), indent=2, sort_keys=True) + "\n")
+    out.write_text(_fit_json(result, indent=2) + "\n")
     grid = np.linspace(x.min(), x.max(), max(200, 4 * x.size))
     curve = evaluate_model(result, grid)
     curve_path = out.with_name(out.stem + "_curve.csv")
     rows = ["# singletsim fitted curve", f"# model: {result.model}", "# columns: sweep_value,fitted"]
-    rows += [f"{_format(a)},{_format(b)}" for a, b in zip(grid, curve)]
+    rows += [f"{_format(a)},{_format(b)}" for a, b in np.column_stack([grid, curve]).tolist()]
     curve_path.write_text("\n".join(rows) + "\n")
     return result
 
@@ -463,12 +466,12 @@ def cmd_scan(config_path: str, out_dir: str) -> Path:
     ]
     # a per-point fit failure's row is omitted; the Lorentzian fits the values as written
     columns = np.column_stack([trace.sweep_values, delta_nu, trace.observable, freqs])[valid]
-    rows = [[_format(v) for v in row] for row in columns]
+    rows = [[_format(v) for v in row] for row in columns.tolist()]
     lines += [",".join(row) for row in rows]
     written = np.array(rows, dtype=float).reshape(-1, 4)
     try:
         fit = fit_lorentzian((written[:, 1], written[:, 2]))
-        lines.append(f"# lorentzian: {json.dumps(_fit_report(fit), sort_keys=True)}")
+        lines.append(f"# lorentzian: {_fit_json(fit)}")
     except FitInputError as exc:
         print(f"warning: {len(rows)} valid scan points, skipping Lorentzian fit: {exc}", file=sys.stderr)
     out_path.write_text("\n".join(lines) + "\n")
@@ -539,7 +542,7 @@ def main(argv: list[str] | None = None) -> int:
                     file=sys.stderr,
                 )
                 return 2
-            print(json.dumps(_fit_report(result), indent=2, sort_keys=True))
+            print(_fit_json(result, indent=2))
         elif args.command == "scan":
             path = cmd_scan(args.config, args.out)
             print(f"wrote {path}")

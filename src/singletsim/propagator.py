@@ -18,18 +18,24 @@ zero-duration rotation, the same 2 x 2 rotation on each spin's bit, with no
 `eigh`.  `swept_expectations` reads every population: a sweep of a
 duration tau shared by k consecutive segments (a fixed sequence is a
 one-point sweep) is read in their eigenbases, with no propagator formed per
-tau, from an initial state factored as c * 1 + K diag(w) K^dagger.  The
-read is chosen by the size n r of the n taus' r kets against d: one swept
-segment with n r > d is read vectorised over tau; otherwise the kets are
-carried, a block of taus at a time, and brought out through the segments
-after the sweep.  The phases exp(-2 pi i E tau) of a swept segment are one
-(n, d) table (`_phasors`); when the taus rise uniformly to rounding, as
-every start/stop/count sweep's do, it is built by angle addition from about
+tau, from an initial state in its one form, c * 1 + K diag(w) K^dagger with
+the kets K a 2-d array (`spincore.check_state`).  The read is chosen by the
+size n r of the n taus' r kets against d: one swept segment with n r > d is
+read vectorised over tau; otherwise the kets are carried, a block of taus
+at a time, and brought out through the segments after the sweep.  The
+phases exp(-2 pi i E tau) of a swept segment are one (n, d) table
+(`_phasors`); when the taus rise uniformly to rounding, as every
+start/stop/count sweep's do, it is built by angle addition from about
 2 sqrt(n) d exponentials in place of n d, each phase still that of its own
 angle.  It reads each assigned pair's singlet population from the
 rows of the pair's |ud> and |du> states, with no d x d projector, then the
 transverse magnetization Mx off the kets carried on through a readout
-sequence, with no readout propagator or dense observable.  Arrays stay
+sequence, with no readout propagator or dense observable.  A simulated
+preparation needs one number from a diagonal state, its pair's singlet
+population: `diagonal_singlet_population` reads it in the Heisenberg
+picture, carrying the pair's d / 4 singlet kets through U^T, the segment
+list reversed with each RF phase mirrored about the frame (`_mirrored`),
+in place of the state's d basis kets through U.  Arrays stay
 float64 while every factor is real, and a product of a real factor with a
 complex one runs as one real product on the complex factor's real view
 (`_mul`).  Relaxation enters only as phenomenological decay envelopes
@@ -39,14 +45,13 @@ has read.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .hamiltonian import SpinLockParams, spinlock_hamiltonian
-from .spincore import SpinSystem, _fz, _spin_states, _up_down, check_state
+from .spincore import SQRT2, SpinSystem, _fz, _spin_states, _up_down, check_state
 
 @dataclass(frozen=True)
 class HardPulse:
@@ -99,12 +104,9 @@ def _segment_eig(system: SpinSystem, segment: SpinLock, eigs: dict, frame: float
     return energies, vectors, None if phase == 0.0 else np.exp(-1j * phase * _fz(system.n_spins))
 
 
-def _into(basis: tuple, x: np.ndarray | None) -> np.ndarray:
-    """V^dagger x = V0^T (conj(z) * x) for a basis (E, V0, z); x = None is the identity."""
+def _into(basis: tuple, x: np.ndarray) -> np.ndarray:
+    """V^dagger x = V0^T (conj(z) * x) for a basis (E, V0, z)."""
     _, vectors, z = basis
-    if x is None:
-        back = np.ascontiguousarray(vectors.T)
-        return back if z is None else back * z.conj()
     return _mul(vectors.T, x if z is None else z.conj()[:, None] * x)
 
 
@@ -168,17 +170,15 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _mul(b.T, a.T).T
 
 
-def _apply(system: SpinSystem, segments: list[Segment], x: np.ndarray | None, eigs: dict,
-           frame: float) -> np.ndarray | None:
+def _apply(system: SpinSystem, segments: list[Segment], x: np.ndarray, eigs: dict, frame: float) -> np.ndarray:
     """U x for the segments' propagator U in the frame of a lock at RF phase `frame`, one segment at a time.
 
-    x = None is the identity: the first segment that plays writes its own
-    matrix, and None comes back when nothing plays.  A lock is
-    V (a * (V^dagger x)) with a = exp(-2 pi i E t), V = Z V0 applied as
-    `_out` and `_into` do.  A hard pulse is the same 2 x 2 rotation
-    exp(-i theta (cos(phase) I_x + sin(phase) I_y)) on each spin's bit, its
-    phase the pulse's less the frame's: n_spins passes over x, or on the
-    identity the rotations' Kronecker product; no `eigh`.
+    x is a (d, r) block of kets.  A lock is V (a * (V^dagger x)) with
+    a = exp(-2 pi i E t), V = Z V0 applied as `_out` and `_into` do.  A hard
+    pulse is the same 2 x 2 rotation exp(-i theta (cos(phase) I_x +
+    sin(phase) I_y)) on each spin's bit, its phase the pulse's less the
+    frame's: n_spins passes over x, no `eigh`.  A segment that does not play
+    (zero flip angle or duration) leaves x as it is.
     """
     for segment in segments:
         if isinstance(segment, HardPulse):
@@ -187,9 +187,6 @@ def _apply(system: SpinSystem, segments: list[Segment], x: np.ndarray | None, ei
             c, s = np.cos(segment.flip_angle / 2), -1j * np.sin(segment.flip_angle / 2)
             e = np.exp(1j * (segment.phase - frame))
             rotation = np.array([[c, s * e.conjugate()], [s * e, c]])
-            if x is None:
-                x = functools.reduce(np.kron, [rotation] * system.n_spins)
-                continue
             for spin in range(system.n_spins):  # spin 0 is the most significant bit
                 x = (rotation @ x.reshape(2**spin, 2, -1)).reshape(len(x), -1)
         elif segment.duration_s != 0.0:
@@ -244,9 +241,8 @@ def swept_expectations(
     U = after . S_k(tau) ... S_1(tau) . before, each swept segment S_j's
     own duration replaced by each tau.  With V_j = Z_j V0_j the eigenbasis
     of S_j's generator, the r kets enter as G = V_1^dagger `_apply`(before, K),
-    d^2 r per lock (V_1^dagger itself for K = None and nothing before).  A
-    pair's singlet projector sums |S0, rest><S0, rest| over the other spins,
-    so it reads ||x[ud] - x[du]||^2 / 2 off the rows of x at the pair's |ud>
+    d^2 r per lock.  A pair's singlet projector sums |S0, rest><S0, rest| over
+    the other spins, so it reads ||x[ud] - x[du]||^2 / 2 off the rows of x at the pair's |ud>
     and |du> states, and its trace is d / 4.  One swept segment with n r > d
     is read in its eigenbasis: with W = `_apply`(after, V_1) (V0_1 itself at
     phase 0), each row's M (B^dagger B for a pair, B = (W[ud] - W[du]) /
@@ -319,6 +315,37 @@ def swept_expectations(
             rows.append(sum((y.conj() * mx).real.sum(axis=0) for y, mx in halves))
         values[:, block] = np.reshape(rows, (len(rows), -1, n_kets)) @ weights + c * traces
     return values
+
+
+def _mirrored(segments: list[Segment], frame: float) -> list[Segment]:
+    """The segments in reverse order, each RF phase phi mirrored about the frame to 2 frame - phi.
+
+    In the frame, H(0) is real symmetric and Z = exp(-i phi Fz) diagonal, so
+    a lock's propagator Z exp(-i 2 pi H(0) t) Z^dagger has as its transpose
+    the lock at -phi, and a pulse's, the pulse at -phi: `_apply` of this list
+    is U^T for the segments' propagator U, durations and angles unchanged.
+    """
+    return [replace(s, phase=2 * frame - s.phase) if isinstance(s, HardPulse)
+            else replace(s, params=replace(s.params, phase=2 * frame - s.params.phase)) for s in reversed(segments)]
+
+
+def diagonal_singlet_population(system: SpinSystem, weights: np.ndarray, segments: list[Segment],
+                                pair_index: int) -> float:
+    """Singlet population of a pair after the segments, from the diagonal state diag(`weights`).
+
+    Read in the Heisenberg picture, in the frame of the first lock (any
+    frame, taken at phase 0, when there is none): with B^T the pair's d / 4
+    singlet kets (|ud> - |du>) / sqrt(2) as columns, the population
+    tr(B^T B U diag(w) U^dagger) is sum_k w_k ||row k of U^T B^T||^2, and
+    U^T is `_apply` of the `_mirrored` list, d / 4 kets carried in place of
+    d.  Each distinct phase-0 generator is diagonalised once (`_segment_eig`).
+    """
+    frame = next((s.params.phase for s in segments if isinstance(s, SpinLock)), 0.0)
+    a, b = system.pair(pair_index)
+    up_down, eye = _up_down(system.n_spins), np.eye(system.dim)
+    singlets = (eye[:, up_down[a, b]] - eye[:, up_down[b, a]]) / SQRT2  # B^T
+    x = _apply(system, _mirrored(segments, frame), singlets, {}, frame)
+    return float(weights @ (np.abs(x) ** 2).sum(axis=1))
 
 
 @dataclass(frozen=True)

@@ -8,19 +8,22 @@ can replace the ideal preparation, in which case the achieved singlet
 population scales the prepared order.  A free delay is a lock at zero
 nutation, so every segment is a hard pulse or a lock.
 
-Every population is read through `swept_expectations`: every pair's
-singlet population (with no projector built) and the configured readout,
-with no propagator per sweep point.  The initial state is handed to it
-factored as c * 1 + K diag(w) K^dagger, with no dense density: the ideal
-state's kets are products of pair kets (3^(p-1) for a uniform triplet over
-p pairs, one for a pure one), a simulated preparation adds c, and the
-pseudo-thermal state has its weights on the basis states.  Rabi and Ramsey
-sweep one lock, double-Rabi its two locks together; a short sweep's kets
-are carried through the eigenbases and a long one-lock sweep is read
-vectorised over tau (`swept_expectations` picks the read).  A preparation
-is a one-point sweep of its last segment, and pumping a two-point sweep (0
-and the pump time) of its transfer lock.  The `signal_proxy` readout is the
-transverse magnetization Mx after the readout sequence, which
+Every transfer run's populations are read through `swept_expectations`:
+every pair's singlet population (with no projector built) and the configured
+readout, with no propagator per sweep point.  The initial state is handed to
+it in the engine's one state form, factored as c * 1 + K diag(w) K^dagger
+with K a 2-d array of kets, with no dense density: the ideal state's kets
+are products of pair kets (3^(p-1) for a uniform triplet over p pairs, one
+for a pure one), and a simulated preparation adds c.  Rabi and Ramsey sweep
+one lock, double-Rabi its two locks together; a short sweep's kets are
+carried through the eigenbases and a long one-lock sweep is read vectorised
+over tau (`swept_expectations` picks the read).  Pumping is a two-point
+sweep (0 and the pump time) of its transfer lock.  A preparation starts from
+the diagonal pseudo-thermal state, given by its basis-state weights, and
+needs only the source pair's singlet population after it:
+`propagator.diagonal_singlet_population` reads that in the Heisenberg
+picture, off the pair's d / 4 singlet rows.  The `signal_proxy` readout is
+the transverse magnetization Mx after the readout sequence, which
 `swept_expectations` reads off the kets carried through it; its 0/pi phase
 cycle sums over each ket's two Fz-parity halves, with no second,
 phase-shifted readout run.  Each runner applies its own decay envelope to
@@ -54,6 +57,7 @@ from .propagator import (
     RelaxationEnvelope,
     Segment,
     SpinLock,
+    diagonal_singlet_population,
     swept_expectations,
 )
 from .spincore import (
@@ -263,13 +267,12 @@ def prepared_singlet_population(
 ) -> float:
     """Source-pair singlet population achieved by simulating the preparation.
 
-    The pseudo-thermal state is diagonal, so its weights sit on the basis
-    states; the last segment is read as a one-point sweep of its own duration.
+    The pseudo-thermal state is diagonal, given by its weights on the basis
+    states, and `diagonal_singlet_population` reads the pair's population
+    after the sequence in the Heisenberg picture, off its d / 4 singlet rows.
     """
-    thermal = (0.0, None, thermal_state(system, prep.polarization))
-    *before, last = prep_sequence(system, pair_index, prep)
-    values = swept_expectations(system, thermal, before, [last], [last.duration_s], [])
-    return float(values[pair_index, 0])
+    weights = thermal_state(system, prep.polarization)
+    return diagonal_singlet_population(system, weights, prep_sequence(system, pair_index, prep), pair_index)
 
 
 def transfer_initial_state(system: SpinSystem, protocol: Protocol) -> tuple[float, np.ndarray, np.ndarray]:

@@ -12,22 +12,24 @@ Conventions (fixed throughout the package):
 
 The module holds spin systems, the singlet/triplet and dressed pair kets
 (`PAIR_BASIS`), the pseudo-thermal state's weights and state validation.
-The engine takes an initial state factored as (c, K, w), the density
-c * 1 + K diag(w) K^dagger with orthonormal kets as the columns of K, or
-K = None for weights on the basis states; `check_state` checks its trace
-and positivity on the factors, with no d x d matrix.  Arrays are assembled
-by basis-state bit index with no Kronecker products: `_basis_split` gives
-each basis state's pattern over some spins and the index of the rest, from
-which `sequences` builds the kets of a pair-product state, and
-`_spin_states` each spin's bit, from which `hamiltonian` writes its
-generators and `propagator` reads pair populations; `_fz` is each basis
+The engine takes an initial state in one form, factored as (c, K, w): the
+density c * 1 + K diag(w) K^dagger with orthonormal kets as the columns of
+the 2-d array K; `check_state` checks its trace and positivity on the
+factors, with no d x d matrix.  The pseudo-thermal state is diagonal and is
+given by its basis-state weights alone, which
+`propagator.diagonal_singlet_population` reads a preparation from.  Arrays
+are assembled by basis-state bit index with no Kronecker products:
+`_basis_split` gives each basis state's pattern over some spins and the
+index of the rest, from which `sequences` builds the kets of a pair-product
+state, and `_spin_states` each spin's bit, from which `hamiltonian` writes
+its generators and `propagator` reads pair populations; `_fz` is each basis
 state's total Fz, with which `propagator` rotates RF phases, takes the
 signal from a run's frame to the lab frame and splits kets by coherence
 parity, and `_up_down` the basis states of each ordered pair of spins with
-the first up and the second down, the rows of a pair's flip-flop entries
-and of its |ud> and |du> states.  These tables depend only on the spin
-count: each is built once per count (`functools.lru_cache`) and returned
-read-only, so a caller that writes to one raises.
+the first up and the second down, the rows of a pair's flip-flop entries and
+of its |ud> and |du> states.  These tables depend only on the spin count:
+each is built once per count (`functools.lru_cache`) and returned read-only,
+so a caller that writes to one raises.
 The dense pair-product, mixed-triplet and pseudo-thermal densities and the
 dense density and Hermiticity checks are test references, in
 `tests/conftest.py`.
@@ -226,21 +228,23 @@ def thermal_state(system: SpinSystem, polarization: float = 1.0) -> np.ndarray:
 def check_state(state: tuple) -> None:
     """Validate a factored state (c, K, w): orthonormal kets, unit trace, no eigenvalue below -EIGENVALUE_TOL.
 
-    With K^dagger K = 1 within TRACE_TOL, the trace is c d + sum w and the
-    eigenvalues are c + w and, off the kets, c.  A non-finite c, ket or weight
-    is rejected by name, and each test is written so that a NaN fails it.
+    K is a (d, r) array, one ket per column; anything else (None included)
+    is rejected naming the kets.  With K^dagger K = 1 within TRACE_TOL, the
+    trace is c d + sum w and the eigenvalues are c + w and, off the kets, c.
+    A non-finite c, ket or weight is rejected by name, and each test is
+    written so that a NaN fails it.
     """
     c, kets, weights = state
+    if not isinstance(kets, np.ndarray) or kets.ndim != 2:
+        raise ValueError("state kets must be a 2-d array, one ket per column")
     for name, value in (("c", c), ("kets", kets), ("weights", weights)):
-        if value is not None and not np.isfinite(value).all():
+        if not np.isfinite(value).all():
             raise ValueError(f"state {name} must be finite")
-    dim = len(weights) if kets is None else len(kets)
-    if kets is not None:
-        gram = kets.conj().T @ kets
-        dev = np.max(np.abs(gram - np.eye(len(gram))))
-        if not dev <= TRACE_TOL:
-            raise ValueError(f"state kets are not orthonormal (max deviation {dev:.3e} from K^dagger K = 1)")
-    tr = c * dim + np.sum(weights)
+    gram = kets.conj().T @ kets
+    dev = np.max(np.abs(gram - np.eye(len(gram))))
+    if not dev <= TRACE_TOL:
+        raise ValueError(f"state kets are not orthonormal (max deviation {dev:.3e} from K^dagger K = 1)")
+    tr = c * len(kets) + np.sum(weights)
     if not abs(tr - 1.0) <= TRACE_TOL:
         raise ValueError(f"density trace is {tr}, expected 1")
     low = min(c, c + np.min(weights))

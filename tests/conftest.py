@@ -456,9 +456,8 @@ def spectral_bin_width(trace) -> float:
 
 
 def sequence_propagator(system: SpinSystem, segments: list[Segment]) -> np.ndarray:
-    """The engine's propagator of a segment list in the lab frame, the identity when nothing plays."""
-    u = _apply(system, segments, None, {}, 0.0)
-    return np.eye(system.dim, dtype=complex) if u is None else u
+    """The engine's propagator of a segment list in the lab frame: `_apply` to the identity's kets."""
+    return _apply(system, segments, np.eye(system.dim), {}, 0.0)
 
 
 def oracle_propagator(system, segments):

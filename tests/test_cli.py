@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,15 @@ from singletsim.trace import Trace
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
+
+
+def strict_json(text: str):
+    """Parse JSON as RFC 8259 has it: Infinity, -Infinity and NaN are errors."""
+    def reject(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
 
 SLIC_PREP = {"kind": "slic", "nutation_hz": 15.5, "duration_s": 0.157, "phase_deg": 30.0, "polarization": 0.8}
 THREE_PULSE_PREP = {"kind": "three_pulse", "tau1_s": 0.007, "tau2_s": 0.0205, "tau3_s": 0.00925, "polarization": 0.9}
@@ -345,15 +355,19 @@ class TestFit:
         assert abs(report["params"]["frequency_hz"] / 2.566 - 1) < 0.01
 
     def test_shipped_rabi_config_without_envelope_fits_with_decay(self, tmp_path, capsys):
-        # an undamped trace puts the fitted decay rate on its bound r = 0: the fit converges, T infinite
+        # an undamped trace puts the fitted decay rate on its bound r = 0: the fit converges, T infinite,
+        # written null in the strict JSON of the report file and of stdout alike
         cfg = json.loads((CONFIG_DIR / "glutamate_rabi.json").read_text())
         del cfg["envelope"]
         out = tmp_path / "undamped"
         assert main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+        capsys.readouterr()
         assert main(["fit", "--trace", str(out / "trace.csv"), "--model", "rabi", "--out", str(out / "fit.json")]) == 0
-        report = json.loads((out / "fit.json").read_text())
+        report = strict_json((out / "fit.json").read_text())
+        assert strict_json(capsys.readouterr().out) == report
         assert report["converged"] is True
-        assert report["params"]["t_rabi_s"] == np.inf
+        assert report["params"]["t_rabi_s"] is None
+        assert report["uncertainties"]["t_rabi_s"] is None
         assert abs(report["params"]["frequency_hz"] / 2.57 - 1) < 0.02
 
     @pytest.mark.parametrize("model", ["rabi", "ramsey", "lorentzian", "exponential"])
@@ -443,6 +457,18 @@ class TestScan:
         refit = fit_lorentzian((rows[:, 1], rows[:, 2]))
         assert refit.params == header["params"] and refit.uncertainties == header["uncertainties"]
         assert (refit.rss, refit.n_iterations) == (header["rss"], header["n_iterations"])
+
+    def test_non_finite_lorentzian_numbers_are_null(self, tmp_path, monkeypatch):
+        # infinite sigmas and a NaN chi-square are written null: the header stays strict JSON
+        def unbounded(data):
+            fit = fit_lorentzian(data)
+            return replace(fit, uncertainties=dict.fromkeys(fit.uncertainties, np.inf), reduced_chi_square=np.nan)
+
+        monkeypatch.setattr("singletsim.cli.fit_lorentzian", unbounded)
+        lines = cmd_scan(CONFIG_DIR / "glutamate_scan.json", tmp_path / "scan").read_text().splitlines()
+        header = strict_json(next(l for l in lines if l.startswith("# lorentzian:")).split("# lorentzian:")[1])
+        assert set(header["uncertainties"].values()) == {None} and header["reduced_chi_square"] is None
+        assert None not in header["params"].values()
 
     def test_flat_scan_skips_lorentzian(self, tmp_path, capsys, monkeypatch):
         # equal amplitudes give no centre or width: the header is left out with a warning

@@ -146,7 +146,6 @@ class TestAppliedPulse:
                 pulse = HardPulse(theta, phase)
                 expected = oracle_propagator(system, [HardPulse(theta, phase - frame)])
                 assert np.max(np.abs(engine._apply(system, [pulse], x, {}, frame) - expected @ x)) < 1e-13
-                assert np.max(np.abs(engine._apply(system, [pulse], None, {}, frame) - expected)) < 1e-13
                 lab = oracle_propagator(system, [pulse])
                 assert np.max(np.abs(sequence_propagator(system, [pulse]) - lab)) < 1e-13
 
@@ -179,7 +178,7 @@ class TestPhaseRotation:
         for generator in (one_ulp_off, lambda *args: build(*args).astype(complex)):
             monkeypatch.setattr(engine, "spinlock_hamiltonian", generator)
             with pytest.raises(ValueError, match="must be real and exactly symmetric"):
-                swept_expectations(coupled_pair(), (0.0, None, np.full(4, 0.25)), [], lock, [0.1], [])
+                swept_expectations(coupled_pair(), (0.0, np.eye(4), np.full(4, 0.25)), [], lock, [0.1], [])
 
     def test_phase_0_generator_must_be_real(self, monkeypatch):
         def complex_free_hamiltonian(system, transmitter_offset_hz):
@@ -320,7 +319,7 @@ class TestSweptExpectations:
         taus = np.array([0.0, 0.013, 0.2, 1.7])
         rho0 = thermal_density(system, 0.8)
         mx = sum(embed_spin_operator(system, i, "x") for i in range(system.n_spins))
-        values = swept_expectations(system, (0.0, None, rho0.diagonal()), before, swept, taus, after,
+        values = swept_expectations(system, (0.0, np.eye(system.dim), rho0.diagonal()), before, swept, taus, after,
                                     (readout, False))
         assert values.shape == (2, taus.size)
         for k, tau in enumerate(taus):
@@ -435,14 +434,14 @@ class TestSweptExpectations:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
     def test_swept_duration_must_be_finite_and_non_negative(self, bad):
         with pytest.raises(ValueError, match=f"swept duration {bad} must be finite and >= 0"):
-            swept_expectations(coupled_pair(), (0.0, None, np.full(4, 0.25)), [], [SpinLock(SpinLockParams(0.0), 0.0)],
-                               [0.1, bad, -1.0], [])
+            swept_expectations(coupled_pair(), (0.0, np.eye(4), np.full(4, 0.25)), [],
+                               [SpinLock(SpinLockParams(0.0), 0.0)], [0.1, bad, -1.0], [])
 
     def test_invalid_state_rejected(self):
         system = coupled_pair()
         with pytest.raises(ValueError):
-            swept_expectations(system, (0.0, None, np.full(4, 0.5)), [], [SpinLock(SpinLockParams(0.0), 0.0)], [0.1],
-                               [], ([HardPulse(np.pi / 2)], False))
+            swept_expectations(system, (0.0, np.eye(4), np.full(4, 0.5)), [], [SpinLock(SpinLockParams(0.0), 0.0)],
+                               [0.1], [], ([HardPulse(np.pi / 2)], False))
 
     # (c, K, w) at d = 4; each is the engine-side counterpart of a dense check_density rejection
     E = np.eye(4)
@@ -462,7 +461,7 @@ class TestSweptExpectations:
             swept_expectations(coupled_pair(), state, [], [SpinLock(SpinLockParams(0.0), 0.0)], [0.1], [])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("factor", ["c", "kets", "weights", "basis_weights"])
+    @pytest.mark.parametrize("factor", ["c", "kets", "weights"])
     def test_non_finite_state_is_rejected_naming_its_factor(self, factor, value):
         # (c, K, w) at d = 4 with one non-finite entry in one factor
         kets, weights = np.eye(4)[:, :2].copy(), np.array([0.5, 0.5])
@@ -470,16 +469,71 @@ class TestSweptExpectations:
             kets[0, 0] = value
         elif factor == "weights":
             weights[0] = value
-        state = {"c": (value, kets[:, :1], np.array([1.0])),
-                 "basis_weights": (0.0, None, np.array([value, 0.25, 0.25, 0.25]))}.get(factor, (0.0, kets, weights))
-        with pytest.raises(ValueError, match=f"state {factor.removeprefix('basis_')} must be finite"):
+        state = (value, kets[:, :1], np.array([1.0])) if factor == "c" else (0.0, kets, weights)
+        with pytest.raises(ValueError, match=f"state {factor} must be finite"):
             swept_expectations(coupled_pair(), state, [], [SpinLock(SpinLockParams(0.0), 0.0)], [0.1], [])
+
+    # the kets are one 2-d array; basis-state weights alone (K = None) are not a state
+    @pytest.mark.parametrize("kets", [None, np.full(4, 0.5), np.eye(4)[:, :, None]], ids=["none", "1d", "3d"])
+    def test_kets_that_are_not_a_2d_array_are_rejected(self, kets):
+        with pytest.raises(ValueError, match="state kets must be a 2-d array"):
+            swept_expectations(coupled_pair(), (0.0, kets, np.full(4, 0.25)), [],
+                               [SpinLock(SpinLockParams(0.0), 0.0)], [0.1], [])
 
     def test_factored_state_within_the_tolerances_is_accepted(self):
         kets = np.eye(4)[:, :2] * (1 + 4e-11)
         state = (0.1, kets, np.array([0.7 + 5e-11, -0.1 - 5e-11]))
         values = swept_expectations(coupled_pair(), state, [], [SpinLock(SpinLockParams(0.0), 0.0)], [0.1], [])
         assert values.shape == (1, 1)
+
+
+class TestDiagonalSingletPopulation:
+    # a preparation's population is read in the Heisenberg picture, off the pair's
+    # d / 4 singlet kets carried through U^T, the mirrored and reversed segment list
+    @staticmethod
+    def mixed_sequence(n_spins):
+        """A seeded system with every spin paired, and pulses and locks at arbitrary RF phases.
+
+        The list holds a zero-flip pulse, a zero-duration lock and a free delay,
+        and its first lock is at a nonzero phase.
+        """
+        rng = np.random.default_rng(330 + n_spins)
+        j = np.triu(rng.normal(scale=10.0, size=(n_spins, n_spins)), 1)
+        pairs = tuple((i, i + 1) for i in range(0, n_spins, 2))
+        system = SpinSystem(rng.normal(scale=40.0, size=n_spins), j + j.T, pairs)
+
+        def pulse():
+            return HardPulse(rng.uniform(-2 * np.pi, 2 * np.pi), rng.uniform(-np.pi, np.pi))
+
+        def lock(duration_s):
+            params = SpinLockParams(rng.uniform(20.0, 300.0), rng.uniform(-np.pi, np.pi), rng.normal(scale=20.0))
+            return SpinLock(params, duration_s)
+
+        segments = [pulse(), lock(0.031), HardPulse(0.0, 1.3), lock(0.0), pulse(),
+                    SpinLock(SpinLockParams(0.0, 0.0, 7.0), 0.017), lock(0.012), pulse()]
+        assert segments[1].params.phase != 0.0
+        return system, segments
+
+    @pytest.mark.parametrize("n_spins", [2, 4, 6], ids=["d4", "d16", "d64"])
+    def test_matches_dense_oracle_on_every_pair(self, n_spins):
+        system, segments = self.mixed_sequence(n_spins)
+        u = oracle_propagator(system, segments)
+        for polarization in (-1.0, 0.3, 1.0):
+            weights = thermal_state(system, polarization)
+            rho = u @ np.diag(weights) @ u.conj().T
+            for pair in range(len(system.pairs)):
+                expected = np.trace(singlet_projector(system, pair) @ rho).real
+                value = engine.diagonal_singlet_population(system, weights, segments, pair)
+                assert abs(value - expected) < 1e-13
+
+    @pytest.mark.parametrize("n_spins", [2, 4, 6], ids=["d4", "d16", "d64"])
+    def test_mirrored_list_is_the_transposed_propagator(self, n_spins):
+        # in the frame of the first lock, every phase taken less the frame's
+        system, segments = self.mixed_sequence(n_spins)
+        frame = segments[1].params.phase
+        forward = oracle_propagator(system, _phase_shifted_pulses(segments, -frame))
+        transposed = engine._apply(system, engine._mirrored(segments, frame), np.eye(system.dim), {}, frame)
+        assert np.max(np.abs(transposed - forward.T)) < 1e-13
 
 
 class TestPhasorTable:

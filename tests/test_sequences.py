@@ -1172,8 +1172,9 @@ class TestFactoredInitialState:
 
 
 class TestPreparedAndPumpedPopulations:
-    # preparation and pumping read their populations through the swept reader;
-    # here against the per-segment oracle and the d x d projector
+    # a preparation is read in the Heisenberg picture off its pair's singlet rows
+    # (`diagonal_singlet_population`), pumping through the swept reader; here
+    # both against the per-segment oracle and the d x d projector
     @pytest.mark.parametrize("prep", list(ORACLE_PREPS))
     @pytest.mark.parametrize("name", list(ORACLE_SYSTEMS))
     def test_prepared_population_matches_oracle(self, name, prep):
