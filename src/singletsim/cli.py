@@ -31,7 +31,15 @@ from .analysis import MODEL_FITTERS, FitInputError, FitResult, evaluate_model, f
 from .hamiltonian import SpinLockParams, pair_center_offset
 from .presets import PRESETS, ppm_to_hz, preset_params, preset_system
 from .propagator import RelaxationEnvelope
-from .sequences import ENVELOPE_FIELDS, PREP_FIELDS, PROTOCOL_FIELDS, PrepSpec, Protocol, run_protocol
+from .sequences import (
+    ENVELOPE_FIELDS,
+    PREP_FIELDS,
+    PROTOCOL_FIELDS,
+    PrepSpec,
+    Protocol,
+    check_transfer_pairs,
+    run_protocol,
+)
 from .spincore import SpinSystem
 from .trace import Trace
 
@@ -286,6 +294,10 @@ def load_config(path: str | Path) -> RunConfig:
             _block(raw, "system", "", ("spectrometer_mhz", "spins", "couplings_hz", "pairs")))
     protocol = _build(Protocol, PROTOCOL_FIELDS, _PROTOCOL_KEYS, _block(raw, "protocol", ""), "protocol",
                       (system, spectrometer))
+    try:
+        check_transfer_pairs(system, protocol)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     envelope = None
     if "envelope" in raw:

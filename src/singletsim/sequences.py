@@ -234,6 +234,19 @@ def prep_sequence(system: SpinSystem, pair_index: int, prep: PrepSpec) -> list[S
     raise ValueError("ideal preparation has no pulse sequence")
 
 
+def check_transfer_pairs(system: SpinSystem, protocol: Protocol) -> None:
+    """Raise a ValueError naming the field unless the protocol's pairs are assigned and cover every spin.
+
+    The source and readout pairs must be pairs of `system`, and the ideal
+    transfer state, a product of pair kets, needs every spin in a pair.
+    """
+    for name in ("source_pair", "readout_pair"):
+        if not 0 <= (index := getattr(protocol, name)) < len(system.pairs):
+            raise ValueError(f"protocol.{name}: pair {index} is not assigned in this system")
+    if {i for pair in system.pairs for i in pair} != set(range(system.n_spins)):
+        raise ValueError("system.pairs: pair assignments do not cover all spins")
+
+
 def ideal_transfer_state(
     system: SpinSystem,
     source_pair: int,
@@ -245,9 +258,8 @@ def ideal_transfer_state(
     source pair and, on each other pair, phi+, phi0 and phi- at weight 1/3
     for the uniform triplet, or a pure composition's ket, in the dressed
     basis of a lock along +x, the transfer lock in its own frame.  It is real.
+    The system's pairs must cover every spin (`check_transfer_pairs`).
     """
-    if {i for p in system.pairs for i in p} != set(range(system.n_spins)):
-        raise ValueError("pair assignments do not cover all spins")
     if triplet_init == "uniform":
         triplet = np.array([PAIR_BASIS.phi_plus, PAIR_BASIS.phi_0, PAIR_BASIS.phi_minus]), np.full(3, 1 / 3)
     else:
@@ -284,8 +296,7 @@ def transfer_initial_state(system: SpinSystem, protocol: Protocol) -> tuple[floa
     that the source-pair singlet population matches the population the
     preparation sequence actually achieves.
     """
-    system.pair(protocol.source_pair)
-    system.pair(protocol.readout_pair)
+    check_transfer_pairs(system, protocol)
     ideal = ideal_transfer_state(system, protocol.source_pair, protocol.triplet_init)
     if protocol.prep.kind == "ideal":
         return ideal

@@ -229,8 +229,9 @@ def check_state(state: tuple) -> None:
     """Validate a factored state (c, K, w): orthonormal kets, unit trace, no eigenvalue below -EIGENVALUE_TOL.
 
     K is a (d, r) array, one ket per column; anything else (None included)
-    is rejected naming the kets.  With K^dagger K = 1 within TRACE_TOL, the
-    trace is c d + sum w and the eigenvalues are c + w and, off the kets, c.
+    is rejected naming the kets, and w must hold one weight per ket.  With
+    K^dagger K = 1 within TRACE_TOL, the trace is c d + sum w and the
+    eigenvalues are c + w and, off the kets, c.
     A non-finite c, ket or weight is rejected by name, and each test is
     written so that a NaN fails it.
     """
@@ -240,6 +241,8 @@ def check_state(state: tuple) -> None:
     for name, value in (("c", c), ("kets", kets), ("weights", weights)):
         if not np.isfinite(value).all():
             raise ValueError(f"state {name} must be finite")
+    if np.shape(weights) != kets.shape[1:]:
+        raise ValueError(f"state weights must hold {kets.shape[1]}, one per ket, got shape {np.shape(weights)}")
     gram = kets.conj().T @ kets
     dev = np.max(np.abs(gram - np.eye(len(gram))))
     if not dev <= TRACE_TOL:

@@ -20,94 +20,10 @@ from singletsim.hamiltonian import pair_center_offset, resonant_nutation
 from singletsim.sequences import PROTOCOL_FIELDS
 from singletsim.trace import Trace
 
+from cli_cases import ALL_FIELDS_CONFIGS, strict_json, synthetic_trace
+
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
-
-
-def strict_json(text: str):
-    """Parse JSON as RFC 8259 has it: Infinity, -Infinity and NaN are errors."""
-    def reject(token):
-        raise ValueError(f"non-finite JSON token {token}")
-
-    return json.loads(text, parse_constant=reject)
-
-
-SLIC_PREP = {"kind": "slic", "nutation_hz": 15.5, "duration_s": 0.157, "phase_deg": 30.0, "polarization": 0.8}
-THREE_PULSE_PREP = {"kind": "three_pulse", "tau1_s": 0.007, "tau2_s": 0.0205, "tau3_s": 0.00925, "polarization": 0.9}
-# one config per protocol kind; each sets every key its kind reads, with a non-default value where a key has one
-ALL_FIELDS_CONFIGS = {
-    "rabi": {
-        "preset": "glutamate",
-        "protocol": {
-            "kind": "rabi", "source_pair": 1, "readout_pair": 0, "triplet_init": "phi_plus", "prep": SLIC_PREP,
-            "readout": "signal_proxy", "phase_cycle": True,
-            "transfer": {"nutation_hz": 599.31, "transmitter_ppm": 2.30, "phase_deg": 20.0},
-            "sweep": {"start": 0.02, "stop": 1.5, "count": 8},
-        },
-        "envelope": {"t_rabi_s": 2.0},
-        "noise": {"sigma": 0.01, "seed": 7},
-    },
-    "ramsey": {
-        "preset": "glutamate",
-        "protocol": {
-            "kind": "ramsey", "source_pair": 1, "readout_pair": 0, "triplet_init": "phi_plus", "prep": SLIC_PREP,
-            "readout": "signal_proxy", "phase_cycle": True,
-            "transfer": {"nutation_hz": 599.31, "transmitter_ppm": 2.04, "phase_deg": 20.0},
-            "pi_half_duration_s": 0.1,
-            "free_lock": {"nutation_hz": 47.0, "transmitter_pair": 1, "phase_deg": 10.0},
-            "sweep": {"start": 0.01, "stop": 1.0, "count": 8},
-        },
-        "envelope": {"t_s_s": 4.4, "t2s_star_s": 1.3},
-        "noise": {"sigma": 0.01, "seed": 7},
-    },
-    "double_rabi": {
-        "preset": "glutamate",
-        "protocol": {
-            "kind": "double_rabi", "source_pair": 1, "readout_pair": 0, "triplet_init": "phi_minus",
-            "prep": THREE_PULSE_PREP, "readout": "signal_proxy", "phase_cycle": True,
-            "transfer": {"nutation_hz": 500.0, "transmitter_offset_hz": 434.0, "phase_deg": 20.0},
-            "double_rabi_phases_deg": [80.0, -100.0],
-            "sweep": {"start": 0.005, "stop": 0.45, "count": 8},
-        },
-        "envelope": {"t_rabi_s": 2.0},
-        "noise": {"sigma": 0.01, "seed": 7},
-    },
-    "pumping": {
-        "preset": "phe-gly-gly",
-        "protocol": {
-            "kind": "pumping", "source_pair": 1, "readout_pair": 0, "triplet_init": "phi_plus",
-            "prep": THREE_PULSE_PREP, "transfer": {"nutation_hz": 250.3, "transmitter_pair": 1, "phase_deg": 20.0},
-            "pump_transfer_duration_s": 15.5, "pump_reset_delay_s": 3.1,
-            "sweep": {"values": [1, 2, 3, 4]},
-        },
-        "envelope": {"t_s_s": 25.0},
-        "noise": {"sigma": 0.01, "seed": 7},
-    },
-    "resonance_scan": {
-        "preset": "glutamate",
-        "protocol": {
-            "kind": "resonance_scan", "source_pair": 1, "readout_pair": 0, "triplet_init": "phi_minus",
-            "prep": SLIC_PREP, "transfer": {"nutation_hz": 500.0, "transmitter_ppm": 2.30, "phase_deg": 20.0},
-            "sweep": {"values": [560.0, 600.0, 640.0]},
-            "scan_tau": {"start": 0.02, "stop": 1.5, "count": 40},
-        },
-        "envelope": {"t_rabi_s": 2.0},
-        "noise": {"sigma": 0.01, "seed": 7},
-    },
-}
-
-
-def config_reading(field):
-    """A copy of the first all-fields config that gives `field`, a dotted path, so that its kind reads it."""
-    for config in ALL_FIELDS_CONFIGS.values():
-        target = config
-        for part in field.split("."):
-            if not isinstance(target, dict) or part not in target:
-                break
-            target = target[part]
-        else:
-            return json.loads(json.dumps(config))
-    raise KeyError(field)
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -161,6 +77,7 @@ class TestLoadConfig:
             },
             "protocol": {
                 "kind": "rabi",
+                "readout_pair": 0,  # the one pair
                 "transfer": {"nutation_hz": 100.0, "transmitter_offset_hz": 195.0},
                 "sweep": {"values": [0.1, 0.2, 0.3]},
             },
@@ -296,14 +213,8 @@ class TestSimulate:
 
 class TestFit:
     def make_synthetic_trace(self, tmp_path, kind="rabi"):
-        t = np.linspace(0.01, 3.0, 150)
-        if kind == "rabi":
-            y = 0.9 * (np.sin(np.pi * 2.57 * t) ** 2 + 0.05) * np.exp(-t / 1.6)
-        else:
-            y = (np.cos(2 * np.pi * 2.33 * t - 0.3) * np.exp(-t / 1.3) + 0.2) * np.exp(-t / 4.4)
         path = tmp_path / f"{kind}.csv"
-        rows = ["# synthetic"] + [f"{a:.12g},{b:.12g}" for a, b in zip(t, y)]
-        path.write_text("\n".join(rows) + "\n")
+        path.write_text("\n".join(synthetic_trace(kind)) + "\n")
         return path
 
     def test_rabi_report(self, tmp_path):
@@ -341,77 +252,6 @@ class TestFit:
         out = cmd_simulate(write_config(tmp_path, cfg), tmp_path / "glu")
         result = cmd_fit(out, "rabi", tmp_path / "glu.json", no_decay=True)
         assert abs(result.params["frequency_hz"] / 2.57 - 1) < 0.02
-
-    def test_shipped_rabi_config_on_random_sweep_times(self, tmp_path, capsys):
-        # the shipped Rabi config, its 125 times drawn at random: the fit finds the uniform sweep's 2.566 Hz
-        cfg = json.loads((CONFIG_DIR / "glutamate_rabi.json").read_text())
-        times = np.sort(np.random.default_rng(125).uniform(0.02, 2.5, 125))
-        cfg["protocol"]["sweep"] = {"values": times.tolist()}
-        out = tmp_path / "random"
-        assert main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
-        assert main(["fit", "--trace", str(out / "trace.csv"), "--model", "rabi", "--out", str(out / "fit.json")]) == 0
-        report = json.loads((out / "fit.json").read_text())
-        assert report["converged"] is True
-        assert abs(report["params"]["frequency_hz"] / 2.566 - 1) < 0.01
-
-    def test_shipped_rabi_config_without_envelope_fits_with_decay(self, tmp_path, capsys):
-        # an undamped trace puts the fitted decay rate on its bound r = 0: the fit converges, T infinite,
-        # written null in the strict JSON of the report file and of stdout alike
-        cfg = json.loads((CONFIG_DIR / "glutamate_rabi.json").read_text())
-        del cfg["envelope"]
-        out = tmp_path / "undamped"
-        assert main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
-        capsys.readouterr()
-        assert main(["fit", "--trace", str(out / "trace.csv"), "--model", "rabi", "--out", str(out / "fit.json")]) == 0
-        report = strict_json((out / "fit.json").read_text())
-        assert strict_json(capsys.readouterr().out) == report
-        assert report["converged"] is True
-        assert report["params"]["t_rabi_s"] is None
-        assert report["uncertainties"]["t_rabi_s"] is None
-        assert abs(report["params"]["frequency_hz"] / 2.57 - 1) < 0.02
-
-    @pytest.mark.parametrize("model", ["rabi", "ramsey", "lorentzian", "exponential"])
-    @pytest.mark.parametrize("bad", ["nan", "inf"])
-    def test_non_finite_trace_exits_one(self, tmp_path, capsys, model, bad):
-        trace = self.make_synthetic_trace(tmp_path)
-        rows = trace.read_text().splitlines()
-        rows[40] = rows[40].split(",")[0] + "," + bad
-        trace.write_text("\n".join(rows) + "\n")
-        report = tmp_path / "fit.json"
-        assert main(["fit", "--trace", str(trace), "--model", model, "--out", str(report)]) == 1
-        assert "input error: fit data must be finite" in capsys.readouterr().err
-        assert not report.exists()
-
-    @pytest.mark.parametrize("model", ["rabi", "ramsey", "exponential"])
-    @pytest.mark.parametrize("order", ["reversed", "doubled"])
-    def test_unordered_time_series_exits_one(self, tmp_path, capsys, model, order):
-        trace = self.make_synthetic_trace(tmp_path, "ramsey" if model == "ramsey" else "rabi")
-        head, *rows = trace.read_text().splitlines()
-        rows = rows[::-1] if order == "reversed" else [row for row in rows for _ in range(2)]
-        trace.write_text("\n".join([head, *rows]) + "\n")
-        report = tmp_path / "fit.json"
-        assert main(["fit", "--trace", str(trace), "--model", model, "--out", str(report)]) == 1
-        assert "input error: sweep times must be strictly increasing" in capsys.readouterr().err
-        assert not report.exists()
-
-    @pytest.mark.parametrize(
-        "model, flags, named",
-        [
-            ("ramsey", ["--no-decay"], "--no-decay"),
-            ("ramsey", ["--mode", "sin2"], "--mode"),
-            ("exponential", ["--mode", "cos2"], "--mode"),
-            ("lorentzian", ["--no-decay"], "--no-decay"),
-            ("rabi", ["--sign", "1"], "--sign"),
-            ("exponential", ["--sign", "-1"], "--sign"),
-        ],
-    )
-    def test_flag_the_model_does_not_take_exits_one(self, tmp_path, capsys, model, flags, named):
-        trace = self.make_synthetic_trace(tmp_path, "ramsey")
-        report = tmp_path / "fit.json"
-        assert main(["fit", "--trace", str(trace), "--model", model, *flags, "--out", str(report)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"input error: {named} applies only to --model ")
-        assert not report.exists()
 
 
 class TestScan:
@@ -484,15 +324,6 @@ class TestScan:
         assert not any(l.startswith("# lorentzian") for l in lines)
         assert "skipping Lorentzian fit: lorentzian fit needs data that is not constant" in capsys.readouterr().err
 
-    def test_noise_block_is_rejected(self, tmp_path, capsys):
-        # scan applies no noise, so a noise block is a field it does not read
-        cfg = json.loads((CONFIG_DIR / "glutamate_scan.json").read_text())
-        cfg["noise"] = {"sigma": 0.05, "seed": 3}
-        code = main(["scan", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "s")])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("input error: noise is not read by scan")
-        assert not (tmp_path / "s").exists()
-
     def test_two_point_grid_skips_lorentzian(self, tmp_path, capsys):
         cfg = self.scan_config([1.5, 3.0], tau_count=40)
         out = cmd_scan(write_config(tmp_path, cfg), tmp_path / "scan2")
@@ -542,22 +373,6 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert "frequency_hz" in out
 
-    def test_missing_config_exits_one(self, tmp_path, capsys):
-        assert main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 1
-        assert "input error" in capsys.readouterr().err
-
-    def test_bad_trace_exits_one(self, tmp_path, capsys):
-        path = tmp_path / "bad.csv"
-        path.write_text("justtext\n")
-        code = main(["fit", "--trace", str(path), "--model", "rabi", "--out", str(tmp_path / "r.json")])
-        assert code == 1
-
-    def test_trace_path_that_is_a_directory_exits_one(self, tmp_path, capsys):
-        code = main(["fit", "--trace", str(tmp_path), "--model", "rabi", "--out", str(tmp_path / "r.json")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("input error: ") and "Is a directory" in err
-
     @pytest.mark.parametrize("command, config", [("simulate", "glutamate_rabi"), ("scan", "glutamate_scan")])
     def test_out_path_that_is_a_file_exits_one(self, tmp_path, capsys, monkeypatch, command, config):
         # the path is checked before the run
@@ -572,24 +387,6 @@ class TestMainEntry:
         assert err.startswith("input error: ") and "File exists" in err
         assert out.read_text() == ""
 
-    def test_rejected_run_input_exits_one(self, tmp_path, capsys):
-        cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / "pgg_pumping.json").read_text())
-        cfg["protocol"]["sweep"] = {"values": [0.5, 1, 2]}
-        code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "p")])
-        assert code == 1
-        assert "input error: protocol: pumping sweep must contain positive integer cycle counts" in capsys.readouterr().err
-        assert not (tmp_path / "p").exists()
-
-    @pytest.mark.parametrize("command, config", [("simulate", "pgg_pumping"), ("scan", "glutamate_scan")])
-    def test_signal_proxy_where_unread_exits_one(self, tmp_path, capsys, command, config):
-        cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / f"{config}.json").read_text())
-        cfg["protocol"]["readout"] = "signal_proxy"
-        code = main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "t")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"input error: protocol.readout is not read by kind {cfg['protocol']['kind']!r}")
-        assert not (tmp_path / "t").exists()
-
     def test_unconverged_fit_exits_two(self, tmp_path, capsys, monkeypatch):
         cfg_path = write_config(tmp_path, rabi_config())
         assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "m")]) == 0
@@ -602,293 +399,6 @@ class TestMainEntry:
         assert out == ""
         assert "fit did not converge after 1 iterations (rss=" in err
         assert json.loads(report.read_text())["converged"] is False
-
-    def test_list_triplet_init_exits_one(self, tmp_path, capsys):
-        cfg = rabi_config()
-        cfg["protocol"]["triplet_init"] = [1, 0, 0]
-        code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "t")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "input error" in err and "triplet_init" in err
-
-    @pytest.mark.parametrize("phases", [[90], [90, -90, 0]], ids=["one", "three"])
-    def test_double_rabi_phases_need_two_numbers(self, tmp_path, capsys, phases):
-        cfg = rabi_config()
-        cfg["protocol"].update(kind="double_rabi", double_rabi_phases_deg=phases)
-        code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "t")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "input error" in err and "double_rabi_phases_deg" in err
-
-    def test_nan_sweep_value_exits_one(self, tmp_path, capsys):
-        cfg = rabi_config()
-        cfg["protocol"]["sweep"] = {"values": [0.1, None]}
-        code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "t")])
-        assert code == 1
-        assert "input error" in capsys.readouterr().err
-        assert not (tmp_path / "t" / "trace.csv").exists()
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("protocol.source_pair", [0]),
-            ("protocol.transfer.nutation_hz", [599.0]),
-            ("protocol.pi_half_duration_s", "0.1"),
-            ("protocol.prep.nutation_hz", "15"),
-            ("protocol.transfer.nutation_hz", float("nan")),
-            ("envelope.t_rabi_s", float("nan")),
-            ("envelope.t_rabi_s", True),
-            ("envelope.t_rabi_s", "abc"),
-            ("noise.sigma", float("nan")),
-        ],
-        ids=["source_pair", "transfer_nutation", "pi_half_duration", "prep_nutation", "transfer_nutation_nan",
-             "envelope_nan", "envelope_bool", "envelope_string", "noise_sigma_nan"],
-    )
-    def test_non_numeric_field_exits_one(self, tmp_path, capsys, field, value):
-        cfg = config_reading(field)
-        block, _, key = field.rpartition(".")
-        target = cfg
-        for part in block.split("."):
-            target = target[part]
-        target[key] = value
-        code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "t")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("input error") and f"{field} must be" in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "t" / "trace.csv").exists()
-
-    @pytest.mark.parametrize(
-        "field, value, message",
-        [
-            ("protocol.sweep", {"values": [-1.0, 0.5]}, "protocol: sweep values must be >= 0"),
-            ("protocol.scan_tau", {"values": [-0.1, 0.5]}, "protocol: scan_tau_grid_s must be finite and >= 0"),
-            ("protocol.scan_tau", {"values": [0.5, 0.1]},
-             "protocol: scan_tau_grid_s must be nonempty and strictly increasing"),
-            ("protocol.prep", {"phase_deg": 75.0}, "protocol.prep.phase_deg is not read by kind 'ideal'"),
-            ("protocol.prep", {"kind": "three_pulse", "tau1_s": 0.007, "tau2_s": 0.0205, "tau3_s": 0.00925,
-                               "phase_deg": 75.0}, "protocol.prep.phase_deg is not read by kind 'three_pulse'"),
-            ("protocol.sweep.count", 0, "protocol.sweep.count must be >= 1"),
-            ("protocol.sweep.count", -1, "protocol.sweep.count must be >= 1"),
-            ("noise.seed", -1, "noise.seed must be >= 0"),
-            ("protocol.prep.polarization", 2.0, "protocol.prep: polarization must lie in [-1, 1]"),
-            ("protocol.prep.polarization", -1.5, "protocol.prep: polarization must lie in [-1, 1]"),
-            ("envelope.t2s_star_s", float("nan"), "envelope.t2s_star_s must be a finite number"),
-            ("envelope.t2s_star_s", -1.0, "envelope.t2s_star_s must be positive"),
-            *((f"protocol.{key}", -20.5, f"protocol: {key} must be finite and >= 0, got -20.5")
-              for key in ("pi_half_duration_s", "pump_transfer_duration_s", "pump_reset_delay_s")),
-            *((f"protocol.prep.{key}", -20.5, f"protocol.prep: {key} must be finite and >= 0, got -20.5")
-              for key in ("duration_s", "tau1_s", "tau2_s", "tau3_s")),
-        ],
-        ids=["negative_sweep", "negative_scan_tau", "decreasing_scan_tau", "ideal_prep_phase",
-             "three_pulse_prep_phase", "count_zero", "count_negative", "negative_seed",
-             "polarization_high", "polarization_low", "t2s_star_nan", "t2s_star_negative",
-             "negative_pi_half", "negative_pump_transfer", "negative_pump_reset", "negative_prep_duration",
-             "negative_tau1", "negative_tau2", "negative_tau3"],
-    )
-    def test_out_of_range_field_exits_one_naming_it(self, tmp_path, capsys, field, value, message):
-        cfg = config_reading(field)
-        block, _, key = field.rpartition(".")
-        target = cfg
-        for part in block.split("."):
-            target = target[part]
-        target[key] = value
-        code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "t")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("input error") and message in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "t" / "trace.csv").exists()
-
-    @pytest.mark.parametrize(
-        "block, keys",
-        [
-            ("protocol.transfer", {"transmitter_ppm": 2.04, "transmitter_pair": 5}),
-            ("protocol.transfer", {"transmitter_offset_hz": 408.0, "transmitter_ppm": 2.04}),
-            ("protocol.free_lock", {"transmitter_offset_hz": 408.0, "transmitter_pair": 1}),
-            ("system.spins[0]", {"offset_hz": 408.0, "shift_ppm": 2.04}),
-            ("system.spins[0]", {}),
-        ],
-        ids=["transfer_ppm_pair", "transfer_offset_ppm", "free_lock_offset_pair", "spin_offset_shift",
-             "spin_neither"],
-    )
-    def test_position_needs_at_most_one_key(self, tmp_path, capsys, block, keys):
-        # a lock may give none (pair 0's centre), a spin exactly one
-        cfg = json.loads(json.dumps(ALL_FIELDS_CONFIGS["ramsey"]))
-        if block == "system.spins[0]":
-            del cfg["preset"]
-            cfg["system"] = {"spins": [keys, {"offset_hz": 190.0}], "couplings_hz": [[0.0, 7.0], [7.0, 0.0]]}
-        else:  # each lock already gives one of the keys
-            cfg["protocol"][block.rpartition(".")[2]].update(keys)
-        code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "t")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("input error") and f"{block} needs " in err
-        assert all(key in err for key in keys)
-        assert not (tmp_path / "t" / "trace.csv").exists()
-
-    @pytest.mark.parametrize(
-        "block, value",
-        [
-            ("protocol.prep", []),
-            ("protocol.transfer", [1]),
-            ("protocol.sweep", [1, 2]),
-            ("protocol.free_lock", "weak"),
-            ("noise", [1]),
-            ("envelope", [1]),
-            ("protocol", 5),
-        ],
-        ids=["prep", "transfer", "sweep", "free_lock", "noise", "envelope", "protocol"],
-    )
-    def test_non_object_block_exits_one(self, tmp_path, capsys, block, value):
-        cfg = config_reading(block)
-        *path, key = block.split(".")
-        target = cfg
-        for part in path:
-            target = target[part]
-        target[key] = value
-        code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "t")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("input error") and f"{block} must be a JSON object, got {value!r}" in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize(
-        "block, key",
-        [("", "bogus"), ("protocol", "sweeep"), ("protocol.transfer", "nutaton_hz"), ("system.spins[0]", "offset"),
-         ("protocol.prep", "polarisation"), ("protocol.sweep", "stepp"), ("envelope", "t_rabi"), ("noise", "sede")],
-        ids=["top_level", "protocol", "transfer", "spin", "prep", "sweep", "envelope", "noise"],
-    )
-    def test_misspelt_key_exits_one_naming_it(self, tmp_path, capsys, block, key):
-        cfg = json.loads(json.dumps(ALL_FIELDS_CONFIGS["rabi"]))
-        if block == "system.spins[0]":
-            del cfg["preset"]
-            cfg["system"] = {"spins": [{"offset_hz": 200.0}, {"offset_hz": 190.0}],
-                             "couplings_hz": [[0.0, 7.0], [7.0, 0.0]]}
-        target = cfg
-        for part in filter(None, block.replace("[0]", ".0").split(".")):
-            target = target[int(part) if part.isdigit() else part]
-        target[key] = 1.0
-        code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "t")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"input error: unknown field {block + '.' if block else ''}{key}")
-        assert not (tmp_path / "t").exists()
-
-    def test_sweep_with_values_and_count_exits_one(self, tmp_path, capsys):
-        cfg = rabi_config()
-        cfg["protocol"]["sweep"] = {"values": [0.1, 0.2], "count": 5}
-        code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "t")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("input error: protocol.sweep gives values") and "count" in err
-        assert not (tmp_path / "t").exists()
-
-    @pytest.mark.parametrize(
-        "config, field, value, kind",
-        [
-            ("glutamate_rabi", "protocol.pi_half_duration_s", 0.1, "rabi"),
-            ("pgg_pumping", "protocol.readout", "projector", "pumping"),
-            ("glutamate_scan", "protocol.phase_cycle", False, "resonance_scan"),
-            ("glutamate_rabi", "protocol.prep.polarization", 0.3, "ideal"),
-            ("glutamate_rabi", "envelope.t_s_s", 4.4, "rabi"),
-        ],
-        ids=["rabi_pi_half", "pumping_readout", "scan_phase_cycle", "ideal_prep_polarization", "rabi_t_s"],
-    )
-    def test_field_another_kind_reads_exits_one_naming_it(self, tmp_path, capsys, config, field, value, kind):
-        # a key outside its kind's row is rejected even at its default value
-        cfg = json.loads((CONFIG_DIR / f"{config}.json").read_text())
-        block, _, key = field.rpartition(".")
-        target = cfg
-        for part in block.split("."):
-            target = target.setdefault(part, {"kind": "ideal"} if part == "prep" else {})
-        target[key] = value
-        code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "t")])
-        assert code == 1
-        assert capsys.readouterr().err.startswith(f"input error: {field} is not read by kind {kind!r}")
-        assert not (tmp_path / "t").exists()
-
-    def test_misspelt_and_unread_fields_of_a_rabi_config_exit_one(self, tmp_path, capsys):
-        cfg = json.loads((CONFIG_DIR / "glutamate_rabi.json").read_text())
-        cfg["bogus"] = 1
-        cfg["protocol"].update(sweeep={"values": [0.1]}, pi_half_duration_s=0.1, pump_reset_delay_s=3.1,
-                               double_rabi_phases_deg=[10, 20], prep={"kind": "ideal", "polarization": 0.3})
-        cfg["protocol"]["transfer"]["nutaton_hz"] = 3
-        cfg["envelope"]["t_s_s"] = 4.4
-        code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "t")])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("input error: unknown field bogus")
-        assert not (tmp_path / "t").exists()
-
-    def test_unassigned_readout_pair_exits_one(self, tmp_path, capsys):
-        cfg = rabi_config()
-        cfg["protocol"]["readout_pair"] = 2
-        code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "t")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("input error") and "pair 2 is not assigned" in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("value", ["no", "true", 1, None], ids=["no", "true_string", "one", "null"])
-    def test_phase_cycle_must_be_a_json_bool(self, tmp_path, capsys, value):
-        cfg = rabi_config()
-        cfg["protocol"].update(readout="signal_proxy", phase_cycle=value)
-        code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "t")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("input error") and "protocol.phase_cycle must be true or false" in err
-        assert "Traceback" not in err
-
-    def test_phase_cycle_needs_the_signal_proxy_readout(self, tmp_path, capsys):
-        cfg = rabi_config()
-        cfg["protocol"]["phase_cycle"] = True
-        code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "t")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("input error: protocol: phase_cycle applies to the signal_proxy readout only")
-        assert not (tmp_path / "t").exists()
-
-    @pytest.mark.parametrize("values", [["0.1", "0.5"], [0.1, True], "0.1"], ids=["strings", "bool", "string"])
-    def test_sweep_values_must_be_numbers(self, tmp_path, capsys, values):
-        cfg = rabi_config()
-        cfg["protocol"]["sweep"] = {"values": values}
-        code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "t")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("input error") and "protocol.sweep.values must be a list" in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize(
-        "key, value, field",
-        [
-            ("pairs", [["0", "1"]], "system.pairs[0]"),
-            ("pairs", [[0, 1.0]], "system.pairs[0]"),
-            ("pairs", [[0, 1, 1]], "system.pairs[0]"),
-            ("pairs", "01", "system.pairs"),
-            ("couplings_hz", [[0.0, "7"], [7.0, 0.0]], "system.couplings_hz[0]"),
-            ("couplings_hz", "[[0, 7], [7, 0]]", "system.couplings_hz"),
-        ],
-        ids=["pair_strings", "pair_float", "pair_triple", "pairs_string", "coupling_string", "couplings_string"],
-    )
-    def test_system_lists_must_hold_numbers(self, tmp_path, capsys, key, value, field):
-        cfg = {
-            "system": {
-                "spins": [{"offset_hz": 200.0}, {"offset_hz": 190.0}],
-                "couplings_hz": [[0.0, 7.0], [7.0, 0.0]],
-                "pairs": [[0, 1]],
-            },
-            "protocol": {
-                "kind": "rabi",
-                "transfer": {"nutation_hz": 100.0, "transmitter_offset_hz": 195.0},
-                "sweep": {"values": [0.1, 0.2, 0.3]},
-            },
-        }
-        cfg["system"][key] = value
-        code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "t")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("input error") and f"{field} must be a list" in err
-        assert "Traceback" not in err
 
     def test_numerical_failure_exits_two(self, tmp_path, capsys, monkeypatch):
         import singletsim.cli as cli

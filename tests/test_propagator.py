@@ -452,6 +452,8 @@ class TestSweptExpectations:
         "negative_c": ((-0.01, E[:, :1], np.array([1.04])), "negative eigenvalue -1.000e-02"),
         "not_orthonormal": ((0.0, np.stack([E[0], (E[0] + E[1]) / np.sqrt(2)], axis=1), np.array([0.5, 0.5])),
                             "kets are not orthonormal"),
+        "weight_per_basis_state": ((0.0, E[:, :2], np.full(4, 0.25)),
+                                   r"state weights must hold 2, one per ket, got shape \(4,\)"),
     }
 
     @pytest.mark.parametrize("fault", list(INVALID_STATES))
