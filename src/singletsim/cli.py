@@ -12,7 +12,7 @@ is an input error naming it.  Every output file embeds, as its ``# config:``
 line, the fields its kinds read, serialised from the objects the run was
 built from, so that line loads back as a config and reproduces the run.
 
-Exit codes: 0 success, 1 input error, 2 numerical failure.
+Exit codes: 0 success, 1 input error (a usage error too), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -176,8 +176,9 @@ def _build_lock(spec: dict, key: str, context: str, at: tuple[SpinSystem, float]
         tx = ppm_to_hz(_number(block, key, context), spectrometer)
     else:  # a pair's centre, pair 0's when no position is given
         tx = pair_center_offset(system, _number(block, key, context, kind=int) if key else 0)
+    nutation = _number(block, "nutation_hz", context)
     try:
-        return SpinLockParams(_number(block, "nutation_hz", context), transmitter_offset_hz=tx, **phase)
+        return SpinLockParams(nutation, transmitter_offset_hz=tx, **phase)
     except ValueError as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
@@ -490,7 +491,7 @@ def cmd_scan(config_path: str, out_dir: str) -> Path:
     return out_path
 
 
-def cmd_presets(list_only: bool, dump: str | None) -> None:
+def cmd_presets(dump: str | None) -> None:
     if dump is not None:
         system = preset_system(dump)
         payload = {
@@ -506,8 +507,15 @@ def cmd_presets(list_only: bool, dump: str | None) -> None:
         print(name)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, a usage error raised as an input error (exit 1) in place of argparse's exit 2."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="singletsim",
         description="Simulate and analyze coherent singlet-singlet transfer in coupled spin pairs.",
     )
@@ -532,13 +540,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_presets = sub.add_parser("presets", help="list or dump molecule presets")
     p_presets.add_argument("--dump", default=None)
-    p_presets.add_argument("--list", action="store_true")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "simulate":
             path = cmd_simulate(args.config, args.out)
             print(f"wrote {path}")
@@ -559,7 +566,7 @@ def main(argv: list[str] | None = None) -> int:
             path = cmd_scan(args.config, args.out)
             print(f"wrote {path}")
         elif args.command == "presets":
-            cmd_presets(args.list, args.dump)
+            cmd_presets(args.dump)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         # LinAlgError is a ValueError, so it is caught before the input errors
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -1,9 +1,9 @@
 """Rotating-frame Hamiltonians and the dressed-splitting resonance conditions.
 
 Hamiltonians are stored in ordinary-frequency units (Hz); the factor 2*pi
-enters only in the propagator exponent.  A generator is float64 when it is
-real (every free Hamiltonian, and a lock or RF term whose phase has zero
-sine) and complex only otherwise.  Scalar couplings use the full
+enters only in the propagator exponent.  Every generator is real, float64
+and exactly symmetric: a lock is built at RF phase 0, and RF phase enters
+only in `propagator`, as a rotation about z.  Scalar couplings use the full
 isotropic form I_i . I_j, which the singlet physics requires.  Generators
 are written in place into one d x d array, entry by basis-state bit index,
 with no dense operator formed per term; each entry is summed in the order a
@@ -78,29 +78,18 @@ def free_hamiltonian(system: SpinSystem, transmitter_offset_hz: float = 0.0) -> 
     return h
 
 
-def _add_lock(h: np.ndarray, system: SpinSystem, nutation_hz: float, phase: float) -> np.ndarray:
-    """h plus nu_n * sum_i (cos(phase) I_ix + sin(phase) I_iy), added in place on each spin's single-flip entries."""
-    cx, sy = np.cos(phase), np.sin(phase)
-    up, flipped = _single_flips(system.n_spins)
-    h[up, flipped] += nutation_hz * (cx * 0.5)
-    h[flipped, up] += nutation_hz * (cx * 0.5)
-    if sy != 0.0:
-        h[up, flipped] -= nutation_hz * (0.5j * sy)
-        h[flipped, up] += nutation_hz * (0.5j * sy)
-    return h
+def spinlock_hamiltonian(system: SpinSystem, nutation_hz: float, transmitter_offset_hz: float = 0.0) -> np.ndarray:
+    """Free Hamiltonian at the transmitter offset plus the CW lock term at RF phase 0.
 
-
-def spinlock_hamiltonian(system: SpinSystem, params: SpinLockParams) -> np.ndarray:
-    """Free Hamiltonian at the transmitter offset plus the CW lock term.
-
-    Adds the RF term nu_n * sum_i (cos(phase) I_ix + sin(phase) I_iy) into the
-    free Hamiltonian's array, complex only when sin(phase) is not 0; a 180
-    degree phase shift is equivalent to flipping the sign of nu_n.
+    H(0) = free + nu_n * sum_i I_ix, the lock added in place on each spin's
+    single-flip entries.  A lock at phase phi is Z H(0) Z^dagger with
+    Z = exp(-i phi Fz), which `propagator` applies.
     """
-    h = free_hamiltonian(system, params.transmitter_offset_hz)
-    if params.nutation_hz == 0.0:
-        return h
-    return _add_lock(h if np.sin(params.phase) == 0.0 else h.astype(complex), system, params.nutation_hz, params.phase)
+    h = free_hamiltonian(system, transmitter_offset_hz)
+    up, flipped = _single_flips(system.n_spins)
+    h[up, flipped] += nutation_hz * 0.5
+    h[flipped, up] += nutation_hz * 0.5
+    return h
 
 
 def dressed_splitting(nutation_hz: float, offset_hz: float) -> float:

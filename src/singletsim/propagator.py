@@ -5,15 +5,16 @@ U = prod_k V_k exp(-i 2 pi E_k t_k) V_k^dagger, exact for the
 piecewise-constant Hamiltonians used here, to a block of kets one segment at
 a time; `swept_expectations` applies it to the initial state's kets.  A lock
 at RF phase phi has the generator Z H(0) Z^dagger with Z = exp(-i phi Fz),
-and H(0) is real symmetric: each distinct phase-0 generator (a segment at
-phase 0 without its duration) is diagonalised once per call, in real
-arithmetic, and the kets are scaled by the diagonal Z on their way into and
-out of its real eigenvectors V0, so locks that differ only in phase share
-one `eigh` and Z V0 is never formed.  This is the one place RF phase enters
-the evolution, and the engine picks the frame: `swept_expectations` runs in
-the frame of its first lock, where that lock is at phase 0.  A free delay
-is a lock at zero nutation: its generator is the free Hamiltonian at the
-transmitter offset, and it carries no RF phase.  A hard pulse is an ideal
+and H(0), which `hamiltonian.spinlock_hamiltonian` builds, is real
+symmetric: each distinct (nutation, transmitter offset) is diagonalised
+once per call, in real arithmetic, and the kets are scaled by the diagonal
+Z on their way into and out of its real eigenvectors V0, so locks that
+differ only in phase share one `eigh` and Z V0 is never formed.  This is
+the one place RF phase enters the evolution, and the engine picks the
+frame: `swept_expectations` runs in the frame of its first lock, where
+that lock is at phase 0.  A free delay is a lock at zero nutation: its
+generator is the free Hamiltonian at the transmitter offset, and it
+carries no RF phase.  A hard pulse is an ideal
 zero-duration rotation, the same 2 x 2 rotation on each spin's bit, with no
 `eigh`.  `swept_expectations` reads every population: a sweep of a
 duration tau shared by k consecutive segments (a fixed sequence is a
@@ -81,27 +82,20 @@ class SpinLock:
 Segment = HardPulse | SpinLock
 
 
-def _phase_free(segment: SpinLock, frame: float) -> tuple[SpinLock, float]:
-    """(the lock at RF phase 0 without its duration, its RF phase in the frame; 0 at zero nutation)."""
-    phase = segment.params.phase - frame if segment.params.nutation_hz != 0.0 else 0.0
-    return SpinLock(replace(segment.params, phase=0.0), 0.0), phase
-
-
 def _segment_eig(system: SpinSystem, segment: SpinLock, eigs: dict, frame: float) -> tuple:
     """(E, V0, z): the segment's generator H(phase) = Z H(0) Z^dagger has eigenvectors Z V0, Z = diag(z).
 
-    The phase is the lock's less the frame's, and z = exp(-i phase Fz), None
-    at phase 0.  H(0) must be real and exactly symmetric; it is diagonalised
-    in real arithmetic, once per table whatever the phase.
+    The phase is the lock's less the frame's, 0 at zero nutation, and
+    z = exp(-i phase Fz), None at phase 0.  The real symmetric H(0) is
+    diagonalised once per table for each (nutation, transmitter offset),
+    whatever the phase.
     """
-    key, phase = _phase_free(segment, frame)
+    params = segment.params
+    key = params.nutation_hz, params.transmitter_offset_hz
     if key not in eigs:
-        h0 = spinlock_hamiltonian(system, key.params)
-        if np.iscomplexobj(h0) or not np.array_equal(h0, h0.T):
-            raise ValueError("the phase-0 generator of a segment must be real and exactly symmetric")
-        eigs[key] = np.linalg.eigh(h0)
-    energies, vectors = eigs[key]
-    return energies, vectors, None if phase == 0.0 else np.exp(-1j * phase * _fz(system.n_spins))
+        eigs[key] = np.linalg.eigh(spinlock_hamiltonian(system, *key))
+    phase = params.phase - frame if params.nutation_hz != 0.0 else 0.0
+    return *eigs[key], None if phase == 0.0 else np.exp(-1j * phase * _fz(system.n_spins))
 
 
 def _into(basis: tuple, x: np.ndarray) -> np.ndarray:
@@ -267,7 +261,7 @@ def swept_expectations(
     if bad.size:
         raise ValueError(f"swept duration {bad[0]} must be finite and >= 0")
     frame = next(s.params.phase for s in [*before, *segments] if isinstance(s, SpinLock))
-    eigs: dict[SpinLock, tuple[np.ndarray, np.ndarray]] = {}
+    eigs: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
     bases = [_segment_eig(system, segment, eigs, frame) for segment in segments]
     g = _into(bases[0], _apply(system, before, kets, eigs, frame))  # V_1^dagger U_before K
     up_down = _up_down(system.n_spins)
@@ -329,6 +323,15 @@ def _mirrored(segments: list[Segment], frame: float) -> list[Segment]:
             else replace(s, params=replace(s.params, phase=2 * frame - s.params.phase)) for s in reversed(segments)]
 
 
+def _singlet_kets(system: SpinSystem, pair_index: int) -> np.ndarray:
+    """B^T: the pair's d / 4 singlet kets (|ud> - |du>) / sqrt(2) as columns, written by row index."""
+    (a, b), up_down, columns = system.pair(pair_index), _up_down(system.n_spins), np.arange(system.dim // 4)
+    kets = np.zeros((system.dim, len(columns)))
+    kets[up_down[a, b], columns] = 1 / SQRT2
+    kets[up_down[b, a], columns] = -1 / SQRT2
+    return kets
+
+
 def diagonal_singlet_population(system: SpinSystem, weights: np.ndarray, segments: list[Segment],
                                 pair_index: int) -> float:
     """Singlet population of a pair after the segments, from the diagonal state diag(`weights`).
@@ -338,13 +341,11 @@ def diagonal_singlet_population(system: SpinSystem, weights: np.ndarray, segment
     singlet kets (|ud> - |du>) / sqrt(2) as columns, the population
     tr(B^T B U diag(w) U^dagger) is sum_k w_k ||row k of U^T B^T||^2, and
     U^T is `_apply` of the `_mirrored` list, d / 4 kets carried in place of
-    d.  Each distinct phase-0 generator is diagonalised once (`_segment_eig`).
+    d.  Each distinct (nutation, transmitter offset) is diagonalised once
+    (`_segment_eig`).
     """
     frame = next((s.params.phase for s in segments if isinstance(s, SpinLock)), 0.0)
-    a, b = system.pair(pair_index)
-    up_down, eye = _up_down(system.n_spins), np.eye(system.dim)
-    singlets = (eye[:, up_down[a, b]] - eye[:, up_down[b, a]]) / SQRT2  # B^T
-    x = _apply(system, _mirrored(segments, frame), singlets, {}, frame)
+    x = _apply(system, _mirrored(segments, frame), _singlet_kets(system, pair_index), {}, frame)
     return float(weights @ (np.abs(x) ** 2).sum(axis=1))
 
 

@@ -30,9 +30,10 @@ phase-shifted readout run.  Each runner applies its own decay envelope to
 the values it reads: T_Rabi on Rabi-type runs, T_2S* about each row's mean
 then T_S on Ramsey runs, T_S over each pumping cycle.
 
-RF phase enters only in `propagator`: `swept_expectations` simulates each
-run in the frame of its first lock (the transfer lock; Ramsey's first pi/2
-lock; double-Rabi's lock a; a lock-crossing preparation's own lock), so the
+RF phase enters only in `propagator`, about the real phase-0 generators
+`hamiltonian` builds: `swept_expectations` simulates each run in the frame
+of its first lock (the transfer lock; Ramsey's first pi/2 lock;
+double-Rabi's lock a; a lock-crossing preparation's own lock), so the
 ideal state is built at phase 0, against that frame, and is real; Mx is
 read in the lab frame.  Pair singlet projectors and the thermal state
 commute with Fz, so populations read the same in either frame.

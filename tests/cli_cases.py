@@ -176,6 +176,14 @@ def lorentzian_header(out: Path, stdout: str) -> None:
     strict_json(next(line for line in lines if line.startswith("# lorentzian:")).split(":", 1)[1])
 
 
+def printed(*words: str) -> Callable[[Path, str], None]:
+    """The check of a run that writes no file: each of `words` is a word of its stdout."""
+    def check(out: Path, stdout: str) -> None:
+        missing = [word for word in words if word not in stdout.split()]
+        assert not missing, f"stdout {stdout!r} lacks {missing}"
+    return check
+
+
 def _bad_point(value: str) -> Callable[[list[str]], list[str]]:
     """The trace edit that makes the 40th point's observable `value`."""
     return lambda rows: [*rows[:39], f"{rows[39].split(',')[0]},{value}", *rows[40:]]
@@ -220,6 +228,17 @@ CASES = [
     # without its envelope, fitted with decay: the rate ends on its bound r = 0, so T = 1/r is null
     Case("undamped_rabi_fit_with_decay", fit("rabi"), "glutamate_rabi", {"envelope": DELETE},
          check=fitted(frequency_hz=(2.57, 0.02), t_rabi_s=None)),
+
+    Case("presets_lists_every_preset", "presets", check=printed("glutamate", "phe-gly-gly")),
+    Case("help", "--help", check=printed("usage:", "simulate", "fit", "scan", "presets")),
+
+    # a usage error is an input error: argparse's message, exit 1 and no --out
+    Case("fit_of_an_unknown_model", fit("gaussian"), "rabi_trace", code=1,
+         stderr="input error: argument --model: invalid choice: 'gaussian'"),
+    Case("simulate_without_config", "simulate --out {out}", code=1,
+         stderr="input error: the following arguments are required: --config"),
+    Case("unknown_subcommand", "bogus --out {out}", code=1,
+         stderr="input error: argument command: invalid choice: 'bogus'"),
 
     # input errors of fit: the report is not written
     Case("trace_path_that_is_a_directory", "fit --trace {tmp} --model rabi --out {out}", code=1,
@@ -285,14 +304,17 @@ CASES = [
     *(Case(f"non_numeric_{name}", SIMULATE, f"all_fields_{kind}", {field: value}, 1, f"{field} must be")
       for name, kind, field, value in (
           ("source_pair", "rabi", "protocol.source_pair", [0]),
-          ("transfer_nutation", "rabi", "protocol.transfer.nutation_hz", [599.0]),
           ("pi_half_duration", "ramsey", "protocol.pi_half_duration_s", "0.1"),
           ("prep_nutation", "rabi", "protocol.prep.nutation_hz", "15"),
-          ("transfer_nutation_nan", "rabi", "protocol.transfer.nutation_hz", float("nan")),
           ("envelope_nan", "rabi", "envelope.t_rabi_s", float("nan")),
           ("envelope_bool", "rabi", "envelope.t_rabi_s", True),
           ("envelope_string", "rabi", "envelope.t_rabi_s", "abc"),
           ("noise_sigma_nan", "rabi", "noise.sigma", float("nan")))),
+    # named once, with no prefix of its lock block
+    *(Case(f"non_numeric_{name}", SIMULATE, "all_fields_rabi", {"protocol.transfer.nutation_hz": value}, 1,
+           f"input error: protocol.transfer.nutation_hz must be a finite number, got {shown}")
+      for name, value, shown in (("transfer_nutation", [599.0], "[599.0]"),
+                                 ("transfer_nutation_nan", float("nan"), "nan"))),
     *(Case(f"out_of_range_{name}", SIMULATE, f"all_fields_{kind}", {field: value}, 1, f"input error: {message}")
       for name, kind, field, value, message in (
           ("negative_sweep", "rabi", "protocol.sweep", {"values": [-1.0, 0.5]}, "protocol: sweep values must be >= 0"),
@@ -371,7 +393,10 @@ def in_process(argv: list[str]) -> tuple[int, str, str]:
     """(exit code, stdout, stderr) of `cli.main` on `argv`."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's --help exits from inside main
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 

@@ -3,8 +3,8 @@
 Dense spin and pair operators embedded by bit index, projectors, product
 states, `expectation` and a spectral frequency estimate are the references
 for the package's generators, populations and fits; `rf_generator` is the
-engine's lock term on its own.  The dense pair-product, mixed-triplet and
-pseudo-thermal densities, the dense density check with its
+lock term at an RF phase, summed from them.  The dense pair-product,
+mixed-triplet and pseudo-thermal densities, the dense density check with its
 `check_hermitian` and `dense`, which expands the engine's factored state
 (c, K, w), reference the factored states the package builds.  The paper's
 effective two-level theory is a test oracle here: `effective_channels`
@@ -37,7 +37,6 @@ import pytest
 from singletsim.analysis import FitInputError, _trace_xy
 from singletsim.hamiltonian import (
     SpinLockParams,
-    _add_lock,
     dressed_splitting,
     intrapair_coupling,
     pair_center_offset,
@@ -224,12 +223,12 @@ def dense(state: tuple) -> np.ndarray:
 
 
 def rf_generator(system: SpinSystem, phase: float) -> np.ndarray:
-    """Transverse operator sum_i (cos(phase) I_ix + sin(phase) I_iy) driven by RF at a phase.
-
-    The engine's `_add_lock` at unit nutation on a zero array; real when sin(phase) is 0.
-    """
-    return _add_lock(np.zeros((system.dim, system.dim), dtype=float if np.sin(phase) == 0.0 else complex),
-                     system, 1.0, phase)
+    """Transverse operator sum_i (cos(phase) I_ix + sin(phase) I_iy) driven by RF at a phase, summed spin by spin."""
+    cx, sy = np.cos(phase), np.sin(phase)
+    return sum(
+        cx * embed_spin_operator(system, i, "x") + sy * embed_spin_operator(system, i, "y")
+        for i in range(system.n_spins)
+    )
 
 
 @dataclass(frozen=True)
@@ -476,7 +475,7 @@ def oracle_propagator(system, segments):
             g0 = sum(embed_spin_operator(system, i, "x") for i in range(system.n_spins))
             phase, t = seg.phase, seg.flip_angle / (2 * np.pi)
         else:
-            g0 = spinlock_hamiltonian(system, replace(seg.params, phase=0.0))
+            g0 = spinlock_hamiltonian(system, seg.params.nutation_hz, seg.params.transmitter_offset_hz)
             phase, t = seg.params.phase, seg.duration_s
         w, v0 = np.linalg.eigh(g0.real)
         v = np.exp(-1j * phase * fz)[:, None] * v0
@@ -524,7 +523,7 @@ def oracle_pair_block_levels(system, pair_index, lock):
         couplings_hz=np.array([[0.0, j], [j, 0.0]]),
         pairs=((0, 1),),
     )
-    energies, vectors = np.linalg.eigh(spinlock_hamiltonian(sub, SpinLockParams(lock.nutation_hz, 0.0, 0.0)))
+    energies, vectors = np.linalg.eigh(spinlock_hamiltonian(sub, lock.nutation_hz))
     overlaps = [
         (abs(getattr(PAIR_BASIS, name).conj() @ vectors[:, col]) ** 2, name, col)
         for name in ("s0", "phi_plus", "phi_0", "phi_minus")

@@ -416,8 +416,3 @@ class TestMainEntry:
         payload = json.loads(capsys.readouterr().out)
         assert payload["pairs"] == [[0, 1], [2, 3]]
         assert len(payload["offsets_hz"]) == 4
-
-    def test_presets_list(self, capsys):
-        assert main(["presets", "--list"]) == 0
-        names = capsys.readouterr().out.split()
-        assert "glutamate" in names and "phe-gly-gly" in names

@@ -22,6 +22,7 @@ from singletsim.hamiltonian import (
     spinlock_hamiltonian,
 )
 from singletsim.presets import glutamate, phe_gly_gly
+from singletsim.propagator import SpinLock, _segment_eig
 from singletsim.spincore import PAIR_BASIS, SpinSystem, TripletAmplitudes
 
 PHI_PLUS = TripletAmplitudes(1.0, 0.0, 0.0)
@@ -94,32 +95,27 @@ class TestSpinLockParams:
 class TestSpinlockHamiltonian:
     def test_dressed_splitting_single_spin(self):
         sys1 = SpinSystem(np.array([0.0]), np.zeros((1, 1)), ())
-        h = spinlock_hamiltonian(sys1, SpinLockParams(25.0, 0.0, 0.0))
+        h = spinlock_hamiltonian(sys1, 25.0)
         assert np.allclose(np.sort(np.linalg.eigvalsh(h)), [-12.5, 12.5])
 
     def test_pi_phase_flips_lock_sign(self):
+        # the engine's basis Z V0 of a lock at phase pi spans 2 free - H(0)
         sys1 = SpinSystem(np.array([3.0]), np.zeros((1, 1)), ())
-        h0 = spinlock_hamiltonian(sys1, SpinLockParams(25.0, 0.0, 0.0))
-        hpi = spinlock_hamiltonian(sys1, SpinLockParams(25.0, np.pi, 0.0))
-        free = free_hamiltonian(sys1, 0.0)
-        assert np.max(np.abs(hpi - (2 * free - h0))) < 1e-10
+        energies, vectors, z = _segment_eig(sys1, SpinLock(SpinLockParams(25.0, np.pi), 0.0), {}, 0.0)
+        hpi = (z[:, None] * vectors * energies) @ (z[:, None] * vectors).conj().T
+        h0 = spinlock_hamiltonian(sys1, 25.0)
+        assert np.max(np.abs(hpi - (2 * free_hamiltonian(sys1) - h0))) < 1e-10
 
     def test_zero_nutation_reduces_to_free(self):
         glu = glutamate()
-        h = spinlock_hamiltonian(glu, SpinLockParams(0.0, 0.3, 408.0))
-        assert np.max(np.abs(h - free_hamiltonian(glu, 408.0))) < 1e-14
-
-    def test_hermitian(self):
-        glu = glutamate()
-        h = spinlock_hamiltonian(glu, SpinLockParams(500.0, 1.1, 408.0))
-        assert np.max(np.abs(h - h.conj().T)) < 1e-12
+        assert np.array_equal(spinlock_hamiltonian(glu, 0.0, 408.0), free_hamiltonian(glu, 408.0))
 
     def test_eigenvectors_converge_to_lock_basis(self):
         # strong lock, on-resonance transmitter: eigenvectors approach the
         # dressed pair kets (overlap > 0.999 at nutation = 100 |delta nu|)
         dnu = 5.0
         system = pair_system(15.0, dnu)
-        h = spinlock_hamiltonian(system, SpinLockParams(100 * dnu, 0.0, 0.0))
+        h = spinlock_hamiltonian(system, 100 * dnu)
         _, vectors = np.linalg.eigh(h)
         b = PAIR_BASIS
         for ket in (b.phi_plus, b.phi_0, b.phi_s, b.phi_minus):
@@ -157,7 +153,8 @@ class TestAgainstKroneckerProducts:
     """Operators built by bit index against dense Kronecker-product references."""
 
     TX_HZ = 37.5
-    LOCK = SpinLockParams(599.31, 0.7, TX_HZ)
+    NUTATION_HZ = 599.31
+    PHASE = 0.7
 
     @pytest.fixture(scope="class")
     def reference(self):
@@ -168,9 +165,7 @@ class TestAgainstKroneckerProducts:
         for i in range(n):
             for j in range(i + 1, n):
                 h = h + system.couplings_hz[i, j] * sum(ops[a][i] @ ops[a][j] for a in "xyz")
-        phase = self.LOCK.phase
-        rf = sum(np.cos(phase) * ops["x"][i] + np.sin(phase) * ops["y"][i] for i in range(n))
-        return system, h, rf
+        return system, h, ops
 
     def test_free_hamiltonian(self, reference):
         system, h, _ = reference
@@ -178,13 +173,14 @@ class TestAgainstKroneckerProducts:
         assert np.max(np.abs(free_hamiltonian(system, self.TX_HZ) - h)) < 1e-12
 
     def test_rf_generator(self, reference):
-        system, _, rf = reference
-        assert np.max(np.abs(rf_generator(system, self.LOCK.phase) - rf)) < 1e-12
+        system, _, ops = reference
+        rf = sum(np.cos(self.PHASE) * x + np.sin(self.PHASE) * y for x, y in zip(ops["x"], ops["y"]))
+        assert np.max(np.abs(rf_generator(system, self.PHASE) - rf)) < 1e-12
 
     def test_spinlock_hamiltonian(self, reference):
-        system, h, rf = reference
-        expected = h + self.LOCK.nutation_hz * rf
-        assert np.max(np.abs(spinlock_hamiltonian(system, self.LOCK) - expected)) < 1e-12
+        system, h, ops = reference
+        expected = h + self.NUTATION_HZ * sum(ops["x"])
+        assert np.max(np.abs(spinlock_hamiltonian(system, self.NUTATION_HZ, self.TX_HZ) - expected)) < 1e-12
 
 
 # I_a . I_b of two spins-1/2 in the local basis (uu, ud, du, dd)
@@ -201,14 +197,6 @@ def dense_free_hamiltonian(system, tx_hz):
             if system.couplings_hz[i, j] != 0.0:
                 h += system.couplings_hz[i, j] * embed_pair_operator(system, (i, j), I_DOT_I)
     return h
-
-
-def dense_rf_generator(system, phase):
-    cx, sy = np.cos(phase), np.sin(phase)
-    return sum(
-        cx * embed_spin_operator(system, i, "x") + sy * embed_spin_operator(system, i, "y")
-        for i in range(system.n_spins)
-    )
 
 
 SCATTER_SYSTEMS = {
@@ -229,17 +217,26 @@ class TestAgainstDenseAccumulation:
     def test_free_hamiltonian(self, system, tx_hz):
         assert np.array_equal(free_hamiltonian(system, tx_hz), dense_free_hamiltonian(system, tx_hz))
 
-    @pytest.mark.parametrize("phase", [0.0, 0.7, 0.7 + np.pi, -2.2])
-    def test_rf_generator(self, system, phase):
-        assert np.array_equal(rf_generator(system, phase), dense_rf_generator(system, phase))
-
-    @pytest.mark.parametrize("phase", [0.0, 0.7, 0.7 + np.pi, -2.2])
-    def test_spinlock_hamiltonian(self, system, phase):
-        lock = SpinLockParams(599.31, phase, 37.5)
+    @pytest.mark.parametrize("nutation_hz", [0.0, 599.31])
+    def test_spinlock_hamiltonian(self, system, nutation_hz):
         expected = dense_free_hamiltonian(system, 37.5)
-        expected += lock.nutation_hz * dense_rf_generator(system, phase)
+        expected += nutation_hz * rf_generator(system, 0.0)
         assert system.dim in (16, 64, 256)
-        assert np.array_equal(spinlock_hamiltonian(system, lock), expected)
+        assert np.array_equal(spinlock_hamiltonian(system, nutation_hz, 37.5), expected)
+
+    @pytest.mark.parametrize("nutation_hz", [0.0, 599.31])
+    def test_generator_is_real_and_exactly_symmetric(self, system, nutation_hz):
+        # the engine diagonalises every generator in real arithmetic, as built
+        h = spinlock_hamiltonian(system, nutation_hz, 37.5)
+        assert h.dtype == np.float64 and np.array_equal(h, h.T)
+
+    @pytest.mark.parametrize("phase", [0.7, 0.7 + np.pi, -2.2])
+    def test_engine_basis_spans_the_phased_generator(self, system, phase):
+        # RF phase enters only in the propagator: its basis Z V0 spans free + nu (cos I_x + sin I_y)
+        energies, vectors, z = _segment_eig(system, SpinLock(SpinLockParams(599.31, phase, 37.5), 0.0), {}, 0.0)
+        basis = z[:, None] * vectors
+        expected = dense_free_hamiltonian(system, 37.5) + 599.31 * rf_generator(system, phase)
+        assert np.max(np.abs((basis * energies) @ basis.conj().T - expected)) < 1e-10
 
 
 class TestInteractionStrength:

@@ -32,7 +32,7 @@ from singletsim.propagator import (
     SpinLock,
     swept_expectations,
 )
-from singletsim.spincore import SpinSystem, _fz, thermal_state
+from singletsim.spincore import SQRT2, SpinSystem, _fz, _up_down, thermal_state
 from singletsim.trace import Trace
 
 
@@ -159,36 +159,23 @@ class TestPhaseRotation:
         fz = sum(embed_spin_operator(system, i, "z") for i in range(system.n_spins)).diagonal()
         assert np.array_equal(_fz(system.n_spins), fz.real)
         z = np.exp(-1j * phase * _fz(system.n_spins))
-        lock = SpinLockParams(310.0, phase, 12.0)
-        h0 = spinlock_hamiltonian(system, replace(lock, phase=0.0))
-        assert np.max(np.abs(z[:, None] * h0 * z.conj() - spinlock_hamiltonian(system, lock))) < 1e-12
+        h0 = spinlock_hamiltonian(system, 310.0, 12.0)
+        expected = free_hamiltonian(system, 12.0) + 310.0 * rf_generator(system, phase)
+        assert np.max(np.abs(z[:, None] * h0 * z.conj() - expected)) < 1e-12
         g0 = rf_generator(system, 0.0)
         assert np.max(np.abs(z[:, None] * g0 * z.conj() - rf_generator(system, phase))) < 1e-15
 
-    def test_phase_0_generator_must_be_exactly_symmetric_and_real(self, monkeypatch):
-        # one ulp off the symmetric lock entry, and a complex array with no imaginary part
-        build = engine.spinlock_hamiltonian
-        lock = [SpinLock(SpinLockParams(30.0), 0.0)]
-
-        def one_ulp_off(system, params):
-            h = build(system, params)
-            h[0, 1] = np.nextafter(h[0, 1], np.inf)
-            return h
-
-        for generator in (one_ulp_off, lambda *args: build(*args).astype(complex)):
-            monkeypatch.setattr(engine, "spinlock_hamiltonian", generator)
-            with pytest.raises(ValueError, match="must be real and exactly symmetric"):
-                swept_expectations(coupled_pair(), (0.0, np.eye(4), np.full(4, 0.25)), [], lock, [0.1], [])
-
-    def test_phase_0_generator_must_be_real(self, monkeypatch):
-        def complex_free_hamiltonian(system, transmitter_offset_hz):
-            h = np.zeros((system.dim, system.dim), dtype=complex)
-            h[0, 1], h[1, 0] = 1j, -1j
-            return h
-
-        monkeypatch.setattr("singletsim.hamiltonian.free_hamiltonian", complex_free_hamiltonian)
-        with pytest.raises(ValueError, match="must be real"):
-            sequence_propagator(coupled_pair(), [SpinLock(SpinLockParams(0.0), 0.1)])
+    def test_locks_differing_only_in_phase_share_one_table_entry(self, eigh_calls):
+        system, eigs = glutamate(), {}
+        lock = SpinLockParams(310.0, 0.0, 12.0)
+        bases = [engine._segment_eig(system, SpinLock(replace(lock, phase=phase), 0.3), eigs, 0.2)
+                 for phase in (0.2, 0.7, -2.2, 0.7)]
+        assert len(eigs) == 1 and len(eigh_calls) == 1
+        assert all(b[0] is bases[0][0] and b[1] is bases[0][1] for b in bases)
+        # the phase less the frame's comes back as the diagonal z, None in the frame's own phase
+        assert bases[0][2] is None and np.array_equal(bases[1][2], np.exp(-1j * (0.7 - 0.2) * _fz(system.n_spins)))
+        engine._segment_eig(system, SpinLock(replace(lock, transmitter_offset_hz=13.0), 0.3), eigs, 0.2)
+        assert len(eigs) == 2 and len(eigh_calls) == 2
 
 
 class TestRealArithmetic:
@@ -199,7 +186,7 @@ class TestRealArithmetic:
         system = make()
         lock = SpinLockParams(310.0, 0.0, pair_center_offset(system, 0))
         assert free_hamiltonian(system, 12.0).dtype == np.float64
-        assert spinlock_hamiltonian(system, lock).dtype == np.float64
+        assert spinlock_hamiltonian(system, lock.nutation_hz, lock.transmitter_offset_hz).dtype == np.float64
         assert thermal_state(system, 0.9).dtype == np.float64
         for init in ("uniform", "phi_minus"):
             assert sequences.ideal_transfer_state(system, 0, init)[1].dtype == np.float64
@@ -208,11 +195,6 @@ class TestRealArithmetic:
         # at a nonzero phase the eigenvectors stay the real V0, and the phase comes back as a diagonal
         _, phased, z = engine._segment_eig(system, SpinLock(replace(lock, phase=0.7), 0.0), {}, 0.0)
         assert phased.dtype == np.float64 and np.array_equal(z, np.exp(-0.7j * _fz(system.n_spins)))
-
-    def test_phased_lock_is_complex(self):
-        system = coupled_pair()
-        assert spinlock_hamiltonian(system, SpinLockParams(30.0, 0.7)).dtype == np.complex128
-        assert rf_generator(system, np.pi / 2).dtype == np.complex128
 
     def test_zero_nutation_lock_carries_no_phase(self):
         # a free delay: a phase or a frame shift leaves its generator and its real eigenvectors as they are
@@ -537,6 +519,15 @@ class TestDiagonalSingletPopulation:
         transposed = engine._apply(system, engine._mirrored(segments, frame), np.eye(system.dim), {}, frame)
         assert np.max(np.abs(transposed - forward.T)) < 1e-13
 
+    @pytest.mark.parametrize("n_spins", [4, 6, 8], ids=["d16", "d64", "d256"])
+    def test_singlet_kets_are_the_identity_columns_they_replace(self, n_spins):
+        system, _ = self.mixed_sequence(n_spins)
+        up_down, eye = _up_down(n_spins), np.eye(system.dim)
+        for pair, (a, b) in enumerate(system.pairs):
+            expected = (eye[:, up_down[a, b]] - eye[:, up_down[b, a]]) / SQRT2
+            kets = engine._singlet_kets(system, pair)
+            assert kets.dtype == np.float64 and np.array_equal(kets.view(np.uint64), expected.view(np.uint64))
+
 
 class TestPhasorTable:
     SYSTEMS = {"glutamate_d16": glutamate, "pgg_d64": lambda: phe_gly_gly(include_third_pair=True)}
@@ -572,7 +563,7 @@ class TestPhasorTable:
         assert np.max(np.abs(values - swept_expectations(*args))) < 1e-12
 
     def test_non_uniform_sweep_takes_the_direct_path(self, monkeypatch):
-        energies = np.linalg.eigvalsh(spinlock_hamiltonian(glutamate(), SpinLockParams(599.31)))
+        energies = np.linalg.eigvalsh(spinlock_hamiltonian(glutamate(), 599.31))
         taus = np.sort(np.random.default_rng(125).uniform(0.02, 2.5, 125))
         sizes = self.exponentiated(monkeypatch)
         table = engine._phasors(energies, taus)
