@@ -12,7 +12,7 @@ is an input error naming it.  Every output file embeds, as its ``# config:``
 line, the fields its kinds read, serialised from the objects the run was
 built from, so that line loads back as a config and reproduces the run.
 
-Exit codes: 0 success, 1 input error (a usage error too), 2 numerical failure.
+Exit codes: 0 success (--help too), 1 input error (a usage error too), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .analysis import MODEL_FITTERS, FitInputError, FitResult, evaluate_model, fit_lorentzian
 from .hamiltonian import SpinLockParams, pair_center_offset
-from .presets import PRESETS, ppm_to_hz, preset_params, preset_system
+from .presets import PRESETS, ppm_to_hz, preset
 from .propagator import RelaxationEnvelope
 from .sequences import (
     ENVELOPE_FIELDS,
@@ -285,11 +285,11 @@ def load_config(path: str | Path) -> RunConfig:
     if ("preset" in raw) == ("system" in raw):
         raise ConfigError("exactly one of 'preset' or 'system' must be given")
     if "preset" in raw:
-        name = raw["preset"]
-        if name not in PRESETS:
-            raise ConfigError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
-        system = preset_system(name)
-        spectrometer = preset_params(name)["spectrometer_mhz"]
+        try:
+            system, params = preset(raw["preset"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        spectrometer = params["spectrometer_mhz"]
     else:
         system, spectrometer = _build_system(
             _block(raw, "system", "", ("spectrometer_mhz", "spins", "couplings_hz", "pairs")))
@@ -493,13 +493,13 @@ def cmd_scan(config_path: str, out_dir: str) -> Path:
 
 def cmd_presets(dump: str | None) -> None:
     if dump is not None:
-        system = preset_system(dump)
+        system, params = preset(dump)
         payload = {
             "name": dump,
             "offsets_hz": system.offsets_hz.tolist(),
             "couplings_hz": system.couplings_hz.tolist(),
             "pairs": [list(p) for p in system.pairs],
-            "params": preset_params(dump),
+            "params": params,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
         return
@@ -567,6 +567,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {path}")
         elif args.command == "presets":
             cmd_presets(args.dump)
+    except SystemExit:  # argparse's --help, once the help is printed; usage errors are raised as ValueErrors
+        return 0
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         # LinAlgError is a ValueError, so it is caught before the input errors
         print(f"numerical failure: {exc}", file=sys.stderr)

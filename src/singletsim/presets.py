@@ -155,13 +155,9 @@ PRESETS = {
 }
 
 
-def preset_system(name: str) -> SpinSystem:
-    if name not in PRESETS:
+def preset(name: str) -> tuple[SpinSystem, dict]:
+    """The named preset's spin system and its sequence parameters; any other name is a ValueError."""
+    if not isinstance(name, str) or name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
-    return PRESETS[name][0]()
-
-
-def preset_params(name: str) -> dict:
-    if name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
-    return PRESETS[name][1]
+    build, params = PRESETS[name]
+    return build(), params

@@ -501,12 +501,14 @@ _LEVEL_KETS = np.array([getattr(PAIR_BASIS, name) for name in _LEVEL_NAMES])
 
 def _pair_block_levels(
     system: SpinSystem, pair_index: int, lock: SpinLockParams
-) -> dict[str, float]:
-    """Exact dressed energies of one pair's singlet and triplet states under the lock.
+) -> dict[str, tuple[float, float]]:
+    """Exact dressed energies of one pair's singlet and triplet states under the lock, with their nutation slopes.
 
     Writes the pair's local two-spin lock block in the order (uu, ud, du, dd),
     diagonalizes it, and labels the eigenstates greedily by decreasing
-    overlap |<ket|v>|^2 with the lock-axis dressed basis.
+    overlap |<ket|v>|^2 with the lock-axis dressed basis.  The block is
+    H0 + nu L, with L the lock's flip terms (1/2 at each), so each level's
+    slope is dE/dnu = v^T L v = (v_uu + v_dd)(v_ud + v_du) (Hellmann-Feynman).
     """
     # at lock phase 0: H(phi) = Z H(0) Z^dagger, Z = exp(-i phi Fz), has the
     # same levels, and the overlaps |<Z ref|Z v>| do not change with phi
@@ -522,11 +524,12 @@ def _pair_block_levels(
         [0.0, flip, flip, -total + 0.25 * j],
     ])
     energies, vectors = np.linalg.eigh(h)
+    slopes = (vectors[0] + vectors[3]) * (vectors[1] + vectors[2])
     overlaps = (_LEVEL_KETS @ vectors) ** 2  # (label, eigenvector)
-    levels: dict[str, float] = {}
+    levels: dict[str, tuple[float, float]] = {}
     for _ in _LEVEL_NAMES:
         row, col = divmod(int(np.argmax(overlaps)), 4)
-        levels[_LEVEL_NAMES[row]] = float(energies[col])
+        levels[_LEVEL_NAMES[row]] = float(energies[col]), float(slopes[col])
         overlaps[row, :] = overlaps[:, col] = -1.0
     return levels
 
@@ -544,12 +547,12 @@ def exact_channel_detuning(
     channel: str,
     pair_1: int = 0,
     pair_2: int = 1,
-) -> float:
-    """Exact |T(m) S0> vs |S0 T(m)> energy difference from local pair blocks (Hz)."""
+) -> tuple[float, float]:
+    """Exact |T(m) S0> vs |S0 T(m)> energy difference from local pair blocks (Hz), and its slope in the nutation."""
     _check_transfer_channel(channel, pair_1, pair_2)
     lv1 = _pair_block_levels(system, pair_1, lock)
     lv2 = _pair_block_levels(system, pair_2, lock)
-    return (lv1[channel] - lv1["s0"]) - (lv2[channel] - lv2["s0"])
+    return tuple((lv1[channel][k] - lv1["s0"][k]) - (lv2[channel][k] - lv2["s0"][k]) for k in (0, 1))
 
 
 def exact_resonance_nutation(
@@ -560,55 +563,38 @@ def exact_resonance_nutation(
 ) -> float:
     """Lock nutation that zeroes the exact detuning of one transfer channel.
 
-    Brent's method (Brent 1973, ch. 4: inverse-quadratic or secant steps,
-    falling back to bisection) on the local-block detuning of a phase-0 lock
-    with its transmitter at pair_1's centre, over 30-5000 Hz, to a bracket
-    narrower than 1e-9 Hz; raises if that bracket does not straddle a sign
-    change.
+    Newton's method on the local-block detuning of a phase-0 lock with its
+    transmitter at pair_1's centre, stepping on the detuning's exact slope
+    (`exact_channel_detuning`), inside a sign bracket that starts at
+    30-5000 Hz and shrinks to each evaluated point.  A step that would leave
+    the bracket, or a zero slope, bisects it instead; the search stops once
+    a step is under 0.5e-9 Hz.  Raises if the 30-5000 Hz bracket does not
+    straddle a sign change.
     """
     _check_transfer_channel(channel, pair_1, pair_2)
     transmitter_offset_hz = pair_center_offset(system, pair_1)
 
-    def detuning(nu: float) -> float:
+    def detuning(nu: float) -> tuple[float, float]:
         lock = SpinLockParams(nu, 0.0, transmitter_offset_hz)
         return exact_channel_detuning(system, lock, channel, pair_1, pair_2)
 
-    # b is the best estimate, c the other end of the bracket, a the previous b
-    a, b = 30.0, 5000.0
-    fa, fb = detuning(a), detuning(b)
-    if fa * fb > 0:
-        raise ValueError("resonance bracket does not straddle a detuning sign change")
-    c, fc = a, fa
-    step = last_step = b - a
-    for _ in range(200):
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol = 2.0 * np.finfo(float).eps * abs(b) + 0.5e-9
-        half = 0.5 * (c - b)
-        if abs(half) <= tol or fb == 0.0:
-            break
-        if abs(last_step) < tol or abs(fa) <= abs(fb):
-            step = last_step = half
+    lo, hi = 30.0, 5000.0
+    (f_lo, slope_lo), (f_hi, slope_hi) = detuning(lo), detuning(hi)
+    if f_lo * f_hi > 0:
+        raise ValueError(f"no {channel} resonance between pairs {pair_1} and {pair_2}: the {lo:g}-{hi:g} Hz "
+                         "nutation bracket does not straddle a detuning sign change")
+    # x, the point evaluated last, is always an end of the bracket
+    x, f, slope = (lo, f_lo, slope_lo) if abs(f_lo) < abs(f_hi) else (hi, f_hi, slope_hi)
+    while f != 0.0:
+        step = 0.5 * (lo + hi) - x
+        if slope != 0.0 and lo < x - f / slope < hi:
+            step = -f / slope
+        if abs(step) < 0.5e-9:
+            return x + step
+        x += step
+        f, slope = detuning(x)
+        if (f > 0) == (f_lo > 0):
+            lo, f_lo = x, f
         else:
-            s = fb / fa
-            if a == c:  # secant
-                p, q = 2.0 * half * s, 1.0 - s
-            else:  # inverse quadratic interpolation
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * half * q - abs(tol * q), abs(last_step * q)):
-                last_step, step = step, p / q
-            else:
-                step = last_step = half
-        a, fa = b, fb
-        b += step if abs(step) > tol else np.copysign(tol, half)
-        fb = detuning(b)
-        if (fb > 0) == (fc > 0):
-            c, fc = a, fa
-            step = last_step = b - a
-    return float(b)
+            hi = x
+    return x

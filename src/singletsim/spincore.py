@@ -5,12 +5,9 @@ Conventions (fixed throughout the package):
 * spin 0 is the most significant qubit of the computational basis,
 * |up> is the first basis vector of each spin (index 0),
 * within a pair (a, b) the local basis order is (uu, ud, du, dd) with
-  spin a the more significant,
-* triplet labels follow the Zeeman-energy convention used for the
-  spin-locked eigenbasis here: T- = |uu>, T+ = |dd>.  This is the
-  reverse of the most common textbook labelling and is intentional.
+  spin a the more significant.
 
-The module holds spin systems, the singlet/triplet and dressed pair kets
+The module holds spin systems, the singlet and dressed triplet pair kets
 (`PAIR_BASIS`), the pseudo-thermal state's weights and state validation.
 The engine takes an initial state in one form, factored as (c, K, w): the
 density c * 1 + K diag(w) K^dagger with orthonormal kets as the columns of
@@ -134,20 +131,16 @@ PHI_COMPOSITIONS = {
 
 @dataclass(frozen=True)
 class PairBasis:
-    """The singlet/triplet and spin-locked kets of one pair.
+    """The singlet and spin-locked triplet kets of one pair.
 
     Vectors are 4-component, in the local basis order (uu, ud, du, dd).
-    phi_s coincides with s0; the phi states are the strong-lock eigenstates
-    for a lock along +x.
+    The phi states are the strong-lock triplet eigenstates for a lock along
+    +x; the lock's singlet eigenstate is s0.
     """
 
     s0: np.ndarray
-    t_plus: np.ndarray
-    t_0: np.ndarray
-    t_minus: np.ndarray
     phi_plus: np.ndarray
     phi_0: np.ndarray
-    phi_s: np.ndarray
     phi_minus: np.ndarray
 
     def phi_for(self, amplitudes: TripletAmplitudes) -> np.ndarray:
@@ -161,12 +154,8 @@ class PairBasis:
 
 PAIR_BASIS = PairBasis(
     s0=np.array([0.0, 1, -1, 0]) / SQRT2,
-    t_minus=np.array([1.0, 0, 0, 0]),
-    t_0=np.array([0.0, 1, 1, 0]) / SQRT2,
-    t_plus=np.array([0.0, 0, 0, 1]),
     phi_plus=np.array([1.0, 1, 1, 1]) / 2.0,
     phi_0=np.array([1.0, 0, 0, -1]) / SQRT2,
-    phi_s=np.array([0.0, 1, -1, 0]) / SQRT2,
     phi_minus=np.array([-1.0, 1, 1, -1]) / 2.0,
 )
 

@@ -231,6 +231,7 @@ CASES = [
 
     Case("presets_lists_every_preset", "presets", check=printed("glutamate", "phe-gly-gly")),
     Case("help", "--help", check=printed("usage:", "simulate", "fit", "scan", "presets")),
+    Case("presets_help", "presets --help", check=printed("usage:", "--dump")),
 
     # a usage error is an input error: argparse's message, exit 1 and no --out
     Case("fit_of_an_unknown_model", fit("gaussian"), "rabi_trace", code=1,
@@ -259,6 +260,9 @@ CASES = [
     # input errors of a config: each exits before --out is made
     Case("missing_config", "simulate --config {tmp}/nope.json --out {out}", code=1,
          stderr="input error: config file not found"),
+    *(Case(f"{name}_preset", SIMULATE, "glutamate_rabi", {"preset": value}, 1,
+           f"input error: unknown preset {value!r}; available: ['glutamate', 'phe-gly-gly']")
+      for name, value in (("list", ["glutamate"]), ("object", {}))),
     Case("fractional_pumping_cycles", SIMULATE, "pgg_pumping", {"protocol.sweep": {"values": [0.5, 1, 2]}}, 1,
          "input error: protocol: pumping sweep must contain positive integer cycle counts"),
     Case("noise_in_a_scan", SCAN, "glutamate_scan", {"noise": {"sigma": 0.05, "seed": 3}}, 1,
@@ -393,10 +397,7 @@ def in_process(argv: list[str]) -> tuple[int, str, str]:
     """(exit code, stdout, stderr) of `cli.main` on `argv`."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's --help exits from inside main
-            code = exc.code
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 

@@ -1,9 +1,11 @@
 """Shared test references that no runtime path of the package uses.
 
-Dense spin and pair operators embedded by bit index, projectors, product
-states, `expectation` and a spectral frequency estimate are the references
-for the package's generators, populations and fits; `rf_generator` is the
-lock term at an RF phase, summed from them.  The dense pair-product,
+The Zeeman triplet kets (`T_PLUS`, `T_0`, `T_MINUS`) and the lock's
+singlet `PHI_S`, with the triplet labelling convention, are references for
+`PAIR_BASIS`.  Dense spin and pair operators embedded by bit index,
+projectors, product states, `expectation` and a spectral frequency estimate
+are the references for the package's generators, populations and fits;
+`rf_generator` is the lock term at an RF phase, summed from them.  The dense pair-product,
 mixed-triplet and pseudo-thermal densities, the dense density check with its
 `check_hermitian` and `dense`, which expands the engine's factored state
 (c, K, w), reference the factored states the package builds.  The paper's
@@ -66,6 +68,14 @@ def pytest_configure(config):
     name = f"{complex_warning.__module__}.{complex_warning.__qualname__}"
     config.addinivalue_line("filterwarnings", f"error::{name}")
 
+
+# the Zeeman triplet kets and the lock's singlet, in the local pair order (uu, ud, du, dd).  The
+# triplet labels follow the Zeeman-energy convention used for the spin-locked eigenbasis here:
+# T- = |uu>, T+ = |dd>.  This is the reverse of the most common textbook labelling and is intentional.
+T_MINUS = np.array([1.0, 0, 0, 0])
+T_0 = np.array([0.0, 1, 1, 0]) / np.sqrt(2)
+T_PLUS = np.array([0.0, 0, 0, 1])
+PHI_S = np.array([0.0, 1, -1, 0]) / np.sqrt(2)  # coincides with s0
 
 # single spin-1/2 operators
 SIGMA_X = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)

@@ -379,6 +379,28 @@ class TestAnalyticJacobians:
 
 
 class TestFitProperties:
+    def test_reduced_chi_square_divides_by_the_degrees_of_freedom(self):
+        # chi2_red = RSS / (n - free parameters), the RSS that of the fitted curve on the data
+        rng = np.random.default_rng(41)
+        t = np.linspace(0.01, 3.2, 60)
+        x = np.linspace(-4.0, 8.0, 50)
+
+        def noisy(y):
+            return y + rng.normal(0, 0.05, y.size)
+
+        cases = [
+            (t, noisy(rabi_model(t, 1.0, 2.57, 0.1, 1.6)), fit_rabi, 4),
+            (t, noisy(rabi_model(t, 1.0, 2.57, 0.1, 1e9)), lambda trace: fit_rabi(trace, with_decay=False), 3),
+            (t, noisy(ramsey_model(t, 1.0, 2.33, 0.4, 0.2, 1.3, 4.4)), fit_ramsey, 6),
+            (t, noisy(0.8 * np.exp(-t / 0.9) + 0.1), fit_exponential, 3),
+            (x, noisy(0.1 + 0.5 / ((x - 1.5) ** 2 + 1.0)), fit_lorentzian, 4),
+        ]
+        for x_data, y, fitter, n_free in cases:
+            fit = fitter((x_data, y))
+            rss = np.sum((evaluate_model(fit, x_data) - y) ** 2)
+            assert fit.rss == pytest.approx(rss, rel=1e-9), fit.model
+            assert fit.reduced_chi_square == pytest.approx(fit.rss / (y.size - n_free), rel=1e-12), fit.model
+
     def test_vertical_scaling_leaves_shape_parameters(self):
         t = np.linspace(0.01, 3.0, 200)
         y = rabi_model(t, 1.0, 2.57, 0.1, 1.6)

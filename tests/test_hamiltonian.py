@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import (
+    PHI_S,
     EffectiveTwoLevel,
     effective_channels,
     embed_pair_operator,
@@ -118,7 +119,7 @@ class TestSpinlockHamiltonian:
         h = spinlock_hamiltonian(system, 100 * dnu)
         _, vectors = np.linalg.eigh(h)
         b = PAIR_BASIS
-        for ket in (b.phi_plus, b.phi_0, b.phi_s, b.phi_minus):
+        for ket in (b.phi_plus, b.phi_0, PHI_S, b.phi_minus):
             best = np.max(np.abs(vectors.conj().T @ ket) ** 2)
             assert best > 0.999
 

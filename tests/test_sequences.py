@@ -443,7 +443,7 @@ class TestRunRamsey:
         power = np.abs(np.fft.rfft(y, 8 * y.size)) ** 2
         c = 1.285
         for channel in ("phi_minus", "phi_plus"):
-            de = exact_channel_detuning(glu, proto.free_lock, channel, 0, 1)
+            de = exact_channel_detuning(glu, proto.free_lock, channel, 0, 1)[0]
             expected = np.hypot(de, 2 * c)
             window = (freqs > expected - 1.0) & (freqs < expected + 1.0)
             peak = freqs[window][np.argmax(power[window])]
@@ -843,7 +843,20 @@ class TestResonanceHelpers:
         oracle = oracle_pair_block_levels(system, pair, lock)
         assert levels.keys() == oracle.keys()
         for label, energy in oracle.items():
-            assert abs(levels[label] - energy) < 1e-12
+            assert abs(levels[label][0] - energy) < 1e-12
+
+    @pytest.mark.parametrize("nutation", [30.0, 250.0, 599.0, 5000.0])
+    @pytest.mark.parametrize("pair", [0, 1])
+    @pytest.mark.parametrize("name", ["glutamate", "phe_gly_gly"])
+    def test_pair_block_level_slopes_match_oracle_central_difference(self, name, pair, nutation):
+        system = {"glutamate": glutamate, "phe_gly_gly": phe_gly_gly}[name]()
+        lock = SpinLockParams(nutation, 0.0, pair_center_offset(system, 0))
+        levels = _pair_block_levels(system, pair, lock)
+        h = 1e-3
+        above = oracle_pair_block_levels(system, pair, replace(lock, nutation_hz=nutation + h))
+        below = oracle_pair_block_levels(system, pair, replace(lock, nutation_hz=nutation - h))
+        for label, (_, slope) in levels.items():
+            assert abs(slope - (above[label] - below[label]) / (2 * h)) < 1e-6
 
     @pytest.mark.parametrize("case", RESONANCE_SEARCHES)
     def test_resonance_matches_bisection_oracle(self, case):
@@ -866,12 +879,19 @@ class TestResonanceHelpers:
 
         monkeypatch.setattr(sequences, "exact_channel_detuning", counting_detuning)
         exact_resonance_nutation(system, channel, 0, 1)
-        assert 0 < len(calls) <= 16
+        assert 0 < len(calls) <= 12
 
     @pytest.mark.parametrize("channel", ["phi_plus", "phi_0"])
     def test_bracket_without_sign_change_raises(self, channel):
-        with pytest.raises(ValueError, match="does not straddle"):
+        message = f"no {channel} resonance between pairs 0 and 1: the 30-5000 Hz nutation bracket does not straddle"
+        with pytest.raises(ValueError, match=message):
             exact_resonance_nutation(glutamate(), channel, 0, 1)
+
+    def test_zero_slope_bisects(self, monkeypatch):
+        # a detuning with no slope anywhere: every step bisects, with no division by the zero slope
+        monkeypatch.setattr(sequences, "exact_channel_detuning",
+                            lambda system, lock, *args: (lock.nutation_hz - 1000.0, 0.0))
+        assert abs(exact_resonance_nutation(glutamate(), "phi_minus", 0, 1) - 1000.0) < 1e-9
 
     @pytest.mark.parametrize(
         "channel, pairs, argument",
@@ -899,16 +919,16 @@ class TestResonanceHelpers:
         pgg = phe_gly_gly()
         nutation = exact_resonance_nutation(pgg, "phi_plus", 0, 1)
         lock = SpinLockParams(nutation, 0.0, pair_center_offset(pgg, 0))
-        assert abs(exact_channel_detuning(pgg, lock, "phi_plus", 0, 1)) < 1e-6
+        assert abs(exact_channel_detuning(pgg, lock, "phi_plus", 0, 1)[0]) < 1e-6
 
     @pytest.mark.parametrize("channel", ["phi_plus", "phi_0", "phi_minus"])
     @pytest.mark.parametrize("name", ["glutamate", "phe_gly_gly"])
     def test_channel_detuning_does_not_depend_on_lock_phase(self, name, channel):
         system = {"glutamate": glutamate, "phe_gly_gly": phe_gly_gly}[name]()
         lock = SpinLockParams(320.0, 0.0, pair_center_offset(system, 0))
-        at_zero = exact_channel_detuning(system, lock, channel, 0, 1)
+        at_zero = exact_channel_detuning(system, lock, channel, 0, 1)[0]
         for phase in (0.7, np.pi, -2.0):
-            phased = exact_channel_detuning(system, replace(lock, phase=phase), channel, 0, 1)
+            phased = exact_channel_detuning(system, replace(lock, phase=phase), channel, 0, 1)[0]
             assert abs(phased - at_zero) < 1e-12
 
 

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 from conftest import (
+    PHI_S,
+    T_0,
+    T_MINUS,
+    T_PLUS,
     check_density,
     check_hermitian,
     embed_spin_operator,
@@ -150,16 +154,16 @@ class TestPairBasis:
         b = PAIR_BASIS
         assert np.allclose(b.s0, [0.0, 1 / SQRT2, -1 / SQRT2, 0.0])
         # T- is the all-up state, T+ the all-down state
-        assert np.allclose(b.t_minus, [1, 0, 0, 0])
-        assert np.allclose(b.t_plus, [0, 0, 0, 1])
+        assert np.allclose(T_MINUS, [1, 0, 0, 0])
+        assert np.allclose(T_PLUS, [0, 0, 0, 1])
 
     def test_phi_s_equals_s0(self):
         b = PAIR_BASIS
-        assert np.array_equal(b.phi_s, b.s0)
+        assert np.array_equal(PHI_S, b.s0)
 
     def test_orthonormal_families(self):
         b = PAIR_BASIS
-        for family in ([b.s0, b.t_plus, b.t_0, b.t_minus], [b.phi_plus, b.phi_0, b.phi_s, b.phi_minus]):
+        for family in ([b.s0, T_PLUS, T_0, T_MINUS], [b.phi_plus, b.phi_0, PHI_S, b.phi_minus]):
             gram = np.array([[u.conj() @ v for v in family] for u in family])
             assert np.max(np.abs(gram - np.eye(4))) < 1e-12
 
@@ -171,7 +175,7 @@ class TestPairBasis:
         # coefficients of (phi+, phi0, phi-) over (T+, T0, T-) form an
         # orthogonal 3x3 matrix on the triplet subspace
         b = PAIR_BASIS
-        triplets = [b.t_plus, b.t_0, b.t_minus]
+        triplets = [T_PLUS, T_0, T_MINUS]
         m = np.array([[t.conj() @ phi for t in triplets] for phi in (b.phi_plus, b.phi_0, b.phi_minus)])
         assert np.max(np.abs(m.imag)) < 1e-14
         assert np.max(np.abs(m.real @ m.real.T - np.eye(3))) < 1e-12
@@ -199,7 +203,7 @@ class TestProjectors:
     def test_eigenstate_expectation(self):
         sys4 = four_spin()
         b = PAIR_BASIS
-        rho = product_state(sys4, [b.s0, b.t_plus])
+        rho = product_state(sys4, [b.s0, T_PLUS])
         assert abs(expectation(rho, singlet_projector(sys4, 0)).real - 1.0) < 1e-12
         assert abs(expectation(rho, singlet_projector(sys4, 1)).real) < 1e-12
 
